@@ -28,7 +28,7 @@ from .engine import (
     prepare_uniform,
     rotation_spectrum,
 )
-from .fitness import FitnessLandscape, FitnessSpec, Formula, landscape, make_spec, marked_set
+from .fitness import FitnessLandscape, FitnessSpec, Formula, landscape, make_spec
 from .maze import (
     Direction,
     Maze,

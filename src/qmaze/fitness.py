@@ -3,6 +3,12 @@
 A path scores C minus the squared Euclidean distance from its end cell to
 the goal. Two formula variants exist: the power-of-two offset C = 2**r
 (the default) and the linear offset C = 2m used in small worked examples.
+
+:func:`fitness` scores one path by walking it with ``simulate_path``; that
+scalar walk is the reference the landscape is tested against. The
+landscape scores all 4**n paths at once: gathers over the cell /
+frozen-cell transition table of ``maze.path_end_values``, one per move,
+the last of which reads a per-row fitness array.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .maze import Maze, SimMode, simulate_path
+from .maze import Maze, SimMode, path_end_values, simulate_path
 
 
 class Formula(enum.Enum):
@@ -76,17 +82,16 @@ class FitnessLandscape:
 
 
 def landscape(maze: Maze, n: int, spec: FitnessSpec) -> FitnessLandscape:
-    """Tabulate fitness over all 4**n paths."""
-    total = codec.path_count(n)
-    values = np.empty(total, dtype=np.int64)
-    for u in range(total):
-        values[u] = fitness(maze, codec.decode_index(u, n), spec)
+    """Tabulate fitness over all 4**n paths.
+
+    Raises ValueError if n is negative or above ``codec.MAX_PATH_LENGTH``.
+    """
+    codec.path_count(n)
+    goal = np.array(maze.goal)
+    values = path_end_values(
+        maze, n, spec.mode, lambda cells, _: spec.offset - ((cells - goal) ** 2).sum(axis=1)
+    )
     return FitnessLandscape(n=n, values=values)
-
-
-def marked_set(scape: FitnessLandscape, cutoff: int) -> np.ndarray:
-    """Indices with fitness strictly above the cutoff, ascending."""
-    return np.flatnonzero(scape.values > cutoff)
 
 
 def landscape_to_csv(scape: FitnessLandscape) -> str:

@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
+import numpy as np
+
 
 class Direction(Enum):
     """One cardinal move. Row index i grows southward, column j eastward."""
@@ -210,6 +212,48 @@ def transition(
     if mode is SimMode.WALL_AWARE and not maze.is_open(cell, d):
         return None
     return nxt
+
+
+def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
+    """A per-row quantity read where each length-``n`` path stops, by path code.
+
+    A path automaton: the rows of its transition table are the cells plus a
+    frozen copy of each cell, entered on a blocked move and never left; the
+    columns are the directions in ``Direction`` order, which is codec's
+    two-bit code order N=0, E=1, S=2, W=3. Every entry comes from
+    :func:`transition`. WALL_BLIND rows span the offset grid of side
+    ``m + 2n``, which holds every cell reachable in n moves. Because the
+    first move sits in the most significant bits, appending one move to
+    every path is the gather ``state = table[state].reshape(-1)``.
+
+    ``row_value(cells, frozen)`` gets the (i, j) cell of every row as an
+    (R, 2) int64 array and a bool array marking the frozen rows, and returns
+    one value per row. A path is blocked (``simulate_path(...).valid`` is
+    False) iff it ends in a frozen row. ``n`` is not range-checked here;
+    see ``codec.path_count``.
+    """
+    pad = n if mode is SimMode.WALL_BLIND else 0
+    side = maze.size + 2 * pad
+    live = [(i - pad, j - pad) for i in range(side) for j in range(side)]
+    row_of = {cell: r for r, cell in enumerate(live)}
+    count = len(live)
+    table = np.empty((2 * count, len(Direction)), dtype=np.intp)
+    for r, cell in enumerate(live):
+        for col, d in enumerate(Direction):
+            # Blocked moves go to the frozen copy; so would a blind move off
+            # the offset grid, which is never taken within n moves.
+            table[r, col] = row_of.get(transition(maze, cell, d, mode), count + r)
+    table[count:] = np.arange(count, 2 * count)[:, None]
+    cells = np.array(live + live, dtype=np.int64)
+    values = np.asarray(row_value(cells, np.arange(2 * count) >= count))
+    state = np.array([row_of[maze.start]], dtype=np.intp)
+    if n == 0:
+        return values[state]
+    for _ in range(n - 1):
+        state = table[state].reshape(-1)
+    # The last move gathers the values themselves, so no 4**n array of
+    # row numbers is ever built.
+    return values[table][state].reshape(-1)
 
 
 def simulate_path(maze: Maze, path, mode: SimMode) -> Trajectory:

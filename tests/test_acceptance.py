@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from qmaze import codec, verify
-from qmaze.adaptive import Policy, SearchConfig, Status, run_adaptive
+from qmaze.adaptive import Policy, SearchConfig, Status, Strictness, marked_for_cutoff, run_adaptive
 from qmaze.circuits import (
     RevCircuit,
     build_fitness_circuit,
@@ -27,7 +27,7 @@ from qmaze.circuits import (
 )
 from qmaze.cli import main as cli_main
 from qmaze.engine import GroverGeometry, grover_iterate, optimal_rounds, prepare_uniform
-from qmaze.fitness import Formula, landscape, make_spec, marked_set
+from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import Maze, SimMode, generate_maze, simulate_path
 from qmaze.resources import linear_fit, measured
 
@@ -145,7 +145,7 @@ def test_criterion_5_oracle_interchangeable():
                 rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
                 out, signs = run_batch(circ, rows)
                 marked = np.zeros(4**n, dtype=bool)
-                marked[marked_set(scape, cutoff)] = True
+                marked[marked_for_cutoff(scape, cutoff, Strictness.STRICT)] = True
                 want = np.where(marked, -1, 1)
                 mismatches += int(np.sum(signs != want))
                 for name in circ.registers:

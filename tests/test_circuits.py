@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from qmaze import codec
+from qmaze.adaptive import Strictness, marked_for_cutoff
 from qmaze.circuits import (
     Gate,
     RevCircuit,
@@ -29,7 +30,7 @@ from qmaze.circuits import (
     signed_register_value,
     unpack_column,
 )
-from qmaze.fitness import Formula, landscape, make_spec, marked_set
+from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze, simulate_path
 
 
@@ -313,7 +314,7 @@ def test_oracle_sign_matches_landscape(m, n):
     for cutoff in (0, 1, spec.offset // 2, spec.offset - 1):
         circ = build_oracle_circuit(m, n, spec, cutoff)
         out, signs = sweep(circ, {"path": np.arange(4**n)})
-        marked = set(marked_set(scape, cutoff).tolist())
+        marked = set(marked_for_cutoff(scape, cutoff, Strictness.STRICT).tolist())
         want = np.array([-1 if u in marked else 1 for u in range(4**n)])
         assert np.array_equal(signs, want), (m, n, cutoff)
         assert scratch_clean(circ, out)

@@ -8,10 +8,22 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaze import codec
-from qmaze.fitness import Formula, fitness, landscape, landscape_to_csv, make_spec, marked_set
-from qmaze.maze import Direction, Maze, SimMode, generate_maze, shortest_path_length, tree_path
+from qmaze.adaptive import Strictness, marked_for_cutoff
+from qmaze.fitness import Formula, fitness, landscape, landscape_to_csv, make_spec
+from qmaze.maze import (
+    Direction,
+    Maze,
+    SimMode,
+    generate_maze,
+    path_end_values,
+    shortest_path_length,
+    simulate_path,
+    tree_path,
+)
 
 DELTAS = {Direction.N: (-1, 0), Direction.E: (0, 1), Direction.S: (1, 0), Direction.W: (0, -1)}
 
@@ -102,8 +114,6 @@ def test_padded_tree_path_attains_max():
 def test_fitness_bounded_and_max_iff_goal():
     # Wall-aware endpoints stay in-grid: fitness <= C with equality exactly
     # on the paths whose trajectory ends at the goal.
-    from qmaze.maze import simulate_path
-
     maze = generate_maze(3, seed=4)
     spec = make_spec(3)
     scape = landscape(maze, 3, spec)
@@ -127,18 +137,19 @@ def test_landscape_length_zero_edge(example_maze):
 def test_marked_set_strictness(example_maze):
     spec = make_spec(2, Formula.MAIN, SimMode.WALL_AWARE)
     scape = landscape(example_maze, 2, spec)
-    assert marked_set(scape, scape.f_max).size == 0
-    assert marked_set(scape, -10).size == 16
+    assert marked_for_cutoff(scape, scape.f_max, Strictness.STRICT).size == 0
+    assert marked_for_cutoff(scape, -10, Strictness.STRICT).size == 16
     # Independent second-pass count.
     want = sum(1 for v in scape.values if v > 2)
-    assert marked_set(scape, 2).size == want
+    assert marked_for_cutoff(scape, 2, Strictness.STRICT).size == want
 
 
 def test_marked_set_monotone(example_maze):
     spec = make_spec(2, Formula.MAIN, SimMode.WALL_AWARE)
     scape = landscape(example_maze, 2, spec)
     for lo, hi in [(-5, 0), (0, 2), (2, 3), (3, 4)]:
-        assert set(marked_set(scape, hi)) <= set(marked_set(scape, lo))
+        hi_set = marked_for_cutoff(scape, hi, Strictness.STRICT)
+        assert set(hi_set) <= set(marked_for_cutoff(scape, lo, Strictness.STRICT))
 
 
 def test_appendix_formula_value(example_maze):
@@ -165,3 +176,33 @@ def test_landscape_purity(example_maze):
     a = landscape(example_maze, 3, spec).values
     b = landscape(example_maze, 3, spec).values
     assert np.array_equal(a, b)
+
+
+@st.composite
+def maze_and_length(draw):
+    m = draw(st.integers(2, 5))
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
+    maze = generate_maze(m, draw(st.integers(0, 2**16)), start=start, goal=goal)
+    return maze, draw(st.integers(0, 6))
+
+
+@settings(max_examples=25, deadline=None)
+@given(maze_and_length(), st.sampled_from(list(SimMode)), st.sampled_from(list(Formula)))
+def test_landscape_matches_scalar_reference(case, mode, formula):
+    # The path automaton against the per-path walk it replaces.
+    maze, n = case
+    spec = make_spec(maze.size, formula, mode)
+    values = landscape(maze, n, spec).values
+    blocked = path_end_values(maze, n, mode, lambda _, frozen: frozen)
+    assert values.dtype == np.int64 and values.shape == blocked.shape == (4**n,)
+    for u in range(4**n):
+        path = codec.decode_index(u, n)
+        assert values[u] == fitness(maze, path, spec), (u, n, mode)
+        assert blocked[u] == (not simulate_path(maze, path, mode).valid), (u, n, mode)
+
+
+@pytest.mark.parametrize("n", [-1, codec.MAX_PATH_LENGTH + 1])
+def test_landscape_rejects_out_of_range_length(example_maze, n):
+    with pytest.raises(ValueError):
+        landscape(example_maze, n, make_spec(2))
