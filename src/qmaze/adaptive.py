@@ -106,32 +106,6 @@ def marked_for_cutoff(scape: FitnessLandscape, cutoff: int, strictness: Strictne
     return np.flatnonzero(scape.values > cutoff)
 
 
-def rounds_for_cutoff(
-    scape: FitnessLandscape,
-    cutoff: int,
-    policy: Policy,
-    *,
-    strictness: Strictness = Strictness.STRICT,
-    rng: np.random.Generator | None = None,
-    escalation: int = 0,
-) -> int:
-    """Iteration count for one round.
-
-    KNOWN_K reads k off the landscape and applies the optimal-round
-    formula. GUESSED_K ignores the landscape and draws uniformly from
-    [0, ceil(GUESS_GROWTH**escalation)), the standard escalation when the
-    marked count is unknown; it carries no success-probability formula.
-    """
-    if policy is Policy.KNOWN_K:
-        k = int(marked_for_cutoff(scape, cutoff, strictness).size)
-        geometry = GroverGeometry(num_states=scape.values.size, num_marked=k)
-        return optimal_rounds(geometry)  # raises DegenerateGeometryError on k=0
-    if rng is None:
-        raise ValueError("guessed-k policy needs a random generator")
-    ceiling = max(1, math.ceil(GUESS_GROWTH**escalation))
-    return int(rng.integers(0, ceiling))
-
-
 def failure_budget_schedule(epsilon, rounds: int) -> list[Fraction]:
     """Uniform split of the failure budget; the parts sum to epsilon exactly."""
     if rounds < 1:
@@ -177,9 +151,8 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
         if config.policy is Policy.KNOWN_K:
             r = optimal_rounds(geometry)
         else:
-            r = rounds_for_cutoff(
-                scape, cutoff, Policy.GUESSED_K, rng=rng, escalation=escalation
-            )
+            # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
+            r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
         state = grover_iterate(prepare_uniform(scape.n), marked, r)
         shots = measure_shots(state, rng, config.samples)
         shot_fitness = values[shots]

@@ -300,7 +300,7 @@ def cmd_dynamics(args) -> int:
         predicted = geometry.success_probability(r)
         simulated = state.marked_probability(marked)
         lines.append(f"{r},{predicted!r},{simulated!r}")
-        state = engine.grover_iterate(state, marked, 1)
+        state = engine.apply_diffuser(engine.apply_oracle(state, marked))
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -4,7 +4,11 @@ Holds 4**n complex amplitudes indexed by encoded paths. The oracle is
 diagonal (marked amplitudes get a sign flip), the diffuser is inversion
 about the mean, and their composition rotates the state by 2*theta inside
 the two-dimensional span of the marked and unmarked superpositions, with
-theta = arcsin(sqrt(k/N)). All operations return new states.
+theta = arcsin(sqrt(k/N)). ``grover_iterate`` applies r iterates in one
+pass over the state through that plane decomposition (Boyer, Brassard,
+Hoyer and Tapp, arXiv:quant-ph/9605034); the step-by-step composition of
+``apply_oracle`` and ``apply_diffuser`` is the statevector reference it is
+tested against. All operations return new states.
 """
 
 from __future__ import annotations
@@ -77,11 +81,17 @@ def prepare_uniform(n: int) -> PathState:
     return PathState(n=n, amps=amps)
 
 
-def apply_oracle(state: PathState, marked) -> PathState:
-    """Negate the amplitudes of the marked basis states."""
+def _marked_indices(state: PathState, marked) -> np.ndarray:
+    """Marked basis indices as int64, each checked to lie in [0, dim)."""
     idx = np.asarray(marked, dtype=np.int64)
     if idx.size and (idx.min() < 0 or idx.max() >= state.dim):
         raise ValueError("marked index out of range")
+    return idx
+
+
+def apply_oracle(state: PathState, marked) -> PathState:
+    """Negate the amplitudes of the marked basis states (a repeat flips once)."""
+    idx = _marked_indices(state, marked)
     amps = state.amps.copy()
     amps[idx] = -amps[idx]
     return PathState(n=state.n, amps=amps)
@@ -94,14 +104,42 @@ def apply_diffuser(state: PathState) -> PathState:
 
 
 def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
-    """Apply (diffuser . oracle) ``rounds`` times."""
+    """Apply (diffuser . oracle) ``rounds`` times, in one pass over the state.
+
+    Split the amplitudes as a = alpha*1_M + beta*1_U + rho_M + rho_U, where
+    alpha and beta are the means over the k marked indices M and the rest U,
+    and each residual rho sums to zero on its own set. The r-th power of the
+    iterate keeps rho_M, multiplies rho_U by (-1)**r, and rotates
+    (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by 2*r*theta. The result equals
+    r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for any state
+    and for k = 0 or k = N as well; a marked index listed twice counts once.
+    """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
-    idx = np.asarray(marked, dtype=np.int64)
-    current = state
-    for _ in range(rounds):
-        current = apply_diffuser(apply_oracle(current, idx))
-    return current
+    idx = _marked_indices(state, marked)
+    if rounds == 0:
+        return state
+    # marked_for_cutoff passes sorted unique sets; np.unique costs more than the pass.
+    if np.any(idx[1:] <= idx[:-1]):
+        idx = np.unique(idx)
+    amps = state.amps
+    big_n, k = state.dim, idx.size
+    # max(., 1) gives an empty set mean 0; it has no entries to write.
+    in_m, in_u = max(k, 1), max(big_n - k, 1)
+    marked_sum = amps[idx].sum()
+    alpha = marked_sum / in_m
+    beta = (amps.sum() - marked_sum) / in_u
+    angle = 2 * rounds * GroverGeometry(big_n, k).theta
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = math.sqrt(k) * alpha, math.sqrt(big_n - k) * beta
+    alpha_r = (x * c + y * s) / math.sqrt(in_m)
+    beta_r = (y * c - x * s) / math.sqrt(in_u)
+    out = amps - beta
+    if rounds % 2:
+        np.negative(out, out=out)
+    out += beta_r
+    out[idx] = amps[idx] + (alpha_r - alpha)
+    return PathState(n=state.n, amps=out)
 
 
 def optimal_rounds(geometry: GroverGeometry) -> int:
@@ -134,9 +172,10 @@ def measure_shots(state: PathState, rng: np.random.Generator | int, shots: int) 
 def rotation_block(geometry: GroverGeometry) -> np.ndarray:
     """The 2x2 matrix of one Grover iterate on span{|perp>, |T>}.
 
-    Built from the simulated action of the iterate on the two basis
-    vectors (synthetic marked set of the right size), not from the closed
-    form; in this basis order it equals [[cos2t, -sin2t], [sin2t, cos2t]].
+    Built from the statevector action of one oracle-then-diffuser step on
+    the two basis vectors (synthetic marked set of the right size), not
+    from the closed form or ``grover_iterate``; in this basis order it
+    equals [[cos2t, -sin2t], [sin2t, cos2t]].
     """
     if geometry.degenerate or geometry.num_marked == geometry.num_states:
         raise DegenerateGeometryError("rotation block needs 1 <= k < N")
@@ -152,7 +191,7 @@ def rotation_block(geometry: GroverGeometry) -> np.ndarray:
     basis = (perp, target)
     block = np.empty((2, 2), dtype=np.complex128)
     for col, vec in enumerate(basis):
-        out = grover_iterate(PathState(n=n, amps=vec), marked, 1).amps
+        out = apply_diffuser(apply_oracle(PathState(n=n, amps=vec), marked)).amps
         block[0, col] = np.vdot(basis[0], out)
         block[1, col] = np.vdot(basis[1], out)
     return block

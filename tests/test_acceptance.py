@@ -26,7 +26,13 @@ from qmaze.circuits import (
     unpack_column,
 )
 from qmaze.cli import main as cli_main
-from qmaze.engine import GroverGeometry, grover_iterate, optimal_rounds, prepare_uniform
+from qmaze.engine import (
+    GroverGeometry,
+    apply_diffuser,
+    apply_oracle,
+    optimal_rounds,
+    prepare_uniform,
+)
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import Maze, SimMode, generate_maze, simulate_path
 from qmaze.resources import linear_fit, measured
@@ -119,7 +125,7 @@ def test_criterion_4_rotation_dynamics():
             for r in range(3 * max(1, r_star) + 1):
                 probs.append(state.marked_probability(marked))
                 worst_err = max(worst_err, abs(probs[-1] - geometry.success_probability(r)))
-                state = grover_iterate(state, marked, 1)
+                state = apply_diffuser(apply_oracle(state, marked))
             first_period = probs[: 2 * r_star + 2]
             argmax_ok &= abs(int(np.argmax(first_period)) - r_star) <= 1
     elapsed = time.perf_counter() - t0

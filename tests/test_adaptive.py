@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaze.adaptive import (
+    GUESS_GROWTH,
     CutoffTrace,
     Policy,
     RoundRecord,
@@ -18,12 +20,11 @@ from qmaze.adaptive import (
     Strictness,
     failure_budget_schedule,
     marked_for_cutoff,
-    rounds_for_cutoff,
     run_adaptive,
     shots_for_budget,
     update_cutoff,
 )
-from qmaze.engine import DegenerateGeometryError, GroverGeometry, optimal_rounds
+from qmaze.engine import GroverGeometry, optimal_rounds
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
 
@@ -52,14 +53,21 @@ def test_cutoff_sequence_properties(observations, c1):
     assert strict <= f_max - c1
 
 
+def _first_round(scape, cutoff):
+    config = SearchConfig(initial_cutoff=cutoff, strictness=Strictness.STRICT, max_rounds=1)
+    return run_adaptive(scape, config).rounds[0]
+
+
 def test_rounds_for_cutoff_quarter():
     # A quarter of the space marked -> theta = pi/6 -> exactly one round.
     from qmaze.fitness import FitnessLandscape
 
     values = np.array([1] * 12 + [5] * 4, dtype=np.int64)
     scape = FitnessLandscape(n=2, values=values)
-    assert marked_for_cutoff(scape, 2, Strictness.STRICT).size == 4
-    assert rounds_for_cutoff(scape, 2, Policy.KNOWN_K) == 1
+    k = marked_for_cutoff(scape, 2, Strictness.STRICT).size
+    assert k == 4
+    first = _first_round(scape, 2)
+    assert first.rounds == optimal_rounds(GroverGeometry(16, k)) == 1
 
 
 def test_rounds_for_cutoff_counts_from_landscape(example_scape):
@@ -67,34 +75,35 @@ def test_rounds_for_cutoff_counts_from_landscape(example_scape):
     # and the round count follows from that k alone.
     k2 = int(np.sum(example_scape.values > 2))
     assert marked_for_cutoff(example_scape, 2, Strictness.STRICT).size == k2 == 6
-    assert rounds_for_cutoff(example_scape, 2, Policy.KNOWN_K) == optimal_rounds(
-        GroverGeometry(16, k2)
-    )
+    first = _first_round(example_scape, 2)
+    assert first.k == k2
+    assert first.rounds == optimal_rounds(GroverGeometry(16, k2))
     k3 = int(np.sum(example_scape.values > 3))
     geometry = GroverGeometry(16, k3)
-    assert rounds_for_cutoff(example_scape, 3, Policy.KNOWN_K) == 2
-    assert k3 == 1 and geometry.theta == pytest.approx(np.arcsin(0.25))
+    first = _first_round(example_scape, 3)
+    assert first.rounds == optimal_rounds(geometry) == 2
+    assert k3 == first.k == 1 and geometry.theta == pytest.approx(np.arcsin(0.25))
 
 
 def test_rounds_for_cutoff_degenerate(example_scape):
-    with pytest.raises(DegenerateGeometryError):
-        rounds_for_cutoff(example_scape, example_scape.f_max, Policy.KNOWN_K)
+    # Above the maximum nothing is marked under either strictness.
+    for strictness in Strictness:
+        config = SearchConfig(initial_cutoff=example_scape.f_max + 1, strictness=strictness)
+        trace = run_adaptive(example_scape, config)
+        assert trace.status is Status.DEGENERATE
+        assert not trace.rounds
 
 
-def test_guessed_k_reproducible(example_scape):
-    draws1 = [
-        rounds_for_cutoff(example_scape, 0, Policy.GUESSED_K,
-                          rng=np.random.default_rng(4), escalation=s)
-        for s in range(8)
-    ]
-    draws2 = [
-        rounds_for_cutoff(example_scape, 0, Policy.GUESSED_K,
-                          rng=np.random.default_rng(4), escalation=s)
-        for s in range(8)
-    ]
-    assert draws1 == draws2
-    with pytest.raises(ValueError):
-        rounds_for_cutoff(example_scape, 0, Policy.GUESSED_K)
+def test_guessed_k_reproducible():
+    # A 3x3 maze at n=4 gives many non-improving rounds, so the range grows.
+    scape = landscape(generate_maze(3, seed=0), 4, make_spec(3))
+    config = SearchConfig(policy=Policy.GUESSED_K, samples=1, max_rounds=32, seed=1)
+    first = run_adaptive(scape, config)
+    assert first.rounds == run_adaptive(scape, config).rounds
+    escalation = 0
+    for rec in first.rounds:
+        assert 0 <= rec.rounds < max(1, math.ceil(GUESS_GROWTH**escalation))
+        escalation = 0 if rec.new_cutoff > rec.cutoff else escalation + 1
 
 
 def test_run_adaptive_example_converges(example_scape):

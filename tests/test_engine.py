@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qmaze.engine import (
     DegenerateGeometryError,
@@ -108,6 +110,48 @@ def test_iterate_full_marked_set_stays_certain():
         assert abs(state.marked_probability(np.arange(4)) - 1.0) < ATOL_DYNAMICS
 
 
+@pytest.mark.parametrize("marked", [[99], [4], [-1], [0, 3, 4]])
+@pytest.mark.parametrize("rounds", [0, 1, 5])
+def test_iterate_rejects_out_of_range(marked, rounds):
+    with pytest.raises(ValueError):
+        grover_iterate(prepare_uniform(1), marked, rounds)
+
+
+def test_iterate_rejects_negative_rounds():
+    with pytest.raises(ValueError):
+        grover_iterate(prepare_uniform(1), [0], -1)
+
+
+@st.composite
+def iterate_cases(draw):
+    """A random normalised complex state, a marked list, and a round count."""
+    n = draw(st.integers(0, 4))
+    big_n = 4**n
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    amps = rng.normal(size=big_n) + 1j * rng.normal(size=big_n)
+    amps /= np.linalg.norm(amps)
+    index = st.integers(0, big_n - 1)
+    with_repeats = st.lists(index, max_size=big_n + 4)
+    marked = draw(
+        st.one_of(
+            with_repeats,
+            st.sets(index).map(sorted),
+            with_repeats.map(lambda extra: list(range(big_n)) + extra),
+        )
+    )
+    return PathState(n=n, amps=amps), np.array(marked, dtype=np.int64), draw(st.integers(0, 64))
+
+
+@given(iterate_cases())
+def test_iterate_matches_stepwise_reference(case):
+    state, marked, rounds = case
+    want = state
+    for _ in range(rounds):
+        want = apply_diffuser(apply_oracle(want, marked))
+    got = grover_iterate(state, marked, rounds)
+    assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
+
+
 @pytest.mark.parametrize("n", range(1, 7))
 def test_closed_form_across_sizes(n):
     big_n = 4**n
@@ -123,7 +167,7 @@ def test_closed_form_across_sizes(n):
                 < ATOL_DYNAMICS
             ), (n, k, r)
             assert abs(state.norm() - 1.0) < ATOL_NORM
-            state = grover_iterate(state, marked, 1)
+            state = apply_diffuser(apply_oracle(state, marked))
 
 
 def test_two_dimensional_confinement():
@@ -132,7 +176,7 @@ def test_two_dimensional_confinement():
     state = prepare_uniform(n)
     unmarked = np.setdiff1d(np.arange(4**n), marked)
     for _ in range(10):
-        state = grover_iterate(state, marked, 1)
+        state = apply_diffuser(apply_oracle(state, marked))
         assert np.ptp(state.amps[marked].real) < 1e-10
         assert np.ptp(state.amps[unmarked].real) < 1e-10
         assert np.max(np.abs(state.amps.imag)) < 1e-12
