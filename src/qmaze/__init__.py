@@ -12,7 +12,6 @@ from .adaptive import (
     SearchConfig,
     Status,
     Strictness,
-    failure_budget_schedule,
     run_adaptive,
     update_cutoff,
 )

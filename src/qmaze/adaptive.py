@@ -12,7 +12,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -48,7 +47,6 @@ class Status(enum.Enum):
 @dataclass(frozen=True)
 class SearchConfig:
     initial_cutoff: int = 0
-    epsilon: float = 0.05
     max_rounds: int = 32
     policy: Policy = Policy.KNOWN_K
     strictness: Strictness = Strictness.GE_AT_MAX
@@ -58,8 +56,6 @@ class SearchConfig:
     def __post_init__(self):
         if self.max_rounds < 1:
             raise ValueError("round budget must be >= 1")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("failure budget must lie in (0, 1)")
         if self.samples < 1:
             raise ValueError("samples per round must be >= 1")
 
@@ -104,27 +100,6 @@ def marked_for_cutoff(scape: FitnessLandscape, cutoff: int, strictness: Strictne
     if strictness is Strictness.GE_AT_MAX and cutoff == scape.f_max:
         return np.flatnonzero(scape.values >= cutoff)
     return np.flatnonzero(scape.values > cutoff)
-
-
-def failure_budget_schedule(epsilon, rounds: int) -> list[Fraction]:
-    """Uniform split of the failure budget; the parts sum to epsilon exactly."""
-    if rounds < 1:
-        raise ValueError("round budget must be >= 1")
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValueError("failure budget must lie in (0, 1)")
-    return [eps / rounds] * rounds
-
-
-def shots_for_budget(p_success: float, delta) -> int:
-    """Shots needed so the chance of missing a marked state stays below delta."""
-    if not 0 < delta < 1:
-        raise ValueError("per-round budget must lie in (0, 1)")
-    if p_success >= 1:
-        return 1
-    if p_success <= 0:
-        raise ValueError("zero success probability cannot meet any budget")
-    return max(1, math.ceil(math.log(float(delta)) / math.log(1 - p_success)))
 
 
 def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:

@@ -20,7 +20,6 @@ Arithmetic conventions:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,20 +89,6 @@ class RevCircuit:
     def scratch_registers(self) -> list[Register]:
         return [r for r in self.registers.values() if r.role in SCRATCH_ROLES]
 
-    def to_gate_list(self) -> str:
-        """Textual export: one ``GATE target controls...`` line per gate."""
-        names = {0: "NOT", 1: "CNOT", 2: "TOFFOLI"}
-        lines = [
-            f"# {r.name} bits {r.offset}..{r.offset + r.width - 1} role {r.role}"
-            for r in self.registers.values()
-        ]
-        for g in self.gates:
-            if isinstance(g, PhaseMark):
-                lines.append(f"Z {g.target}")
-            else:
-                lines.append(" ".join([names[len(g.controls)], str(g.target), *map(str, g.controls)]))
-        return "\n".join(lines) + "\n"
-
 
 @dataclass(frozen=True)
 class GateCounts:
@@ -126,9 +111,6 @@ class GateCounts:
             depth=self.depth + other.depth,
             ancilla=max(self.ancilla, other.ancilla),
         )
-
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
 
 
 def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:

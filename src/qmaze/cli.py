@@ -1,7 +1,9 @@
 """Command-line front end: generate mazes, run solves and sweeps, check
 circuits against their references, and report resource costs.
 
-Exit codes: 0 success, 1 verification failure, 2 usage or config error.
+Exit codes: 0 success, 1 verification failure, 2 usage or config error
+(bad flags, config file or maze file) and nothing else; any other
+exception is an internal fault and propagates with its traceback.
 All randomness derives from the single --seed value: maze generation uses
 child stream (seed, 0[, run]) and the search loop uses (seed, 1[, run]),
 so identical configs reproduce byte-identical outputs.
@@ -19,7 +21,7 @@ import numpy as np
 from . import adaptive, codec, engine, fitness, resources, verify
 from .adaptive import Policy, SearchConfig, Strictness, run_adaptive
 from .fitness import Formula, make_spec
-from .maze import Maze, MazeFormatError, SimMode, generate_maze, parse_maze, serialize_maze
+from .maze import MazeFormatError, SimMode, generate_maze, parse_maze, serialize_maze
 
 
 class UsageError(Exception):
@@ -38,7 +40,6 @@ _CONFIG_SCHEMA = {
     "m": int,
     "n": int,
     "seed": int,
-    "epsilon": float,
     "cutoff0": int,
     "rounds": int,
     "samples": int,
@@ -154,15 +155,17 @@ def cmd_generate(args) -> int:
 
 
 def _load_solve_settings(args) -> dict:
+    """Defaults, then the config file (``solve`` only), then flags; validated once."""
     settings = {
-        "maze": None, "m": None, "n": None, "seed": 0, "epsilon": 0.05,
+        "maze": None, "m": None, "n": None, "seed": 0,
         "cutoff0": 0, "rounds": 32, "samples": 3, "mode": "wall-aware",
         "formula": "maintext", "policy": "known-k", "strictness": "ge-at-max",
         "out": None, "format": "csv",
     }
-    if args.config:
+    config_path = getattr(args, "config", None)
+    if config_path:
         try:
-            text = Path(args.config).read_text()
+            text = Path(config_path).read_text()
         except OSError as exc:
             raise UsageError(f"cannot read config: {exc}") from None
         settings.update(parse_config(text))
@@ -172,38 +175,47 @@ def _load_solve_settings(args) -> dict:
             settings[key] = flag
     if settings["n"] is None:
         raise UsageError("path length --n is required")
-    if settings["maze"] is None and settings["m"] is None:
-        raise UsageError("either --maze FILE or --m SIZE is required")
+    if not 0 <= settings["n"] <= codec.MAX_PATH_LENGTH:
+        raise UsageError(f"--n must lie in 0..{codec.MAX_PATH_LENGTH}")
+    if not settings["maze"]:
+        if settings["m"] is None:
+            raise UsageError("either --maze FILE or --m SIZE is required")
+        if settings["m"] < 2:
+            raise UsageError("--m must be >= 2")
+    if settings["seed"] < 0:
+        raise UsageError("--seed must be >= 0")
+    if settings["format"] not in ("csv", "json"):
+        raise UsageError("--format must be csv or json")
     return settings
 
 
-def _solve_once(settings: dict) -> tuple[Maze, fitness.FitnessLandscape, adaptive.CutoffTrace]:
+def _solve_once(settings: dict, *run: int) -> tuple[fitness.FitnessLandscape, adaptive.CutoffTrace]:
+    """One seeded search; ``run`` (a sweep's run index) is appended to both child seeds."""
+    try:
+        config = SearchConfig(
+            initial_cutoff=settings["cutoff0"],
+            max_rounds=settings["rounds"],
+            policy=_enum_value(Policy, settings["policy"], "--policy"),
+            strictness=_enum_value(Strictness, settings["strictness"], "--strictness"),
+            samples=settings["samples"],
+            seed=_child_seed(settings["seed"], 1, *run),
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if settings["maze"]:
         try:
             maze = parse_maze(Path(settings["maze"]).read_text())
         except OSError as exc:
             raise UsageError(f"cannot read maze: {exc}") from None
     else:
-        maze = generate_maze(settings["m"], _child_seed(settings["seed"], 0))
+        maze = generate_maze(settings["m"], _child_seed(settings["seed"], 0, *run))
     spec = make_spec(
         maze.size,
         _enum_value(Formula, settings["formula"], "--formula"),
         _enum_value(SimMode, settings["mode"], "--mode"),
     )
-    n = settings["n"]
-    if n < 0 or n > codec.MAX_PATH_LENGTH:
-        raise UsageError(f"--n must lie in 0..{codec.MAX_PATH_LENGTH}")
-    scape = fitness.landscape(maze, n, spec)
-    config = SearchConfig(
-        initial_cutoff=settings["cutoff0"],
-        epsilon=settings["epsilon"],
-        max_rounds=settings["rounds"],
-        policy=_enum_value(Policy, settings["policy"], "--policy"),
-        strictness=_enum_value(Strictness, settings["strictness"], "--strictness"),
-        samples=settings["samples"],
-        seed=_child_seed(settings["seed"], 1),
-    )
-    return maze, scape, run_adaptive(scape, config)
+    scape = fitness.landscape(maze, settings["n"], spec)
+    return scape, run_adaptive(scape, config)
 
 
 def _summary_lines(trace: adaptive.CutoffTrace, scape, n: int) -> list[str]:
@@ -221,41 +233,25 @@ def _summary_lines(trace: adaptive.CutoffTrace, scape, n: int) -> list[str]:
 
 def cmd_solve(args) -> int:
     settings = _load_solve_settings(args)
-    _, scape, trace = _solve_once(settings)
+    scape, trace = _solve_once(settings)
     n = settings["n"]
     for line in _summary_lines(trace, scape, n):
         print(line)
     if settings["format"] == "json":
         _write_out(trace_to_json(trace, n, scape.f_max), settings["out"])
-    elif settings["format"] == "csv":
-        _write_out(trace_to_csv(trace), settings["out"])
     else:
-        raise UsageError("--format must be csv or json")
+        _write_out(trace_to_csv(trace), settings["out"])
     return 0
 
 
 def cmd_sweep(args) -> int:
     if args.runs < 1:
         raise UsageError("--runs must be >= 1")
+    settings = _load_solve_settings(args)
     rows = []
     successes = 0
     for run in range(args.runs):
-        maze = generate_maze(args.m, _child_seed(args.seed, 0, run))
-        spec = make_spec(
-            args.m,
-            _enum_value(Formula, args.formula, "--formula"),
-            _enum_value(SimMode, args.mode, "--mode"),
-        )
-        scape = fitness.landscape(maze, args.n, spec)
-        config = SearchConfig(
-            initial_cutoff=args.cutoff0,
-            epsilon=args.epsilon,
-            max_rounds=args.rounds,
-            policy=_enum_value(Policy, args.policy, "--policy"),
-            samples=args.samples,
-            seed=_child_seed(args.seed, 1, run),
-        )
-        trace = run_adaptive(scape, config)
+        scape, trace = _solve_once(settings, run)
         success = trace.best_fitness == scape.f_max
         successes += int(success)
         rows.append(
@@ -270,9 +266,9 @@ def cmd_sweep(args) -> int:
         )
     fraction = successes / args.runs
     print(f"success fraction: {fraction!r} ({successes}/{args.runs})")
-    if args.format == "json":
+    if settings["format"] == "json":
         doc = {"runs": rows, "success_fraction": fraction}
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", settings["out"])
     else:
         lines = ["run,status,rounds_used,best_fitness,f_max,success"]
         for r in rows:
@@ -280,7 +276,7 @@ def cmd_sweep(args) -> int:
                 f"{r['run']},{r['status']},{r['rounds_used']},{r['best_fitness']},"
                 f"{r['f_max']},{int(r['success'])}"
             )
-        _write_out("\n".join(lines) + "\n", args.out)
+        _write_out("\n".join(lines) + "\n", settings["out"])
     return 0
 
 
@@ -377,6 +373,21 @@ def cmd_resources(args) -> int:
 # Argument parsing
 
 
+def _add_search_flags(p: argparse.ArgumentParser, sizes_required: bool) -> None:
+    """Flags that ``solve`` and ``sweep`` share; their defaults live in the settings dict."""
+    p.add_argument("--m", type=int, required=sizes_required)
+    p.add_argument("--n", type=int, required=sizes_required)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--cutoff0", type=int)
+    p.add_argument("--rounds", type=int)
+    p.add_argument("--samples", type=int)
+    p.add_argument("--mode", choices=[m.value for m in SimMode])
+    p.add_argument("--formula", choices=[f.value for f in Formula])
+    p.add_argument("--policy", choices=[pol.value for pol in Policy])
+    p.add_argument("--out")
+    p.add_argument("--format", choices=["csv", "json"])
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmaze",
@@ -395,35 +406,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the adaptive search on one maze")
     p.add_argument("--config", help="flat key=value settings file")
     p.add_argument("--maze", help="maze file (otherwise generated from --m)")
-    p.add_argument("--m", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--cutoff0", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--mode", choices=[m.value for m in SimMode])
-    p.add_argument("--formula", choices=[f.value for f in Formula])
-    p.add_argument("--policy", choices=[pol.value for pol in Policy])
+    _add_search_flags(p, sizes_required=False)
     p.add_argument("--strictness", choices=[s.value for s in Strictness])
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="many seeded solves, success statistics")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
+    _add_search_flags(p, sizes_required=True)
     p.add_argument("--runs", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--cutoff0", type=int, default=0)
-    p.add_argument("--rounds", type=int, default=32)
-    p.add_argument("--samples", type=int, default=3)
-    p.add_argument("--mode", choices=[m.value for m in SimMode], default="wall-aware")
-    p.add_argument("--formula", choices=[f.value for f in Formula], default="maintext")
-    p.add_argument("--policy", choices=[pol.value for pol in Policy], default="known-k")
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dynamics", help="predicted vs simulated success per round count")
@@ -459,9 +448,6 @@ def main(argv=None) -> int:
         return 2
     except MazeFormatError as exc:
         print(f"error: bad maze file: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

@@ -202,12 +202,3 @@ def rotation_spectrum(geometry: GroverGeometry) -> np.ndarray:
     eig = np.linalg.eigvals(rotation_block(geometry))
     return eig[np.argsort(eig.imag)]  # e^{-2i theta} first, e^{+2i theta} second
 
-
-def state_to_csv(state: PathState) -> str:
-    """CSV dump ``index,real,imag,probability`` of the full state."""
-    lines = ["index,real,imag,probability"]
-    probs = state.probabilities()
-    for u in range(state.dim):
-        a = state.amps[u]
-        lines.append(f"{u},{float(a.real)!r},{float(a.imag)!r},{float(probs[u])!r}")
-    return "\n".join(lines) + "\n"

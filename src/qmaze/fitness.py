@@ -93,13 +93,3 @@ def landscape(maze: Maze, n: int, spec: FitnessSpec) -> FitnessLandscape:
     )
     return FitnessLandscape(n=n, values=values)
 
-
-def landscape_to_csv(scape: FitnessLandscape) -> str:
-    """CSV rows ``index,bits,path,fitness`` for the whole landscape."""
-    lines = ["index,bits,path,fitness"]
-    for u in range(scape.values.size):
-        dirs = codec.decode_index(u, scape.n)
-        lines.append(
-            f"{u},{codec.path_bits(u, scape.n)},{codec.path_letters(dirs)},{int(scape.values[u])}"
-        )
-    return "\n".join(lines) + "\n"

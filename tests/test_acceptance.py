@@ -207,7 +207,7 @@ def test_criterion_7_cutoff_convergence():
         maze = generate_maze(m, seed=i)
         scape = landscape(maze, n, make_spec(m))
         config = SearchConfig(
-            initial_cutoff=0, epsilon=epsilon, max_rounds=32,
+            initial_cutoff=0, max_rounds=32,
             policy=Policy.KNOWN_K, samples=3, seed=10_000 + i,
         )
         trace = run_adaptive(scape, config)

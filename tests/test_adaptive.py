@@ -1,9 +1,8 @@
-"""Adaptive cutoff loop: trace invariants, convergence, budget arithmetic."""
+"""Adaptive cutoff loop: trace invariants and convergence."""
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +17,8 @@ from qmaze.adaptive import (
     SearchConfig,
     Status,
     Strictness,
-    failure_budget_schedule,
     marked_for_cutoff,
     run_adaptive,
-    shots_for_budget,
     update_cutoff,
 )
 from qmaze.engine import GroverGeometry, optimal_rounds
@@ -197,36 +194,9 @@ def test_white_box_round_hit_rate(example_scape):
     assert abs(hits / shots - p_want) < 3 * sigma + 1e-9
 
 
-def test_failure_budget_schedule_exact():
-    parts = failure_budget_schedule(0.1, 5)
-    assert len(parts) == 5
-    assert all(p == Fraction(0.1) / 5 for p in parts)
-    assert sum(parts) == Fraction(0.1)
-    assert float(parts[0]) == pytest.approx(0.02)
-
-
-@given(
-    eps=st.fractions(min_value=Fraction(1, 1000), max_value=Fraction(999, 1000)),
-    rounds=st.integers(1, 60),
-)
-def test_failure_budget_sums_exactly(eps, rounds):
-    assert sum(failure_budget_schedule(eps, rounds)) == eps
-
-
-def test_shots_for_budget_bound():
-    p, delta = 0.9, 0.02
-    s = shots_for_budget(p, delta)
-    assert (1 - p) ** s <= delta < (1 - p) ** (s - 1)
-    assert shots_for_budget(1.0, 0.5) == 1
-    with pytest.raises(ValueError):
-        shots_for_budget(0.0, 0.5)
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         SearchConfig(max_rounds=0)
-    with pytest.raises(ValueError):
-        SearchConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         SearchConfig(samples=0)
 

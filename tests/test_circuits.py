@@ -426,21 +426,6 @@ def test_walk_toffoli_linear_in_n():
     assert max(per_step) / min(per_step) <= 1.3  # near-constant per-step cost
 
 
-def test_gate_list_export():
-    circ = build_gt_comparator(2, 1)
-    text = circ.to_gate_list()
-    assert "# f bits 0..1 role fitness" in text
-    assert any(line.startswith(("NOT", "CNOT", "TOFFOLI")) for line in text.splitlines())
-
-
-def test_gate_counts_json():
-    import json
-
-    doc = json.loads(count_gates(build_gt_comparator(3, 2)).to_json())
-    assert set(doc) == {"toffoli", "cnot", "nots", "phase", "depth", "ancilla"}
-    assert doc["phase"] == 0 and doc["toffoli"] > 0
-
-
 def test_position_width_formula():
     assert position_width(2, 2) == 4
     assert position_width(4, 1) == 4

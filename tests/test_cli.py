@@ -144,9 +144,20 @@ def test_solve_with_config_file(example_maze_file, tmp_path, capsys):
     assert out.read_bytes() == direct.read_bytes()
 
 
+def test_solve_rejects_bad_config_format_before_solving(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("m = 3\nn = 2\nformat = xml\n")
+    code, stdout, err = run_cli(capsys, "solve", "--config", str(config))
+    assert code == 2
+    assert "--format must be csv or json" in err
+    assert stdout == ""
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(UsageError, match="unknown key"):
         parse_config("n = 2\nbogus = 1\n")
+    with pytest.raises(UsageError, match="unknown key"):
+        parse_config("n = 2\nepsilon = 0.05\n")
     with pytest.raises(UsageError, match="duplicate"):
         parse_config("n = 2\nn = 3\n")
     with pytest.raises(UsageError, match="bad value"):
@@ -266,7 +277,7 @@ def test_sweep_success_fraction(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code, stdout, _ = run_cli(
         capsys, "sweep", "--m", "3", "--n", "2", "--runs", "50", "--seed", "1",
-        "--epsilon", "0.05", "--out", str(out),
+        "--out", str(out),
     )
     assert code == 0
     assert "success fraction:" in stdout
@@ -288,3 +299,37 @@ def test_sweep_deterministic(tmp_path, capsys):
         assert code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# error mapping: only validation errors exit 2
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep"])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "1", "--n", "2"], "--m must be >= 2"),
+        (["--m", "3", "--n", "13"], "--n must lie in"),
+        (["--m", "3", "--n", "-1"], "--n must lie in"),
+        (["--m", "3", "--n", "2", "--rounds", "0"], "round budget"),
+        (["--m", "3", "--n", "2", "--samples", "0"], "samples per round"),
+        (["--m", "3", "--n", "2", "--seed", "-1"], "--seed must be >= 0"),
+    ],
+    ids=["m-1", "n-13", "n-negative", "rounds-0", "samples-0", "seed-negative"],
+)
+def test_bad_search_settings_exit_2(command, flags, message, capsys):
+    extra = ["--runs", "2"] if command == "sweep" else []
+    code, stdout, err = run_cli(capsys, command, *flags, *extra)
+    assert code == 2
+    assert err.startswith("error: ") and message in err
+    assert stdout == ""
+
+
+def test_internal_value_error_propagates(monkeypatch, capsys):
+    def broken(scape, config):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr("qmaze.cli.run_adaptive", broken)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["solve", "--m", "3", "--n", "2"])

@@ -23,7 +23,6 @@ from qmaze.engine import (
     prepare_uniform,
     rotation_block,
     rotation_spectrum,
-    state_to_csv,
 )
 
 ATOL_NORM = 1e-12
@@ -272,10 +271,3 @@ def test_state_shape_guard():
     with pytest.raises(ValueError):
         GroverGeometry(16, 17)
 
-
-def test_state_csv():
-    text = state_to_csv(prepare_uniform(1))
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,real,imag,probability"
-    assert len(lines) == 5
-    assert lines[1].startswith("0,0.5,0.0,0.25")

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qmaze import codec
 from qmaze.adaptive import Strictness, marked_for_cutoff
-from qmaze.fitness import Formula, fitness, landscape, landscape_to_csv, make_spec
+from qmaze.fitness import Formula, fitness, landscape, make_spec
 from qmaze.maze import (
     Direction,
     Maze,
@@ -155,15 +155,6 @@ def test_marked_set_monotone(example_maze):
 def test_appendix_formula_value(example_maze):
     spec = make_spec(2, Formula.APPENDIX, SimMode.WALL_AWARE)
     assert fitness(example_maze, [Direction.S, Direction.E], spec) == 4
-
-
-def test_landscape_csv_shape(example_maze):
-    spec = make_spec(2)
-    text = landscape_to_csv(landscape(example_maze, 2, spec))
-    lines = text.strip().splitlines()
-    assert lines[0] == "index,bits,path,fitness"
-    assert len(lines) == 17
-    assert lines[1 + 0b1001] == "9,1001,SE,4"
 
 
 def test_make_spec_rejects_small_maze():
