@@ -5,6 +5,9 @@ registers, plus single-bit Z phase markers. Every gate is self-inverse, so
 a circuit's inverse is its reversed gate list. Executing a circuit on a
 classical basis state is exact: bits map to bits bijectively and the only
 quantum effect, the phase marker, is tracked as a +/-1 sign per state.
+Execution is bitsliced: a batch of basis states is held as one integer
+per wire with one bit per basis row, so each gate is a single integer
+XOR/AND over the whole batch.
 
 Scratch registers follow compute-use-uncompute discipline (Bennett
 cleanup): on any input whose scratch starts at zero, it ends at zero.
@@ -163,20 +166,40 @@ def unpack_column(circuit: RevCircuit, rows: np.ndarray, name: str) -> np.ndarra
     return out
 
 
+def _unslice(words: list[int], batch: int) -> np.ndarray:
+    """Bit matrix (batch, len(words)): row i, column b is bit i of words[b]."""
+    nbytes = (batch + 7) // 8
+    data = b"".join(w.to_bytes(nbytes, "little") for w in words)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(words), nbytes)
+    return np.ascontiguousarray(np.unpackbits(packed, axis=1, count=batch, bitorder="little").T)
+
+
 def run_batch(circuit: RevCircuit, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Execute on many basis states at once; returns (bits, signs)."""
-    bits = rows.copy()
-    signs = np.ones(bits.shape[0], dtype=np.int8)
+    """Execute on many basis states at once; returns (bits, signs).
+
+    Bitsliced: wire b is one Python int whose bit i is row i's bit b, so
+    each gate acts on every row in one integer operation. ``rows`` is a
+    (batch, num_bits) 0/1 matrix and is not modified; ``bits`` is a new
+    uint8 matrix of the same shape and ``signs`` an int8 vector of +/-1.
+    """
+    batch, width = rows.shape
+    nbytes = (batch + 7) // 8
+    data = np.packbits(rows.T, axis=1, bitorder="little").tobytes()
+    w = [int.from_bytes(data[b * nbytes:(b + 1) * nbytes], "little") for b in range(width)]
+    ones = (1 << batch) - 1
+    neg = 0
     for g in circuit.gates:
-        if isinstance(g, PhaseMark):
-            signs[bits[:, g.target] == 1] *= -1
-        elif len(g.controls) == 2:
-            bits[:, g.target] ^= bits[:, g.controls[0]] & bits[:, g.controls[1]]
-        elif len(g.controls) == 1:
-            bits[:, g.target] ^= bits[:, g.controls[0]]
+        c = g.controls
+        if len(c) == 2:
+            w[g.target] ^= w[c[0]] & w[c[1]]
+        elif c:
+            w[g.target] ^= w[c[0]]
+        elif isinstance(g, PhaseMark):
+            neg ^= w[g.target]
         else:
-            bits[:, g.target] ^= 1
-    return bits, signs
+            w[g.target] ^= ones
+    signs = 1 - 2 * _unslice([neg], batch)[:, 0].astype(np.int8)
+    return _unslice(w, batch), signs
 
 
 def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[str, int], int]:

@@ -144,11 +144,17 @@ def _write_out(text: str, out: str | None):
 
 
 def cmd_generate(args) -> int:
-    if args.m < 2:
-        raise UsageError("m must be >= 2")
-    start = tuple(args.start) if args.start else None
-    goal = tuple(args.goal) if args.goal else None
-    maze = generate_maze(args.m, args.seed, start=start, goal=goal)
+    m = args.m
+    if m < 2:
+        raise UsageError("--m must be >= 2")
+    start = tuple(args.start) if args.start else (0, 0)
+    goal = tuple(args.goal) if args.goal else (m - 1, m - 1)
+    for flag, cell in (("--start", start), ("--goal", goal)):
+        if not all(0 <= x < m for x in cell):
+            raise UsageError(f"{flag} {cell[0]} {cell[1]} lies outside the {m}x{m} grid")
+    if start == goal:
+        raise UsageError("--start and --goal must differ")
+    maze = generate_maze(m, args.seed, start=start, goal=goal)
     text = serialize_maze(maze)
     _write_out(text, args.out)
     return 0
@@ -184,6 +190,10 @@ def _load_solve_settings(args) -> dict:
             raise UsageError("--m must be >= 2")
     if settings["seed"] < 0:
         raise UsageError("--seed must be >= 0")
+    if settings["rounds"] < 1:
+        raise UsageError("--rounds (round budget) must be >= 1")
+    if settings["samples"] < 1:
+        raise UsageError("--samples (samples per round) must be >= 1")
     if settings["format"] not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
     return settings
@@ -191,17 +201,14 @@ def _load_solve_settings(args) -> dict:
 
 def _solve_once(settings: dict, *run: int) -> tuple[fitness.FitnessLandscape, adaptive.CutoffTrace]:
     """One seeded search; ``run`` (a sweep's run index) is appended to both child seeds."""
-    try:
-        config = SearchConfig(
-            initial_cutoff=settings["cutoff0"],
-            max_rounds=settings["rounds"],
-            policy=_enum_value(Policy, settings["policy"], "--policy"),
-            strictness=_enum_value(Strictness, settings["strictness"], "--strictness"),
-            samples=settings["samples"],
-            seed=_child_seed(settings["seed"], 1, *run),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    config = SearchConfig(
+        initial_cutoff=settings["cutoff0"],
+        max_rounds=settings["rounds"],
+        policy=_enum_value(Policy, settings["policy"], "--policy"),
+        strictness=_enum_value(Strictness, settings["strictness"], "--strictness"),
+        samples=settings["samples"],
+        seed=_child_seed(settings["seed"], 1, *run),
+    )
     if settings["maze"]:
         try:
             maze = parse_maze(Path(settings["maze"]).read_text())
@@ -287,6 +294,8 @@ def cmd_dynamics(args) -> int:
     total = codec.path_count(n)
     if not 1 <= k <= total:
         raise UsageError(f"--k must lie in 1..{total}")
+    if args.rmax is not None and args.rmax < 0:
+        raise UsageError("--rmax must be >= 0")
     geometry = engine.GroverGeometry(num_states=total, num_marked=k)
     r_max = args.rmax if args.rmax is not None else 3 * max(1, engine.optimal_rounds(geometry))
     marked = np.arange(k)

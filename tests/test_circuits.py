@@ -9,11 +9,15 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmaze import codec
 from qmaze.adaptive import Strictness, marked_for_cutoff
 from qmaze.circuits import (
     Gate,
+    PhaseMark,
+    Register,
     RevCircuit,
     arith_width,
     build_adder,
@@ -58,8 +62,6 @@ def test_identity_circuit():
 
 
 def test_single_not():
-    from qmaze.circuits import Register
-
     circ = RevCircuit({"b": Register("b", 0, 1, "operand")}, [Gate(0)])
     out, sign = run_on_basis(circ, {"b": 0})
     assert out == {"b": 1} and sign == 1
@@ -80,6 +82,53 @@ def test_gate_rejects_duplicate_bits():
         Gate(0, (0,))
     with pytest.raises(ValueError):
         Gate(2, (1, 1))
+
+
+def run_rows_reference(circuit: RevCircuit, rows: np.ndarray) -> tuple[list, list]:
+    """Per-row scalar interpreter: a list of ints per row, gate by gate."""
+    bits, signs = [], []
+    for row in rows.tolist():
+        sign = 1
+        for g in circuit.gates:
+            if isinstance(g, PhaseMark):
+                sign = -sign if row[g.target] else sign
+            elif all(row[c] for c in g.controls):
+                row[g.target] ^= 1
+        bits.append(row)
+        signs.append(sign)
+    return bits, signs
+
+
+@st.composite
+def random_circuits(draw):
+    """A register of 0-8 wires and up to 40 random NOT/CNOT/Toffoli/Z gates."""
+    width = draw(st.integers(0, 8))
+    gates = []
+    for _ in range(draw(st.integers(0, 40)) if width else 0):
+        wires = draw(st.permutations(range(width)))
+        controls = tuple(wires[1 : 1 + draw(st.integers(0, min(2, width - 1)))])
+        phase = not controls and draw(st.booleans())
+        gates.append((PhaseMark if phase else Gate)(wires[0], controls))
+    registers = {"w": Register("w", 0, width, "operand")} if width else {}
+    return RevCircuit(registers, gates)
+
+
+@pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 63, 64, 65, 300])
+@settings(max_examples=25, deadline=None)
+@given(circ=random_circuits(), seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
+def test_run_batch_matches_per_row_reference(batch, circ, seed, fortran):
+    rng = np.random.default_rng(seed)
+    rows = rng.integers(0, 2, size=(batch, circ.num_bits), dtype=np.uint8)
+    if fortran:
+        rows = np.asfortranarray(rows)
+    before = rows.copy()
+    bits, signs = run_batch(circ, rows)
+    want_bits, want_signs = run_rows_reference(circ, rows)
+    assert bits.dtype == np.uint8 and bits.shape == (batch, circ.num_bits)
+    assert signs.dtype == np.int8 and signs.shape == (batch,)
+    assert bits.tolist() == want_bits
+    assert signs.tolist() == want_signs
+    assert np.array_equal(rows, before) and not np.shares_memory(bits, rows)
 
 
 # ---------------------------------------------------------------------------

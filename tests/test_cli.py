@@ -35,9 +35,26 @@ def test_generate_round_trips(tmp_path, capsys):
 
 
 def test_generate_rejects_small_m(capsys):
-    code, _, err = run_cli(capsys, "generate", "--m", "1")
+    code, stdout, err = run_cli(capsys, "generate", "--m", "1")
     assert code == 2
     assert "m must be" in err
+    assert err == "error: --m must be >= 2\n" and stdout == ""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--m", "3", "--start", "5", "5"], "--start 5 5 lies outside the 3x3 grid"),
+        (["--m", "3", "--goal", "0", "-1"], "--goal 0 -1 lies outside the 3x3 grid"),
+        (["--m", "3", "--start", "2", "2"], "--start and --goal must differ"),
+    ],
+    ids=["start-outside", "goal-outside", "start-is-goal"],
+)
+def test_generate_bad_cells_exit_2(flags, message, capsys):
+    code, stdout, err = run_cli(capsys, "generate", *flags)
+    assert code == 2
+    assert err == f"error: {message}\n"
+    assert stdout == ""
 
 
 def test_generate_16x16_valid(tmp_path, capsys):
@@ -217,6 +234,13 @@ def test_dynamics_rejects_bad_k(capsys):
     assert "--k" in err
 
 
+def test_dynamics_rejects_negative_rmax(capsys):
+    code, stdout, err = run_cli(capsys, "dynamics", "--n", "2", "--k", "1", "--rmax", "-1")
+    assert code == 2
+    assert err == "error: --rmax must be >= 0\n"
+    assert stdout == ""
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -307,22 +331,23 @@ def test_sweep_deterministic(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["solve", "sweep"])
 @pytest.mark.parametrize(
-    "flags, message",
+    "flags, message, flag",
     [
-        (["--m", "1", "--n", "2"], "--m must be >= 2"),
-        (["--m", "3", "--n", "13"], "--n must lie in"),
-        (["--m", "3", "--n", "-1"], "--n must lie in"),
-        (["--m", "3", "--n", "2", "--rounds", "0"], "round budget"),
-        (["--m", "3", "--n", "2", "--samples", "0"], "samples per round"),
-        (["--m", "3", "--n", "2", "--seed", "-1"], "--seed must be >= 0"),
+        (["--m", "1", "--n", "2"], "--m must be >= 2", "--m"),
+        (["--m", "3", "--n", "13"], "--n must lie in", "--n"),
+        (["--m", "3", "--n", "-1"], "--n must lie in", "--n"),
+        (["--m", "3", "--n", "2", "--rounds", "0"], "round budget", "--rounds"),
+        (["--m", "3", "--n", "2", "--samples", "0"], "samples per round", "--samples"),
+        (["--m", "3", "--n", "2", "--seed", "-1"], "--seed must be >= 0", "--seed"),
     ],
     ids=["m-1", "n-13", "n-negative", "rounds-0", "samples-0", "seed-negative"],
 )
-def test_bad_search_settings_exit_2(command, flags, message, capsys):
+def test_bad_search_settings_exit_2(command, flags, message, flag, capsys):
     extra = ["--runs", "2"] if command == "sweep" else []
     code, stdout, err = run_cli(capsys, command, *flags, *extra)
     assert code == 2
     assert err.startswith("error: ") and message in err
+    assert flag in err
     assert stdout == ""
 
 
