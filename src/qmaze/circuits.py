@@ -11,6 +11,11 @@ XOR/AND over the whole batch.
 
 Scratch registers follow compute-use-uncompute discipline (Bennett
 cleanup): on any input whose scratch starts at zero, it ends at zero.
+Uncomputation appends the same gate objects in reverse order, and the
+oracle wraps an already built fitness circuit rather than building its
+own. Stages are named by spans of the gate list, not per gate: the
+fitness circuit marks ``walk`` and ``distance_fitness`` (goal difference
+through the fitness write), and ``count_gates`` tallies one span.
 
 Arithmetic conventions:
   * registers are little-endian (bit k of a register holds value bit k);
@@ -39,7 +44,6 @@ class Gate:
 
     target: int
     controls: tuple[int, ...] = ()
-    stage: str = "main"
 
     def __post_init__(self):
         if len(self.controls) > 2:
@@ -73,11 +77,12 @@ SCRATCH_ROLES = ("ancilla", "constant")
 
 
 class RevCircuit:
-    """An executable reversible circuit over named registers."""
+    """An executable reversible circuit; ``spans`` maps a stage label to its slice (lo, hi) of gates."""
 
-    def __init__(self, registers: dict[str, Register], gates: list[Gate]):
+    def __init__(self, registers: dict[str, Register], gates: list[Gate], spans: dict | None = None):
         self.registers = registers
         self.gates = gates
+        self.spans = {} if spans is None else spans
         self.num_bits = sum(r.width for r in registers.values())
 
     def bits(self, name: str) -> list[int]:
@@ -117,13 +122,17 @@ class GateCounts:
 
 
 def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
-    """Tally a circuit's gates, optionally restricted to one stage label."""
+    """Tally a circuit's gates, optionally restricted to one labelled span."""
+    gates = circuit.gates
+    if stage is not None:
+        if stage not in circuit.spans:
+            raise ValueError(f"no stage '{stage}' in this circuit; its stages are {sorted(circuit.spans)}")
+        lo, hi = circuit.spans[stage]
+        gates = gates[lo:hi]
     tof = cnot = nots = phase = 0
     depth_at = [0] * circuit.num_bits
     depth = 0
-    for g in circuit.gates:
-        if stage is not None and g.stage != stage:
-            continue
+    for g in gates:
         if isinstance(g, PhaseMark):
             phase += 1
         elif len(g.controls) == 2:
@@ -226,14 +235,15 @@ class _Builder:
     def __init__(self):
         self.registers: dict[str, Register] = {}
         self.gates: list[Gate] = []
+        self.spans: dict[str, tuple[int, int]] = {}
         self._offset = 0
-        self.stage = "main"
 
     @classmethod
     def from_circuit(cls, circuit: RevCircuit) -> "_Builder":
         b = cls()
         b.registers = dict(circuit.registers)
         b.gates = list(circuit.gates)
+        b.spans = dict(circuit.spans)
         b._offset = circuit.num_bits
         return b
 
@@ -254,29 +264,29 @@ class _Builder:
         return self.reg(name, width, role).bits
 
     def x(self, t: int):
-        self.gates.append(Gate(t, (), self.stage))
+        self.gates.append(Gate(t))
 
     def cx(self, c: int, t: int):
-        self.gates.append(Gate(t, (c,), self.stage))
+        self.gates.append(Gate(t, (c,)))
 
     def ccx(self, c1: int, c2: int, t: int):
-        self.gates.append(Gate(t, (c1, c2), self.stage))
+        self.gates.append(Gate(t, (c1, c2)))
 
     def z(self, t: int):
-        self.gates.append(PhaseMark(t, (), self.stage))
+        self.gates.append(PhaseMark(t))
 
     def mark(self) -> int:
         return len(self.gates)
 
-    def uncompute_range(self, lo: int, hi: int, stage: str):
-        """Append the inverse of gates[lo:hi] (all gates are self-inverse)."""
-        for g in reversed(self.gates[lo:hi]):
-            if isinstance(g, PhaseMark):
-                raise ValueError("phase markers are not part of uncomputation")
-            self.gates.append(Gate(g.target, g.controls, stage))
+    def uncompute_range(self, lo: int, hi: int):
+        """Append the inverse of gates[lo:hi]: the same (self-inverse) gates, reversed."""
+        block = self.gates[lo:hi]
+        if any(isinstance(g, PhaseMark) for g in block):
+            raise ValueError("phase markers are not part of uncomputation")
+        self.gates.extend(reversed(block))
 
     def build(self) -> RevCircuit:
-        return RevCircuit(self.registers, self.gates)
+        return RevCircuit(self.registers, self.gates, self.spans)
 
 
 def _xor_const(b: _Builder, bits: list[int], value: int):
@@ -434,7 +444,7 @@ def _gt_const(b: _Builder, a: list[int], cutoff: int, out: int, eq: list[int]):
             chain_mark.append((lo, b.mark()))
             e_prev = e_new
     for lo, hi in reversed(chain_mark):
-        b.uncompute_range(lo, hi, b.stage)
+        b.uncompute_range(lo, hi)
 
 
 def _gt_register(b: _Builder, a: list[int], c: list[int], out: int, eq: list[int], scratch: int):
@@ -466,7 +476,7 @@ def _gt_register(b: _Builder, a: list[int], c: list[int], out: int, eq: list[int
             chain_mark.append((lo, b.mark()))
             e_prev = e_new
     for lo, hi in reversed(chain_mark):
-        b.uncompute_range(lo, hi, b.stage)
+        b.uncompute_range(lo, hi)
     for j in range(w):
         b.cx(a[j], c[j])
 
@@ -494,7 +504,7 @@ def _gt_subtract(
     b.x(tmp[w])
     b.cx(tmp[w], out)
     b.x(tmp[w])
-    b.uncompute_range(lo, hi, b.stage)
+    b.uncompute_range(lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -689,7 +699,9 @@ def build_fitness_circuit(m: int, n: int, spec: FitnessSpec, start=None, goal=No
     Simulates the path wall-blind on offset coordinates, squares the goal
     differences, and writes C - distance into the fitness register in two's
     complement; every other register is uncomputed to zero. ``start`` and
-    ``goal`` default to (0, 0) and (m-1, m-1).
+    ``goal`` default to (0, 0) and (m-1, m-1). Spans ``walk`` and
+    ``distance_fitness`` cover the forward walk and the goal difference
+    through the fitness write.
     """
     if spec.formula is not Formula.MAIN:
         raise ValueError("gate-level fitness requires the power-of-two formula")
@@ -718,74 +730,63 @@ def build_fitness_circuit(m: int, n: int, spec: FitnessSpec, start=None, goal=No
     chain = b.maybe_reg("chain", w_pos - 1, "ancilla")
     tmp = b.reg("tmp", wa, "ancilla").bits
 
-    compute_lo = b.mark()
-    b.stage = "init"
     _xor_const(b, pos_i, start[0] + n)
     _xor_const(b, pos_j, start[1] + n)
-    b.stage = "walk"
+    walk_lo = b.mark()
     for step in range(1, n + 1):
         _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain)
-    b.stage = "diff"
+    walk_hi = b.mark()
     _add_const(b, goal[0] + n, pos_i, kconst, carry, subtract=True)
     _add_const(b, goal[1] + n, pos_j, kconst, carry, subtract=True)
-    b.stage = "extend"
     for bit in ext_i:
         b.cx(pos_i[w_pos - 1], bit)
     for bit in ext_j:
         b.cx(pos_j[w_pos - 1], bit)
-    b.stage = "square"
     _square(b, pos_i + ext_i, sq_i, tmp, carry)
     _square(b, pos_j + ext_j, sq_j, tmp, carry)
-    b.stage = "distance"
     _add(b, sq_i, dist, carry)
     _add(b, sq_j, dist, carry)
     compute_hi = b.mark()
 
-    b.stage = "fitness"
     _xor_const(b, fit, spec.offset)
     _sub(b, dist, fit, carry)
+    b.spans = {"walk": (walk_lo, walk_hi), "distance_fitness": (walk_hi, b.mark())}
 
-    b.uncompute_range(compute_lo, compute_hi, "uncompute")
+    b.uncompute_range(0, compute_hi)
     return b.build()
 
 
-def build_oracle_circuit(
-    m: int, n: int, spec: FitnessSpec, cutoff: int, start=None, goal=None
-) -> RevCircuit:
+def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     """Phase oracle: |x> -> (-1)^[fitness(x) > cutoff] |x>, scratch restored.
 
-    Wraps the fitness circuit in a compute / flag / phase / uncompute
-    sandwich. The comparator result is ANDed with NOT(sign bit) so paths
-    whose wall-blind fitness went negative are never marked; the sign then
-    agrees with the classical reference for every basis state and any
+    Wraps an already built fitness circuit (from ``build_fitness_circuit``,
+    which fixes m, n, start and goal) in a compute / flag / phase /
+    uncompute sandwich; ``fitness_circ`` itself is left unchanged and its
+    spans carry over. The comparator result is ANDed with NOT(sign bit) so
+    paths whose wall-blind fitness went negative are never marked; the sign
+    then agrees with the classical reference for every basis state and any
     cutoff >= 0.
     """
-    wa = arith_width(m, n, spec)
+    fit = fitness_circ.registers["fit"].bits
+    wa = len(fit)
     if not 0 <= cutoff < 2 ** (wa - 1):
         raise ValueError(f"cutoff must lie in [0, {2 ** (wa - 1)}) for width {wa}")
-    fitness_circ = build_fitness_circuit(m, n, spec, start=start, goal=goal)
-    fitness_gate_count = len(fitness_circ.gates)
 
     b = _Builder.from_circuit(fitness_circ)
     flag = b.reg("flag", 1, "flag").bits[0]
     gsc = b.reg("gsc", 1, "ancilla").bits[0]
     eq = b.maybe_reg("eq", wa - 1, "ancilla")
-    fit = fitness_circ.registers["fit"].bits
     sign_bit = fit[-1]
 
-    b.stage = "compare"
     cmp_lo = b.mark()
     _gt_const(b, fit, cutoff, gsc, eq)
     b.x(sign_bit)
     b.ccx(gsc, sign_bit, flag)
     b.x(sign_bit)
     cmp_hi = b.mark()
-    b.stage = "phase"
     b.z(flag)
-    b.uncompute_range(cmp_lo, cmp_hi, "uncompare")
-    b.stage = "unfitness"
-    for g in reversed(b.gates[:fitness_gate_count]):
-        b.gates.append(Gate(g.target, g.controls, "unfitness"))
+    b.uncompute_range(cmp_lo, cmp_hi)
+    b.uncompute_range(0, len(fitness_circ.gates))
     return b.build()
 
 
@@ -829,14 +830,10 @@ def build_validity_circuit(m: int, n: int, start=None) -> RevCircuit:
         _gt_const(b, pos, n - 1, g_lo, eq)  # self-inverse at block level
         _gt_const(b, pos, n + m - 1, g_hi, eq)
 
-    compute_lo = b.mark()
-    b.stage = "init"
     _xor_const(b, pos_i, start[0] + n)
     _xor_const(b, pos_j, start[1] + n)
-    b.stage = "walk"
     for step in range(1, n + 1):
         _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain)
-        b.stage = "bounds"
         bounds_flag(pos_i, inb_i)
         bounds_flag(pos_j, inb_j)
         b.ccx(inb_i, inb_j, phi)
@@ -847,9 +844,7 @@ def build_validity_circuit(m: int, n: int, start=None) -> RevCircuit:
         b.ccx(inb_i, inb_j, phi)
         bounds_flag(pos_j, inb_j)
         bounds_flag(pos_i, inb_i)
-        b.stage = "walk"
     compute_hi = b.mark()
-    b.stage = "out"
     b.cx(vchain[n - 1], vout)
-    b.uncompute_range(compute_lo, compute_hi, "uncompute")
+    b.uncompute_range(0, compute_hi)
     return b.build()

@@ -17,7 +17,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import circuits
-from .circuits import arith_width, build_gt_comparator, build_oracle_circuit, count_gates, position_width
+from .circuits import arith_width, build_fitness_circuit, build_gt_comparator, build_oracle_circuit
+from .circuits import count_gates, position_width
 from .fitness import FitnessSpec, make_spec
 
 RESIDUAL_THRESHOLD = 0.05
@@ -223,28 +224,21 @@ def measured(n: int, m: int, spec: FitnessSpec | None = None, cutoff: int | None
     """Resources tallied from actually built circuits."""
     spec = make_spec(m) if spec is None else spec
     cutoff = spec.offset // 2 if cutoff is None else cutoff
-    oracle = build_oracle_circuit(m, n, spec, cutoff)
+    oracle = build_oracle_circuit(build_fitness_circuit(m, n, spec), cutoff)
     widths = {
         name: reg.width
         for name, reg in oracle.registers.items()
         if reg.role not in circuits.SCRATCH_ROLES
     }
     ancilla = sum(r.width for r in oracle.scratch_registers())
-    by_stage = {}
-    for label in ("init", "walk", "diff", "extend", "square", "distance", "fitness"):
-        c = count_gates(oracle, stage=label)
-        by_stage[label] = StageCounts(c.toffoli, c.cnot, c.nots)
-    comparator = count_gates(build_gt_comparator(arith_width(m, n, spec), cutoff))
     total = count_gates(oracle)
-    stages = {
-        "path_sim": by_stage["walk"],
-        "distance_fitness": _combine(
-            by_stage["diff"], by_stage["extend"], by_stage["square"],
-            by_stage["distance"], by_stage["fitness"],
-        ),
-        "comparator": StageCounts(comparator.toffoli, comparator.cnot, comparator.nots),
-        "oracle_total": StageCounts(total.toffoli, total.cnot, total.nots),
+    counts = {
+        "path_sim": count_gates(oracle, stage="walk"),
+        "distance_fitness": count_gates(oracle, stage="distance_fitness"),
+        "comparator": count_gates(build_gt_comparator(arith_width(m, n, spec), cutoff)),
+        "oracle_total": total,
     }
+    stages = {name: StageCounts(c.toffoli, c.cnot, c.nots) for name, c in counts.items()}
     return ResourceReport(
         n=n, m=m, cutoff=cutoff, register_widths=widths, ancilla=ancilla,
         stages=stages, depth=total.depth,

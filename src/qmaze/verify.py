@@ -16,7 +16,6 @@ import numpy as np
 
 from . import circuits, codec, fitness
 from .circuits import (
-    arith_width,
     build_fitness_circuit,
     build_gt_comparator,
     build_oracle_circuit,
@@ -53,33 +52,34 @@ def _path_sweep_rows(circuit, n: int) -> np.ndarray:
     return pack_rows(circuit, {"path": np.arange(codec.path_count(n))}, codec.path_count(n))
 
 
-def verify_fitness(n_max: int = 3, m_max: int = 4) -> SuiteResult:
-    """Fitness circuit == classical wall-blind fitness (mod 2**width), all inputs."""
+def _blind_spec(m: int):
+    return make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+
+
+def verify_fitness(fitness_circuits: dict) -> SuiteResult:
+    """Fitness circuits keyed (m, n) == classical wall-blind fitness (mod 2**width), all inputs."""
     checked = 0
-    for m in range(2, m_max + 1):
-        for n in range(1, n_max + 1):
-            spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-            maze = generate_maze(m, seed=0)
-            circ = build_fitness_circuit(m, n, spec)
-            wa = arith_width(m, n, spec)
-            rows = _path_sweep_rows(circ, n)
-            out, _ = run_batch(circ, rows)
-            got = unpack_column(circ, out, "fit")
-            want = fitness.landscape(maze, n, spec).values % (1 << wa)
-            checked += rows.shape[0]
-            mism = np.flatnonzero(got != want)
-            if mism.size:
-                u = int(mism[0])
-                return SuiteResult(
-                    "fitness", checked, int(mism.size),
-                    f"m={m} n={n} path={u:0{2*n}b}: circuit {int(got[u])}, reference {int(want[u])}",
-                )
-            bad = np.flatnonzero(_scratch_nonzero(circ, out))
-            if bad.size:
-                return SuiteResult(
-                    "fitness", checked, int(bad.size),
-                    f"m={m} n={n} path={int(bad[0]):0{2*n}b}: scratch left nonzero",
-                )
+    for (m, n), circ in fitness_circuits.items():
+        maze = generate_maze(m, seed=0)
+        wa = circ.registers["fit"].width
+        rows = _path_sweep_rows(circ, n)
+        out, _ = run_batch(circ, rows)
+        got = unpack_column(circ, out, "fit")
+        want = fitness.landscape(maze, n, _blind_spec(m)).values % (1 << wa)
+        checked += rows.shape[0]
+        mism = np.flatnonzero(got != want)
+        if mism.size:
+            u = int(mism[0])
+            return SuiteResult(
+                "fitness", checked, int(mism.size),
+                f"m={m} n={n} path={u:0{2*n}b}: circuit {int(got[u])}, reference {int(want[u])}",
+            )
+        bad = np.flatnonzero(_scratch_nonzero(circ, out))
+        if bad.size:
+            return SuiteResult(
+                "fitness", checked, int(bad.size),
+                f"m={m} n={n} path={int(bad[0]):0{2*n}b}: scratch left nonzero",
+            )
     return SuiteResult("fitness", checked, 0)
 
 
@@ -156,88 +156,88 @@ def _oracle_cutoffs(spec) -> list[int]:
     return sorted({0, 1, c // 2, c - 1})
 
 
-def verify_oracle_sign(n_max: int = 3, m_max: int = 4) -> SuiteResult:
-    """Oracle per-basis sign == landscape-derived diagonal oracle, all inputs."""
+def verify_oracle_sign(oracles: dict) -> SuiteResult:
+    """Per-basis sign of oracles keyed (m, n), cutoff == landscape-derived diagonal oracle."""
     checked = 0
-    for m in range(2, m_max + 1):
-        for n in range(1, n_max + 1):
-            spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-            maze = generate_maze(m, seed=0)
-            scape = fitness.landscape(maze, n, spec)
-            for cutoff in _oracle_cutoffs(spec):
-                circ = build_oracle_circuit(m, n, spec, cutoff)
-                rows = _path_sweep_rows(circ, n)
-                out, signs = run_batch(circ, rows)
-                want = np.where(scape.values > cutoff, -1, 1).astype(np.int8)
-                checked += rows.shape[0]
-                mism = np.flatnonzero(signs != want)
-                if mism.size:
-                    u = int(mism[0])
-                    return SuiteResult(
-                        "oracle-sign", checked, int(mism.size),
-                        f"m={m} n={n} cutoff={cutoff} path={u:0{2*n}b}: "
-                        f"sign {int(signs[u])}, expected {int(want[u])}",
-                    )
+    for (m, n), by_cutoff in oracles.items():
+        scape = fitness.landscape(generate_maze(m, seed=0), n, _blind_spec(m))
+        for cutoff, circ in by_cutoff.items():
+            rows = _path_sweep_rows(circ, n)
+            out, signs = run_batch(circ, rows)
+            want = np.where(scape.values > cutoff, -1, 1).astype(np.int8)
+            checked += rows.shape[0]
+            mism = np.flatnonzero(signs != want)
+            if mism.size:
+                u = int(mism[0])
+                return SuiteResult(
+                    "oracle-sign", checked, int(mism.size),
+                    f"m={m} n={n} cutoff={cutoff} path={u:0{2*n}b}: "
+                    f"sign {int(signs[u])}, expected {int(want[u])}",
+                )
     return SuiteResult("oracle-sign", checked, 0)
 
 
-def verify_ancilla_cleanup(n_max: int = 3, m_max: int = 4) -> SuiteResult:
-    """After the oracle, every non-path register reads zero on every input."""
+def verify_ancilla_cleanup(oracles: dict) -> SuiteResult:
+    """After the cutoff C // 2 oracle, every non-path register reads zero on every input."""
     checked = 0
-    for m in range(2, m_max + 1):
-        for n in range(1, n_max + 1):
-            spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-            cutoff = spec.offset // 2
-            circ = build_oracle_circuit(m, n, spec, cutoff)
-            rows = _path_sweep_rows(circ, n)
-            out, _ = run_batch(circ, rows)
-            checked += rows.shape[0]
-            for name in circ.registers:
-                if name == "path":
-                    continue
-                nz = np.flatnonzero(unpack_column(circ, out, name) != 0)
-                if nz.size:
-                    return SuiteResult(
-                        "ancilla-cleanup", checked, int(nz.size),
-                        f"m={m} n={n} path={int(nz[0]):0{2*n}b}: register '{name}' nonzero",
-                    )
-            path_out = unpack_column(circ, out, "path")
-            moved = np.flatnonzero(path_out != np.arange(rows.shape[0]))
-            if moved.size:
+    for (m, n), by_cutoff in oracles.items():
+        circ = by_cutoff[_blind_spec(m).offset // 2]
+        rows = _path_sweep_rows(circ, n)
+        out, _ = run_batch(circ, rows)
+        checked += rows.shape[0]
+        for name in circ.registers:
+            if name == "path":
+                continue
+            nz = np.flatnonzero(unpack_column(circ, out, name) != 0)
+            if nz.size:
                 return SuiteResult(
-                    "ancilla-cleanup", checked, int(moved.size),
-                    f"m={m} n={n}: path register altered at {int(moved[0])}",
+                    "ancilla-cleanup", checked, int(nz.size),
+                    f"m={m} n={n} path={int(nz[0]):0{2*n}b}: register '{name}' nonzero",
                 )
+        path_out = unpack_column(circ, out, "path")
+        moved = np.flatnonzero(path_out != np.arange(rows.shape[0]))
+        if moved.size:
+            return SuiteResult(
+                "ancilla-cleanup", checked, int(moved.size),
+                f"m={m} n={n}: path register altered at {int(moved[0])}",
+            )
     return SuiteResult("ancilla-cleanup", checked, 0)
 
 
-def verify_involutions(n_max: int = 3, m_max: int = 4) -> SuiteResult:
-    """Oracle applied twice is the identity with net sign +1, all inputs."""
+def verify_involutions(oracles: dict) -> SuiteResult:
+    """The cutoff C // 2 oracle applied twice is the identity with net sign +1, all inputs."""
     checked = 0
-    for m in range(2, m_max + 1):
-        for n in range(1, n_max + 1):
-            spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-            cutoff = spec.offset // 2
-            circ = build_oracle_circuit(m, n, spec, cutoff)
-            doubled = circuits.RevCircuit(circ.registers, circ.gates + circ.gates)
-            rows = _path_sweep_rows(circ, n)
-            out, signs = run_batch(doubled, rows)
-            checked += rows.shape[0]
-            if not np.array_equal(out, rows) or np.any(signs != 1):
-                bad = np.flatnonzero(np.any(out != rows, axis=1) | (signs != 1))
-                return SuiteResult(
-                    "involution", checked, int(bad.size),
-                    f"m={m} n={n}: double oracle not identity at row {int(bad[0])}",
-                )
+    for (m, n), by_cutoff in oracles.items():
+        circ = by_cutoff[_blind_spec(m).offset // 2]
+        doubled = circuits.RevCircuit(circ.registers, circ.gates + circ.gates)
+        rows = _path_sweep_rows(circ, n)
+        out, signs = run_batch(doubled, rows)
+        checked += rows.shape[0]
+        if not np.array_equal(out, rows) or np.any(signs != 1):
+            bad = np.flatnonzero(np.any(out != rows, axis=1) | (signs != 1))
+            return SuiteResult(
+                "involution", checked, int(bad.size),
+                f"m={m} n={n}: double oracle not identity at row {int(bad[0])}",
+            )
     return SuiteResult("involution", checked, 0)
 
 
 def run_all(n_max: int = 3, m_max: int = 4, comparator_width_max: int = 6) -> list[SuiteResult]:
+    """Every suite; each fitness circuit and each oracle is built once and shared."""
+    fitness_circuits = {
+        (m, n): build_fitness_circuit(m, n, _blind_spec(m))
+        for m in range(2, m_max + 1)
+        for n in range(1, n_max + 1)
+    }
+    oracles = {
+        (m, n): {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(_blind_spec(m))}
+        for (m, n), circ in fitness_circuits.items()
+    }
     return [
-        verify_fitness(n_max, m_max),
+        verify_fitness(fitness_circuits),
         verify_comparator(comparator_width_max),
         verify_validity(n_max, m_max),
-        verify_oracle_sign(n_max, m_max),
-        verify_ancilla_cleanup(n_max, m_max),
-        verify_involutions(n_max, m_max),
+        verify_oracle_sign(oracles),
+        verify_ancilla_cleanup(oracles),
+        verify_involutions(oracles),
     ]

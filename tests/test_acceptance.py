@@ -58,7 +58,7 @@ def test_criterion_1_worked_example():
     out, _ = run_on_basis(fit_circ, fit_circ.zero_assignment() | {"path": 0b1001})
     register = out["fit"]
 
-    oracle = build_oracle_circuit(2, 2, blind, cutoff=2)
+    oracle = build_oracle_circuit(fit_circ, cutoff=2)
     _, sign = run_on_basis(oracle, oracle.zero_assignment() | {"path": 0b1001})
     elapsed = time.perf_counter() - t0
 
@@ -146,8 +146,9 @@ def test_criterion_5_oracle_interchangeable():
         maze = generate_maze(m, seed=0)
         for n in (1, 2, 3):
             scape = landscape(maze, n, spec)
+            fitness_circ = build_fitness_circuit(m, n, spec)
             for cutoff in sorted({0, 1, spec.offset // 2, spec.offset - 1}):
-                circ = build_oracle_circuit(m, n, spec, cutoff)
+                circ = build_oracle_circuit(fitness_circ, cutoff)
                 rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
                 out, signs = run_batch(circ, rows)
                 marked = np.zeros(4**n, dtype=bool)
@@ -244,9 +245,10 @@ def test_criterion_8_resource_scaling():
     for m in (2, 3, 4):
         for n in (1, 2, 3):
             spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+            fitness_circ = build_fitness_circuit(m, n, spec)
             for circ in (
-                build_fitness_circuit(m, n, spec),
-                build_oracle_circuit(m, n, spec, 1),
+                fitness_circ,
+                build_oracle_circuit(fitness_circ, 1),
                 build_validity_circuit(m, n),
             ):
                 path_ok &= circ.registers["path"].width == 2 * n

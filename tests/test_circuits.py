@@ -7,18 +7,21 @@ basis input at small widths.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaze import codec
+from qmaze import codec, verify
 from qmaze.adaptive import Strictness, marked_for_cutoff
 from qmaze.circuits import (
     Gate,
     PhaseMark,
     Register,
     RevCircuit,
+    _Builder,
     arith_width,
     build_adder,
     build_fitness_circuit,
@@ -341,7 +344,7 @@ def test_fitness_circuit_requires_main_formula():
 
 def test_oracle_worked_example_sign():
     spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(2, 2, spec, cutoff=2)
+    circ = build_oracle_circuit(build_fitness_circuit(2, 2, spec), cutoff=2)
     out, sign = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
     assert sign == -1  # fitness 4 > 2 flips the phase
     assert out["path"] == 0b1001
@@ -350,7 +353,7 @@ def test_oracle_worked_example_sign():
 
 def test_oracle_max_cutoff_marks_nothing():
     spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(2, 2, spec, cutoff=spec.offset)
+    circ = build_oracle_circuit(build_fitness_circuit(2, 2, spec), cutoff=spec.offset)
     _, signs = sweep(circ, {"path": np.arange(16)})
     assert np.all(signs == 1)
 
@@ -360,8 +363,9 @@ def test_oracle_max_cutoff_marks_nothing():
 def test_oracle_sign_matches_landscape(m, n):
     spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
     scape = landscape(generate_maze(m, seed=0), n, spec)
+    fitness_circ = build_fitness_circuit(m, n, spec)
     for cutoff in (0, 1, spec.offset // 2, spec.offset - 1):
-        circ = build_oracle_circuit(m, n, spec, cutoff)
+        circ = build_oracle_circuit(fitness_circ, cutoff)
         out, signs = sweep(circ, {"path": np.arange(4**n)})
         marked = set(marked_for_cutoff(scape, cutoff, Strictness.STRICT).tolist())
         want = np.array([-1 if u in marked else 1 for u in range(4**n)])
@@ -371,7 +375,7 @@ def test_oracle_sign_matches_landscape(m, n):
 
 def test_oracle_self_inverse():
     spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(3, 2, spec, cutoff=3)
+    circ = build_oracle_circuit(build_fitness_circuit(3, 2, spec), cutoff=3)
     doubled = RevCircuit(circ.registers, circ.gates + circ.gates)
     rows = pack_rows(doubled, {"path": np.arange(16)}, 16)
     out, signs = run_batch(doubled, rows)
@@ -379,12 +383,34 @@ def test_oracle_self_inverse():
     assert np.all(signs == 1)
 
 
+@pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3)])
+def test_oracles_share_one_fitness_circuit(m, n):
+    spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+    fitness_circ = build_fitness_circuit(m, n, spec)
+    gates, spans = list(fitness_circ.gates), dict(fitness_circ.spans)
+    size = len(gates)
+    assert set(spans) == {"walk", "distance_fitness"}
+    for cutoff in verify._oracle_cutoffs(spec):
+        oracle = build_oracle_circuit(fitness_circ, cutoff)
+        assert len(oracle.gates) > 2 * size
+        assert all(a is b for a, b in zip(oracle.gates[:size], gates))
+        assert all(a is b for a, b in zip(oracle.gates[-size:], reversed(gates)))
+        for stage in spans:
+            # The oracle's extra scratch registers change only the ancilla tally.
+            got = dataclasses.replace(count_gates(oracle, stage), ancilla=0)
+            assert got == dataclasses.replace(count_gates(fitness_circ, stage), ancilla=0)
+    assert len(fitness_circ.gates) == size
+    assert all(a is b for a, b in zip(fitness_circ.gates, gates))
+    assert fitness_circ.spans == spans
+
+
 def test_oracle_rejects_out_of_range_cutoff():
     spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
+    fitness_circ = build_fitness_circuit(2, 2, spec)
     with pytest.raises(ValueError):
-        build_oracle_circuit(2, 2, spec, cutoff=-1)
+        build_oracle_circuit(fitness_circ, cutoff=-1)
     with pytest.raises(ValueError):
-        build_oracle_circuit(2, 2, spec, cutoff=2 ** arith_width(2, 2, spec))
+        build_oracle_circuit(fitness_circ, cutoff=2 ** arith_width(2, 2, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +448,7 @@ def test_validity_matches_bounds_oracle(m, n):
 
 def test_circuit_then_inverse_restores_everything():
     spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(3, 2, spec, cutoff=5)
+    circ = build_oracle_circuit(build_fitness_circuit(3, 2, spec), cutoff=5)
     rng = np.random.default_rng(7)
     values = {
         name: rng.integers(0, 1 << reg.width, size=200)
@@ -463,6 +489,31 @@ def test_count_gates_identity_and_additivity():
     assert doubled.toffoli == 2 * total.toffoli
     assert doubled.cnot == 2 * total.cnot
     assert doubled.nots == 2 * total.nots
+
+
+def test_count_gates_rejects_unknown_stage():
+    cases = (
+        (build_validity_circuit(2, 1), "diff"),
+        (build_fitness_circuit(2, 2, make_spec(2)), "Walk"),
+        (build_adder(2), "walk"),
+    )
+    for circ, stage in cases:
+        with pytest.raises(ValueError) as info:
+            count_gates(circ, stage=stage)
+        assert f"'{stage}'" in str(info.value)
+        assert str(sorted(circ.spans)) in str(info.value)
+
+
+def test_uncompute_range_checks_before_appending():
+    b = _Builder()
+    w = b.reg("w", 2, "operand").bits
+    b.x(w[0])
+    b.z(w[0])
+    b.cx(w[0], w[1])
+    before = list(b.gates)
+    with pytest.raises(ValueError, match="phase"):
+        b.uncompute_range(0, 3)
+    assert b.gates == before
 
 
 def test_walk_toffoli_linear_in_n():

@@ -251,6 +251,14 @@ def test_verify_passes_at_small_caps(capsys):
     assert code == 0
     assert stdout.count("PASS") == 6
     assert "FAIL" not in stdout
+    assert stdout == (
+        "PASS fitness (40 cases)\n"
+        "PASS comparator (1020 cases)\n"
+        "PASS validity (40 cases)\n"
+        "PASS oracle-sign (160 cases)\n"
+        "PASS ancilla-cleanup (40 cases)\n"
+        "PASS involution (40 cases)\n"
+    )
 
 
 def test_verify_cap_exceeded(capsys):
