@@ -5,9 +5,10 @@ registers, plus single-bit Z phase markers. Every gate is self-inverse, so
 a circuit's inverse is its reversed gate list. Executing a circuit on a
 classical basis state is exact: bits map to bits bijectively and the only
 quantum effect, the phase marker, is tracked as a +/-1 sign per state.
-Execution is bitsliced: a batch of basis states is held as one integer
-per wire with one bit per basis row, so each gate is a single integer
-XOR/AND over the whole batch.
+Execution is bitsliced: a ``Batch`` of basis states is one integer per
+wire with one bit per basis row, so each gate is a single integer
+XOR/AND over the whole batch. A batch keeps that form from ``pack_rows``
+through ``run_batch`` to ``unpack_column``, which decodes one register.
 
 Scratch registers follow compute-use-uncompute discipline (Bennett
 cleanup): on any input whose scratch starts at zero, it ends at zero.
@@ -109,17 +110,6 @@ class GateCounts:
     depth: int = 0
     ancilla: int = 0
 
-    def __add__(self, other: "GateCounts") -> "GateCounts":
-        # Gate counts are additive; depth adds as a sequential upper bound.
-        return GateCounts(
-            toffoli=self.toffoli + other.toffoli,
-            cnot=self.cnot + other.cnot,
-            nots=self.nots + other.nots,
-            phase=self.phase + other.phase,
-            depth=self.depth + other.depth,
-            ancilla=max(self.ancilla, other.ancilla),
-        )
-
 
 def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
     """Tally a circuit's gates, optionally restricted to one labelled span."""
@@ -154,48 +144,60 @@ def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
 # Execution on classical basis states
 
 
-def pack_rows(circuit: RevCircuit, values: dict[str, int | np.ndarray], batch: int) -> np.ndarray:
-    """Bit matrix (batch, num_bits) from per-register values (scalar or array)."""
-    rows = np.zeros((batch, circuit.num_bits), dtype=np.uint8)
-    for name, reg in circuit.registers.items():
-        v = np.asarray(values.get(name, 0), dtype=np.int64)
-        if np.any(v < 0) or np.any(v >> reg.width):
-            raise ValueError(f"value out of range for {reg.width}-bit register '{name}'")
-        for k in range(reg.width):
-            rows[:, reg.offset + k] = (v >> k) & 1
-    return rows
+@dataclass(frozen=True)
+class Batch:
+    """Basis states, bitsliced: ``size`` rows; wire b is one int whose bit i is row i's bit b."""
+
+    size: int
+    wires: tuple[int, ...]
 
 
-def unpack_column(circuit: RevCircuit, rows: np.ndarray, name: str) -> np.ndarray:
-    """Integer values of one register across a batch of bit rows."""
-    reg = circuit.registers[name]
-    out = np.zeros(rows.shape[0], dtype=np.int64)
-    for k in range(reg.width):
-        out |= rows[:, reg.offset + k].astype(np.int64) << k
-    return out
-
-
-def _unslice(words: list[int], batch: int) -> np.ndarray:
-    """Bit matrix (batch, len(words)): row i, column b is bit i of words[b]."""
-    nbytes = (batch + 7) // 8
+def _planes(words, size: int) -> np.ndarray:
+    """0/1 matrix (len(words), size): row b, column i is bit i of words[b]."""
+    nbytes = (size + 7) // 8
     data = b"".join(w.to_bytes(nbytes, "little") for w in words)
     packed = np.frombuffer(data, dtype=np.uint8).reshape(len(words), nbytes)
-    return np.ascontiguousarray(np.unpackbits(packed, axis=1, count=batch, bitorder="little").T)
+    return np.unpackbits(packed, axis=1, count=size, bitorder="little")
 
 
-def run_batch(circuit: RevCircuit, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Execute on many basis states at once; returns (bits, signs).
-
-    Bitsliced: wire b is one Python int whose bit i is row i's bit b, so
-    each gate acts on every row in one integer operation. ``rows`` is a
-    (batch, num_bits) 0/1 matrix and is not modified; ``bits`` is a new
-    uint8 matrix of the same shape and ``signs`` an int8 vector of +/-1.
-    """
-    batch, width = rows.shape
-    nbytes = (batch + 7) // 8
-    data = np.packbits(rows.T, axis=1, bitorder="little").tobytes()
-    w = [int.from_bytes(data[b * nbytes:(b + 1) * nbytes], "little") for b in range(width)]
+def pack_rows(circuit: RevCircuit, values: dict[str, int | np.ndarray], batch: int) -> Batch:
+    """Bitsliced batch from per-register values (scalar or array); absent registers are zero."""
+    unknown = set(values) - set(circuit.registers)
+    if unknown:
+        raise ValueError(f"no register {sorted(unknown)} in this circuit")
     ones = (1 << batch) - 1
+    wires = []
+    for name, reg in circuit.registers.items():
+        v = values.get(name, 0)
+        if np.ndim(v) == 0:
+            out_of_range = not 0 <= v < 1 << reg.width
+            wires.extend(ones if int(v) >> k & 1 else 0 for k in range(reg.width))
+        else:
+            v = np.broadcast_to(np.asarray(v, dtype=np.int64), (batch,))
+            out_of_range = bool(((v < 0) | (v >> reg.width != 0)).any())
+            planes = (v >> np.arange(reg.width)[:, None]) & 1
+            packed = np.packbits(planes.astype(np.uint8), axis=1, bitorder="little")
+            wires.extend(int.from_bytes(p.tobytes(), "little") for p in packed)
+        if out_of_range:
+            raise ValueError(f"value out of range for {reg.width}-bit register '{name}'")
+    return Batch(batch, tuple(wires))
+
+
+def unpack_column(circuit: RevCircuit, batch: Batch, name: str) -> np.ndarray:
+    """Integer values of one register across a batch."""
+    reg = circuit.registers[name]
+    planes = _planes(batch.wires[reg.offset : reg.offset + reg.width], batch.size)
+    return (planes.astype(np.int64) << np.arange(reg.width)[:, None]).sum(axis=0)
+
+
+def run_batch(circuit: RevCircuit, batch: Batch) -> tuple[Batch, np.ndarray]:
+    """Execute on a batch of basis states; returns (batch, signs).
+
+    Each gate acts on every row in one integer operation. The input is
+    left as it was; ``signs`` is an int8 vector of +/-1, one per row.
+    """
+    w = list(batch.wires)
+    ones = (1 << batch.size) - 1
     neg = 0
     for g in circuit.gates:
         c = g.controls
@@ -207,8 +209,8 @@ def run_batch(circuit: RevCircuit, rows: np.ndarray) -> tuple[np.ndarray, np.nda
             neg ^= w[g.target]
         else:
             w[g.target] ^= ones
-    signs = 1 - 2 * _unslice([neg], batch)[:, 0].astype(np.int8)
-    return _unslice(w, batch), signs
+    signs = 1 - 2 * _planes([neg], batch.size)[0].astype(np.int8)
+    return Batch(batch.size, tuple(w)), signs
 
 
 def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[str, int], int]:
@@ -221,9 +223,9 @@ def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[
     extra = set(assignment) - set(circuit.registers)
     if missing or extra:
         raise ValueError(f"assignment mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
-    rows = pack_rows(circuit, assignment, batch=1)
-    out_rows, signs = run_batch(circuit, rows)
-    out = {name: int(unpack_column(circuit, out_rows, name)[0]) for name in circuit.registers}
+    batch = pack_rows(circuit, assignment, batch=1)
+    out_batch, signs = run_batch(circuit, batch)
+    out = {name: int(unpack_column(circuit, out_batch, name)[0]) for name in circuit.registers}
     return out, int(signs[0])
 
 

@@ -337,6 +337,7 @@ def cmd_resources(args) -> int:
     act = resources.measured(args.n, args.m)
     fit_points = [(i, args.m) for i in range(1, max(3, args.n) + 1)]
     claims = resources.check_asymptotics(fit_points)
+    code = 0 if all(c.passed for c in claims.values()) else 1
     if args.format == "json":
         doc = {
             "predicted": pred.as_dict(),
@@ -352,7 +353,7 @@ def cmd_resources(args) -> int:
             },
         }
         _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
-        return 0
+        return code
     lines = [f"resources for n={args.n}, m={args.m} (cutoff {pred.cutoff})", ""]
     lines.append(f"{'register':<12}{'predicted':>10}{'actual':>10}")
     for name in pred.register_widths:
@@ -375,7 +376,7 @@ def cmd_resources(args) -> int:
             f"residual {c.residual_ratio:.4f} -> {'PASS' if c.passed else 'FAIL'}"
         )
     _write_out("\n".join(lines) + "\n", args.out)
-    return 0
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ gate-level construction against an independent classical reference:
 fitness circuit vs the reference evaluator, comparator vs integer
 comparison, validity flag vs the bounds-only path automaton, oracle sign
 vs the landscape-derived diagonal oracle, plus ancilla cleanup and
-involution checks. A suite stops at the first mismatch and reports it.
+involution checks. Every suite compares the whole output batch with an
+expected batch: the inputs, with the checked register replaced by its
+reference values. A suite stops at the first mismatch and reports it.
 """
 
 from __future__ import annotations
@@ -40,16 +42,51 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _scratch_nonzero(circuit, rows) -> np.ndarray:
-    """Row mask: any scratch register left nonzero."""
-    bad = np.zeros(rows.shape[0], dtype=bool)
-    for reg in circuit.scratch_registers():
-        bad |= unpack_column(circuit, rows, reg.name) != 0
-    return bad
+def _check(suite: str, cases) -> SuiteResult:
+    """Run each case and compare its whole output batch; stop at the first bad case.
+
+    A case is (where, circuit, inputs, reference, want_signs); ``inputs``
+    maps register names to arrays of one value per row. The expected
+    batch is ``inputs`` with the ``reference`` registers replaced. The bad
+    rows are the OR over wires of output XOR expected, plus the rows whose
+    sign differs from ``want_signs`` (None leaves signs unchecked).
+    Registers are decoded only to name the first bad row, ``where(row)``.
+    """
+    checked = 0
+    for where, circ, inputs, reference, want_signs in cases:
+        size = len(next(iter(inputs.values())))
+        batch = pack_rows(circ, inputs, size)
+        out, signs = run_batch(circ, batch)
+        want = pack_rows(circ, inputs | reference, size) if reference else batch
+        checked += size
+        bad = 0
+        for a, b in zip(out.wires, want.wires):
+            bad |= a ^ b
+        if want_signs is not None:
+            want_signs = np.broadcast_to(want_signs, signs.shape)
+            for i in np.flatnonzero(signs != want_signs):
+                bad |= 1 << int(i)
+        if not bad:
+            continue
+        row = (bad & -bad).bit_length() - 1
+        for name in circ.registers:
+            got, exp = (int(unpack_column(circ, b, name)[row]) for b in (out, want))
+            if got != exp:
+                found = f"register '{name}' {got}, expected {exp}"
+                break
+        else:
+            found = f"sign {int(signs[row])}, expected {int(want_signs[row])}"
+        return SuiteResult(suite, checked, bad.bit_count(), f"{where(row)}: {found}")
+    return SuiteResult(suite, checked, 0)
 
 
-def _path_sweep_rows(circuit, n: int) -> np.ndarray:
-    return pack_rows(circuit, {"path": np.arange(codec.path_count(n))}, codec.path_count(n))
+def _path_case(m: int, n: int, label: str = ""):
+    """Where a bad path row lies, and the inputs that sweep every path of length n."""
+
+    def where(u: int) -> str:
+        return f"m={m} n={n}{label} path={u:0{2*n}b}"
+
+    return where, {"path": np.arange(codec.path_count(n))}
 
 
 def _blind_spec(m: int):
@@ -58,97 +95,56 @@ def _blind_spec(m: int):
 
 def verify_fitness(fitness_circuits: dict) -> SuiteResult:
     """Fitness circuits keyed (m, n) == classical wall-blind fitness (mod 2**width), all inputs."""
-    checked = 0
-    for (m, n), circ in fitness_circuits.items():
-        maze = generate_maze(m, seed=0)
-        wa = circ.registers["fit"].width
-        rows = _path_sweep_rows(circ, n)
-        out, _ = run_batch(circ, rows)
-        got = unpack_column(circ, out, "fit")
-        want = fitness.landscape(maze, n, _blind_spec(m)).values % (1 << wa)
-        checked += rows.shape[0]
-        mism = np.flatnonzero(got != want)
-        if mism.size:
-            u = int(mism[0])
-            return SuiteResult(
-                "fitness", checked, int(mism.size),
-                f"m={m} n={n} path={u:0{2*n}b}: circuit {int(got[u])}, reference {int(want[u])}",
-            )
-        bad = np.flatnonzero(_scratch_nonzero(circ, out))
-        if bad.size:
-            return SuiteResult(
-                "fitness", checked, int(bad.size),
-                f"m={m} n={n} path={int(bad[0]):0{2*n}b}: scratch left nonzero",
-            )
-    return SuiteResult("fitness", checked, 0)
+
+    def cases():
+        for (m, n), circ in fitness_circuits.items():
+            maze = generate_maze(m, seed=0)
+            wa = circ.registers["fit"].width
+            ref = fitness.landscape(maze, n, _blind_spec(m)).values % (1 << wa)
+            where, paths = _path_case(m, n)
+            yield where, circ, paths, {"fit": ref}, 1
+
+    return _check("fitness", cases())
 
 
 def verify_comparator(width_max: int = 6, builder=build_gt_comparator) -> SuiteResult:
     """Every (f, c) pair, widths 1..width_max, all variants, vs integer >."""
-    checked = 0
-    for w in range(1, width_max + 1):
-        span = 1 << w
-        f_vals = np.repeat(np.arange(span), span)
-        c_vals = np.tile(np.arange(span), span)
-        want = (f_vals > c_vals).astype(np.int64)
-        # Register-source comparator: one circuit covers all pairs.
-        circ = builder(w, source="register")
-        rows = pack_rows(circ, {"f": f_vals, "c": c_vals}, span * span)
-        out, _ = run_batch(circ, rows)
-        got = unpack_column(circ, out, "flag")
-        f_back = unpack_column(circ, out, "f")
-        c_back = unpack_column(circ, out, "c")
-        checked += span * span
-        mism = np.flatnonzero(
-            (got != want) | (f_back != f_vals) | (c_back != c_vals) | _scratch_nonzero(circ, out)
-        )
-        if mism.size:
-            i = int(mism[0])
-            return SuiteResult(
-                "comparator", checked, int(mism.size),
-                f"register source w={w} f={int(f_vals[i])} c={int(c_vals[i])}: "
-                f"flag {int(got[i])}, expected {int(want[i])}",
+
+    def cases():
+        for w in range(1, width_max + 1):
+            span = 1 << w
+            # Register-source comparator: one circuit covers all pairs.
+            f = np.repeat(np.arange(span), span)
+            c = np.tile(np.arange(span), span)
+            yield (
+                lambda i: f"register source w={w} f={f[i]} c={c[i]}",
+                builder(w, source="register"), {"f": f, "c": c}, {"flag": f > c}, 1,
             )
-        # Constant-source comparators, both realizations.
-        for variant in ("prefix", "subtract"):
-            for c in range(span):
-                circ = builder(w, c, variant=variant)
-                rows = pack_rows(circ, {"f": np.arange(span)}, span)
-                out, _ = run_batch(circ, rows)
-                got = unpack_column(circ, out, "flag")
-                f_kept = unpack_column(circ, out, "f") == np.arange(span)
-                wantc = (np.arange(span) > c).astype(np.int64)
-                checked += span
-                mism = np.flatnonzero((got != wantc) | ~f_kept | _scratch_nonzero(circ, out))
-                if mism.size:
-                    i = int(mism[0])
-                    return SuiteResult(
-                        "comparator", checked, int(mism.size),
-                        f"{variant} w={w} f={i} c={c}: flag {int(got[i])}, expected {int(wantc[i])}",
+            # Constant-source comparators, both realizations.
+            for variant in ("prefix", "subtract"):
+                for cutoff in range(span):
+                    yield (
+                        lambda i: f"{variant} w={w} f={i} c={cutoff}",
+                        builder(w, cutoff, variant=variant),
+                        {"f": np.arange(span)}, {"flag": np.arange(span) > cutoff}, 1,
                     )
-    return SuiteResult("comparator", checked, 0)
+
+    return _check("comparator", cases())
 
 
 def verify_validity(n_max: int = 3, m_max: int = 4) -> SuiteResult:
     """Validity flag == no blocked move in the bounds-only path automaton, all inputs."""
-    checked = 0
-    for m in range(2, m_max + 1):
-        for n in range(1, n_max + 1):
-            maze = generate_maze(m, seed=0)
-            circ = build_validity_circuit(m, n)
-            rows = _path_sweep_rows(circ, n)
-            out, _ = run_batch(circ, rows)
-            got = unpack_column(circ, out, "valid")
-            want = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen).astype(np.int64)
-            checked += rows.shape[0]
-            mism = np.flatnonzero((got != want) | _scratch_nonzero(circ, out))
-            if mism.size:
-                u = int(mism[0])
-                return SuiteResult(
-                    "validity", checked, int(mism.size),
-                    f"m={m} n={n} path={u:0{2*n}b}: flag {int(got[u])}, expected {int(want[u])}",
-                )
-    return SuiteResult("validity", checked, 0)
+
+    def cases():
+        for m in range(2, m_max + 1):
+            for n in range(1, n_max + 1):
+                maze = generate_maze(m, seed=0)
+                circ = build_validity_circuit(m, n)
+                ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+                where, paths = _path_case(m, n)
+                yield where, circ, paths, {"valid": ref}, 1
+
+    return _check("validity", cases())
 
 
 def _oracle_cutoffs(spec) -> list[int]:
@@ -157,69 +153,39 @@ def _oracle_cutoffs(spec) -> list[int]:
 
 
 def verify_oracle_sign(oracles: dict) -> SuiteResult:
-    """Per-basis sign of oracles keyed (m, n), cutoff == landscape-derived diagonal oracle."""
-    checked = 0
-    for (m, n), by_cutoff in oracles.items():
-        scape = fitness.landscape(generate_maze(m, seed=0), n, _blind_spec(m))
-        for cutoff, circ in by_cutoff.items():
-            rows = _path_sweep_rows(circ, n)
-            out, signs = run_batch(circ, rows)
-            want = np.where(scape.values > cutoff, -1, 1).astype(np.int8)
-            checked += rows.shape[0]
-            mism = np.flatnonzero(signs != want)
-            if mism.size:
-                u = int(mism[0])
-                return SuiteResult(
-                    "oracle-sign", checked, int(mism.size),
-                    f"m={m} n={n} cutoff={cutoff} path={u:0{2*n}b}: "
-                    f"sign {int(signs[u])}, expected {int(want[u])}",
-                )
-    return SuiteResult("oracle-sign", checked, 0)
+    """Oracles keyed (m, n), cutoff: sign == landscape-derived oracle, registers restored, all inputs."""
+
+    def cases():
+        for (m, n), by_cutoff in oracles.items():
+            scape = fitness.landscape(generate_maze(m, seed=0), n, _blind_spec(m))
+            for cutoff, circ in by_cutoff.items():
+                where, paths = _path_case(m, n, f" cutoff={cutoff}")
+                yield where, circ, paths, {}, np.where(scape.values > cutoff, -1, 1)
+
+    return _check("oracle-sign", cases())
 
 
 def verify_ancilla_cleanup(oracles: dict) -> SuiteResult:
-    """After the cutoff C // 2 oracle, every non-path register reads zero on every input."""
-    checked = 0
-    for (m, n), by_cutoff in oracles.items():
-        circ = by_cutoff[_blind_spec(m).offset // 2]
-        rows = _path_sweep_rows(circ, n)
-        out, _ = run_batch(circ, rows)
-        checked += rows.shape[0]
-        for name in circ.registers:
-            if name == "path":
-                continue
-            nz = np.flatnonzero(unpack_column(circ, out, name) != 0)
-            if nz.size:
-                return SuiteResult(
-                    "ancilla-cleanup", checked, int(nz.size),
-                    f"m={m} n={n} path={int(nz[0]):0{2*n}b}: register '{name}' nonzero",
-                )
-        path_out = unpack_column(circ, out, "path")
-        moved = np.flatnonzero(path_out != np.arange(rows.shape[0]))
-        if moved.size:
-            return SuiteResult(
-                "ancilla-cleanup", checked, int(moved.size),
-                f"m={m} n={n}: path register altered at {int(moved[0])}",
-            )
-    return SuiteResult("ancilla-cleanup", checked, 0)
+    """After the cutoff C // 2 oracle, every register reads back its input, on every input."""
+
+    def cases():
+        for (m, n), by_cutoff in oracles.items():
+            where, paths = _path_case(m, n)
+            yield where, by_cutoff[_blind_spec(m).offset // 2], paths, {}, None
+
+    return _check("ancilla-cleanup", cases())
 
 
 def verify_involutions(oracles: dict) -> SuiteResult:
     """The cutoff C // 2 oracle applied twice is the identity with net sign +1, all inputs."""
-    checked = 0
-    for (m, n), by_cutoff in oracles.items():
-        circ = by_cutoff[_blind_spec(m).offset // 2]
-        doubled = circuits.RevCircuit(circ.registers, circ.gates + circ.gates)
-        rows = _path_sweep_rows(circ, n)
-        out, signs = run_batch(doubled, rows)
-        checked += rows.shape[0]
-        if not np.array_equal(out, rows) or np.any(signs != 1):
-            bad = np.flatnonzero(np.any(out != rows, axis=1) | (signs != 1))
-            return SuiteResult(
-                "involution", checked, int(bad.size),
-                f"m={m} n={n}: double oracle not identity at row {int(bad[0])}",
-            )
-    return SuiteResult("involution", checked, 0)
+
+    def cases():
+        for (m, n), by_cutoff in oracles.items():
+            circ = by_cutoff[_blind_spec(m).offset // 2]
+            where, paths = _path_case(m, n, " (oracle twice)")
+            yield where, circuits.RevCircuit(circ.registers, circ.gates + circ.gates), paths, {}, 1
+
+    return _check("involution", cases())
 
 
 def run_all(n_max: int = 3, m_max: int = 4, comparator_width_max: int = 6) -> list[SuiteResult]:

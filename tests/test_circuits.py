@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qmaze import codec, verify
 from qmaze.adaptive import Strictness, marked_for_cutoff
 from qmaze.circuits import (
+    Batch,
     Gate,
     PhaseMark,
     Register,
@@ -87,10 +88,30 @@ def test_gate_rejects_duplicate_bits():
         Gate(2, (1, 1))
 
 
-def run_rows_reference(circuit: RevCircuit, rows: np.ndarray) -> tuple[list, list]:
+def test_pack_rows_rejects_unknown_register():
+    circ = build_adder(2)
+    with pytest.raises(ValueError, match="nope"):
+        pack_rows(circ, {"nope": 7, "a": 1}, 2)
+
+
+def test_pack_rows_gives_one_wire_per_register_bit():
+    circ = build_adder(3, controls=1)
+    a = np.random.default_rng(3).integers(0, 8, size=70)
+    batch = pack_rows(circ, {"a": a, "t": 5}, 70)
+    assert batch.size == 70 and len(batch.wires) == circ.num_bits
+    for k, wire in enumerate(batch.wires[circ.registers["a"].offset :][:3]):
+        assert wire == sum(int(v >> k & 1) << i for i, v in enumerate(a))
+    ones = (1 << 70) - 1
+    assert batch.wires[circ.registers["t"].offset :][:3] == (ones, 0, ones)
+    assert np.array_equal(unpack_column(circ, batch, "a"), a)
+    assert np.array_equal(unpack_column(circ, batch, "t"), np.full(70, 5))
+    assert np.array_equal(unpack_column(circ, batch, "ctrl"), np.zeros(70))
+
+
+def run_rows_reference(circuit: RevCircuit, rows: list[list[int]]) -> tuple[list, list]:
     """Per-row scalar interpreter: a list of ints per row, gate by gate."""
     bits, signs = [], []
-    for row in rows.tolist():
+    for row in map(list, rows):
         sign = 1
         for g in circuit.gates:
             if isinstance(g, PhaseMark):
@@ -116,22 +137,23 @@ def random_circuits(draw):
     return RevCircuit(registers, gates)
 
 
+def sliced(rows: list[list[int]], width: int) -> tuple[int, ...]:
+    """Wire b of a bitsliced batch: bit i is rows[i][b]."""
+    return tuple(sum(row[b] << i for i, row in enumerate(rows)) for b in range(width))
+
+
 @pytest.mark.parametrize("batch", [0, 1, 7, 8, 9, 63, 64, 65, 300])
 @settings(max_examples=25, deadline=None)
-@given(circ=random_circuits(), seed=st.integers(0, 2**32 - 1), fortran=st.booleans())
-def test_run_batch_matches_per_row_reference(batch, circ, seed, fortran):
-    rng = np.random.default_rng(seed)
-    rows = rng.integers(0, 2, size=(batch, circ.num_bits), dtype=np.uint8)
-    if fortran:
-        rows = np.asfortranarray(rows)
-    before = rows.copy()
-    bits, signs = run_batch(circ, rows)
-    want_bits, want_signs = run_rows_reference(circ, rows)
-    assert bits.dtype == np.uint8 and bits.shape == (batch, circ.num_bits)
+@given(circ=random_circuits(), seed=st.integers(0, 2**32 - 1))
+def test_run_batch_matches_per_row_reference(batch, circ, seed):
+    rows = np.random.default_rng(seed).integers(0, 2, size=(batch, circ.num_bits)).tolist()
+    inputs = Batch(batch, sliced(rows, circ.num_bits))
+    out, signs = run_batch(circ, inputs)
+    want_rows, want_signs = run_rows_reference(circ, rows)
+    assert isinstance(out, Batch) and out.size == batch
+    assert out.wires == sliced(want_rows, circ.num_bits)
     assert signs.dtype == np.int8 and signs.shape == (batch,)
-    assert bits.tolist() == want_bits
     assert signs.tolist() == want_signs
-    assert np.array_equal(rows, before) and not np.shares_memory(bits, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -167,9 +189,9 @@ def test_subtract_then_add_is_identity(width):
     both = RevCircuit(sub.registers, sub.gates + add.gates)
     a = np.repeat(np.arange(span), span)
     t = np.tile(np.arange(span), span)
-    rows = pack_rows(both, {"a": a, "t": t}, span * span)
-    out, _ = run_batch(both, rows)
-    assert np.array_equal(out, rows)
+    inputs = pack_rows(both, {"a": a, "t": t}, span * span)
+    out, _ = run_batch(both, inputs)
+    assert out == inputs
 
 
 def test_controlled_adder_identity_when_off():
@@ -377,9 +399,9 @@ def test_oracle_self_inverse():
     spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
     circ = build_oracle_circuit(build_fitness_circuit(3, 2, spec), cutoff=3)
     doubled = RevCircuit(circ.registers, circ.gates + circ.gates)
-    rows = pack_rows(doubled, {"path": np.arange(16)}, 16)
-    out, signs = run_batch(doubled, rows)
-    assert np.array_equal(out, rows)
+    inputs = pack_rows(doubled, {"path": np.arange(16)}, 16)
+    out, signs = run_batch(doubled, inputs)
+    assert out == inputs
     assert np.all(signs == 1)
 
 
@@ -454,10 +476,10 @@ def test_circuit_then_inverse_restores_everything():
         name: rng.integers(0, 1 << reg.width, size=200)
         for name, reg in circ.registers.items()
     }
-    rows = pack_rows(circ, values, 200)
-    mid, s1 = run_batch(circ, rows)
+    inputs = pack_rows(circ, values, 200)
+    mid, s1 = run_batch(circ, inputs)
     back, s2 = run_batch(circ.inverse(), mid)
-    assert np.array_equal(back, rows)
+    assert back == inputs
     assert np.all(s1 * s2 == 1)
 
 
@@ -473,9 +495,10 @@ def test_small_circuits_bijective_exhaustively():
         bits = circ.num_bits
         assert bits <= 22
         every = np.arange(1 << bits, dtype=np.int64)
-        rows = ((every[:, None] >> np.arange(bits)[None, :]) & 1).astype(np.uint8)
-        out, _ = run_batch(circ, rows)
-        packed = (out.astype(np.int64) << np.arange(bits)[None, :]).sum(axis=1)
+        regs = circ.registers.values()
+        values = {r.name: every >> r.offset & ((1 << r.width) - 1) for r in regs}
+        out, _ = run_batch(circ, pack_rows(circ, values, every.size))
+        packed = sum(unpack_column(circ, out, r.name) << r.offset for r in regs)
         assert len(np.unique(packed)) == 1 << bits  # a bijection on basis states
 
 

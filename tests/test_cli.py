@@ -7,7 +7,14 @@ import json
 import pytest
 
 from qmaze import verify
-from qmaze.circuits import build_gt_comparator
+from qmaze.circuits import (
+    PhaseMark,
+    RevCircuit,
+    build_fitness_circuit,
+    build_gt_comparator,
+    build_oracle_circuit,
+    build_validity_circuit,
+)
 from qmaze.cli import main, parse_config, UsageError
 from qmaze.maze import parse_maze
 
@@ -245,20 +252,21 @@ def test_dynamics_rejects_negative_rmax(capsys):
 # verify
 
 
-def test_verify_passes_at_small_caps(capsys):
-    code, stdout, _ = run_cli(capsys, "verify", "--nmax", "2", "--mmax", "3",
-                              "--widthmax", "4")
+@pytest.mark.parametrize(
+    "caps,cases",
+    [
+        (["--nmax", "2", "--mmax", "3", "--widthmax", "4"], (40, 1020, 40, 160, 40, 40)),
+        ([], (252, 16380, 252, 1008, 252, 252)),
+    ],
+    ids=["small", "defaults"],
+)
+def test_verify_passes_at_small_caps(capsys, caps, cases):
+    code, stdout, _ = run_cli(capsys, "verify", *caps)
     assert code == 0
     assert stdout.count("PASS") == 6
     assert "FAIL" not in stdout
-    assert stdout == (
-        "PASS fitness (40 cases)\n"
-        "PASS comparator (1020 cases)\n"
-        "PASS validity (40 cases)\n"
-        "PASS oracle-sign (160 cases)\n"
-        "PASS ancilla-cleanup (40 cases)\n"
-        "PASS involution (40 cases)\n"
-    )
+    names = ("fitness", "comparator", "validity", "oracle-sign", "ancilla-cleanup", "involution")
+    assert stdout == "".join(f"PASS {name} ({count} cases)\n" for name, count in zip(names, cases))
 
 
 def test_verify_cap_exceeded(capsys):
@@ -278,6 +286,76 @@ def test_verify_reports_counterexample_for_corrupted_comparator():
     assert not result.passed
     assert result.counterexample is not None
     assert "w=3" in result.counterexample
+
+
+def _dropped(circ: RevCircuit, index: int = -1) -> RevCircuit:
+    """The same circuit with one gate removed."""
+    gates = list(circ.gates)
+    del gates[index]
+    return RevCircuit(circ.registers, gates, circ.spans)
+
+
+def _corrupt_fitness(_monkeypatch):
+    fit = build_fitness_circuit(3, 2, verify._blind_spec(3))
+    return verify.verify_fitness({(3, 2): _dropped(fit)})
+
+
+def _corrupt_comparator(_monkeypatch):
+    def builder(width, cutoff=None, **kwargs):
+        circ = build_gt_comparator(width, cutoff, **kwargs)
+        return _dropped(circ) if (width, cutoff, kwargs.get("variant")) == (3, 2, "prefix") else circ
+
+    return verify.verify_comparator(width_max=3, builder=builder)
+
+
+def _corrupt_validity(monkeypatch):
+    def builder(m, n):
+        circ = build_validity_circuit(m, n)
+        return _dropped(circ) if (m, n) == (3, 2) else circ
+
+    monkeypatch.setattr(verify, "build_validity_circuit", builder)
+    return verify.verify_validity(n_max=2, m_max=3)
+
+
+def _oracle():
+    cutoff = verify._blind_spec(3).offset // 2
+    return cutoff, build_oracle_circuit(build_fitness_circuit(3, 2, verify._blind_spec(3)), cutoff)
+
+
+def _corrupt_oracle_sign(_monkeypatch):
+    cutoff, circ = _oracle()
+    unsigned = RevCircuit(circ.registers, [g for g in circ.gates if not isinstance(g, PhaseMark)])
+    return verify.verify_oracle_sign({(3, 2): {cutoff: unsigned}})
+
+
+def _corrupt_cleanup(_monkeypatch):
+    cutoff, circ = _oracle()
+    return verify.verify_ancilla_cleanup({(3, 2): {cutoff: _dropped(circ)}})
+
+
+def _corrupt_involution(_monkeypatch):
+    cutoff, circ = _oracle()
+    return verify.verify_involutions({(3, 2): {cutoff: _dropped(circ, 0)}})
+
+
+@pytest.mark.parametrize(
+    "run,where,found",
+    [
+        pytest.param(_corrupt_fitness, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="fitness"),
+        pytest.param(_corrupt_comparator, "prefix w=3 f=0 c=2", "register 'f' 4, expected 0", id="comparator"),
+        pytest.param(_corrupt_validity, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="validity"),
+        pytest.param(_corrupt_oracle_sign, "m=3 n=2 cutoff=8 path=0101", "sign 1, expected -1", id="oracle-sign"),
+        pytest.param(_corrupt_cleanup, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="ancilla-cleanup"),
+        pytest.param(
+            _corrupt_involution, "m=3 n=2 (oracle twice) path=0101", "sign -1, expected 1", id="involution"
+        ),
+    ],
+)
+def test_each_suite_names_a_counterexample_for_a_corrupted_circuit(request, monkeypatch, run, where, found):
+    result = run(monkeypatch)
+    assert result.name == request.node.callspec.id
+    assert not result.passed and result.failures > 0
+    assert result.counterexample == f"{where}: {found}"
 
 
 # ---------------------------------------------------------------------------
@@ -303,6 +381,19 @@ def test_resources_json_schema(tmp_path, capsys):
     assert doc["predicted"]["register_widths"] == doc["measured"]["register_widths"]
     assert doc["predicted"]["register_widths"]["path"] == 4
     assert all(fit["passed"] for fit in doc["fits"].values())
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_resources_exits_1_when_a_fit_fails(capsys, fmt):
+    # At m = 3 the position width steps at n = 3, so the fit over n = 1..3 misses.
+    code, stdout, _ = run_cli(capsys, "resources", "--n", "2", "--m", "3", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        assert not json.loads(stdout)["fits"]["path_sim_linear_in_n"]["passed"]
+    else:
+        assert "path_sim_linear_in_n" in stdout and "-> FAIL" in stdout
+    code, _, _ = run_cli(capsys, "resources", "--n", "2", "--m", "2", "--format", fmt)
+    assert code == 0
 
 
 def test_sweep_success_fraction(tmp_path, capsys):
