@@ -377,21 +377,6 @@ def _masked_copy(b: _Builder, ctrl: int, src: list[int], dst: list[int]):
             b.ccx(ctrl, s, d)
 
 
-def _add_masked(
-    b: _Builder,
-    ctrl: int,
-    a: list[int],
-    t: list[int],
-    tmp: list[int],
-    carry: int,
-    subtract: bool = False,
-):
-    """Controlled t +/-= a: route a through a masked temporary register."""
-    _masked_copy(b, ctrl, a, tmp[: len(a)])
-    (_sub if subtract else _add)(b, tmp[: len(a)], t, carry)
-    _masked_copy(b, ctrl, a, tmp[: len(a)])
-
-
 def _square(b: _Builder, src: list[int], out: list[int], tmp: list[int], carry: int):
     """out += src**2 truncated to len(out) bits (schoolbook shift-and-add).
 
@@ -449,66 +434,6 @@ def _gt_const(b: _Builder, a: list[int], cutoff: int, out: int, eq: list[int]):
         b.uncompute_range(lo, hi)
 
 
-def _gt_register(b: _Builder, a: list[int], c: list[int], out: int, eq: list[int], scratch: int):
-    """out ^= (a > c) where the cutoff lives in a register (restored)."""
-    w = len(a)
-    for j in range(w):
-        b.cx(a[j], c[j])  # c temporarily holds a XOR c
-    chain_mark = []
-    e_prev: int | None = None
-    next_eq = 0
-    for i in range(w - 1, -1, -1):
-        # Disjunct i: higher bits equal AND a_i AND NOT c_i == a_i AND xor_i.
-        if e_prev is None:
-            b.ccx(a[i], c[i], out)
-        else:
-            b.ccx(a[i], c[i], scratch)
-            b.ccx(e_prev, scratch, out)
-            b.ccx(a[i], c[i], scratch)
-        if i > 0:
-            e_new = eq[next_eq]
-            next_eq += 1
-            lo = b.mark()
-            b.x(c[i])
-            if e_prev is None:
-                b.cx(c[i], e_new)
-            else:
-                b.ccx(e_prev, c[i], e_new)
-            b.x(c[i])
-            chain_mark.append((lo, b.mark()))
-            e_prev = e_new
-    for lo, hi in reversed(chain_mark):
-        b.uncompute_range(lo, hi)
-    for j in range(w):
-        b.cx(a[j], c[j])
-
-
-def _gt_subtract(
-    b: _Builder, a: list[int], cutoff: int, out: int, tmp: list[int], const: list[int], carry: int
-):
-    """Subtractor comparator: out ^= (a > cutoff) via the sign of a - cutoff - 1.
-
-    The difference is formed in a (w+1)-bit two's-complement temporary, so
-    the top bit is a true sign bit; subtracting cutoff+1 makes the test
-    strict. Everything but ``out`` is uncomputed.
-    """
-    w = len(a)
-    if cutoff < 0:
-        b.x(out)
-        return
-    if cutoff >= 2**w - 1:
-        return
-    lo = b.mark()
-    for j in range(w):
-        b.cx(a[j], tmp[j])
-    _add_const(b, cutoff + 1, tmp, const, carry, subtract=True)
-    hi = b.mark()
-    b.x(tmp[w])
-    b.cx(tmp[w], out)
-    b.x(tmp[w])
-    b.uncompute_range(lo, hi)
-
-
 # ---------------------------------------------------------------------------
 # Width planning (shared with the resource model)
 
@@ -546,63 +471,38 @@ def signed_register_value(value: int, width: int) -> int:
 # Standalone arithmetic builders
 
 
-def build_adder(
-    width: int, *, subtract: bool = False, controls: int = 0, constant: int | None = None
-) -> RevCircuit:
-    """In-place adder: t +/-= a (or a classical constant), optionally controlled.
+def build_adder(width: int, *, subtract: bool = False, constant: int | None = None) -> RevCircuit:
+    """In-place adder: t +/-= a (or a classical constant), exact modulo 2**width.
 
-    Registers: ``a`` (absent when adding a constant), ``t``, ``ctrl`` (one bit
-    per control), plus scratch. Exact modulo 2**width; with any control bit
-    at zero the circuit is the identity.
+    Registers: ``a`` (absent when adding a constant), ``t``, plus scratch.
     """
     if width < 1:
         raise ValueError("adder width must be >= 1")
-    if controls < 0:
-        raise ValueError("control count must be >= 0")
     if constant is not None and not 0 <= constant < 2**width:
         raise ValueError("constant out of register range")
     b = _Builder()
     a_bits = b.reg("a", width, "operand").bits if constant is None else None
     t_bits = b.reg("t", width, "operand").bits
-    ctrl_bits = b.maybe_reg("ctrl", controls, "operand")
     carry = b.reg("carry", 1, "ancilla").bits[0]
-    const_bits = b.reg("k", width, "constant").bits if constant is not None else None
-    tmp_bits = b.reg("tmp", width, "ancilla").bits if controls >= 1 else None
-    and_bits = b.maybe_reg("andc", max(0, controls - 1), "ancilla")
-
-    def gated(src: list[int]):
-        if controls == 0:
-            (_sub if subtract else _add)(b, src, t_bits, carry)
-            return
-        if controls == 1:
-            gate_bit = ctrl_bits[0]
-        else:
-            b.ccx(ctrl_bits[0], ctrl_bits[1], and_bits[0])
-            for k in range(2, controls):
-                b.ccx(and_bits[k - 2], ctrl_bits[k], and_bits[k - 1])
-            gate_bit = and_bits[controls - 2]
-        _add_masked(b, gate_bit, src, t_bits, tmp_bits, carry, subtract=subtract)
-        if controls >= 2:
-            for k in range(controls - 1, 1, -1):
-                b.ccx(and_bits[k - 2], ctrl_bits[k], and_bits[k - 1])
-            b.ccx(ctrl_bits[0], ctrl_bits[1], and_bits[0])
-
     if constant is None:
-        gated(a_bits)
+        (_sub if subtract else _add)(b, a_bits, t_bits, carry)
     else:
-        _xor_const(b, const_bits, constant)
-        gated(const_bits)
-        _xor_const(b, const_bits, constant)
+        const_bits = b.reg("k", width, "constant").bits
+        _add_const(b, constant, t_bits, const_bits, carry, subtract=subtract)
     return b.build()
 
 
 def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
-    """Out-of-place squarer |a>|0> -> |a>|a**2>; output must hold 2*width bits."""
+    """Out-of-place squarer |a>|0> -> |a>|a**2 mod 2**out_width>; out_width defaults to 2*width.
+
+    An output narrower than 2*width truncates, as the fitness circuit's
+    squares do.
+    """
     if width < 1:
         raise ValueError("squarer width must be >= 1")
     out_width = 2 * width if out_width is None else out_width
-    if out_width < 2 * width:
-        raise ValueError(f"output register needs >= {2 * width} bits, got {out_width}")
+    if out_width < 1:
+        raise ValueError(f"output register needs >= 1 bit, got {out_width}")
     b = _Builder()
     a = b.reg("a", width, "operand").bits
     out = b.reg("sq", out_width, "operand").bits
@@ -612,48 +512,19 @@ def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
     return b.build()
 
 
-def build_gt_comparator(
-    width: int,
-    cutoff: int | None = None,
-    *,
-    source: str = "constant",
-    variant: str = "prefix",
-) -> RevCircuit:
-    """Greater-than comparator: flag ^= (f > cutoff), strict.
+def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
+    """Greater-than comparator against a classical cutoff: flag ^= (f > cutoff), strict.
 
-    ``source='constant'`` hardwires a classical cutoff; ``source='register'``
-    compares against a cutoff register ``c`` (restored afterwards). The
-    default realization follows the prefix-equality formula; ``variant=
-    'subtract'`` cross-checks it via the sign bit of f - cutoff - 1
-    (constant source only). Internal scratch is uncomputed.
+    Uses the prefix-equality realization the oracle and validity circuits
+    emit; its equality chain is uncomputed.
     """
     if width < 1:
         raise ValueError("comparator width must be >= 1")
-    if source not in ("constant", "register"):
-        raise ValueError(f"unknown cutoff source '{source}'")
-    if variant not in ("prefix", "subtract"):
-        raise ValueError(f"unknown comparator variant '{variant}'")
     b = _Builder()
     f = b.reg("f", width, "fitness").bits
-    c_bits = b.reg("c", width, "operand").bits if source == "register" else None
     flag = b.reg("flag", 1, "flag").bits[0]
-    if source == "constant":
-        if cutoff is None:
-            raise ValueError("constant-source comparator needs a cutoff value")
-        if variant == "prefix":
-            eq = b.maybe_reg("eq", width - 1, "ancilla")
-            _gt_const(b, f, cutoff, flag, eq)
-        else:
-            tmp = b.reg("tmp", width + 1, "ancilla").bits
-            const = b.reg("k", width + 1, "constant").bits
-            carry = b.reg("carry", 1, "ancilla").bits[0]
-            _gt_subtract(b, f, cutoff, flag, tmp, const, carry)
-    else:
-        if variant != "prefix":
-            raise ValueError("register-source comparator supports only the prefix variant")
-        eq = b.maybe_reg("eq", width - 1, "ancilla")
-        scratch = b.reg("u", 1, "ancilla").bits[0]
-        _gt_register(b, f, c_bits, flag, eq, scratch)
+    eq = b.maybe_reg("eq", width - 1, "ancilla")
+    _gt_const(b, f, cutoff, flag, eq)
     return b.build()
 
 

@@ -2,8 +2,8 @@
 circuits against their references, and report resource costs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
-(bad flags, config file or maze file) and nothing else; any other
-exception is an internal fault and propagates with its traceback.
+(bad flags, config file, maze file or unwritable --out) and nothing else;
+any other exception is an internal fault and propagates with its traceback.
 All randomness derives from the single --seed value: maze generation uses
 child stream (seed, 0[, run]) and the search loop uses (seed, 1[, run]),
 so identical configs reproduce byte-identical outputs.
@@ -134,7 +134,10 @@ def trace_to_json(trace: adaptive.CutoffTrace, n: int, f_max: int) -> str:
 
 def _write_out(text: str, out: str | None):
     if out:
-        Path(out).write_text(text)
+        try:
+            Path(out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -147,6 +150,8 @@ def cmd_generate(args) -> int:
     m = args.m
     if m < 2:
         raise UsageError("--m must be >= 2")
+    if args.seed < 0:
+        raise UsageError("--seed must be >= 0")
     start = tuple(args.start) if args.start else (0, 0)
     goal = tuple(args.goal) if args.goal else (m - 1, m - 1)
     for flag, cell in (("--start", start), ("--goal", goal)):

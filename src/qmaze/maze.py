@@ -273,29 +273,15 @@ def simulate_path(maze: Maze, path, mode: SimMode) -> Trajectory:
 
 
 def shortest_path_length(maze: Maze, a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Length of the unique tree path between two cells (BFS over passages)."""
-    for cell in (a, b):
-        if not maze.in_grid(cell):
-            raise ValueError(f"cell {cell} outside the grid")
-    if a == b:
-        return 0
-    dist = {a: 0}
-    frontier = deque([a])
-    while frontier:
-        cell = frontier.popleft()
-        for d in Direction:
-            if maze.is_open(cell, d):
-                nxt = (cell[0] + d.delta[0], cell[1] + d.delta[1])
-                if nxt not in dist:
-                    dist[nxt] = dist[cell] + 1
-                    if nxt == b:
-                        return dist[nxt]
-                    frontier.append(nxt)
-    raise AssertionError("tree invariant violated: cell unreachable")
+    """Length of the unique tree path between two cells."""
+    return len(tree_path(maze, a, b))
 
 
 def tree_path(maze: Maze, a: tuple[int, int], b: tuple[int, int]) -> tuple[Direction, ...]:
     """The unique direction sequence from a to b along open passages."""
+    for cell in (a, b):
+        if not maze.in_grid(cell):
+            raise ValueError(f"cell {cell} outside the grid")
     parent: dict[tuple[int, int], tuple[tuple[int, int], Direction]] = {}
     frontier = deque([a])
     seen = {a}

@@ -108,26 +108,16 @@ def verify_fitness(fitness_circuits: dict) -> SuiteResult:
 
 
 def verify_comparator(width_max: int = 6, builder=build_gt_comparator) -> SuiteResult:
-    """Every (f, c) pair, widths 1..width_max, all variants, vs integer >."""
+    """Every (f, cutoff) pair, widths 1..width_max, vs integer >."""
 
     def cases():
         for w in range(1, width_max + 1):
-            span = 1 << w
-            # Register-source comparator: one circuit covers all pairs.
-            f = np.repeat(np.arange(span), span)
-            c = np.tile(np.arange(span), span)
-            yield (
-                lambda i: f"register source w={w} f={f[i]} c={c[i]}",
-                builder(w, source="register"), {"f": f, "c": c}, {"flag": f > c}, 1,
-            )
-            # Constant-source comparators, both realizations.
-            for variant in ("prefix", "subtract"):
-                for cutoff in range(span):
-                    yield (
-                        lambda i: f"{variant} w={w} f={i} c={cutoff}",
-                        builder(w, cutoff, variant=variant),
-                        {"f": np.arange(span)}, {"flag": np.arange(span) > cutoff}, 1,
-                    )
+            f = np.arange(1 << w)
+            for cutoff in range(1 << w):
+                yield (
+                    lambda i: f"w={w} f={i} c={cutoff}",
+                    builder(w, cutoff), {"f": f}, {"flag": f > cutoff}, 1,
+                )
 
     return _check("comparator", cases())
 

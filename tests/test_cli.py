@@ -54,8 +54,9 @@ def test_generate_rejects_small_m(capsys):
         (["--m", "3", "--start", "5", "5"], "--start 5 5 lies outside the 3x3 grid"),
         (["--m", "3", "--goal", "0", "-1"], "--goal 0 -1 lies outside the 3x3 grid"),
         (["--m", "3", "--start", "2", "2"], "--start and --goal must differ"),
+        (["--m", "3", "--seed", "-5"], "--seed must be >= 0"),
     ],
-    ids=["start-outside", "goal-outside", "start-is-goal"],
+    ids=["start-outside", "goal-outside", "start-is-goal", "seed-negative"],
 )
 def test_generate_bad_cells_exit_2(flags, message, capsys):
     code, stdout, err = run_cli(capsys, "generate", *flags)
@@ -255,8 +256,8 @@ def test_dynamics_rejects_negative_rmax(capsys):
 @pytest.mark.parametrize(
     "caps,cases",
     [
-        (["--nmax", "2", "--mmax", "3", "--widthmax", "4"], (40, 1020, 40, 160, 40, 40)),
-        ([], (252, 16380, 252, 1008, 252, 252)),
+        (["--nmax", "2", "--mmax", "3", "--widthmax", "4"], (40, 340, 40, 160, 40, 40)),
+        ([], (252, 5460, 252, 1008, 252, 252)),
     ],
     ids=["small", "defaults"],
 )
@@ -276,9 +277,9 @@ def test_verify_cap_exceeded(capsys):
 
 
 def test_verify_reports_counterexample_for_corrupted_comparator():
-    def corrupted(width, cutoff=None, *, source="constant", variant="prefix"):
-        circ = build_gt_comparator(width, cutoff, source=source, variant=variant)
-        if width == 3 and cutoff == 2 and source == "constant" and variant == "prefix":
+    def corrupted(width, cutoff):
+        circ = build_gt_comparator(width, cutoff)
+        if width == 3 and cutoff == 2:
             circ.gates = circ.gates[:-1]  # drop a cleanup gate
         return circ
 
@@ -301,9 +302,9 @@ def _corrupt_fitness(_monkeypatch):
 
 
 def _corrupt_comparator(_monkeypatch):
-    def builder(width, cutoff=None, **kwargs):
-        circ = build_gt_comparator(width, cutoff, **kwargs)
-        return _dropped(circ) if (width, cutoff, kwargs.get("variant")) == (3, 2, "prefix") else circ
+    def builder(width, cutoff):
+        circ = build_gt_comparator(width, cutoff)
+        return _dropped(circ) if (width, cutoff) == (3, 2) else circ
 
     return verify.verify_comparator(width_max=3, builder=builder)
 
@@ -342,7 +343,7 @@ def _corrupt_involution(_monkeypatch):
     "run,where,found",
     [
         pytest.param(_corrupt_fitness, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="fitness"),
-        pytest.param(_corrupt_comparator, "prefix w=3 f=0 c=2", "register 'f' 4, expected 0", id="comparator"),
+        pytest.param(_corrupt_comparator, "w=3 f=0 c=2", "register 'f' 4, expected 0", id="comparator"),
         pytest.param(_corrupt_validity, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="validity"),
         pytest.param(_corrupt_oracle_sign, "m=3 n=2 cutoff=8 path=0101", "sign 1, expected -1", id="oracle-sign"),
         pytest.param(_corrupt_cleanup, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="ancilla-cleanup"),
@@ -448,6 +449,25 @@ def test_bad_search_settings_exit_2(command, flags, message, flag, capsys):
     assert err.startswith("error: ") and message in err
     assert flag in err
     assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["generate", "--m", "3"],
+        ["solve", "--m", "3", "--n", "2"],
+        ["sweep", "--m", "3", "--n", "2", "--runs", "2"],
+        ["dynamics", "--n", "2", "--k", "1"],
+        ["resources", "--n", "1", "--m", "2"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_unwritable_out_exits_2(argv, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.txt"
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 2
+    assert err.startswith("error: cannot write --out: ") and str(out) in err
+    assert not out.exists()
 
 
 def test_internal_value_error_propagates(monkeypatch, capsys):

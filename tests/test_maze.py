@@ -164,6 +164,13 @@ def test_shortest_path_matches_enumeration_oracle():
         ).end == b
 
 
+def test_tree_path_rejects_cell_outside_grid():
+    maze = generate_maze(3, seed=0)
+    for a, b in [((0, 0), (5, 5)), ((-1, 0), (2, 2))]:
+        with pytest.raises(ValueError, match="outside the grid"):
+            tree_path(maze, a, b)
+
+
 def test_serialize_parse_round_trip():
     maze = generate_maze(16, seed=9, goal=(3, 12))
     text = serialize_maze(maze)
