@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import textwrap
 
 import pytest
 
@@ -423,6 +424,158 @@ def test_sweep_deterministic(tmp_path, capsys):
         assert code == 0
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+# ---------------------------------------------------------------------------
+# golden bytes: exact stdout and --out file of six small runs
+
+_SOLVE_SUMMARY = (
+    "status: converged-optimal\nrounds used: 2\n"
+    "best path: SE (|1001>) fitness 4\noptimal: yes (f_max 4)\n"
+)
+_SWEEP_SUMMARY = "success fraction: 1.0 (3/3)\n"
+
+
+def _lines(text: str) -> str:
+    return textwrap.dedent(text).lstrip("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdout, written",
+    [
+        pytest.param(
+            ["solve", "--maze", "MAZE", "--n", "2", "--seed", "4"],
+            _SOLVE_SUMMARY,
+            _lines("""
+                round,cutoff,k,theta,r,outcome_index,outcome_fitness,new_cutoff
+                1,0,16,1.5707963267948966,0,6,3,3
+                2,3,1,0.25268025514207865,2,9,4,4
+            """),
+            id="solve-csv",
+        ),
+        pytest.param(
+            ["solve", "--maze", "MAZE", "--n", "2", "--seed", "4", "--format", "json"],
+            _SOLVE_SUMMARY,
+            _lines("""
+                {
+                  "best": {
+                    "bits": "1001",
+                    "fitness": 4,
+                    "index": 9,
+                    "letters": "SE"
+                  },
+                  "f_max": 4,
+                  "optimal": true,
+                  "rounds": [
+                    {
+                      "cutoff": 0,
+                      "k": 16,
+                      "new_cutoff": 3,
+                      "outcome_fitness": 3,
+                      "outcome_index": 6,
+                      "r": 0,
+                      "round": 1,
+                      "theta": 1.5707963267948966
+                    },
+                    {
+                      "cutoff": 3,
+                      "k": 1,
+                      "new_cutoff": 4,
+                      "outcome_fitness": 4,
+                      "outcome_index": 9,
+                      "r": 2,
+                      "round": 2,
+                      "theta": 0.25268025514207865
+                    }
+                  ],
+                  "status": "converged-optimal"
+                }
+            """),
+            id="solve-json",
+        ),
+        pytest.param(
+            ["solve", "--maze", "MAZE", "--n", "2", "--cutoff0", "4", "--strictness", "strict",
+             "--format", "json"],
+            "status: degenerate\nrounds used: 0\n",
+            _lines("""
+                {
+                  "best": null,
+                  "f_max": 4,
+                  "optimal": false,
+                  "rounds": [],
+                  "status": "degenerate"
+                }
+            """),
+            id="solve-degenerate-json",
+        ),
+        pytest.param(
+            ["sweep", "--m", "3", "--n", "2", "--runs", "3", "--seed", "1"],
+            _SWEEP_SUMMARY,
+            _lines("""
+                run,status,rounds_used,best_fitness,f_max,success
+                0,converged-optimal,1,12,12,1
+                1,converged-optimal,3,14,14,1
+                2,converged-optimal,1,12,12,1
+            """),
+            id="sweep-csv",
+        ),
+        pytest.param(
+            ["sweep", "--m", "3", "--n", "2", "--runs", "3", "--seed", "1", "--format", "json"],
+            _SWEEP_SUMMARY,
+            _lines("""
+                {
+                  "runs": [
+                    {
+                      "best_fitness": 12,
+                      "f_max": 12,
+                      "rounds_used": 1,
+                      "run": 0,
+                      "status": "converged-optimal",
+                      "success": true
+                    },
+                    {
+                      "best_fitness": 14,
+                      "f_max": 14,
+                      "rounds_used": 3,
+                      "run": 1,
+                      "status": "converged-optimal",
+                      "success": true
+                    },
+                    {
+                      "best_fitness": 12,
+                      "f_max": 12,
+                      "rounds_used": 1,
+                      "run": 2,
+                      "status": "converged-optimal",
+                      "success": true
+                    }
+                  ],
+                  "success_fraction": 1.0
+                }
+            """),
+            id="sweep-json",
+        ),
+        pytest.param(
+            ["dynamics", "--n", "2", "--k", "1", "--rmax", "3"],
+            "",
+            _lines("""
+                r,predicted,simulated
+                0,0.0625,0.0625
+                1,0.47265625,0.47265625
+                2,0.908447265625,0.908447265625
+                3,0.9613189697265625,0.9613189697265625
+            """),
+            id="dynamics",
+        ),
+    ],
+)
+def test_cli_output_golden_bytes(argv, stdout, written, example_maze_file, tmp_path, capsys):
+    out = tmp_path / "out"
+    argv = [str(example_maze_file) if arg == "MAZE" else arg for arg in argv]
+    code, got, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert got == stdout
+    assert out.read_bytes() == written.encode()
 
 
 # ---------------------------------------------------------------------------
