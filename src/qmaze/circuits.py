@@ -297,31 +297,23 @@ def _xor_const(b: _Builder, bits: list[int], value: int):
             b.x(bit)
 
 
-def _increment(b: _Builder, bits: list[int], chain: list[int], ctrl: int | None = None):
-    """+1 mod 2**w on ``bits``, optionally controlled; ripple carry via ``chain``."""
+def _increment(b: _Builder, bits: list[int], chain: list[int], ctrl: int):
+    """+1 mod 2**w (w >= 2) on ``bits``, controlled by ``ctrl``; ripple carry via ``chain``."""
     w = len(bits)
-    if w == 1:
-        b.cx(ctrl, bits[0]) if ctrl is not None else b.x(bits[0])
-        return
     # chain[k] accumulates ctrl AND bits[0] AND ... AND bits[k].
-    if ctrl is not None:
-        b.ccx(ctrl, bits[0], chain[0])
-    else:
-        b.cx(bits[0], chain[0])
+    b.ccx(ctrl, bits[0], chain[0])
     for k in range(1, w - 1):
         b.ccx(chain[k - 1], bits[k], chain[k])
     for k in range(w - 1, 0, -1):
         b.cx(chain[k - 1], bits[k])
         if k >= 2:
             b.ccx(chain[k - 2], bits[k - 1], chain[k - 1])
-        elif ctrl is not None:
-            b.ccx(ctrl, bits[0], chain[0])
         else:
-            b.cx(bits[0], chain[0])
-    b.cx(ctrl, bits[0]) if ctrl is not None else b.x(bits[0])
+            b.ccx(ctrl, bits[0], chain[0])
+    b.cx(ctrl, bits[0])
 
 
-def _decrement(b: _Builder, bits: list[int], chain: list[int], ctrl: int | None = None):
+def _decrement(b: _Builder, bits: list[int], chain: list[int], ctrl: int):
     """-1 mod 2**w: conjugate an increment by NOT on every bit."""
     for bit in bits:
         b.x(bit)

@@ -7,13 +7,18 @@ any other exception is an internal fault and propagates with its traceback.
 All randomness derives from the single --seed value: maze generation uses
 child stream (seed, 0[, run]) and the search loop uses (seed, 1[, run]),
 so identical configs reproduce byte-identical outputs.
+The solve trace, the sweep runs and the dynamics rows go through one CSV
+writer, and every JSON output through one JSON writer. A command writes
+--out before it prints its summary lines, so a failed write prints nothing.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -85,61 +90,38 @@ def _enum_value(enum_cls, value: str, flag: str):
 
 
 # ---------------------------------------------------------------------------
-# Output rendering
+# Output: one CSV writer, one JSON writer, one write order
 
-TRACE_COLUMNS = "round,cutoff,k,theta,r,outcome_index,outcome_fitness,new_cutoff"
+# The trace columns are RoundRecord's fields in order, two of them renamed.
+TRACE_COLUMNS = tuple(
+    {"t": "round", "rounds": "r"}.get(f.name, f.name)
+    for f in dataclasses.fields(adaptive.RoundRecord)
+)
 
 
-def trace_to_csv(trace: adaptive.CutoffTrace) -> str:
-    lines = [TRACE_COLUMNS]
-    for rec in trace.rounds:
-        lines.append(
-            f"{rec.t},{rec.cutoff},{rec.k},{rec.theta!r},{rec.rounds},"
-            f"{rec.outcome_index},{rec.outcome_fitness},{rec.new_cutoff}"
-        )
+def _to_csv(columns: Sequence[str], rows: list[dict]) -> str:
+    """A header line, then one line per row; a bool prints as 0/1."""
+    lines = [",".join(columns)]
+    for row in rows:
+        cells = (int(row[c]) if isinstance(row[c], bool) else row[c] for c in columns)
+        lines.append(",".join(map(str, cells)))
     return "\n".join(lines) + "\n"
 
 
-def trace_to_json(trace: adaptive.CutoffTrace, n: int, f_max: int) -> str:
-    best = None
-    if trace.best_index is not None:
-        dirs = codec.decode_index(trace.best_index, n)
-        best = {
-            "index": trace.best_index,
-            "bits": codec.path_bits(trace.best_index, n),
-            "letters": codec.path_letters(dirs),
-            "fitness": trace.best_fitness,
-        }
-    doc = {
-        "status": trace.status.value,
-        "f_max": f_max,
-        "optimal": trace.best_fitness == f_max,
-        "best": best,
-        "rounds": [
-            {
-                "round": r.t,
-                "cutoff": r.cutoff,
-                "k": r.k,
-                "theta": r.theta,
-                "r": r.rounds,
-                "outcome_index": r.outcome_index,
-                "outcome_fitness": r.outcome_fitness,
-                "new_cutoff": r.new_cutoff,
-            }
-            for r in trace.rounds
-        ],
-    }
+def _to_json(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _write_out(text: str, out: str | None):
+def _write_out(text: str, out: str | None, summary: Sequence[str] = ()) -> None:
+    """Write ``text`` to ``out`` before printing ``summary``, so a failed write
+    prints nothing; without ``out``, print ``summary`` and then ``text``."""
     if out:
         try:
             Path(out).write_text(text)
         except OSError as exc:
             raise UsageError(f"cannot write --out: {exc}") from None
-    else:
-        sys.stdout.write(text)
+        text = ""
+    sys.stdout.write("".join(line + "\n" for line in summary) + text)
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +142,7 @@ def cmd_generate(args) -> int:
     if start == goal:
         raise UsageError("--start and --goal must differ")
     maze = generate_maze(m, args.seed, start=start, goal=goal)
-    text = serialize_maze(maze)
-    _write_out(text, args.out)
+    _write_out(serialize_maze(maze), args.out)
     return 0
 
 
@@ -188,11 +169,13 @@ def _load_solve_settings(args) -> dict:
         raise UsageError("path length --n is required")
     if not 0 <= settings["n"] <= codec.MAX_PATH_LENGTH:
         raise UsageError(f"--n must lie in 0..{codec.MAX_PATH_LENGTH}")
-    if not settings["maze"]:
-        if settings["m"] is None:
-            raise UsageError("either --maze FILE or --m SIZE is required")
-        if settings["m"] < 2:
-            raise UsageError("--m must be >= 2")
+    if settings["maze"]:
+        if settings["m"] is not None:
+            raise UsageError("--maze and --m cannot both be given")
+    elif settings["m"] is None:
+        raise UsageError("either --maze FILE or --m SIZE is required")
+    elif settings["m"] < 2:
+        raise UsageError("--m must be >= 2")
     if settings["seed"] < 0:
         raise UsageError("--seed must be >= 0")
     if settings["rounds"] < 1:
@@ -201,6 +184,9 @@ def _load_solve_settings(args) -> dict:
         raise UsageError("--samples (samples per round) must be >= 1")
     if settings["format"] not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
+    for key, enum_cls in (("policy", Policy), ("strictness", Strictness),
+                          ("formula", Formula), ("mode", SimMode)):
+        settings[key] = _enum_value(enum_cls, settings[key], f"--{key}")
     return settings
 
 
@@ -209,8 +195,8 @@ def _solve_once(settings: dict, *run: int) -> tuple[fitness.FitnessLandscape, ad
     config = SearchConfig(
         initial_cutoff=settings["cutoff0"],
         max_rounds=settings["rounds"],
-        policy=_enum_value(Policy, settings["policy"], "--policy"),
-        strictness=_enum_value(Strictness, settings["strictness"], "--strictness"),
+        policy=settings["policy"],
+        strictness=settings["strictness"],
         samples=settings["samples"],
         seed=_child_seed(settings["seed"], 1, *run),
     )
@@ -221,38 +207,34 @@ def _solve_once(settings: dict, *run: int) -> tuple[fitness.FitnessLandscape, ad
             raise UsageError(f"cannot read maze: {exc}") from None
     else:
         maze = generate_maze(settings["m"], _child_seed(settings["seed"], 0, *run))
-    spec = make_spec(
-        maze.size,
-        _enum_value(Formula, settings["formula"], "--formula"),
-        _enum_value(SimMode, settings["mode"], "--mode"),
-    )
+    spec = make_spec(maze.size, settings["formula"], settings["mode"])
     scape = fitness.landscape(maze, settings["n"], spec)
     return scape, run_adaptive(scape, config)
-
-
-def _summary_lines(trace: adaptive.CutoffTrace, scape, n: int) -> list[str]:
-    lines = [f"status: {trace.status.value}", f"rounds used: {len(trace.rounds)}"]
-    if trace.best_index is not None:
-        dirs = codec.decode_index(trace.best_index, n)
-        lines.append(
-            f"best path: {codec.path_letters(dirs)} "
-            f"(|{codec.path_bits(trace.best_index, n)}>) fitness {trace.best_fitness}"
-        )
-        lines.append(f"optimal: {'yes' if trace.best_fitness == scape.f_max else 'no'}"
-                     f" (f_max {scape.f_max})")
-    return lines
 
 
 def cmd_solve(args) -> int:
     settings = _load_solve_settings(args)
     scape, trace = _solve_once(settings)
     n = settings["n"]
-    for line in _summary_lines(trace, scape, n):
-        print(line)
+    summary = [f"status: {trace.status.value}", f"rounds used: {len(trace.rounds)}"]
+    optimal = trace.best_fitness == scape.f_max
+    best = None
+    if trace.best_index is not None:
+        best = {
+            "index": trace.best_index,
+            "bits": codec.path_bits(trace.best_index, n),
+            "letters": codec.path_letters(codec.decode_index(trace.best_index, n)),
+            "fitness": trace.best_fitness,
+        }
+        summary.append(f"best path: {best['letters']} (|{best['bits']}>) fitness {best['fitness']}")
+        summary.append(f"optimal: {'yes' if optimal else 'no'} (f_max {scape.f_max})")
+    rounds = [dict(zip(TRACE_COLUMNS, dataclasses.astuple(rec))) for rec in trace.rounds]
     if settings["format"] == "json":
-        _write_out(trace_to_json(trace, n, scape.f_max), settings["out"])
+        text = _to_json({"status": trace.status.value, "f_max": scape.f_max,
+                         "optimal": optimal, "best": best, "rounds": rounds})
     else:
-        _write_out(trace_to_csv(trace), settings["out"])
+        text = _to_csv(TRACE_COLUMNS, rounds)
+    _write_out(text, settings["out"], summary)
     return 0
 
 
@@ -261,11 +243,8 @@ def cmd_sweep(args) -> int:
         raise UsageError("--runs must be >= 1")
     settings = _load_solve_settings(args)
     rows = []
-    successes = 0
     for run in range(args.runs):
         scape, trace = _solve_once(settings, run)
-        success = trace.best_fitness == scape.f_max
-        successes += int(success)
         rows.append(
             {
                 "run": run,
@@ -273,22 +252,16 @@ def cmd_sweep(args) -> int:
                 "rounds_used": len(trace.rounds),
                 "best_fitness": trace.best_fitness,
                 "f_max": scape.f_max,
-                "success": success,
+                "success": trace.best_fitness == scape.f_max,
             }
         )
+    successes = sum(row["success"] for row in rows)
     fraction = successes / args.runs
-    print(f"success fraction: {fraction!r} ({successes}/{args.runs})")
     if settings["format"] == "json":
-        doc = {"runs": rows, "success_fraction": fraction}
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", settings["out"])
+        text = _to_json({"runs": rows, "success_fraction": fraction})
     else:
-        lines = ["run,status,rounds_used,best_fitness,f_max,success"]
-        for r in rows:
-            lines.append(
-                f"{r['run']},{r['status']},{r['rounds_used']},{r['best_fitness']},"
-                f"{r['f_max']},{int(r['success'])}"
-            )
-        _write_out("\n".join(lines) + "\n", settings["out"])
+        text = _to_csv(list(rows[0]), rows)
+    _write_out(text, settings["out"], [f"success fraction: {fraction!r} ({successes}/{args.runs})"])
     return 0
 
 
@@ -305,13 +278,12 @@ def cmd_dynamics(args) -> int:
     r_max = args.rmax if args.rmax is not None else 3 * max(1, engine.optimal_rounds(geometry))
     marked = np.arange(k)
     state = engine.prepare_uniform(n)
-    lines = ["r,predicted,simulated"]
+    rows = []
     for r in range(r_max + 1):
-        predicted = geometry.success_probability(r)
-        simulated = state.marked_probability(marked)
-        lines.append(f"{r},{predicted!r},{simulated!r}")
+        rows.append({"r": r, "predicted": geometry.success_probability(r),
+                     "simulated": state.marked_probability(marked)})
         state = engine.apply_diffuser(engine.apply_oracle(state, marked))
-    _write_out("\n".join(lines) + "\n", args.out)
+    _write_out(_to_csv(("r", "predicted", "simulated"), rows), args.out)
     return 0
 
 
@@ -323,14 +295,12 @@ def cmd_verify(args) -> int:
     if not 1 <= args.widthmax <= 8:
         raise UsageError("--widthmax must lie in 1..8")
     results = verify.run_all(args.nmax, args.mmax, args.widthmax)
-    failed = False
     for res in results:
         if res.passed:
             print(f"PASS {res.name} ({res.checked} cases)")
         else:
-            failed = True
             print(f"FAIL {res.name}: {res.counterexample}")
-    return 1 if failed else 0
+    return 0 if all(res.passed for res in results) else 1
 
 
 def cmd_resources(args) -> int:
@@ -357,7 +327,7 @@ def cmd_resources(args) -> int:
                 for name, c in claims.items()
             },
         }
-        _write_out(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        _write_out(_to_json(doc), args.out)
         return code
     lines = [f"resources for n={args.n}, m={args.m} (cutoff {pred.cutoff})", ""]
     lines.append(f"{'register':<12}{'predicted':>10}{'actual':>10}")

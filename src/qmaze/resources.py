@@ -73,8 +73,6 @@ def _add_counts(w: int) -> StageCounts:
 
 
 def _increment_counts(w: int) -> StageCounts:
-    if w == 1:
-        return StageCounts(0, 1, 0)
     return StageCounts(2 * (w - 1), w, 0)
 
 

@@ -179,6 +179,26 @@ def test_solve_rejects_bad_config_format_before_solving(tmp_path, capsys):
     assert stdout == ""
 
 
+@pytest.mark.parametrize(
+    "config, flags",
+    [
+        ("", ["--maze", "MAZE", "--m", "7", "--n", "2"]),
+        ("maze = MAZE\nm = 7\nn = 2\n", []),
+        ("maze = MAZE\nn = 2\n", ["--m", "7"]),
+    ],
+    ids=["flags", "config", "config-and-flag"],
+)
+def test_solve_rejects_maze_with_m(config, flags, example_maze_file, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config.replace("MAZE", str(example_maze_file)))
+    flags = [str(example_maze_file) if flag == "MAZE" else flag for flag in flags]
+    config_flags = ["--config", str(cfg)] if config else []
+    code, stdout, err = run_cli(capsys, "solve", *config_flags, *flags)
+    assert code == 2
+    assert err == "error: --maze and --m cannot both be given\n"
+    assert stdout == ""
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(UsageError, match="unknown key"):
         parse_config("n = 2\nbogus = 1\n")
@@ -275,6 +295,14 @@ def test_verify_cap_exceeded(capsys):
     code, _, err = run_cli(capsys, "verify", "--nmax", "9")
     assert code == 2
     assert "nmax" in err
+
+
+def test_verify_exits_1_when_a_suite_fails(monkeypatch, capsys):
+    results = [verify.SuiteResult("fitness", 4, 0), verify.SuiteResult("comparator", 4, 1, "w=1 f=1 c=0: x")]
+    monkeypatch.setattr(verify, "run_all", lambda *caps: results)
+    code, stdout, _ = run_cli(capsys, "verify")
+    assert code == 1
+    assert stdout == "PASS fitness (4 cases)\nFAIL comparator: w=1 f=1 c=0: x\n"
 
 
 def test_verify_reports_counterexample_for_corrupted_comparator():
@@ -617,10 +645,11 @@ def test_bad_search_settings_exit_2(command, flags, message, flag, capsys):
 )
 def test_unwritable_out_exits_2(argv, tmp_path, capsys):
     out = tmp_path / "missing" / "out.txt"
-    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    code, stdout, err = run_cli(capsys, *argv, "--out", str(out))
     assert code == 2
     assert err.startswith("error: cannot write --out: ") and str(out) in err
     assert not out.exists()
+    assert stdout == ""
 
 
 def test_internal_value_error_propagates(monkeypatch, capsys):
