@@ -92,10 +92,10 @@ def update_cutoff(cutoff: int, f_star: int) -> int:
 
 
 def marked_for_cutoff(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> np.ndarray:
-    """Round marked set: fitness > cutoff, or >= once the cutoff sits at the top.
+    """Round marked set: fitness > cutoff, or >= under GE_AT_MAX when cutoff == f_max.
 
-    The >= variant keeps the global optima marked forever after the cutoff
-    reaches f_max; plain strict comparison would empty the marked set there.
+    ``run_adaptive`` stops at the first sample that reaches f_max, so the cutoff
+    is f_max at marking time only when the initial cutoff is; there STRICT marks nothing.
     """
     if strictness is Strictness.GE_AT_MAX and cutoff == scape.f_max:
         return np.flatnonzero(scape.values >= cutoff)

@@ -20,8 +20,9 @@ through the fitness write), and ``count_gates`` tallies one span.
 
 Arithmetic conventions:
   * registers are little-endian (bit k of a register holds value bit k);
-  * positions are offset-encoded as i + n so the n unchecked +/-1 updates
-    of wall-blind path simulation can never wrap below zero;
+  * fitness positions are offset-encoded as i + n, so n unchecked +/-1 steps
+    never wrap below zero; validity positions are plain coordinates mod 2**w,
+    where a step off the top or left edge wraps above m - 1;
   * goal subtraction leaves a two's-complement difference in the position
     register, which is sign-extended before squaring so squares, distance,
     and fitness are exact in one shared arithmetic width.
@@ -659,9 +660,12 @@ def build_validity_circuit(m: int, n: int, start=None) -> RevCircuit:
     """Bounds validity flag: |x>|0> -> |x>|valid(x)>, valid = 1 iff every
     intermediate position stays inside the grid (walls ignored).
 
-    Per step, two comparators bracket each offset coordinate inside
-    [n, n+m-1]; a Toffoli chain accumulates the conjunction over steps, the
-    result is copied out, and the whole computation is reversed.
+    Positions are plain coordinates mod 2**w, w = position_width(m, n). Those
+    reachable in n moves lie in [-n, m-1+n] and 2**w > m + n - 1, so their
+    residues are distinct and every negative one lands above m - 1: one
+    unsigned comparator per coordinate, pos > m - 1, checks both edges. Each
+    step ANDs its two inverted flags onto a Toffoli chain over steps; the
+    result is copied out and the whole computation is reversed.
     """
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
@@ -679,36 +683,26 @@ def build_validity_circuit(m: int, n: int, start=None) -> RevCircuit:
     inb_i = b.reg("inb_i", 1, "ancilla").bits[0]
     inb_j = b.reg("inb_j", 1, "ancilla").bits[0]
     phi = b.reg("phi", 1, "ancilla").bits[0]
-    g_hi = b.reg("g_hi", 1, "ancilla").bits[0]
-    g_lo = b.reg("g_lo", 1, "ancilla").bits[0]
     eq = b.maybe_reg("eq", w_pos - 1, "ancilla")
     ctl = b.reg("ctl", 1, "ancilla").bits[0]
     chain = b.maybe_reg("chain", w_pos - 1, "ancilla")
 
-    def bounds_flag(pos: list[int], out: int):
-        # out ^= [n <= pos <= n+m-1]  ==  GT(pos, n-1) AND NOT GT(pos, n+m-1)
-        _gt_const(b, pos, n + m - 1, g_hi, eq)
-        _gt_const(b, pos, n - 1, g_lo, eq)
-        b.x(g_hi)
-        b.ccx(g_lo, g_hi, out)
-        b.x(g_hi)
-        _gt_const(b, pos, n - 1, g_lo, eq)  # self-inverse at block level
-        _gt_const(b, pos, n + m - 1, g_hi, eq)
-
-    _xor_const(b, pos_i, start[0] + n)
-    _xor_const(b, pos_j, start[1] + n)
+    _xor_const(b, pos_i, start[0])
+    _xor_const(b, pos_j, start[1])
     for step in range(1, n + 1):
         _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain)
-        bounds_flag(pos_i, inb_i)
-        bounds_flag(pos_j, inb_j)
+        cmp_lo = b.mark()
+        _gt_const(b, pos_i, m - 1, inb_i, eq)
+        _gt_const(b, pos_j, m - 1, inb_j, eq)
+        b.x(inb_i)
+        b.x(inb_j)
         b.ccx(inb_i, inb_j, phi)
+        cmp_hi = b.mark()
         if step == 1:
             b.cx(phi, vchain[0])
         else:
             b.ccx(vchain[step - 2], phi, vchain[step - 1])
-        b.ccx(inb_i, inb_j, phi)
-        bounds_flag(pos_j, inb_j)
-        bounds_flag(pos_i, inb_i)
+        b.uncompute_range(cmp_lo, cmp_hi)
     compute_hi = b.mark()
     b.cx(vchain[n - 1], vout)
     b.uncompute_range(0, compute_hi)

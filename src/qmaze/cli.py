@@ -100,11 +100,11 @@ TRACE_COLUMNS = tuple(
 
 
 def _to_csv(columns: Sequence[str], rows: list[dict]) -> str:
-    """A header line, then one line per row; a bool prints as 0/1."""
+    """A header line, then one line per row; a bool prints as 0/1 and None as an empty cell."""
     lines = [",".join(columns)]
     for row in rows:
-        cells = (int(row[c]) if isinstance(row[c], bool) else row[c] for c in columns)
-        lines.append(",".join(map(str, cells)))
+        cells = (row[c] for c in columns)
+        lines.append(",".join("" if v is None else str(int(v) if isinstance(v, bool) else v) for v in cells))
     return "\n".join(lines) + "\n"
 
 

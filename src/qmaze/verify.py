@@ -18,6 +18,7 @@ import numpy as np
 
 from . import circuits, codec, fitness
 from .circuits import (
+    Batch,
     build_fitness_circuit,
     build_gt_comparator,
     build_oracle_circuit,
@@ -46,8 +47,9 @@ def _check(suite: str, cases) -> SuiteResult:
     """Run each case and compare its whole output batch; stop at the first bad case.
 
     A case is (where, circuit, inputs, reference, want_signs); ``inputs``
-    maps register names to arrays of one value per row. The expected
-    batch is ``inputs`` with the ``reference`` registers replaced. The bad
+    maps register names to arrays of one value per row. Each ``reference``
+    register is an output absent from ``inputs``, so the expected batch is
+    the input batch ORed with the packed reference registers. The bad
     rows are the OR over wires of output XOR expected, plus the rows whose
     sign differs from ``want_signs`` (None leaves signs unchecked).
     Registers are decoded only to name the first bad row, ``where(row)``.
@@ -57,7 +59,10 @@ def _check(suite: str, cases) -> SuiteResult:
         size = len(next(iter(inputs.values())))
         batch = pack_rows(circ, inputs, size)
         out, signs = run_batch(circ, batch)
-        want = pack_rows(circ, inputs | reference, size) if reference else batch
+        want = batch
+        if reference:
+            ref = pack_rows(circ, reference, size).wires
+            want = Batch(size, tuple(a | b for a, b in zip(batch.wires, ref)))
         checked += size
         bad = 0
         for a, b in zip(out.wires, want.wires):

@@ -128,6 +128,23 @@ def test_run_adaptive_ge_at_max_amplifies_optima(example_scape):
     assert trace.rounds[0].k == 1  # exactly the argmax set
 
 
+@pytest.mark.parametrize("policy", list(Policy))
+def test_strictness_matters_only_at_an_initial_cutoff_of_f_max(example_scape, policy):
+    # The loop stops at the first sample that reaches f_max, so the cutoff
+    # equals f_max at marking time only when the initial cutoff does.
+    f_max = example_scape.f_max
+    for cutoff in range(-2, f_max + 2):
+        for seed in range(3):
+            strict, ge = (
+                run_adaptive(
+                    example_scape,
+                    SearchConfig(initial_cutoff=cutoff, policy=policy, strictness=s, seed=seed),
+                )
+                for s in (Strictness.STRICT, Strictness.GE_AT_MAX)
+            )
+            assert (strict == ge) == (cutoff != f_max), (cutoff, seed)
+
+
 def test_persistence_of_optima(example_scape):
     argmax = set(example_scape.argmax_set.tolist())
     cutoff = example_scape.f_max

@@ -8,6 +8,7 @@ basis input at small widths.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ from qmaze.circuits import (
     unpack_column,
 )
 from qmaze.fitness import Formula, landscape, make_spec
-from qmaze.maze import SimMode, generate_maze, simulate_path
+from qmaze.maze import SimMode, generate_maze, path_end_values, simulate_path
 
 
 def sweep(circuit: RevCircuit, values: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -415,6 +416,24 @@ def test_oracle_rejects_out_of_range_cutoff():
         build_oracle_circuit(fitness_circ, cutoff=2 ** arith_width(2, 2, spec))
 
 
+# sha256 over the registers, spans and gates of every fitness circuit and
+# oracle that verify builds at m <= 6, n <= 4; a change to any of them moves it.
+FITNESS_ORACLE_DIGEST = "684cc78380c862f5bf829aca3a2b3c0ecd8bb05553b4c9dccda15e1d6d67e0e2"
+
+
+def test_fitness_and_oracle_gate_lists_are_pinned():
+    h = hashlib.sha256()
+    for m in range(2, 7):
+        for n in range(1, 5):
+            spec = verify._blind_spec(m)
+            fit = build_fitness_circuit(m, n, spec)
+            for circ in [fit] + [build_oracle_circuit(fit, c) for c in verify._oracle_cutoffs(spec)]:
+                regs = [(r.name, r.offset, r.width, r.role) for r in circ.registers.values()]
+                gates = [(type(g).__name__, g.target, g.controls) for g in circ.gates]
+                h.update(repr((regs, sorted(circ.spans.items()), gates)).encode())
+    assert h.hexdigest() == FITNESS_ORACLE_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # Validity circuit
 
@@ -427,8 +446,20 @@ def test_validity_examples(example_maze):
     assert out["valid"] == 0  # N,... leaves immediately
 
 
-@pytest.mark.parametrize("m", [2, 3, 4])
-@pytest.mark.parametrize("n", [1, 2, 3])
+def _width_steps(m_max: int = 6, n_max: int = 5) -> set[tuple[int, int]]:
+    """(m, n) pairs on both sides of each step of position_width as n grows."""
+    pairs = set()
+    for m in range(2, m_max + 1):
+        for n in range(2, n_max + 1):
+            if position_width(m, n) > position_width(m, n - 1):
+                pairs |= {(m, n - 1), (m, n)}
+    return pairs
+
+
+_VALIDITY_GRID = {(m, n) for m in (2, 3, 4) for n in (1, 2, 3)} | _width_steps()
+
+
+@pytest.mark.parametrize("n,m", sorted((n, m) for m, n in _VALIDITY_GRID))
 def test_validity_matches_bounds_oracle(m, n):
     maze = generate_maze(m, seed=0)
     circ = build_validity_circuit(m, n)
@@ -441,6 +472,16 @@ def test_validity_matches_bounds_oracle(m, n):
         ]
     )
     assert np.array_equal(got, want)
+    assert scratch_clean(circ, out)
+
+
+@pytest.mark.parametrize("start", [(0, 2), (2, 0), (2, 2), (1, 1)])
+def test_validity_custom_start(start):
+    maze = generate_maze(3, seed=1, start=start, goal=(1, 0))
+    circ = build_validity_circuit(3, 3, start=start)
+    out, _ = sweep(circ, {"path": np.arange(64)})
+    want = path_end_values(maze, 3, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+    assert np.array_equal(unpack_column(circ, out, "valid"), want)
     assert scratch_clean(circ, out)
 
 

@@ -373,7 +373,7 @@ def _corrupt_involution(_monkeypatch):
     [
         pytest.param(_corrupt_fitness, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="fitness"),
         pytest.param(_corrupt_comparator, "w=3 f=0 c=2", "register 'f' 4, expected 0", id="comparator"),
-        pytest.param(_corrupt_validity, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="validity"),
+        pytest.param(_corrupt_validity, "m=3 n=2 path=0000", "register 'path' 8, expected 0", id="validity"),
         pytest.param(_corrupt_oracle_sign, "m=3 n=2 cutoff=8 path=0101", "sign 1, expected -1", id="oracle-sign"),
         pytest.param(_corrupt_cleanup, "m=3 n=2 path=0000", "register 'pos_i' 2, expected 0", id="ancilla-cleanup"),
         pytest.param(
@@ -455,7 +455,7 @@ def test_sweep_deterministic(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# golden bytes: exact stdout and --out file of six small runs
+# golden bytes: exact stdout and --out file of seven small runs
 
 _SOLVE_SUMMARY = (
     "status: converged-optimal\nrounds used: 2\n"
@@ -582,6 +582,16 @@ def _lines(text: str) -> str:
                 }
             """),
             id="sweep-json",
+        ),
+        pytest.param(
+            ["sweep", "--m", "3", "--n", "2", "--runs", "2", "--cutoff0", "100"],
+            "success fraction: 0.0 (0/2)\n",
+            _lines("""
+                run,status,rounds_used,best_fitness,f_max,success
+                0,degenerate,0,,12,0
+                1,degenerate,0,,12,0
+            """),
+            id="sweep-degenerate-csv",
         ),
         pytest.param(
             ["dynamics", "--n", "2", "--k", "1", "--rmax", "3"],
