@@ -5,6 +5,10 @@ amplitude-amplification iterate, samples, and ratchets the cutoff to the
 best fitness seen: C_{t+1} = max(C_t, f*_t). The cutoff sequence is
 non-decreasing, bounded by the landscape maximum, and strictly increases
 at most f_max - C_1 times, so the loop converges in finite time.
+
+A round's state, grown from the uniform state, has one amplitude on the
+marked set and one on the rest, so each round samples from those two
+levels without a pass over the state.
 """
 
 from __future__ import annotations
@@ -115,9 +119,12 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     f_max = scape.f_max
     cutoff = config.initial_cutoff
     escalation = 0
+    uniform = prepare_uniform(scape.n)
+    marked_cutoff, marked = None, None
 
     for t in range(1, config.max_rounds + 1):
-        marked = marked_for_cutoff(scape, cutoff, config.strictness)
+        if cutoff != marked_cutoff:
+            marked_cutoff, marked = cutoff, marked_for_cutoff(scape, cutoff, config.strictness)
         k = int(marked.size)
         if k == 0:
             trace.status = Status.DEGENERATE
@@ -128,8 +135,8 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
         else:
             # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
-        state = grover_iterate(prepare_uniform(scape.n), marked, r)
-        shots = measure_shots(state, rng, config.samples)
+        state = grover_iterate(uniform, marked, r)
+        shots = measure_shots(state, rng, config.samples, marked=marked)
         shot_fitness = values[shots]
         f_star = int(shot_fitness.max())
         candidates = shots[shot_fitness == f_star]

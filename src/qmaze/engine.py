@@ -8,7 +8,9 @@ theta = arcsin(sqrt(k/N)). ``grover_iterate`` applies r iterates in one
 pass over the state through that plane decomposition (Boyer, Brassard,
 Hoyer and Tapp, arXiv:quant-ph/9605034); the step-by-step composition of
 ``apply_oracle`` and ``apply_diffuser`` is the statevector reference it is
-tested against. All operations return new states.
+tested against. Operations never modify their input; ``grover_iterate``
+with zero rounds returns its input state, and every other operation
+returns a new one.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ class PathState:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
-    def marked_probability(self, marked: np.ndarray) -> float:
-        return float(np.sum(np.abs(self.amps[np.asarray(marked, dtype=np.int64)]) ** 2))
+    def marked_probability(self, marked) -> float:
+        """Born probability of the marked set; a repeated index counts once."""
+        idx = np.unique(_marked_indices(self, marked))
+        return float(np.sum(np.abs(self.amps[idx]) ** 2))
 
 
 @dataclass(frozen=True)
@@ -159,14 +163,80 @@ def measure(state: PathState, rng: np.random.Generator | int) -> int:
     return int(measure_shots(state, rng, 1)[0])
 
 
-def measure_shots(state: PathState, rng: np.random.Generator | int, shots: int) -> np.ndarray:
-    """Sample many basis indices; deterministic for a seeded generator."""
+def measure_shots(
+    state: PathState,
+    rng: np.random.Generator | int,
+    shots: int,
+    marked: np.ndarray | None = None,
+) -> np.ndarray:
+    """Sample many basis indices; deterministic for a seeded generator.
+
+    Without ``marked`` this is ``Generator.choice`` over the Born
+    probabilities, the reference for any state. With ``marked`` the caller
+    promises that ``marked`` is sorted, unique and in range, and that the
+    amplitude is constant on ``marked`` and constant on its complement, as
+    it is for a Grover state grown from ``prepare_uniform``. Then the
+    weights are read from two amplitudes, and each shot inverts the
+    cumulative distribution by bisection, in O(shots * n * log k) with no
+    4**n array. Both paths draw ``rng.random(shots)`` and return the
+    smallest index whose cumulative weight exceeds the draw's share of the
+    total, so a seed gives the same shots from either path unless a draw
+    lands within rounding of a step of the distribution.
+    """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
+    if marked is not None:
+        return _two_level_shots(state, gen, shots, np.asarray(marked, dtype=np.int64))
     probs = state.probabilities()
     probs = probs / probs.sum()  # guard rounding drift at the 1e-16 level
     return gen.choice(state.dim, size=shots, p=probs)
+
+
+def _first_unmarked(marked: np.ndarray) -> int:
+    """Smallest index not in a sorted unique set: bisect on marked[i] == i."""
+    lo, hi = 0, marked.size
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if marked[mid] == mid:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
+def _two_level_shots(
+    state: PathState, gen: np.random.Generator, shots: int, marked: np.ndarray
+) -> np.ndarray:
+    """Invert F(i) = w_m*c(i) + w_u*(i + 1 - c(i)), c(i) = #marked <= i, per shot.
+
+    F is non-decreasing in floating point and flat across zero-weight
+    indices, so the smallest i with F(i) > u*F(N-1) always has weight > 0.
+    """
+    big_n, k = state.dim, marked.size
+    if k and (marked[0] < 0 or marked[-1] >= big_n):
+        raise ValueError("marked index out of range")
+    first_u = _first_unmarked(marked)
+
+    def weight(i: int) -> float:  # as probabilities() computes it
+        return (np.abs(state.amps[i : i + 1]) ** 2)[0]
+
+    w_m = weight(marked[0]) if k else 0.0
+    w_u = weight(first_u) if first_u < big_n else 0.0
+
+    def cdf(i):
+        c = np.searchsorted(marked, i, side="right")
+        return w_m * c + w_u * (i + 1 - c)
+
+    target = gen.random(shots) * cdf(big_n - 1)
+    lo = np.zeros(shots, dtype=np.int64)
+    hi = np.full(shots, big_n - 1, dtype=np.int64)
+    for _ in range(2 * state.n):  # each step halves [lo, hi]; N = 2**(2n)
+        mid = (lo + hi) // 2
+        above = cdf(mid) > target
+        hi = np.where(above, mid, hi)
+        lo = np.where(above, lo, mid + 1)
+    return lo
 
 
 def rotation_block(geometry: GroverGeometry) -> np.ndarray:

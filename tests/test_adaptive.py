@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,7 +23,13 @@ from qmaze.adaptive import (
     run_adaptive,
     update_cutoff,
 )
-from qmaze.engine import GroverGeometry, optimal_rounds
+from qmaze.engine import (
+    GroverGeometry,
+    grover_iterate,
+    measure_shots,
+    optimal_rounds,
+    prepare_uniform,
+)
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
 
@@ -223,3 +231,76 @@ def test_trace_helpers():
     trace = CutoffTrace(rounds=[rec], status=Status.CONVERGED_OPTIMAL)
     assert trace.cutoffs() == [0]
     assert trace.strict_increases() == 1
+
+
+def _statevector_run(scape, config):
+    """Reference loop: every round re-marks, prepares a fresh uniform state
+    and samples from all 4**n Born probabilities."""
+    rng = np.random.default_rng(config.seed)
+    trace = CutoffTrace()
+    cutoff, escalation = config.initial_cutoff, 0
+    for t in range(1, config.max_rounds + 1):
+        marked = marked_for_cutoff(scape, cutoff, config.strictness)
+        if marked.size == 0:
+            trace.status = Status.DEGENERATE
+            break
+        geometry = GroverGeometry(scape.values.size, marked.size)
+        if config.policy is Policy.KNOWN_K:
+            r = optimal_rounds(geometry)
+        else:
+            r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
+        state = grover_iterate(prepare_uniform(scape.n), marked, r)
+        shots = measure_shots(state, rng, config.samples)
+        shot_fitness = scape.values[shots]
+        f_star = int(shot_fitness.max())
+        outcome = int(shots[shot_fitness == f_star].min())
+        new_cutoff = update_cutoff(cutoff, f_star)
+        trace.rounds.append(
+            RoundRecord(t, cutoff, marked.size, geometry.theta, r, outcome, f_star, new_cutoff)
+        )
+        if trace.best_fitness is None or f_star > trace.best_fitness or (
+            f_star == trace.best_fitness and outcome < trace.best_index
+        ):
+            trace.best_index, trace.best_fitness = outcome, f_star
+        if f_star == scape.f_max:
+            trace.status = Status.CONVERGED_OPTIMAL
+            break
+        escalation = 0 if new_cutoff > cutoff else escalation + 1
+        cutoff = new_cutoff
+    return trace
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("mode", list(SimMode))
+def test_run_adaptive_matches_statevector_loop(mode, n):
+    scape = landscape(generate_maze(4, seed=n), n, make_spec(4, Formula.MAIN, mode))
+    for policy in Policy:
+        for strictness in Strictness:
+            for cutoff0 in (0, scape.f_max):
+                for seed in range(5):
+                    config = SearchConfig(
+                        initial_cutoff=cutoff0, policy=policy, strictness=strictness, seed=seed
+                    )
+                    assert run_adaptive(scape, config) == _statevector_run(scape, config), config
+
+
+def _traces_digest(traces):
+    digest = hashlib.sha256()
+    for trace in traces:
+        rounds = [astuple(rec) for rec in trace.rounds]
+        record = (trace.status.value, trace.best_index, trace.best_fitness, rounds)
+        digest.update(repr(record).encode())
+    return digest.hexdigest()
+
+
+def test_solver_scale_traces_are_pinned():
+    # The benchmark's search landscape: 8x8 maze seed 6, n = 9 (262,144 paths).
+    # The digest was computed with the statevector loop above, which samples
+    # every round from all 4**n Born probabilities.
+    scape = landscape(generate_maze(8, seed=6), 9, make_spec(8))
+    configs = [SearchConfig(seed=s) for s in range(4)]
+    configs += [SearchConfig(seed=s, policy=Policy.GUESSED_K) for s in range(8)]
+    traces = [run_adaptive(scape, config) for config in configs]
+    assert _traces_digest(traces) == (
+        "d4fd6c2c1bdea6a9672dbf2da43050e0eddff5eea427a599eed26448e2887c3b"
+    )

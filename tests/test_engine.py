@@ -55,6 +55,17 @@ def test_oracle_negates_one_amplitude():
     assert np.all(state.amps[np.arange(16) != 9] == 0.25)
 
 
+def test_marked_probability_counts_a_repeat_once():
+    assert prepare_uniform(1).marked_probability([0, 0, 0, 0, 0]) == 0.25
+    assert prepare_uniform(1).marked_probability([3, 0, 3]) == 0.5
+
+
+@pytest.mark.parametrize("marked", [[-1], [4], [0, 99]])
+def test_marked_probability_rejects_out_of_range(marked):
+    with pytest.raises(ValueError):
+        prepare_uniform(1).marked_probability(marked)
+
+
 def test_oracle_rejects_out_of_range():
     with pytest.raises(ValueError):
         apply_oracle(prepare_uniform(1), [4])
@@ -234,6 +245,85 @@ def test_measure_post_grover_frequency():
 def test_measure_seed_reproducible():
     state = prepare_uniform(3)
     assert np.array_equal(measure_shots(state, 5, 100), measure_shots(state, 5, 100))
+
+
+def _grover_cases(n):
+    """Grover states from the uniform state, with their sorted marked sets and r.
+
+    Prefix and random marked sets of sizes 1, N-1, N, N/4 and N/2, each at
+    r in {0, 1, 2, r_opt, r_opt + 3}; k = N/4 at r = 1 puts almost all the
+    mass on the marked set.
+    """
+    big_n = 4**n
+    rng = np.random.default_rng(n)
+    for k in sorted({1, big_n - 1, big_n, big_n // 4, big_n // 2}):
+        for marked in (np.arange(k), np.sort(rng.choice(big_n, size=k, replace=False))):
+            rounds = {0, 1, 2}
+            if k:
+                r_opt = optimal_rounds(GroverGeometry(big_n, k))
+                rounds |= {r_opt, r_opt + 3}
+            for r in sorted(rounds):
+                yield grover_iterate(prepare_uniform(n), marked, r), marked, r
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_two_level_shots_match_reference(n):
+    for state, marked, r in _grover_cases(n):
+        for shots in (1, 5):
+            for seed in range(3):
+                fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                got = measure_shots(state, fast, shots, marked=marked)
+                want = measure_shots(state, ref, shots)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (n, marked.size, r, shots, seed)
+                assert fast.random() == ref.random()  # the same draws were used
+
+
+class _FixedDraws(np.random.Generator):
+    """A generator whose ``random`` returns the given draws."""
+
+    def __init__(self, draws):
+        super().__init__(np.random.PCG64(0))
+        self.draws = np.asarray(draws, dtype=np.float64)
+
+    def random(self, size=None, dtype=np.float64, out=None):
+        assert size == self.draws.size
+        return self.draws.copy()
+
+
+def _choice_by_hand(state, draws):
+    """Generator.choice's inversion: cumsum, divide by the last entry, search right."""
+    probs = state.probabilities()
+    cdf = (probs / probs.sum()).cumsum()
+    cdf /= cdf[-1]
+    return cdf.searchsorted(draws, side="right")
+
+
+def _two_level_state(n, marked, a_marked, a_rest):
+    amps = np.full(4**n, a_rest, dtype=np.complex128)
+    amps[marked] = a_marked
+    return PathState(n=n, amps=amps / np.linalg.norm(amps))
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_two_level_shots_at_extreme_draws(n):
+    draws = [0.0, np.nextafter(1.0, 0.0)]
+    cases = [(state, marked) for state, marked, _ in _grover_cases(n)]
+    # Zero weight on one level: the ends of the distribution must skip it.
+    for k in sorted({1, 4**n // 2, 4**n - 1} - {0, 4**n}):
+        marked = np.sort(np.random.default_rng(k).choice(4**n, size=k, replace=False))
+        cases.append((_two_level_state(n, marked, 1, 0), marked))
+        cases.append((_two_level_state(n, marked, 0, 1), marked))
+    for state, marked in cases:
+        got = measure_shots(state, _FixedDraws(draws), 2, marked=marked)
+        assert np.array_equal(got, _choice_by_hand(state, draws)), (n, marked.size)
+        assert np.all(state.probabilities()[got] > 0)
+
+
+@pytest.mark.parametrize("marked", [[-1, 2], [0, 4]])
+def test_two_level_shots_reject_out_of_range(marked):
+    with pytest.raises(ValueError):
+        measure_shots(prepare_uniform(1), 0, 1, marked=marked)
 
 
 def test_rotation_spectrum_half_marked():
