@@ -18,6 +18,10 @@ own. Stages are named by spans of the gate list, not per gate: the
 fitness circuit marks ``walk`` and ``distance_fitness`` (goal difference
 through the fitness write), and ``count_gates`` tallies one span.
 
+The fitness and validity builders take a ``Maze``, read its size, start
+and goal, and ignore its walls: fitness is wall-blind, validity checks
+the grid bounds only, and C is ``make_spec(maze.size).offset``.
+
 Arithmetic conventions:
   * registers are little-endian (bit k of a register holds value bit k);
   * fitness positions are offset-encoded as i + n, so n unchecked +/-1 steps
@@ -34,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fitness import FitnessSpec, Formula
+from .fitness import make_spec
+from .maze import Direction, Maze
 
 # ---------------------------------------------------------------------------
 # Gate and circuit data model
@@ -441,13 +446,13 @@ def max_offset_distance(m: int, n: int) -> int:
     return 2 * (m - 1 + n) ** 2
 
 
-def arith_width(m: int, n: int, spec: FitnessSpec) -> int:
+def arith_width(m: int, n: int) -> int:
     """Shared width of the square, distance, and fitness registers.
 
     Chosen so the distance fits unsigned, the fitness fits two's complement
     over [C - d_max, C], and the sign-extended coordinate difference fits.
     """
-    c = spec.offset
+    c = make_spec(m).offset
     d_max = max_offset_distance(m, n)
     w = 1
     while not (2**w > d_max and 2 ** (w - 1) > c and 2 ** (w - 1) >= d_max - c):
@@ -535,16 +540,17 @@ def _emit_walk_step(
     ctl: int,
     chain: list[int],
 ):
-    """Direction-controlled coordinate updates for one path step (1-based)."""
+    """Direction-controlled coordinate updates for one path step (1-based).
+
+    A direction's two-bit code is its index in ``Direction``, codec's code
+    order; its ``delta`` picks the coordinate register and the sign.
+    """
     hi = path_bits[2 * (n - step) + 1]
     lo = path_bits[2 * (n - step)]
-    cases = [
-        (0b00, pos_i, _decrement),  # N
-        (0b01, pos_j, _increment),  # E
-        (0b10, pos_i, _increment),  # S
-        (0b11, pos_j, _decrement),  # W
-    ]
-    for code, reg_bits, op in cases:
+    for code, d in enumerate(Direction):
+        di, dj = d.delta
+        reg_bits = pos_i if di else pos_j
+        op = _increment if di + dj > 0 else _decrement
         conj = [bit for bit, want in ((hi, code >> 1), (lo, code & 1)) if want == 0]
 
         def control_toggle():
@@ -559,26 +565,21 @@ def _emit_walk_step(
         control_toggle()
 
 
-def build_fitness_circuit(m: int, n: int, spec: FitnessSpec, start=None, goal=None) -> RevCircuit:
+def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     """Reversible fitness evaluation: |x>|0...0> -> |x>|fitness(x)>.
 
-    Simulates the path wall-blind on offset coordinates, squares the goal
-    differences, and writes C - distance into the fitness register in two's
-    complement; every other register is uncomputed to zero. ``start`` and
-    ``goal`` default to (0, 0) and (m-1, m-1). Spans ``walk`` and
-    ``distance_fitness`` cover the forward walk and the goal difference
-    through the fitness write.
+    Simulates the path wall-blind on offset coordinates from ``maze.start``,
+    squares the differences to ``maze.goal``, and writes C - distance into
+    the fitness register in two's complement, C = make_spec(maze.size).offset;
+    every other register is uncomputed to zero. The maze's walls are
+    ignored. Spans ``walk`` and ``distance_fitness`` cover the forward walk
+    and the goal difference through the fitness write.
     """
-    if spec.formula is not Formula.MAIN:
-        raise ValueError("gate-level fitness requires the power-of-two formula")
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
-    if m < 2:
-        raise ValueError("maze size must be >= 2")
-    start = (0, 0) if start is None else tuple(start)
-    goal = (m - 1, m - 1) if goal is None else tuple(goal)
+    m, start, goal = maze.size, maze.start, maze.goal
     w_pos = position_width(m, n)
-    wa = arith_width(m, n, spec)
+    wa = arith_width(m, n)
 
     b = _Builder()
     path = b.reg("path", 2 * n, "path").bits
@@ -614,7 +615,7 @@ def build_fitness_circuit(m: int, n: int, spec: FitnessSpec, start=None, goal=No
     _add(b, sq_j, dist, carry)
     compute_hi = b.mark()
 
-    _xor_const(b, fit, spec.offset)
+    _xor_const(b, fit, make_spec(m).offset)
     _sub(b, dist, fit, carry)
     b.spans = {"walk": (walk_lo, walk_hi), "distance_fitness": (walk_hi, b.mark())}
 
@@ -626,7 +627,7 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     """Phase oracle: |x> -> (-1)^[fitness(x) > cutoff] |x>, scratch restored.
 
     Wraps an already built fitness circuit (from ``build_fitness_circuit``,
-    which fixes m, n, start and goal) in a compute / flag / phase /
+    which fixes the maze and n) in a compute / flag / phase /
     uncompute sandwich; ``fitness_circ`` itself is left unchanged and its
     spans carry over. The comparator result is ANDed with NOT(sign bit) so
     paths whose wall-blind fitness went negative are never marked; the sign
@@ -656,9 +657,10 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     return b.build()
 
 
-def build_validity_circuit(m: int, n: int, start=None) -> RevCircuit:
+def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     """Bounds validity flag: |x>|0> -> |x>|valid(x)>, valid = 1 iff every
-    intermediate position stays inside the grid (walls ignored).
+    intermediate position of the walk from ``maze.start`` stays inside the
+    grid. The maze's walls are ignored.
 
     Positions are plain coordinates mod 2**w, w = position_width(m, n). Those
     reachable in n moves lie in [-n, m-1+n] and 2**w > m + n - 1, so their
@@ -669,9 +671,7 @@ def build_validity_circuit(m: int, n: int, start=None) -> RevCircuit:
     """
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
-    if m < 2:
-        raise ValueError("maze size must be >= 2")
-    start = (0, 0) if start is None else tuple(start)
+    m, start = maze.size, maze.start
     w_pos = position_width(m, n)
 
     b = _Builder()

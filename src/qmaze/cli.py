@@ -147,11 +147,13 @@ def cmd_generate(args) -> int:
 
 
 def _load_solve_settings(args) -> dict:
-    """Defaults, then the config file (``solve`` only), then flags; validated once."""
+    """Defaults (the search ones ``SearchConfig``'s), then the config file (``solve`` only), then flags."""
+    search = SearchConfig()
     settings = {
         "maze": None, "m": None, "n": None, "seed": 0,
-        "cutoff0": 0, "rounds": 32, "samples": 3, "mode": "wall-aware",
-        "formula": "maintext", "policy": "known-k", "strictness": "ge-at-max",
+        "cutoff0": search.initial_cutoff, "rounds": search.max_rounds, "samples": search.samples,
+        "mode": "wall-aware", "formula": "maintext",
+        "policy": search.policy.value, "strictness": search.strictness.value,
         "out": None, "format": "csv",
     }
     config_path = getattr(args, "config", None)
@@ -288,10 +290,10 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.nmax <= 4:
-        raise UsageError("--nmax must lie in 1..4")
-    if not 2 <= args.mmax <= 6:
-        raise UsageError("--mmax must lie in 2..6")
+    if not 1 <= args.nmax <= 9:
+        raise UsageError("--nmax must lie in 1..9")
+    if not 2 <= args.mmax <= 8:
+        raise UsageError("--mmax must lie in 2..8")
     if not 1 <= args.widthmax <= 8:
         raise UsageError("--widthmax must lie in 1..8")
     results = verify.run_all(args.nmax, args.mmax, args.widthmax)

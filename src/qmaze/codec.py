@@ -13,8 +13,10 @@ from .maze import Direction
 # Largest supported path length; 4**12 amplitudes is the desk-scale ceiling.
 MAX_PATH_LENGTH = 12
 
-_DIR_CODE = {Direction.N: 0b00, Direction.E: 0b01, Direction.S: 0b10, Direction.W: 0b11}
-_CODE_DIR = {v: k for k, v in _DIR_CODE.items()}
+# A direction's code is its index in ``Direction``; the circuits' walk step
+# and ``maze.path_end_values`` read the same order.
+_CODE_DIR = dict(enumerate(Direction))
+_DIR_CODE = {d: code for code, d in _CODE_DIR.items()}
 
 
 def encode_direction(d: Direction) -> int:

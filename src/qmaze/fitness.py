@@ -29,32 +29,24 @@ class Formula(enum.Enum):
 
 @dataclass(frozen=True)
 class FitnessSpec:
-    """Offset constant, fitness-register exponent, formula, and sim mode."""
+    """Offset constant and sim mode."""
 
     offset: int  # C
-    exponent: int  # r; C == 2**r for Formula.MAIN
-    formula: Formula
     mode: SimMode
 
 
 def make_spec(m: int, formula: Formula = Formula.MAIN, mode: SimMode = SimMode.WALL_AWARE) -> FitnessSpec:
     """Fitness spec for an m x m maze.
 
-    MAIN picks the smallest r with 2**r strictly above 2*(m-1)**2 (so the
+    MAIN picks the smallest power of two strictly above 2*(m-1)**2 (so the
     maximum fitness C is attained exactly at the goal and m=2 gives C=4);
-    APPENDIX uses C = 2m with r = ceil(log2(2m+1)) bits.
+    APPENDIX uses C = 2m.
     """
     if m < 2:
         raise ValueError(f"maze size must be >= 2, got {m}")
     if formula is Formula.MAIN:
-        bound = 2 * (m - 1) ** 2
-        r = 1
-        while 2**r <= bound:
-            r += 1
-        return FitnessSpec(offset=2**r, exponent=r, formula=formula, mode=mode)
-    c = 2 * m
-    r = c.bit_length()  # == ceil(log2(2m+1)): enough bits to hold values 0..2m
-    return FitnessSpec(offset=c, exponent=r, formula=formula, mode=mode)
+        return FitnessSpec(offset=1 << (2 * (m - 1) ** 2).bit_length(), mode=mode)
+    return FitnessSpec(offset=2 * m, mode=mode)
 
 
 def fitness(maze: Maze, path, spec: FitnessSpec) -> int:

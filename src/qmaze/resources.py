@@ -19,7 +19,8 @@ import numpy as np
 from . import circuits
 from .circuits import arith_width, build_fitness_circuit, build_gt_comparator, build_oracle_circuit
 from .circuits import count_gates, position_width
-from .fitness import FitnessSpec, make_spec
+from .fitness import make_spec
+from .maze import generate_maze
 
 RESIDUAL_THRESHOLD = 0.05
 
@@ -99,17 +100,14 @@ def _square_counts(w: int) -> StageCounts:
     return StageCounts(tof, cnot, 0)
 
 
-def distance_fitness_stage_counts(n: int, m: int, spec: FitnessSpec, goal=None) -> StageCounts:
-    """Goal subtraction, sign extension, squaring, distance sum, C - d."""
+def distance_fitness_stage_counts(n: int, m: int) -> StageCounts:
+    """Goal subtraction, sign extension, squaring, distance sum, C - d; goal (m-1, m-1)."""
     w = position_width(m, n)
-    wa = arith_width(m, n, spec)
-    goal = (m - 1, m - 1) if goal is None else tuple(goal)
-    tof = cnot = nots = 0
-    for coord in goal:  # two constant subtractions
-        add = _add_counts(w)
-        tof += add.toffoli
-        cnot += add.cnot
-        nots += 2 * _popcount(coord + n) + 2 * w
+    wa = arith_width(m, n)
+    add = _add_counts(w)  # two constant subtractions
+    tof = 2 * add.toffoli
+    cnot = 2 * add.cnot
+    nots = 2 * (2 * _popcount(m - 1 + n) + 2 * w)
     cnot += 2 * (wa - w)  # sign extension
     sq = _square_counts(wa)
     tof += 2 * sq.toffoli
@@ -120,13 +118,13 @@ def distance_fitness_stage_counts(n: int, m: int, spec: FitnessSpec, goal=None) 
     add = _add_counts(wa)  # fitness subtraction
     tof += add.toffoli
     cnot += add.cnot
-    nots += _popcount(spec.offset) + 2 * wa
+    nots += _popcount(make_spec(m).offset) + 2 * wa
     return StageCounts(tof, cnot, nots)
 
 
-def init_stage_counts(n: int, start=None) -> StageCounts:
-    start = (0, 0) if start is None else tuple(start)
-    return StageCounts(0, 0, _popcount(start[0] + n) + _popcount(start[1] + n))
+def init_stage_counts(n: int) -> StageCounts:
+    """Loading the offset start (0, 0) + n into both position registers."""
+    return StageCounts(0, 0, 2 * _popcount(n))
 
 
 def comparator_counts(width: int, cutoff: int) -> StageCounts:
@@ -165,14 +163,14 @@ def _scale(part: StageCounts, k: int) -> StageCounts:
     return StageCounts(k * part.toffoli, k * part.cnot, k * part.nots)
 
 
-def predict(n: int, m: int, spec: FitnessSpec | None = None, cutoff: int | None = None) -> ResourceReport:
-    """Predicted oracle-circuit resources for default start/goal placement."""
+def predict(n: int, m: int) -> ResourceReport:
+    """Predicted resources of the cutoff C // 2 oracle for default start/goal placement."""
     if n < 1 or m < 2:
         raise ValueError("need n >= 1 and m >= 2")
-    spec = make_spec(m) if spec is None else spec
-    cutoff = spec.offset // 2 if cutoff is None else cutoff
+    c = make_spec(m).offset
+    cutoff = c // 2
     w = position_width(m, n)
-    wa = arith_width(m, n, spec)
+    wa = arith_width(m, n)
     widths = {
         "path": 2 * n,
         "pos_i": w,
@@ -193,14 +191,14 @@ def predict(n: int, m: int, spec: FitnessSpec | None = None, cutoff: int | None 
         + (wa - 1)  # comparator equality chain
     )
     path_sim = walk_stage_counts(n, m)
-    dist_fit = distance_fitness_stage_counts(n, m, spec)
+    dist_fit = distance_fitness_stage_counts(n, m)
     init = init_stage_counts(n)
     cmp_counts = comparator_counts(wa, cutoff)
     guard = StageCounts(1, 0, 2)  # sign-bit AND around the flag write
     # Fitness circuit = forward compute + fitness write + mirrored uncompute;
     # the fitness write itself is inside dist_fit, whose non-write parts mirror.
     forward = _combine(init, path_sim, dist_fit)
-    fitness_write = _combine(_add_counts(wa), StageCounts(0, 0, _popcount(spec.offset) + 2 * wa))
+    fitness_write = _combine(_add_counts(wa), StageCounts(0, 0, _popcount(c) + 2 * wa))
     fitness_total = _combine(_scale(forward, 2), _scale(fitness_write, -1))
     oracle_total = _combine(
         _scale(fitness_total, 2), _scale(_combine(cmp_counts, guard), 2)
@@ -218,11 +216,10 @@ def predict(n: int, m: int, spec: FitnessSpec | None = None, cutoff: int | None 
     )
 
 
-def measured(n: int, m: int, spec: FitnessSpec | None = None, cutoff: int | None = None) -> ResourceReport:
-    """Resources tallied from actually built circuits."""
-    spec = make_spec(m) if spec is None else spec
-    cutoff = spec.offset // 2 if cutoff is None else cutoff
-    oracle = build_oracle_circuit(build_fitness_circuit(m, n, spec), cutoff)
+def measured(n: int, m: int) -> ResourceReport:
+    """Resources of the cutoff C // 2 oracle, tallied from the built circuits of a default-placed maze."""
+    cutoff = make_spec(m).offset // 2
+    oracle = build_oracle_circuit(build_fitness_circuit(generate_maze(m, seed=0), n), cutoff)
     widths = {
         name: reg.width
         for name, reg in oracle.registers.items()
@@ -233,7 +230,7 @@ def measured(n: int, m: int, spec: FitnessSpec | None = None, cutoff: int | None
     counts = {
         "path_sim": count_gates(oracle, stage="walk"),
         "distance_fitness": count_gates(oracle, stage="distance_fitness"),
-        "comparator": count_gates(build_gt_comparator(arith_width(m, n, spec), cutoff)),
+        "comparator": count_gates(build_gt_comparator(arith_width(m, n), cutoff)),
         "oracle_total": total,
     }
     stages = {name: StageCounts(c.toffoli, c.cnot, c.nots) for name, c in counts.items()}
@@ -272,20 +269,12 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitClaim:
                     points=list(zip(x.tolist(), y.tolist())))
 
 
-def comparator_fit_cutoff(width: int) -> int:
-    """Fixed-shape cutoff (100...01) used when fitting comparator cost vs width."""
-    return 2 ** (width - 1) + 1 if width >= 2 else 0
-
-
-def check_asymptotics(
-    points: Iterable[tuple[int, int]],
-    comparator_widths: Sequence[int] = tuple(range(2, 9)),
-) -> dict[str, FitClaim]:
+def check_asymptotics(points: Iterable[tuple[int, int]]) -> dict[str, FitClaim]:
     """Fit measured Toffoli counts against the linear scaling claims.
 
     ``points`` are (n, m) pairs sharing one m (path-simulation cost vs n);
-    comparator cost is fit against register width. Raises on fewer than
-    three points per claim.
+    comparator cost is fit against register widths 2..8, each at the
+    fixed-shape cutoff 100...01. Raises on fewer than three (n, m) points.
     """
     pts = sorted(set(points))
     if len(pts) < 3:
@@ -293,14 +282,9 @@ def check_asymptotics(
     if len({m for _, m in pts}) != 1:
         raise ValueError("path-simulation fit wants a fixed maze size m")
     walk_tof = [measured(n, m).stages["path_sim"].toffoli for n, m in pts]
-    claims = {
+    widths = range(2, 9)
+    cmp_tof = [count_gates(build_gt_comparator(w, 2 ** (w - 1) + 1)).toffoli for w in widths]
+    return {
         "path_sim_linear_in_n": linear_fit([n for n, _ in pts], walk_tof),
+        "comparator_linear_in_width": linear_fit(widths, cmp_tof),
     }
-    widths = sorted(set(comparator_widths))
-    if len(widths) < 3:
-        raise ValueError("need at least 3 comparator widths")
-    cmp_tof = [
-        count_gates(build_gt_comparator(w, comparator_fit_cutoff(w))).toffoli for w in widths
-    ]
-    claims["comparator_linear_in_width"] = linear_fit(widths, cmp_tof)
-    return claims

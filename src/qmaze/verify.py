@@ -28,7 +28,7 @@ from .circuits import (
     unpack_column,
 )
 from .fitness import Formula, make_spec
-from .maze import SimMode, generate_maze, path_end_values
+from .maze import Maze, SimMode, generate_maze, path_end_values
 
 
 @dataclass(frozen=True)
@@ -94,25 +94,24 @@ def _path_case(m: int, n: int, label: str = ""):
     return where, {"path": np.arange(codec.path_count(n))}
 
 
-def _blind_spec(m: int):
-    return make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+def _blind_values(maze: Maze, n: int) -> np.ndarray:
+    """Wall-blind fitness of every length-n path, the reference for fitness circuits."""
+    return fitness.landscape(maze, n, make_spec(maze.size, Formula.MAIN, SimMode.WALL_BLIND)).values
 
 
 def verify_fitness(fitness_circuits: dict) -> SuiteResult:
-    """Fitness circuits keyed (m, n) == classical wall-blind fitness (mod 2**width), all inputs."""
+    """Fitness circuits keyed (maze, n) == classical wall-blind fitness (mod 2**width), all inputs."""
 
     def cases():
-        for (m, n), circ in fitness_circuits.items():
-            maze = generate_maze(m, seed=0)
+        for (maze, n), circ in fitness_circuits.items():
             wa = circ.registers["fit"].width
-            ref = fitness.landscape(maze, n, _blind_spec(m)).values % (1 << wa)
-            where, paths = _path_case(m, n)
-            yield where, circ, paths, {"fit": ref}, 1
+            where, paths = _path_case(maze.size, n)
+            yield where, circ, paths, {"fit": _blind_values(maze, n) % (1 << wa)}, 1
 
     return _check("fitness", cases())
 
 
-def verify_comparator(width_max: int = 6, builder=build_gt_comparator) -> SuiteResult:
+def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResult:
     """Every (f, cutoff) pair, widths 1..width_max, vs integer >."""
 
     def cases():
@@ -127,14 +126,14 @@ def verify_comparator(width_max: int = 6, builder=build_gt_comparator) -> SuiteR
     return _check("comparator", cases())
 
 
-def verify_validity(n_max: int = 3, m_max: int = 4) -> SuiteResult:
+def verify_validity(n_max: int, m_max: int) -> SuiteResult:
     """Validity flag == no blocked move in the bounds-only path automaton, all inputs."""
 
     def cases():
         for m in range(2, m_max + 1):
+            maze = generate_maze(m, seed=0)
             for n in range(1, n_max + 1):
-                maze = generate_maze(m, seed=0)
-                circ = build_validity_circuit(m, n)
+                circ = build_validity_circuit(maze, n)
                 ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
                 where, paths = _path_case(m, n)
                 yield where, circ, paths, {"valid": ref}, 1
@@ -142,20 +141,20 @@ def verify_validity(n_max: int = 3, m_max: int = 4) -> SuiteResult:
     return _check("validity", cases())
 
 
-def _oracle_cutoffs(spec) -> list[int]:
-    c = spec.offset
+def _oracle_cutoffs(m: int) -> list[int]:
+    c = make_spec(m).offset
     return sorted({0, 1, c // 2, c - 1})
 
 
 def verify_oracle_sign(oracles: dict) -> SuiteResult:
-    """Oracles keyed (m, n), cutoff: sign == landscape-derived oracle, registers restored, all inputs."""
+    """Oracles keyed (maze, n), cutoff: sign == landscape-derived oracle, registers restored, all inputs."""
 
     def cases():
-        for (m, n), by_cutoff in oracles.items():
-            scape = fitness.landscape(generate_maze(m, seed=0), n, _blind_spec(m))
+        for (maze, n), by_cutoff in oracles.items():
+            values = _blind_values(maze, n)
             for cutoff, circ in by_cutoff.items():
-                where, paths = _path_case(m, n, f" cutoff={cutoff}")
-                yield where, circ, paths, {}, np.where(scape.values > cutoff, -1, 1)
+                where, paths = _path_case(maze.size, n, f" cutoff={cutoff}")
+                yield where, circ, paths, {}, np.where(values > cutoff, -1, 1)
 
     return _check("oracle-sign", cases())
 
@@ -164,9 +163,9 @@ def verify_ancilla_cleanup(oracles: dict) -> SuiteResult:
     """After the cutoff C // 2 oracle, every register reads back its input, on every input."""
 
     def cases():
-        for (m, n), by_cutoff in oracles.items():
-            where, paths = _path_case(m, n)
-            yield where, by_cutoff[_blind_spec(m).offset // 2], paths, {}, None
+        for (maze, n), by_cutoff in oracles.items():
+            where, paths = _path_case(maze.size, n)
+            yield where, by_cutoff[make_spec(maze.size).offset // 2], paths, {}, None
 
     return _check("ancilla-cleanup", cases())
 
@@ -175,24 +174,23 @@ def verify_involutions(oracles: dict) -> SuiteResult:
     """The cutoff C // 2 oracle applied twice is the identity with net sign +1, all inputs."""
 
     def cases():
-        for (m, n), by_cutoff in oracles.items():
-            circ = by_cutoff[_blind_spec(m).offset // 2]
-            where, paths = _path_case(m, n, " (oracle twice)")
+        for (maze, n), by_cutoff in oracles.items():
+            circ = by_cutoff[make_spec(maze.size).offset // 2]
+            where, paths = _path_case(maze.size, n, " (oracle twice)")
             yield where, circuits.RevCircuit(circ.registers, circ.gates + circ.gates), paths, {}, 1
 
     return _check("involution", cases())
 
 
-def run_all(n_max: int = 3, m_max: int = 4, comparator_width_max: int = 6) -> list[SuiteResult]:
-    """Every suite; each fitness circuit and each oracle is built once and shared."""
+def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResult]:
+    """Every suite; each maze, fitness circuit and oracle is built once and shared."""
+    mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
     fitness_circuits = {
-        (m, n): build_fitness_circuit(m, n, _blind_spec(m))
-        for m in range(2, m_max + 1)
-        for n in range(1, n_max + 1)
+        (maze, n): build_fitness_circuit(maze, n) for maze in mazes for n in range(1, n_max + 1)
     }
     oracles = {
-        (m, n): {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(_blind_spec(m))}
-        for (m, n), circ in fitness_circuits.items()
+        (maze, n): {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(maze.size)}
+        for (maze, n), circ in fitness_circuits.items()
     }
     return [
         verify_fitness(fitness_circuits),

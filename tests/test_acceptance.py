@@ -53,8 +53,7 @@ def test_criterion_1_worked_example():
     path = codec.decode_index(0b1001, 2)
     classical = fitness_fn(EXAMPLE_MAZE, path, spec)
 
-    blind = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    fit_circ = build_fitness_circuit(2, 2, blind)
+    fit_circ = build_fitness_circuit(EXAMPLE_MAZE, 2)
     out, _ = run_on_basis(fit_circ, fit_circ.zero_assignment() | {"path": 0b1001})
     register = out["fit"]
 
@@ -146,7 +145,7 @@ def test_criterion_5_oracle_interchangeable():
         maze = generate_maze(m, seed=0)
         for n in (1, 2, 3):
             scape = landscape(maze, n, spec)
-            fitness_circ = build_fitness_circuit(m, n, spec)
+            fitness_circ = build_fitness_circuit(maze, n)
             for cutoff in sorted({0, 1, spec.offset // 2, spec.offset - 1}):
                 circ = build_oracle_circuit(fitness_circ, cutoff)
                 rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
@@ -176,7 +175,7 @@ def test_criterion_6_validity_operator():
     for m in (2, 3, 4):
         maze = generate_maze(m, seed=0)
         for n in (1, 2, 3):
-            circ = build_validity_circuit(m, n)
+            circ = build_validity_circuit(maze, n)
             rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
             out, _ = run_batch(circ, rows)
             got = unpack_column(circ, out, "valid")
@@ -243,13 +242,13 @@ def test_criterion_8_resource_scaling():
 
     path_ok = True
     for m in (2, 3, 4):
+        maze = generate_maze(m, seed=0)
         for n in (1, 2, 3):
-            spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-            fitness_circ = build_fitness_circuit(m, n, spec)
+            fitness_circ = build_fitness_circuit(maze, n)
             for circ in (
                 fitness_circ,
                 build_oracle_circuit(fitness_circ, 1),
-                build_validity_circuit(m, n),
+                build_validity_circuit(maze, n),
             ):
                 path_ok &= circ.registers["path"].width == 2 * n
 

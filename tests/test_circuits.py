@@ -293,8 +293,7 @@ def test_comparator_toffoli_linear_in_width():
 
 
 def test_fitness_circuit_worked_example():
-    spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_fitness_circuit(2, 2, spec)
+    circ = build_fitness_circuit(generate_maze(2, seed=0), 2)
     out, sign = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
     assert out["fit"] == 0b100
     assert sign == 1
@@ -303,8 +302,7 @@ def test_fitness_circuit_worked_example():
 
 def test_fitness_circuit_wall_blind_example():
     # (E,E) from (0,0): ends (0,2), distance to (1,1) is 2, fitness 2.
-    spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_fitness_circuit(2, 2, spec)
+    circ = build_fitness_circuit(generate_maze(2, seed=0), 2)
     out, _ = run_on_basis(circ, circ.zero_assignment() | {"path": 0b0101})
     assert out["fit"] == 2
 
@@ -315,8 +313,8 @@ def test_fitness_circuit_matches_reference(m, n):
     spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
     maze = generate_maze(m, seed=0)
     scape = landscape(maze, n, spec)
-    circ = build_fitness_circuit(m, n, spec)
-    wa = arith_width(m, n, spec)
+    circ = build_fitness_circuit(maze, n)
+    wa = arith_width(m, n)
     out, _ = sweep(circ, {"path": np.arange(4**n)})
     got = unpack_column(circ, out, "fit")
     assert np.array_equal(got, scape.values % (1 << wa))
@@ -329,16 +327,10 @@ def test_fitness_circuit_custom_start_goal():
     spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
     maze = generate_maze(3, seed=1, start=(2, 0), goal=(0, 2))
     scape = landscape(maze, 2, spec)
-    circ = build_fitness_circuit(3, 2, spec, start=(2, 0), goal=(0, 2))
-    wa = arith_width(3, 2, spec)
+    circ = build_fitness_circuit(maze, 2)
+    wa = arith_width(3, 2)
     out, _ = sweep(circ, {"path": np.arange(16)})
     assert np.array_equal(unpack_column(circ, out, "fit"), scape.values % (1 << wa))
-
-
-def test_fitness_circuit_requires_main_formula():
-    spec = make_spec(2, Formula.APPENDIX)
-    with pytest.raises(ValueError):
-        build_fitness_circuit(2, 2, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -346,8 +338,7 @@ def test_fitness_circuit_requires_main_formula():
 
 
 def test_oracle_worked_example_sign():
-    spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(build_fitness_circuit(2, 2, spec), cutoff=2)
+    circ = build_oracle_circuit(build_fitness_circuit(generate_maze(2, seed=0), 2), cutoff=2)
     out, sign = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
     assert sign == -1  # fitness 4 > 2 flips the phase
     assert out["path"] == 0b1001
@@ -355,8 +346,7 @@ def test_oracle_worked_example_sign():
 
 
 def test_oracle_max_cutoff_marks_nothing():
-    spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(build_fitness_circuit(2, 2, spec), cutoff=spec.offset)
+    circ = build_oracle_circuit(build_fitness_circuit(generate_maze(2, seed=0), 2), cutoff=make_spec(2).offset)
     _, signs = sweep(circ, {"path": np.arange(16)})
     assert np.all(signs == 1)
 
@@ -365,8 +355,9 @@ def test_oracle_max_cutoff_marks_nothing():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_oracle_sign_matches_landscape(m, n):
     spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-    scape = landscape(generate_maze(m, seed=0), n, spec)
-    fitness_circ = build_fitness_circuit(m, n, spec)
+    maze = generate_maze(m, seed=0)
+    scape = landscape(maze, n, spec)
+    fitness_circ = build_fitness_circuit(maze, n)
     for cutoff in (0, 1, spec.offset // 2, spec.offset - 1):
         circ = build_oracle_circuit(fitness_circ, cutoff)
         out, signs = sweep(circ, {"path": np.arange(4**n)})
@@ -377,8 +368,7 @@ def test_oracle_sign_matches_landscape(m, n):
 
 
 def test_oracle_self_inverse():
-    spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(build_fitness_circuit(3, 2, spec), cutoff=3)
+    circ = build_oracle_circuit(build_fitness_circuit(generate_maze(3, seed=0), 2), cutoff=3)
     doubled = RevCircuit(circ.registers, circ.gates + circ.gates)
     inputs = pack_rows(doubled, {"path": np.arange(16)}, 16)
     out, signs = run_batch(doubled, inputs)
@@ -388,12 +378,11 @@ def test_oracle_self_inverse():
 
 @pytest.mark.parametrize("m,n", [(2, 1), (3, 2), (4, 3)])
 def test_oracles_share_one_fitness_circuit(m, n):
-    spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
-    fitness_circ = build_fitness_circuit(m, n, spec)
+    fitness_circ = build_fitness_circuit(generate_maze(m, seed=0), n)
     gates, spans = list(fitness_circ.gates), dict(fitness_circ.spans)
     size = len(gates)
     assert set(spans) == {"walk", "distance_fitness"}
-    for cutoff in verify._oracle_cutoffs(spec):
+    for cutoff in verify._oracle_cutoffs(m):
         oracle = build_oracle_circuit(fitness_circ, cutoff)
         assert len(oracle.gates) > 2 * size
         assert all(a is b for a, b in zip(oracle.gates[:size], gates))
@@ -408,12 +397,11 @@ def test_oracles_share_one_fitness_circuit(m, n):
 
 
 def test_oracle_rejects_out_of_range_cutoff():
-    spec = make_spec(2, Formula.MAIN, SimMode.WALL_BLIND)
-    fitness_circ = build_fitness_circuit(2, 2, spec)
+    fitness_circ = build_fitness_circuit(generate_maze(2, seed=0), 2)
     with pytest.raises(ValueError):
         build_oracle_circuit(fitness_circ, cutoff=-1)
     with pytest.raises(ValueError):
-        build_oracle_circuit(fitness_circ, cutoff=2 ** arith_width(2, 2, spec))
+        build_oracle_circuit(fitness_circ, cutoff=2 ** arith_width(2, 2))
 
 
 # sha256 over the registers, spans and gates of every fitness circuit and
@@ -425,9 +413,8 @@ def test_fitness_and_oracle_gate_lists_are_pinned():
     h = hashlib.sha256()
     for m in range(2, 7):
         for n in range(1, 5):
-            spec = verify._blind_spec(m)
-            fit = build_fitness_circuit(m, n, spec)
-            for circ in [fit] + [build_oracle_circuit(fit, c) for c in verify._oracle_cutoffs(spec)]:
+            fit = build_fitness_circuit(generate_maze(m, seed=0), n)
+            for circ in [fit] + [build_oracle_circuit(fit, c) for c in verify._oracle_cutoffs(m)]:
                 regs = [(r.name, r.offset, r.width, r.role) for r in circ.registers.values()]
                 gates = [(type(g).__name__, g.target, g.controls) for g in circ.gates]
                 h.update(repr((regs, sorted(circ.spans.items()), gates)).encode())
@@ -439,7 +426,7 @@ def test_fitness_and_oracle_gate_lists_are_pinned():
 
 
 def test_validity_examples(example_maze):
-    circ = build_validity_circuit(2, 2)
+    circ = build_validity_circuit(example_maze, 2)
     out, _ = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
     assert out["valid"] == 1  # S,E stays inside
     out, _ = run_on_basis(circ, circ.zero_assignment() | {"path": 0b0010})
@@ -462,7 +449,7 @@ _VALIDITY_GRID = {(m, n) for m in (2, 3, 4) for n in (1, 2, 3)} | _width_steps()
 @pytest.mark.parametrize("n,m", sorted((n, m) for m, n in _VALIDITY_GRID))
 def test_validity_matches_bounds_oracle(m, n):
     maze = generate_maze(m, seed=0)
-    circ = build_validity_circuit(m, n)
+    circ = build_validity_circuit(maze, n)
     out, _ = sweep(circ, {"path": np.arange(4**n)})
     got = unpack_column(circ, out, "valid")
     want = np.array(
@@ -478,11 +465,40 @@ def test_validity_matches_bounds_oracle(m, n):
 @pytest.mark.parametrize("start", [(0, 2), (2, 0), (2, 2), (1, 1)])
 def test_validity_custom_start(start):
     maze = generate_maze(3, seed=1, start=start, goal=(1, 0))
-    circ = build_validity_circuit(3, 3, start=start)
+    circ = build_validity_circuit(maze, 3)
     out, _ = sweep(circ, {"path": np.arange(64)})
     want = path_end_values(maze, 3, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
     assert np.array_equal(unpack_column(circ, out, "valid"), want)
     assert scratch_clean(circ, out)
+
+
+@settings(max_examples=40, deadline=None)
+@given(m=st.integers(2, 5), n=st.integers(1, 3), seed=st.integers(0, 1000), data=st.data())
+def test_circuits_follow_the_mazes_placement(m, n, seed, data):
+    cells = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
+    start = data.draw(cells)
+    goal = data.draw(cells.filter(lambda cell: cell != start))
+    maze = generate_maze(m, seed, start, goal)
+    paths = {"path": np.arange(4**n)}
+    blind = landscape(maze, n, make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)).values
+
+    fit = build_fitness_circuit(maze, n)
+    out, _ = sweep(fit, paths)
+    assert np.array_equal(unpack_column(fit, out, "fit"), blind % (1 << fit.registers["fit"].width))
+    assert scratch_clean(fit, out)
+
+    valid = build_validity_circuit(maze, n)
+    out, _ = sweep(valid, paths)
+    want = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+    assert np.array_equal(unpack_column(valid, out, "valid"), want)
+    assert scratch_clean(valid, out)
+
+    cutoff = make_spec(m).offset // 2
+    oracle = build_oracle_circuit(fit, cutoff)
+    rows = pack_rows(oracle, paths, 4**n)
+    out, signs = run_batch(oracle, rows)
+    assert out == rows
+    assert np.array_equal(signs, np.where(blind > cutoff, -1, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -490,8 +506,7 @@ def test_validity_custom_start(start):
 
 
 def test_circuit_then_inverse_restores_everything():
-    spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
-    circ = build_oracle_circuit(build_fitness_circuit(3, 2, spec), cutoff=5)
+    circ = build_oracle_circuit(build_fitness_circuit(generate_maze(3, seed=0), 2), cutoff=5)
     rng = np.random.default_rng(7)
     values = {
         name: rng.integers(0, 1 << reg.width, size=200)
@@ -537,8 +552,8 @@ def test_count_gates_identity_and_additivity():
 
 def test_count_gates_rejects_unknown_stage():
     cases = (
-        (build_validity_circuit(2, 1), "diff"),
-        (build_fitness_circuit(2, 2, make_spec(2)), "Walk"),
+        (build_validity_circuit(generate_maze(2, seed=0), 1), "diff"),
+        (build_fitness_circuit(generate_maze(2, seed=0), 2), "Walk"),
         (build_adder(2), "walk"),
     )
     for circ, stage in cases:
@@ -561,9 +576,9 @@ def test_uncompute_range_checks_before_appending():
 
 
 def test_walk_toffoli_linear_in_n():
-    spec4 = make_spec(4)
+    maze = generate_maze(4, seed=0)
     counts = [
-        count_gates(build_fitness_circuit(4, n, spec4), stage="walk").toffoli
+        count_gates(build_fitness_circuit(maze, n), stage="walk").toffoli
         for n in range(1, 7)
     ]
     per_step = [c / n for n, c in zip(range(1, 7), counts)]

@@ -7,7 +7,8 @@ import textwrap
 
 import pytest
 
-from qmaze import verify
+from qmaze import cli, verify
+from qmaze.adaptive import SearchConfig, run_adaptive
 from qmaze.circuits import (
     PhaseMark,
     RevCircuit,
@@ -17,7 +18,8 @@ from qmaze.circuits import (
     build_validity_circuit,
 )
 from qmaze.cli import main, parse_config, UsageError
-from qmaze.maze import parse_maze
+from qmaze.fitness import make_spec
+from qmaze.maze import generate_maze, parse_maze
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -145,6 +147,19 @@ def test_solve_from_generated_maze(tmp_path, capsys):
     )
     assert code == 0
     assert "status:" in stdout
+
+
+def test_solve_defaults_are_search_configs(monkeypatch, capsys):
+    configs = []
+
+    def capture(scape, config):
+        configs.append(config)
+        return run_adaptive(scape, config)
+
+    monkeypatch.setattr(cli, "run_adaptive", capture)
+    code, _, _ = run_cli(capsys, "solve", "--m", "3", "--n", "2")
+    assert code == 0
+    assert configs == [SearchConfig(seed=cli._child_seed(0, 1))]
 
 
 def test_solve_requires_inputs(capsys):
@@ -292,9 +307,18 @@ def test_verify_passes_at_small_caps(capsys, caps, cases):
 
 
 def test_verify_cap_exceeded(capsys):
-    code, _, err = run_cli(capsys, "verify", "--nmax", "9")
-    assert code == 2
-    assert "nmax" in err
+    for flag, value in (("--nmax", "10"), ("--mmax", "9"), ("--widthmax", "9")):
+        code, _, err = run_cli(capsys, "verify", flag, value)
+        assert code == 2
+        assert flag in err
+
+
+def test_verify_accepts_its_caps(monkeypatch, capsys):
+    caps = []
+    monkeypatch.setattr(verify, "run_all", lambda *args: caps.append(args) or [])
+    code, stdout, err = run_cli(capsys, "verify", "--nmax", "9", "--mmax", "8", "--widthmax", "8")
+    assert (code, stdout, err) == (0, "", "")
+    assert caps == [(9, 8, 8)]
 
 
 def test_verify_exits_1_when_a_suite_fails(monkeypatch, capsys):
@@ -326,8 +350,8 @@ def _dropped(circ: RevCircuit, index: int = -1) -> RevCircuit:
 
 
 def _corrupt_fitness(_monkeypatch):
-    fit = build_fitness_circuit(3, 2, verify._blind_spec(3))
-    return verify.verify_fitness({(3, 2): _dropped(fit)})
+    maze = generate_maze(3, seed=0)
+    return verify.verify_fitness({(maze, 2): _dropped(build_fitness_circuit(maze, 2))})
 
 
 def _corrupt_comparator(_monkeypatch):
@@ -339,33 +363,34 @@ def _corrupt_comparator(_monkeypatch):
 
 
 def _corrupt_validity(monkeypatch):
-    def builder(m, n):
-        circ = build_validity_circuit(m, n)
-        return _dropped(circ) if (m, n) == (3, 2) else circ
+    def builder(maze, n):
+        circ = build_validity_circuit(maze, n)
+        return _dropped(circ) if (maze.size, n) == (3, 2) else circ
 
     monkeypatch.setattr(verify, "build_validity_circuit", builder)
     return verify.verify_validity(n_max=2, m_max=3)
 
 
 def _oracle():
-    cutoff = verify._blind_spec(3).offset // 2
-    return cutoff, build_oracle_circuit(build_fitness_circuit(3, 2, verify._blind_spec(3)), cutoff)
+    maze = generate_maze(3, seed=0)
+    cutoff = make_spec(3).offset // 2
+    return (maze, 2), cutoff, build_oracle_circuit(build_fitness_circuit(maze, 2), cutoff)
 
 
 def _corrupt_oracle_sign(_monkeypatch):
-    cutoff, circ = _oracle()
+    key, cutoff, circ = _oracle()
     unsigned = RevCircuit(circ.registers, [g for g in circ.gates if not isinstance(g, PhaseMark)])
-    return verify.verify_oracle_sign({(3, 2): {cutoff: unsigned}})
+    return verify.verify_oracle_sign({key: {cutoff: unsigned}})
 
 
 def _corrupt_cleanup(_monkeypatch):
-    cutoff, circ = _oracle()
-    return verify.verify_ancilla_cleanup({(3, 2): {cutoff: _dropped(circ)}})
+    key, cutoff, circ = _oracle()
+    return verify.verify_ancilla_cleanup({key: {cutoff: _dropped(circ)}})
 
 
 def _corrupt_involution(_monkeypatch):
-    cutoff, circ = _oracle()
-    return verify.verify_involutions({(3, 2): {cutoff: _dropped(circ, 0)}})
+    key, cutoff, circ = _oracle()
+    return verify.verify_involutions({key: {cutoff: _dropped(circ, 0)}})
 
 
 @pytest.mark.parametrize(

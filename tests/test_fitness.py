@@ -47,17 +47,17 @@ def hand_fitness(maze: Maze, path, c: int) -> int:
 
 
 def test_make_spec_main():
-    spec = make_spec(2)
-    assert (spec.offset, spec.exponent) == (4, 2)
-    spec = make_spec(4)
-    assert (spec.offset, spec.exponent) == (32, 5)
-    assert 2**spec.exponent == spec.offset > 2 * (4 - 1) ** 2
+    assert make_spec(2).offset == 4
+    assert make_spec(4).offset == 32
+    for m in range(2, 40):
+        c = make_spec(m).offset
+        # The smallest power of two strictly above 2*(m-1)**2.
+        assert c & (c - 1) == 0 and c > 2 * (m - 1) ** 2 >= c // 2
 
 
 def test_make_spec_appendix():
     spec = make_spec(2, Formula.APPENDIX)
     assert spec.offset == 4
-    assert spec.exponent == 3  # enough bits for values 0..4
     assert make_spec(5, Formula.APPENDIX).offset == 10
 
 

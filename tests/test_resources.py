@@ -27,11 +27,10 @@ def test_path_register_is_2n():
 
 
 def test_fitness_width_for_2x2():
-    spec = make_spec(2)
-    assert spec.exponent == 2  # C = 2**2 = 4
+    assert make_spec(2).offset == 4
     report = predict(2, 2)
     # Width covers both the +C top and the most negative wall-blind score.
-    assert report.register_widths["fit"] == arith_width(2, 2, spec) == 5
+    assert report.register_widths["fit"] == arith_width(2, 2) == 5
 
 
 # Up to the verify command's caps; position widths change inside this range.
