@@ -107,14 +107,12 @@ class RevCircuit:
 
 @dataclass(frozen=True)
 class GateCounts:
-    """Exact gate tallies plus dependency-chain depth and scratch width."""
+    """Exact gate tallies plus dependency-chain depth; phase markers are not counted."""
 
     toffoli: int = 0
     cnot: int = 0
     nots: int = 0
-    phase: int = 0
     depth: int = 0
-    ancilla: int = 0
 
 
 def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
@@ -125,25 +123,22 @@ def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
             raise ValueError(f"no stage '{stage}' in this circuit; its stages are {sorted(circuit.spans)}")
         lo, hi = circuit.spans[stage]
         gates = gates[lo:hi]
-    tof = cnot = nots = phase = 0
+    tof = cnot = nots = 0
     depth_at = [0] * circuit.num_bits
     depth = 0
     for g in gates:
-        if isinstance(g, PhaseMark):
-            phase += 1
-        elif len(g.controls) == 2:
+        if len(g.controls) == 2:
             tof += 1
         elif len(g.controls) == 1:
             cnot += 1
-        else:
+        elif not isinstance(g, PhaseMark):
             nots += 1
         touched = (g.target, *g.controls)
         d = 1 + max(depth_at[b] for b in touched)
         for b in touched:
             depth_at[b] = d
         depth = max(depth, d)
-    ancilla = sum(r.width for r in circuit.scratch_registers())
-    return GateCounts(toffoli=tof, cnot=cnot, nots=nots, phase=phase, depth=depth, ancilla=ancilla)
+    return GateCounts(toffoli=tof, cnot=cnot, nots=nots, depth=depth)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import enum
 import json
 import sys
 from collections.abc import Sequence
@@ -40,25 +41,33 @@ def _child_seed(*parts: int) -> int:
 # ---------------------------------------------------------------------------
 # Config file handling (flat key = value lines)
 
-_CONFIG_SCHEMA = {
-    "maze": str,
-    "m": int,
-    "n": int,
-    "seed": int,
-    "cutoff0": int,
-    "rounds": int,
-    "samples": int,
-    "mode": str,
-    "formula": str,
-    "policy": str,
-    "strictness": str,
-    "out": str,
-    "format": str,
+_SEARCH = SearchConfig()
+
+# Each solve/sweep setting: config key -> (type, default). The search defaults
+# are SearchConfig's; mode and formula stay unset, so make_spec picks them.
+_SETTINGS = {
+    "maze": (str, None),
+    "m": (int, None),
+    "n": (int, None),
+    "seed": (int, 0),
+    "cutoff0": (int, _SEARCH.initial_cutoff),
+    "rounds": (int, _SEARCH.max_rounds),
+    "samples": (int, _SEARCH.samples),
+    "mode": (SimMode, None),
+    "formula": (Formula, None),
+    "policy": (Policy, _SEARCH.policy.value),
+    "strictness": (Strictness, _SEARCH.strictness.value),
+    "out": (str, None),
+    "format": (str, "csv"),
 }
 
 
 def parse_config(text: str) -> dict:
-    """Parse ``key = value`` lines; unknown keys are errors, not warnings."""
+    """Parse ``key = value`` lines; unknown keys are errors, not warnings.
+
+    Integers are converted here; enum names stay strings until the flags
+    are merged in, so a bad one is reported under its flag.
+    """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -68,12 +77,12 @@ def parse_config(text: str) -> dict:
             raise UsageError(f"config line {lineno}: expected 'key = value', got '{raw}'")
         key, _, val = line.partition("=")
         key, val = key.strip(), val.strip()
-        if key not in _CONFIG_SCHEMA:
+        if key not in _SETTINGS:
             raise UsageError(f"config line {lineno}: unknown key '{key}'")
         if key in values:
             raise UsageError(f"config line {lineno}: duplicate key '{key}'")
         try:
-            values[key] = _CONFIG_SCHEMA[key](val)
+            values[key] = int(val) if _SETTINGS[key][0] is int else val
         except ValueError:
             raise UsageError(
                 f"config line {lineno}: bad value '{val}' for '{key}'"
@@ -134,28 +143,22 @@ def cmd_generate(args) -> int:
         raise UsageError("--m must be >= 2")
     if args.seed < 0:
         raise UsageError("--seed must be >= 0")
-    start = tuple(args.start) if args.start else (0, 0)
-    goal = tuple(args.goal) if args.goal else (m - 1, m - 1)
+    # The carve does not depend on the placement, so an unset cell is the generated maze's.
+    maze = generate_maze(m, args.seed)
+    start = tuple(args.start) if args.start else maze.start
+    goal = tuple(args.goal) if args.goal else maze.goal
     for flag, cell in (("--start", start), ("--goal", goal)):
         if not all(0 <= x < m for x in cell):
             raise UsageError(f"{flag} {cell[0]} {cell[1]} lies outside the {m}x{m} grid")
     if start == goal:
         raise UsageError("--start and --goal must differ")
-    maze = generate_maze(m, args.seed, start=start, goal=goal)
-    _write_out(serialize_maze(maze), args.out)
+    _write_out(serialize_maze(dataclasses.replace(maze, start=start, goal=goal)), args.out)
     return 0
 
 
 def _load_solve_settings(args) -> dict:
-    """Defaults (the search ones ``SearchConfig``'s), then the config file (``solve`` only), then flags."""
-    search = SearchConfig()
-    settings = {
-        "maze": None, "m": None, "n": None, "seed": 0,
-        "cutoff0": search.initial_cutoff, "rounds": search.max_rounds, "samples": search.samples,
-        "mode": "wall-aware", "formula": "maintext",
-        "policy": search.policy.value, "strictness": search.strictness.value,
-        "out": None, "format": "csv",
-    }
+    """``_SETTINGS`` defaults, then the config file (``solve`` only), then flags."""
+    settings = {key: default for key, (_, default) in _SETTINGS.items()}
     config_path = getattr(args, "config", None)
     if config_path:
         try:
@@ -186,9 +189,9 @@ def _load_solve_settings(args) -> dict:
         raise UsageError("--samples (samples per round) must be >= 1")
     if settings["format"] not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
-    for key, enum_cls in (("policy", Policy), ("strictness", Strictness),
-                          ("formula", Formula), ("mode", SimMode)):
-        settings[key] = _enum_value(enum_cls, settings[key], f"--{key}")
+    for key, (kind, _) in _SETTINGS.items():
+        if issubclass(kind, enum.Enum) and settings[key] is not None:
+            settings[key] = _enum_value(kind, settings[key], f"--{key}")
     return settings
 
 
@@ -209,7 +212,7 @@ def _solve_once(settings: dict, *run: int) -> tuple[fitness.FitnessLandscape, ad
             raise UsageError(f"cannot read maze: {exc}") from None
     else:
         maze = generate_maze(settings["m"], _child_seed(settings["seed"], 0, *run))
-    spec = make_spec(maze.size, settings["formula"], settings["mode"])
+    spec = make_spec(maze.size, **{k: settings[k] for k in ("formula", "mode") if settings[k] is not None})
     scape = fitness.landscape(maze, settings["n"], spec)
     return scape, run_adaptive(scape, config)
 
@@ -310,10 +313,10 @@ def cmd_resources(args) -> int:
         raise UsageError(f"--n must lie in 1..{codec.MAX_PATH_LENGTH}")
     if args.m < 2:
         raise UsageError("--m must be >= 2")
-    pred = resources.predict(args.n, args.m)
-    act = resources.measured(args.n, args.m)
-    fit_points = [(i, args.m) for i in range(1, max(3, args.n) + 1)]
-    claims = resources.check_asymptotics(fit_points)
+    maze = generate_maze(args.m, seed=0)
+    pred = resources.predict(maze, args.n)
+    act = resources.measured(maze, args.n)
+    claims = resources.check_asymptotics(maze, range(1, max(3, args.n) + 1))
     code = 0 if all(c.passed for c in claims.values()) else 1
     if args.format == "json":
         doc = {
@@ -361,7 +364,7 @@ def cmd_resources(args) -> int:
 
 
 def _add_search_flags(p: argparse.ArgumentParser, sizes_required: bool) -> None:
-    """Flags that ``solve`` and ``sweep`` share; their defaults live in the settings dict."""
+    """Flags that ``solve`` and ``sweep`` share; their defaults live in ``_SETTINGS``."""
     p.add_argument("--m", type=int, required=sizes_required)
     p.add_argument("--n", type=int, required=sizes_required)
     p.add_argument("--seed", type=int)

@@ -1,17 +1,18 @@
 """Qubit and gate-cost model for the reversible circuits, checked against
 actual constructions.
 
-``predict`` computes register widths and per-stage gate counts from closed
-formulas that mirror the builders in :mod:`qmaze.circuits`; ``measured``
-builds the circuits and tallies them. Tests pin the two against each
-other, and ``check_asymptotics`` turns the scaling claims (comparator
-linear in width, path simulation linear in length) into least-squares
-fits with explicit residual thresholds.
+Every cost is that of one maze's oracle: ``predict`` computes register
+widths and per-stage gate counts from closed formulas that mirror the
+builders in :mod:`qmaze.circuits` and read the maze's size, start and
+goal; ``measured`` builds the same maze's circuits and tallies them. Tests
+pin the two against each other, and ``check_asymptotics`` turns the
+scaling claims (comparator linear in width, path simulation linear in
+length) into least-squares fits with explicit residual thresholds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ from . import circuits
 from .circuits import arith_width, build_fitness_circuit, build_gt_comparator, build_oracle_circuit
 from .circuits import count_gates, position_width
 from .fitness import make_spec
-from .maze import generate_maze
+from .maze import Maze
 
 RESIDUAL_THRESHOLD = 0.05
 
@@ -77,9 +78,9 @@ def _increment_counts(w: int) -> StageCounts:
     return StageCounts(2 * (w - 1), w, 0)
 
 
-def walk_stage_counts(n: int, m: int) -> StageCounts:
+def walk_stage_counts(maze: Maze, n: int) -> StageCounts:
     """Path-simulation stage: 4 doubly-controlled +/-1 updates per step."""
-    w = position_width(m, n)
+    w = position_width(maze.size, n)
     inc = _increment_counts(w)
     tof = n * 4 * (2 + inc.toffoli)
     cnot = n * 4 * inc.cnot
@@ -100,14 +101,15 @@ def _square_counts(w: int) -> StageCounts:
     return StageCounts(tof, cnot, 0)
 
 
-def distance_fitness_stage_counts(n: int, m: int) -> StageCounts:
-    """Goal subtraction, sign extension, squaring, distance sum, C - d; goal (m-1, m-1)."""
+def distance_fitness_stage_counts(maze: Maze, n: int) -> StageCounts:
+    """Subtraction of the offset goal, sign extension, squaring, distance sum, C - d."""
+    m = maze.size
     w = position_width(m, n)
     wa = arith_width(m, n)
     add = _add_counts(w)  # two constant subtractions
     tof = 2 * add.toffoli
     cnot = 2 * add.cnot
-    nots = 2 * (2 * _popcount(m - 1 + n) + 2 * w)
+    nots = sum(2 * _popcount(g + n) + 2 * w for g in maze.goal)
     cnot += 2 * (wa - w)  # sign extension
     sq = _square_counts(wa)
     tof += 2 * sq.toffoli
@@ -122,9 +124,9 @@ def distance_fitness_stage_counts(n: int, m: int) -> StageCounts:
     return StageCounts(tof, cnot, nots)
 
 
-def init_stage_counts(n: int) -> StageCounts:
-    """Loading the offset start (0, 0) + n into both position registers."""
-    return StageCounts(0, 0, 2 * _popcount(n))
+def init_stage_counts(maze: Maze, n: int) -> StageCounts:
+    """Loading the offset start, each coordinate + n, into the position registers."""
+    return StageCounts(0, 0, sum(_popcount(s + n) for s in maze.start))
 
 
 def comparator_counts(width: int, cutoff: int) -> StageCounts:
@@ -163,10 +165,11 @@ def _scale(part: StageCounts, k: int) -> StageCounts:
     return StageCounts(k * part.toffoli, k * part.cnot, k * part.nots)
 
 
-def predict(n: int, m: int) -> ResourceReport:
-    """Predicted resources of the cutoff C // 2 oracle for default start/goal placement."""
-    if n < 1 or m < 2:
-        raise ValueError("need n >= 1 and m >= 2")
+def predict(maze: Maze, n: int) -> ResourceReport:
+    """Predicted resources of the maze's cutoff C // 2 oracle."""
+    if n < 1:
+        raise ValueError("need n >= 1")
+    m = maze.size
     c = make_spec(m).offset
     cutoff = c // 2
     w = position_width(m, n)
@@ -190,9 +193,9 @@ def predict(n: int, m: int) -> ResourceReport:
         + 1  # comparator output
         + (wa - 1)  # comparator equality chain
     )
-    path_sim = walk_stage_counts(n, m)
-    dist_fit = distance_fitness_stage_counts(n, m)
-    init = init_stage_counts(n)
+    path_sim = walk_stage_counts(maze, n)
+    dist_fit = distance_fitness_stage_counts(maze, n)
+    init = init_stage_counts(maze, n)
     cmp_counts = comparator_counts(wa, cutoff)
     guard = StageCounts(1, 0, 2)  # sign-bit AND around the flag write
     # Fitness circuit = forward compute + fitness write + mirrored uncompute;
@@ -216,10 +219,11 @@ def predict(n: int, m: int) -> ResourceReport:
     )
 
 
-def measured(n: int, m: int) -> ResourceReport:
-    """Resources of the cutoff C // 2 oracle, tallied from the built circuits of a default-placed maze."""
+def measured(maze: Maze, n: int) -> ResourceReport:
+    """Resources of the maze's cutoff C // 2 oracle, tallied from its built circuits."""
+    m = maze.size
     cutoff = make_spec(m).offset // 2
-    oracle = build_oracle_circuit(build_fitness_circuit(generate_maze(m, seed=0), n), cutoff)
+    oracle = build_oracle_circuit(build_fitness_circuit(maze, n), cutoff)
     widths = {
         name: reg.width
         for name, reg in oracle.registers.items()
@@ -249,7 +253,6 @@ class FitClaim:
     slope: float
     intercept: float
     residual_ratio: float
-    points: list[tuple[float, float]] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
@@ -265,26 +268,21 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitClaim:
     a, b = np.polyfit(x, y, 1)
     resid = y - (a * x + b)
     ratio = float(np.linalg.norm(resid) / np.linalg.norm(y))
-    return FitClaim(slope=float(a), intercept=float(b), residual_ratio=ratio,
-                    points=list(zip(x.tolist(), y.tolist())))
+    return FitClaim(slope=float(a), intercept=float(b), residual_ratio=ratio)
 
 
-def check_asymptotics(points: Iterable[tuple[int, int]]) -> dict[str, FitClaim]:
+def check_asymptotics(maze: Maze, ns: Iterable[int]) -> dict[str, FitClaim]:
     """Fit measured Toffoli counts against the linear scaling claims.
 
-    ``points`` are (n, m) pairs sharing one m (path-simulation cost vs n);
-    comparator cost is fit against register widths 2..8, each at the
-    fixed-shape cutoff 100...01. Raises on fewer than three (n, m) points.
+    The maze's walk cost is fit against the path lengths ``ns``; comparator
+    cost is fit against register widths 2..8, each at the fixed-shape
+    cutoff 100...01. Raises on fewer than three distinct path lengths.
     """
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        raise ValueError("need at least 3 (n, m) points")
-    if len({m for _, m in pts}) != 1:
-        raise ValueError("path-simulation fit wants a fixed maze size m")
-    walk_tof = [measured(n, m).stages["path_sim"].toffoli for n, m in pts]
+    ns = sorted(set(ns))
+    walk_tof = [measured(maze, n).stages["path_sim"].toffoli for n in ns]
     widths = range(2, 9)
     cmp_tof = [count_gates(build_gt_comparator(w, 2 ** (w - 1) + 1)).toffoli for w in widths]
     return {
-        "path_sim_linear_in_n": linear_fit([n for n, _ in pts], walk_tof),
+        "path_sim_linear_in_n": linear_fit(ns, walk_tof),
         "comparator_linear_in_width": linear_fit(widths, cmp_tof),
     }

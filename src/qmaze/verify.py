@@ -126,17 +126,14 @@ def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResul
     return _check("comparator", cases())
 
 
-def verify_validity(n_max: int, m_max: int) -> SuiteResult:
-    """Validity flag == no blocked move in the bounds-only path automaton, all inputs."""
+def verify_validity(validity_circuits: dict) -> SuiteResult:
+    """Validity circuits keyed (maze, n) == no blocked move in the bounds-only path automaton, all inputs."""
 
     def cases():
-        for m in range(2, m_max + 1):
-            maze = generate_maze(m, seed=0)
-            for n in range(1, n_max + 1):
-                circ = build_validity_circuit(maze, n)
-                ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
-                where, paths = _path_case(m, n)
-                yield where, circ, paths, {"valid": ref}, 1
+        for (maze, n), circ in validity_circuits.items():
+            ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+            where, paths = _path_case(maze.size, n)
+            yield where, circ, paths, {"valid": ref}, 1
 
     return _check("validity", cases())
 
@@ -183,11 +180,11 @@ def verify_involutions(oracles: dict) -> SuiteResult:
 
 
 def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResult]:
-    """Every suite; each maze, fitness circuit and oracle is built once and shared."""
+    """Every suite; each maze, fitness circuit, validity circuit and oracle is built once and shared."""
     mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
-    fitness_circuits = {
-        (maze, n): build_fitness_circuit(maze, n) for maze in mazes for n in range(1, n_max + 1)
-    }
+    keys = [(maze, n) for maze in mazes for n in range(1, n_max + 1)]
+    fitness_circuits = {key: build_fitness_circuit(*key) for key in keys}
+    validity_circuits = {key: build_validity_circuit(*key) for key in keys}
     oracles = {
         (maze, n): {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(maze.size)}
         for (maze, n), circ in fitness_circuits.items()
@@ -195,7 +192,7 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
     return [
         verify_fitness(fitness_circuits),
         verify_comparator(comparator_width_max),
-        verify_validity(n_max, m_max),
+        verify_validity(validity_circuits),
         verify_oracle_sign(oracles),
         verify_ancilla_cleanup(oracles),
         verify_involutions(oracles),

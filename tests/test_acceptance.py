@@ -237,7 +237,7 @@ def test_criterion_8_resource_scaling():
     cmp_fit = linear_fit(widths, cmp_tof)
 
     ns = list(range(1, 7))
-    walk_tof = [measured(n, 4).stages["path_sim"].toffoli for n in ns]
+    walk_tof = [measured(generate_maze(4, seed=0), n).stages["path_sim"].toffoli for n in ns]
     walk_fit = linear_fit(ns, walk_tof)
 
     path_ok = True

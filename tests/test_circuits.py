@@ -7,7 +7,6 @@ basis input at small widths.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 
 import numpy as np
@@ -388,9 +387,7 @@ def test_oracles_share_one_fitness_circuit(m, n):
         assert all(a is b for a, b in zip(oracle.gates[:size], gates))
         assert all(a is b for a, b in zip(oracle.gates[-size:], reversed(gates)))
         for stage in spans:
-            # The oracle's extra scratch registers change only the ancilla tally.
-            got = dataclasses.replace(count_gates(oracle, stage), ancilla=0)
-            assert got == dataclasses.replace(count_gates(fitness_circ, stage), ancilla=0)
+            assert count_gates(oracle, stage) == count_gates(fitness_circ, stage)
     assert len(fitness_circ.gates) == size
     assert all(a is b for a, b in zip(fitness_circ.gates, gates))
     assert fitness_circ.spans == spans

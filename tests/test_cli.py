@@ -7,7 +7,7 @@ import textwrap
 
 import pytest
 
-from qmaze import cli, verify
+from qmaze import cli, fitness, verify
 from qmaze.adaptive import SearchConfig, run_adaptive
 from qmaze.circuits import (
     PhaseMark,
@@ -18,7 +18,7 @@ from qmaze.circuits import (
     build_validity_circuit,
 )
 from qmaze.cli import main, parse_config, UsageError
-from qmaze.fitness import make_spec
+from qmaze.fitness import landscape, make_spec
 from qmaze.maze import generate_maze, parse_maze
 
 
@@ -150,16 +150,22 @@ def test_solve_from_generated_maze(tmp_path, capsys):
 
 
 def test_solve_defaults_are_search_configs(monkeypatch, capsys):
-    configs = []
+    configs, specs = [], []
 
     def capture(scape, config):
         configs.append(config)
         return run_adaptive(scape, config)
 
+    def capture_spec(maze, n, spec):
+        specs.append(spec)
+        return landscape(maze, n, spec)
+
     monkeypatch.setattr(cli, "run_adaptive", capture)
+    monkeypatch.setattr(fitness, "landscape", capture_spec)
     code, _, _ = run_cli(capsys, "solve", "--m", "3", "--n", "2")
     assert code == 0
     assert configs == [SearchConfig(seed=cli._child_seed(0, 1))]
+    assert specs == [make_spec(3)]
 
 
 def test_solve_requires_inputs(capsys):
@@ -362,13 +368,13 @@ def _corrupt_comparator(_monkeypatch):
     return verify.verify_comparator(width_max=3, builder=builder)
 
 
-def _corrupt_validity(monkeypatch):
+def _corrupt_validity(_monkeypatch):
     def builder(maze, n):
         circ = build_validity_circuit(maze, n)
         return _dropped(circ) if (maze.size, n) == (3, 2) else circ
 
-    monkeypatch.setattr(verify, "build_validity_circuit", builder)
-    return verify.verify_validity(n_max=2, m_max=3)
+    mazes = [generate_maze(m, seed=0) for m in (2, 3)]
+    return verify.verify_validity({(maze, n): builder(maze, n) for maze in mazes for n in (1, 2)})
 
 
 def _oracle():

@@ -8,6 +8,7 @@ import pytest
 
 from qmaze.circuits import arith_width, build_gt_comparator, count_gates, position_width
 from qmaze.fitness import make_spec
+from qmaze.maze import generate_maze
 from qmaze.resources import (
     FitClaim,
     check_asymptotics,
@@ -22,41 +23,48 @@ GRID = [(n, m) for m in (2, 3, 4) for n in (1, 2, 3)]
 
 def test_path_register_is_2n():
     for n, m in GRID:
-        assert predict(n, m).register_widths["path"] == 2 * n
-        assert measured(n, m).register_widths["path"] == 2 * n
+        maze = generate_maze(m, seed=0)
+        assert predict(maze, n).register_widths["path"] == 2 * n
+        assert measured(maze, n).register_widths["path"] == 2 * n
 
 
 def test_fitness_width_for_2x2():
     assert make_spec(2).offset == 4
-    report = predict(2, 2)
+    report = predict(generate_maze(2, seed=0), 2)
     # Width covers both the +C top and the most negative wall-blind score.
     assert report.register_widths["fit"] == arith_width(2, 2) == 5
 
 
 # Up to the verify command's caps; position widths change inside this range.
+# Each size also runs with the corners swapped and with a central pair.
 @pytest.mark.parametrize("n,m", [(n, m) for m in range(2, 7) for n in range(1, 5)])
 def test_predict_matches_measured_exactly(n, m):
-    pred = predict(n, m)
-    act = measured(n, m)
-    assert pred.register_widths == act.register_widths
-    assert pred.ancilla == act.ancilla
-    for stage in ("path_sim", "distance_fitness", "comparator", "oracle_total"):
-        assert pred.stages[stage] == act.stages[stage], (n, m, stage)
+    c = m // 2
+    for start, goal in (((0, 0), (m - 1, m - 1)), ((m - 1, m - 1), (0, 0)), ((c, c), (c - 1, c))):
+        maze = generate_maze(m, seed=0, start=start, goal=goal)
+        pred = predict(maze, n)
+        act = measured(maze, n)
+        assert pred.register_widths == act.register_widths
+        assert pred.ancilla == act.ancilla
+        for stage in ("path_sim", "distance_fitness", "comparator", "oracle_total"):
+            assert pred.stages[stage] == act.stages[stage], (n, m, start, goal, stage)
 
 
 @pytest.mark.parametrize("n,m", GRID)
 def test_ancilla_high_water_within_budget(n, m):
-    assert measured(n, m).ancilla <= predict(n, m).ancilla
+    maze = generate_maze(m, seed=0)
+    assert measured(maze, n).ancilla <= predict(maze, n).ancilla
 
 
 def test_total_qubits_identity():
-    report = predict(2, 3)
+    report = predict(generate_maze(3, seed=0), 2)
     assert report.total_qubits == sum(report.register_widths.values()) + report.ancilla
 
 
 def test_measured_depth_below_prediction_bound():
     for n, m in [(1, 2), (2, 3)]:
-        assert 0 < measured(n, m).depth <= predict(n, m).depth
+        maze = generate_maze(m, seed=0)
+        assert 0 < measured(maze, n).depth <= predict(maze, n).depth
 
 
 def test_path_sim_doubling_ratio():
@@ -64,9 +72,10 @@ def test_path_sim_doubling_ratio():
     # The per-step cost is proportional to the position width, so the clean
     # <= 2.2 bound applies where the width is stable across the doubling;
     # in general the ratio is exactly 2 * w(2n)/w(n).
+    maze = generate_maze(4, seed=0)
     for n in (1, 2, 3):
-        a = measured(n, 4).stages["path_sim"].toffoli
-        b = measured(2 * n, 4).stages["path_sim"].toffoli
+        a = measured(maze, n).stages["path_sim"].toffoli
+        b = measured(maze, 2 * n).stages["path_sim"].toffoli
         w_a, w_b = position_width(4, n), position_width(4, 2 * n)
         assert b / a == pytest.approx(2 * w_b / w_a)
         if w_a == w_b:
@@ -82,7 +91,7 @@ def test_comparator_counts_formula_matches_circuit():
 
 
 def test_comparator_fit_is_linear():
-    claims = check_asymptotics([(n, 4) for n in range(1, 7)])
+    claims = check_asymptotics(generate_maze(4, seed=0), range(1, 7))
     cmp_claim = claims["comparator_linear_in_width"]
     assert cmp_claim.passed
     assert cmp_claim.residual_ratio < 1e-12  # the fixed cutoff shape is exactly linear
@@ -90,7 +99,7 @@ def test_comparator_fit_is_linear():
 
 
 def test_path_sim_fit_under_threshold():
-    claims = check_asymptotics([(n, 4) for n in range(1, 7)])
+    claims = check_asymptotics(generate_maze(4, seed=0), range(1, 7))
     walk = claims["path_sim_linear_in_n"]
     assert walk.passed
     assert walk.residual_ratio < 0.05
@@ -98,9 +107,7 @@ def test_path_sim_fit_under_threshold():
 
 def test_check_asymptotics_rejects_sparse_input():
     with pytest.raises(ValueError):
-        check_asymptotics([(1, 4), (2, 4)])
-    with pytest.raises(ValueError):
-        check_asymptotics([(1, 2), (2, 3), (3, 4)])  # mixed m
+        check_asymptotics(generate_maze(4, seed=0), [1, 2])
 
 
 def test_linear_fit_recovers_exact_line():
@@ -112,16 +119,16 @@ def test_linear_fit_recovers_exact_line():
 
 
 def test_report_serializes_to_json():
-    doc = json.loads(json.dumps(predict(2, 2).as_dict()))
+    doc = json.loads(json.dumps(predict(generate_maze(2, seed=0), 2).as_dict()))
     assert doc["register_widths"]["path"] == 4
     assert doc["total_qubits"] == doc["ancilla"] + sum(doc["register_widths"].values())
 
 
 def test_predict_rejects_bad_args():
     with pytest.raises(ValueError):
-        predict(0, 2)
+        predict(generate_maze(2, seed=0), 0)
     with pytest.raises(ValueError):
-        predict(1, 1)
+        predict(generate_maze(1, seed=0), 1)
 
 
 def test_position_width_offset_correction():
