@@ -12,9 +12,11 @@ through ``run_batch`` to ``unpack_column``, which decodes one register.
 
 Scratch registers follow compute-use-uncompute discipline (Bennett
 cleanup): on any input whose scratch starts at zero, it ends at zero.
-Uncomputation appends the same gate objects in reverse order, and the
-oracle wraps an already built fitness circuit rather than building its
-own. Stages are named by spans of the gate list, not per gate: the
+Uncomputation appends the same gate objects in reverse order. The oracle
+reuses an already built fitness circuit rather than building its own: it
+runs that circuit's gates up to the fitness write, compares and marks,
+then mirrors them, so it holds the forward computation twice, not four
+times. Stages are named by spans of the gate list, not per gate: the
 fitness circuit marks ``walk`` and ``distance_fitness`` (goal difference
 through the fitness write), and ``count_gates`` tallies one span.
 
@@ -621,20 +623,30 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
 def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     """Phase oracle: |x> -> (-1)^[fitness(x) > cutoff] |x>, scratch restored.
 
-    Wraps an already built fitness circuit (from ``build_fitness_circuit``,
-    which fixes the maze and n) in a compute / flag / phase /
-    uncompute sandwich; ``fitness_circ`` itself is left unchanged and its
-    spans carry over. The comparator result is ANDed with NOT(sign bit) so
-    paths whose wall-blind fitness went negative are never marked; the sign
-    then agrees with the classical reference for every basis state and any
-    cutoff >= 0.
+    Built from an already built fitness circuit (from
+    ``build_fitness_circuit``, which fixes the maze and n) as
+    ``F W . C Z C^-1 . W^-1 F^-1``: the fitness circuit's own gates up to
+    the end of its ``distance_fitness`` span (the forward walk and distance
+    arithmetic F, then the fitness write W), the guarded comparator C and
+    the phase mark Z, then the forward part mirrored. Wrapping the whole
+    fitness circuit ``F W F^-1`` instead gives the same unitary with twice
+    the gates: ``C Z C^-1`` touches only ``fit``, ``flag``, ``gsc`` and
+    ``eq``, which F never touches, so the ``F^-1 . C Z C^-1 . F`` at its
+    middle cancels to ``C Z C^-1``. ``fitness_circ`` itself is left
+    unchanged and its spans carry over.
+
+    The comparator result is ANDed with NOT(sign bit) so paths whose
+    wall-blind fitness went negative are never marked; the sign then agrees
+    with the classical reference for every basis state and any cutoff >= 0.
     """
     fit = fitness_circ.registers["fit"].bits
     wa = len(fit)
     if not 0 <= cutoff < 2 ** (wa - 1):
         raise ValueError(f"cutoff must lie in [0, {2 ** (wa - 1)}) for width {wa}")
 
+    forward_hi = fitness_circ.spans["distance_fitness"][1]
     b = _Builder.from_circuit(fitness_circ)
+    del b.gates[forward_hi:]
     flag = b.reg("flag", 1, "flag").bits[0]
     gsc = b.reg("gsc", 1, "ancilla").bits[0]
     eq = b.maybe_reg("eq", wa - 1, "ancilla")
@@ -648,7 +660,7 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     cmp_hi = b.mark()
     b.z(flag)
     b.uncompute_range(cmp_lo, cmp_hi)
-    b.uncompute_range(0, len(fitness_circ.gates))
+    b.uncompute_range(0, forward_hi)
     return b.build()
 
 

@@ -317,7 +317,8 @@ def cmd_resources(args) -> int:
     pred = resources.predict(maze, args.n)
     act = resources.measured(maze, args.n)
     claims = resources.check_asymptotics(maze, range(1, max(3, args.n) + 1))
-    code = 0 if all(c.passed for c in claims.values()) else 1
+    mismatches = resources.mismatches(pred, act)
+    code = 0 if all(c.passed for c in claims.values()) and not mismatches else 1
     if args.format == "json":
         doc = {
             "predicted": pred.as_dict(),
@@ -355,6 +356,7 @@ def cmd_resources(args) -> int:
             f"fit {name}: slope {c.slope:.3f} intercept {c.intercept:.3f} "
             f"residual {c.residual_ratio:.4f} -> {'PASS' if c.passed else 'FAIL'}"
         )
+    lines.extend(f"MISMATCH {m}" for m in mismatches)
     _write_out("\n".join(lines) + "\n", args.out)
     return code
 

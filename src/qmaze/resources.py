@@ -4,10 +4,14 @@ actual constructions.
 Every cost is that of one maze's oracle: ``predict`` computes register
 widths and per-stage gate counts from closed formulas that mirror the
 builders in :mod:`qmaze.circuits` and read the maze's size, start and
-goal; ``measured`` builds the same maze's circuits and tallies them. Tests
-pin the two against each other, and ``check_asymptotics`` turns the
-scaling claims (comparator linear in width, path simulation linear in
-length) into least-squares fits with explicit residual thresholds.
+goal; ``measured`` builds the same maze's circuits and tallies them. The
+oracle runs the forward part of the fitness circuit (start load, walk,
+distance arithmetic through the fitness write), the guarded comparator,
+then both mirrored, so its total is twice their sum. Tests pin the two
+reports against each other, ``mismatches`` names where they differ, and
+``check_asymptotics`` turns the scaling claims (comparator linear in
+width, path simulation linear in length) into least-squares fits with
+explicit residual thresholds.
 """
 
 from __future__ import annotations
@@ -161,17 +165,12 @@ def _combine(*parts: StageCounts) -> StageCounts:
     )
 
 
-def _scale(part: StageCounts, k: int) -> StageCounts:
-    return StageCounts(k * part.toffoli, k * part.cnot, k * part.nots)
-
-
 def predict(maze: Maze, n: int) -> ResourceReport:
     """Predicted resources of the maze's cutoff C // 2 oracle."""
     if n < 1:
         raise ValueError("need n >= 1")
     m = maze.size
-    c = make_spec(m).offset
-    cutoff = c // 2
+    cutoff = make_spec(m).offset // 2
     w = position_width(m, n)
     wa = arith_width(m, n)
     widths = {
@@ -198,14 +197,10 @@ def predict(maze: Maze, n: int) -> ResourceReport:
     init = init_stage_counts(maze, n)
     cmp_counts = comparator_counts(wa, cutoff)
     guard = StageCounts(1, 0, 2)  # sign-bit AND around the flag write
-    # Fitness circuit = forward compute + fitness write + mirrored uncompute;
-    # the fitness write itself is inside dist_fit, whose non-write parts mirror.
-    forward = _combine(init, path_sim, dist_fit)
-    fitness_write = _combine(_add_counts(wa), StageCounts(0, 0, _popcount(c) + 2 * wa))
-    fitness_total = _combine(_scale(forward, 2), _scale(fitness_write, -1))
-    oracle_total = _combine(
-        _scale(fitness_total, 2), _scale(_combine(cmp_counts, guard), 2)
-    )
+    # Oracle = forward part (init, walk, distance through the fitness write),
+    # guarded comparator, then both mirrored; the phase mark is not counted.
+    half = _combine(init, path_sim, dist_fit, cmp_counts, guard)
+    oracle_total = _combine(half, half)
     stages = {
         "path_sim": path_sim,
         "distance_fitness": dist_fit,
@@ -242,6 +237,16 @@ def measured(maze: Maze, n: int) -> ResourceReport:
         n=n, m=m, cutoff=cutoff, register_widths=widths, ancilla=ancilla,
         stages=stages, depth=total.depth,
     )
+
+
+def mismatches(pred: ResourceReport, act: ResourceReport) -> list[str]:
+    """Each register width, the ancilla count and each stage count on which two reports differ."""
+    regs = dict.fromkeys([*pred.register_widths, *act.register_widths])
+    stages = dict.fromkeys([*pred.stages, *act.stages])
+    pairs = [(f"register {k}", pred.register_widths.get(k), act.register_widths.get(k)) for k in regs]
+    pairs.append(("ancilla", pred.ancilla, act.ancilla))
+    pairs += [(f"stage {k}", pred.stages.get(k), act.stages.get(k)) for k in stages]
+    return [f"{what}: predicted {p}, measured {a}" for what, p, a in pairs if p != a]
 
 
 # ---------------------------------------------------------------------------

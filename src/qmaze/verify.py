@@ -99,14 +99,15 @@ def _blind_values(maze: Maze, n: int) -> np.ndarray:
     return fitness.landscape(maze, n, make_spec(maze.size, Formula.MAIN, SimMode.WALL_BLIND)).values
 
 
-def verify_fitness(fitness_circuits: dict) -> SuiteResult:
-    """Fitness circuits keyed (maze, n) == classical wall-blind fitness (mod 2**width), all inputs."""
+def verify_fitness(fitness_circuits: dict, blind: dict) -> SuiteResult:
+    """Fitness circuits keyed (maze, n) == ``blind[maze, n]``, the classical
+    wall-blind fitness (mod 2**width), all inputs."""
 
     def cases():
         for (maze, n), circ in fitness_circuits.items():
             wa = circ.registers["fit"].width
             where, paths = _path_case(maze.size, n)
-            yield where, circ, paths, {"fit": _blind_values(maze, n) % (1 << wa)}, 1
+            yield where, circ, paths, {"fit": blind[maze, n] % (1 << wa)}, 1
 
     return _check("fitness", cases())
 
@@ -143,12 +144,13 @@ def _oracle_cutoffs(m: int) -> list[int]:
     return sorted({0, 1, c // 2, c - 1})
 
 
-def verify_oracle_sign(oracles: dict) -> SuiteResult:
-    """Oracles keyed (maze, n), cutoff: sign == landscape-derived oracle, registers restored, all inputs."""
+def verify_oracle_sign(oracles: dict, blind: dict) -> SuiteResult:
+    """Oracles keyed (maze, n), cutoff: sign == the oracle derived from the
+    wall-blind fitness ``blind[maze, n]``, registers restored, all inputs."""
 
     def cases():
         for (maze, n), by_cutoff in oracles.items():
-            values = _blind_values(maze, n)
+            values = blind[maze, n]
             for cutoff, circ in by_cutoff.items():
                 where, paths = _path_case(maze.size, n, f" cutoff={cutoff}")
                 yield where, circ, paths, {}, np.where(values > cutoff, -1, 1)
@@ -180,9 +182,11 @@ def verify_involutions(oracles: dict) -> SuiteResult:
 
 
 def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResult]:
-    """Every suite; each maze, fitness circuit, validity circuit and oracle is built once and shared."""
+    """Every suite; each maze, wall-blind landscape, fitness circuit,
+    validity circuit and oracle is built once and shared."""
     mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
     keys = [(maze, n) for maze in mazes for n in range(1, n_max + 1)]
+    blind = {key: _blind_values(*key) for key in keys}
     fitness_circuits = {key: build_fitness_circuit(*key) for key in keys}
     validity_circuits = {key: build_validity_circuit(*key) for key in keys}
     oracles = {
@@ -190,10 +194,10 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
         for (maze, n), circ in fitness_circuits.items()
     }
     return [
-        verify_fitness(fitness_circuits),
+        verify_fitness(fitness_circuits, blind),
         verify_comparator(comparator_width_max),
         verify_validity(validity_circuits),
-        verify_oracle_sign(oracles),
+        verify_oracle_sign(oracles, blind),
         verify_ancilla_cleanup(oracles),
         verify_involutions(oracles),
     ]

@@ -23,6 +23,7 @@ from qmaze.circuits import (
     Register,
     RevCircuit,
     _Builder,
+    _gt_const,
     arith_width,
     build_adder,
     build_fitness_circuit,
@@ -379,18 +380,66 @@ def test_oracle_self_inverse():
 def test_oracles_share_one_fitness_circuit(m, n):
     fitness_circ = build_fitness_circuit(generate_maze(m, seed=0), n)
     gates, spans = list(fitness_circ.gates), dict(fitness_circ.spans)
-    size = len(gates)
     assert set(spans) == {"walk", "distance_fitness"}
+    hi = spans["distance_fitness"][1]
+    forward = gates[:hi]
     for cutoff in verify._oracle_cutoffs(m):
         oracle = build_oracle_circuit(fitness_circ, cutoff)
-        assert len(oracle.gates) > 2 * size
-        assert all(a is b for a, b in zip(oracle.gates[:size], gates))
-        assert all(a is b for a, b in zip(oracle.gates[-size:], reversed(gates)))
+        assert len(oracle.gates) > 2 * hi
+        assert all(a is b for a, b in zip(oracle.gates[:hi], forward, strict=True))
+        assert all(a is b for a, b in zip(oracle.gates[-hi:], reversed(forward), strict=True))
         for stage in spans:
             assert count_gates(oracle, stage) == count_gates(fitness_circ, stage)
-    assert len(fitness_circ.gates) == size
+    assert len(fitness_circ.gates) == len(gates)
     assert all(a is b for a, b in zip(fitness_circ.gates, gates))
     assert fitness_circ.spans == spans
+
+
+def sandwich_oracle(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
+    """Reference oracle: the whole fitness circuit F W F^-1, the guarded
+    comparator and phase mark, then all of it reversed (four copies of F)."""
+    fit = fitness_circ.registers["fit"].bits
+    b = _Builder.from_circuit(fitness_circ)
+    flag = b.reg("flag", 1, "flag").bits[0]
+    gsc = b.reg("gsc", 1, "ancilla").bits[0]
+    eq = b.maybe_reg("eq", len(fit) - 1, "ancilla")
+    lo = b.mark()
+    _gt_const(b, fit, cutoff, gsc, eq)
+    b.x(fit[-1])
+    b.ccx(gsc, fit[-1], flag)
+    b.x(fit[-1])
+    hi = b.mark()
+    b.z(flag)
+    b.uncompute_range(lo, hi)
+    b.uncompute_range(0, len(fitness_circ.gates))
+    return b.build()
+
+
+def assert_oracle_matches_sandwich(fitness_circ: RevCircuit, cutoff: int, n: int):
+    oracle = build_oracle_circuit(fitness_circ, cutoff)
+    reference = sandwich_oracle(fitness_circ, cutoff)
+    assert oracle.registers == reference.registers
+    hi = fitness_circ.spans["distance_fitness"][1]
+    assert len(oracle.gates) == len(reference.gates) - 2 * (len(fitness_circ.gates) - hi)
+    rows = pack_rows(oracle, {"path": np.arange(4**n)}, 4**n)
+    out, signs = run_batch(oracle, rows)
+    want, want_signs = run_batch(reference, rows)
+    assert out == want == rows
+    assert np.array_equal(signs, want_signs)
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_oracle_matches_the_four_copy_sandwich(m):
+    for n in range(1, 5):
+        fitness_circ = build_fitness_circuit(generate_maze(m, seed=0), n)
+        for cutoff in verify._oracle_cutoffs(m):
+            assert_oracle_matches_sandwich(fitness_circ, cutoff, n)
+
+
+def test_solver_scale_oracle_gate_count():
+    fitness_circ = build_fitness_circuit(generate_maze(8, seed=0), 8)
+    oracle = build_oracle_circuit(fitness_circ, make_spec(8).offset // 2)
+    assert len(oracle.gates) == 4123
 
 
 def test_oracle_rejects_out_of_range_cutoff():
@@ -401,21 +450,29 @@ def test_oracle_rejects_out_of_range_cutoff():
         build_oracle_circuit(fitness_circ, cutoff=2 ** arith_width(2, 2))
 
 
-# sha256 over the registers, spans and gates of every fitness circuit and
-# oracle that verify builds at m <= 6, n <= 4; a change to any of them moves it.
-FITNESS_ORACLE_DIGEST = "684cc78380c862f5bf829aca3a2b3c0ecd8bb05553b4c9dccda15e1d6d67e0e2"
+# sha256 over the registers, spans and gates of every fitness circuit, and
+# of every oracle, that verify builds at m <= 6, n <= 4; a change to any of
+# them moves its digest.
+FITNESS_DIGEST = "d595a97e114e637c11450a4bcd5603f38dfe3884e843d71f5c1e46ec79174eaa"
+ORACLE_DIGEST = "fb40eb6e6ebe525dfb03009a9af393a06932f0365fb5f387f03942f9b1035fd5"
 
 
 def test_fitness_and_oracle_gate_lists_are_pinned():
-    h = hashlib.sha256()
+    fitness_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
+
+    def update(h, circ):
+        regs = [(r.name, r.offset, r.width, r.role) for r in circ.registers.values()]
+        gates = [(type(g).__name__, g.target, g.controls) for g in circ.gates]
+        h.update(repr((regs, sorted(circ.spans.items()), gates)).encode())
+
     for m in range(2, 7):
         for n in range(1, 5):
             fit = build_fitness_circuit(generate_maze(m, seed=0), n)
-            for circ in [fit] + [build_oracle_circuit(fit, c) for c in verify._oracle_cutoffs(m)]:
-                regs = [(r.name, r.offset, r.width, r.role) for r in circ.registers.values()]
-                gates = [(type(g).__name__, g.target, g.controls) for g in circ.gates]
-                h.update(repr((regs, sorted(circ.spans.items()), gates)).encode())
-    assert h.hexdigest() == FITNESS_ORACLE_DIGEST
+            update(fitness_hash, fit)
+            for c in verify._oracle_cutoffs(m):
+                update(oracle_hash, build_oracle_circuit(fit, c))
+    assert fitness_hash.hexdigest() == FITNESS_DIGEST
+    assert oracle_hash.hexdigest() == ORACLE_DIGEST
 
 
 # ---------------------------------------------------------------------------
@@ -496,6 +553,8 @@ def test_circuits_follow_the_mazes_placement(m, n, seed, data):
     out, signs = run_batch(oracle, rows)
     assert out == rows
     assert np.array_equal(signs, np.where(blind > cutoff, -1, 1))
+    for cutoff in verify._oracle_cutoffs(m):
+        assert_oracle_matches_sandwich(fit, cutoff, n)
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import textwrap
 
 import pytest
 
-from qmaze import cli, fitness, verify
+from qmaze import cli, fitness, resources, verify
 from qmaze.adaptive import SearchConfig, run_adaptive
 from qmaze.circuits import (
     PhaseMark,
@@ -357,7 +358,8 @@ def _dropped(circ: RevCircuit, index: int = -1) -> RevCircuit:
 
 def _corrupt_fitness(_monkeypatch):
     maze = generate_maze(3, seed=0)
-    return verify.verify_fitness({(maze, 2): _dropped(build_fitness_circuit(maze, 2))})
+    blind = {(maze, 2): verify._blind_values(maze, 2)}
+    return verify.verify_fitness({(maze, 2): _dropped(build_fitness_circuit(maze, 2))}, blind)
 
 
 def _corrupt_comparator(_monkeypatch):
@@ -386,7 +388,7 @@ def _oracle():
 def _corrupt_oracle_sign(_monkeypatch):
     key, cutoff, circ = _oracle()
     unsigned = RevCircuit(circ.registers, [g for g in circ.gates if not isinstance(g, PhaseMark)])
-    return verify.verify_oracle_sign({key: {cutoff: unsigned}})
+    return verify.verify_oracle_sign({key: {cutoff: unsigned}}, {key: verify._blind_values(*key)})
 
 
 def _corrupt_cleanup(_monkeypatch):
@@ -455,6 +457,29 @@ def test_resources_exits_1_when_a_fit_fails(capsys, fmt):
         assert "path_sim_linear_in_n" in stdout and "-> FAIL" in stdout
     code, _, _ = run_cli(capsys, "resources", "--n", "2", "--m", "2", "--format", fmt)
     assert code == 0
+
+
+@pytest.mark.parametrize("fmt", ["table", "json"])
+def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsys, fmt):
+    predict = resources.predict
+
+    def off_by_one(maze, n):
+        report = predict(maze, n)
+        stages = dict(report.stages)
+        stages["comparator"] = dataclasses.replace(stages["comparator"], cnot=stages["comparator"].cnot + 1)
+        return dataclasses.replace(report, ancilla=report.ancilla + 1, stages=stages)
+
+    monkeypatch.setattr(resources, "predict", off_by_one)
+    code, stdout, _ = run_cli(capsys, "resources", "--n", "2", "--m", "2", "--format", fmt)
+    assert code == 1
+    if fmt == "json":
+        doc = json.loads(stdout)
+        assert doc["predicted"]["ancilla"] == doc["measured"]["ancilla"] + 1
+        assert all(fit["passed"] for fit in doc["fits"].values())
+    else:
+        assert "FAIL" not in stdout
+        mismatched = [line.split(":")[0] for line in stdout.splitlines() if line.startswith("MISMATCH")]
+        assert mismatched == ["MISMATCH ancilla", "MISMATCH stage comparator"]
 
 
 def test_sweep_success_fraction(tmp_path, capsys):

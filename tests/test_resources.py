@@ -37,7 +37,7 @@ def test_fitness_width_for_2x2():
 
 # Up to the verify command's caps; position widths change inside this range.
 # Each size also runs with the corners swapped and with a central pair.
-@pytest.mark.parametrize("n,m", [(n, m) for m in range(2, 7) for n in range(1, 5)])
+@pytest.mark.parametrize("n,m", [(n, m) for m in range(2, 9) for n in range(1, 10)])
 def test_predict_matches_measured_exactly(n, m):
     c = m // 2
     for start, goal in (((0, 0), (m - 1, m - 1)), ((m - 1, m - 1), (0, 0)), ((c, c), (c - 1, c))):
