@@ -1,16 +1,18 @@
 """Exact amplitude-amplification simulator over the path register.
 
-Holds 4**n complex amplitudes indexed by encoded paths. The oracle is
-diagonal (marked amplitudes get a sign flip), the diffuser is inversion
-about the mean, and their composition rotates the state by 2*theta inside
-the two-dimensional span of the marked and unmarked superpositions, with
-theta = arcsin(sqrt(k/N)). ``grover_iterate`` applies r iterates in one
-pass over the state through that plane decomposition (Boyer, Brassard,
-Hoyer and Tapp, arXiv:quant-ph/9605034); the step-by-step composition of
-``apply_oracle`` and ``apply_diffuser`` is the statevector reference it is
-tested against. Operations never modify their input; ``grover_iterate``
-with zero rounds returns its input state, and every other operation
-returns a new one.
+Holds 4**n amplitudes indexed by encoded paths. ``prepare_uniform`` makes
+them real float64, since the start, the oracle and the diffuser are all
+real; every operation also accepts a complex state and keeps it complex.
+The oracle is diagonal (marked amplitudes get a sign flip), the diffuser
+is inversion about the mean, and their composition rotates the state by
+2*theta inside the two-dimensional span of the marked and unmarked
+superpositions, with theta = arcsin(sqrt(k/N)). ``grover_iterate`` applies
+r iterates in one pass over the state through that plane decomposition
+(Boyer, Brassard, Hoyer and Tapp, arXiv:quant-ph/9605034); the
+step-by-step composition of ``apply_oracle`` and ``apply_diffuser`` is the
+statevector reference it is tested against. Operations never modify their
+input; ``grover_iterate`` with zero rounds returns its input state, and
+every other operation returns a new one.
 """
 
 from __future__ import annotations
@@ -81,7 +83,7 @@ class DegenerateGeometryError(ValueError):
 def prepare_uniform(n: int) -> PathState:
     """Uniform superposition: every amplitude exactly 1/2**n."""
     total = codec.path_count(n)
-    amps = np.full(total, 1.0 / 2**n, dtype=np.complex128)
+    amps = np.full(total, 1.0 / 2**n, dtype=np.float64)
     return PathState(n=n, amps=amps)
 
 
@@ -130,7 +132,8 @@ def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
     big_n, k = state.dim, idx.size
     # max(., 1) gives an empty set mean 0; it has no entries to write.
     in_m, in_u = max(k, 1), max(big_n - k, 1)
-    marked_sum = amps[idx].sum()
+    marked_amps = amps[idx]
+    marked_sum = marked_amps.sum()
     alpha = marked_sum / in_m
     beta = (amps.sum() - marked_sum) / in_u
     angle = 2 * rounds * GroverGeometry(big_n, k).theta
@@ -138,11 +141,10 @@ def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
     x, y = math.sqrt(k) * alpha, math.sqrt(big_n - k) * beta
     alpha_r = (x * c + y * s) / math.sqrt(in_m)
     beta_r = (y * c - x * s) / math.sqrt(in_u)
-    out = amps - beta
-    if rounds % 2:
-        np.negative(out, out=out)
+    # (-1)**r * (amps - beta), in one pass: negating a difference is exact.
+    out = np.subtract(beta, amps) if rounds % 2 else np.subtract(amps, beta)
     out += beta_r
-    out[idx] = amps[idx] + (alpha_r - alpha)
+    out[idx] = marked_amps + (alpha_r - alpha)
     return PathState(n=state.n, amps=out)
 
 
@@ -177,11 +179,11 @@ def measure_shots(
     amplitude is constant on ``marked`` and constant on its complement, as
     it is for a Grover state grown from ``prepare_uniform``. Then the
     weights are read from two amplitudes, and each shot inverts the
-    cumulative distribution by bisection, in O(shots * n * log k) with no
-    4**n array. Both paths draw ``rng.random(shots)`` and return the
-    smallest index whose cumulative weight exceeds the draw's share of the
-    total, so a seed gives the same shots from either path unless a draw
-    lands within rounding of a step of the distribution.
+    cumulative distribution by scalar bisection, in O(shots * (log k + n))
+    steps with no 4**n array. Both paths draw ``rng.random(shots)`` and
+    return the smallest index whose cumulative weight exceeds the draw's
+    share of the total, so a seed gives the same shots from either path
+    unless a draw lands within rounding of a step of the distribution.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -193,15 +195,14 @@ def measure_shots(
     return gen.choice(state.dim, size=shots, p=probs)
 
 
-def _first_unmarked(marked: np.ndarray) -> int:
-    """Smallest index not in a sorted unique set: bisect on marked[i] == i."""
-    lo, hi = 0, marked.size
+def _bisect(lo: int, hi: int, above) -> int:
+    """Smallest i in [lo, hi) with above(i), or hi if none; above must be monotone."""
     while lo < hi:
         mid = (lo + hi) // 2
-        if marked[mid] == mid:
-            lo = mid + 1
-        else:
+        if above(mid):
             hi = mid
+        else:
+            lo = mid + 1
     return lo
 
 
@@ -212,31 +213,32 @@ def _two_level_shots(
 
     F is non-decreasing in floating point and flat across zero-weight
     indices, so the smallest i with F(i) > u*F(N-1) always has weight > 0.
+    Each shot bisects twice on scalars: over the marked entries, where
+    c(marked[j]) = j + 1, for the first one above the target, then over the
+    unmarked gap before it, where c is constant.
     """
     big_n, k = state.dim, marked.size
     if k and (marked[0] < 0 or marked[-1] >= big_n):
         raise ValueError("marked index out of range")
-    first_u = _first_unmarked(marked)
+    first_u = _bisect(0, k, lambda j: marked[j] != j)
 
     def weight(i: int) -> float:  # as probabilities() computes it
-        return (np.abs(state.amps[i : i + 1]) ** 2)[0]
+        return float((np.abs(state.amps[i : i + 1]) ** 2)[0])
 
     w_m = weight(marked[0]) if k else 0.0
     w_u = weight(first_u) if first_u < big_n else 0.0
 
-    def cdf(i):
-        c = np.searchsorted(marked, i, side="right")
+    def cdf(i: int, c: int) -> float:
         return w_m * c + w_u * (i + 1 - c)
 
-    target = gen.random(shots) * cdf(big_n - 1)
-    lo = np.zeros(shots, dtype=np.int64)
-    hi = np.full(shots, big_n - 1, dtype=np.int64)
-    for _ in range(2 * state.n):  # each step halves [lo, hi]; N = 2**(2n)
-        mid = (lo + hi) // 2
-        above = cdf(mid) > target
-        hi = np.where(above, mid, hi)
-        lo = np.where(above, lo, mid + 1)
-    return lo
+    out = np.empty(shots, dtype=np.int64)
+    for shot, target in enumerate((gen.random(shots) * cdf(big_n - 1, k)).tolist()):
+        c = _bisect(0, k, lambda j: cdf(int(marked[j]), j + 1) > target)
+        # c < k whenever marked[-1] == N-1, because target < F(N-1).
+        lo = int(marked[c - 1]) + 1 if c else 0
+        hi = int(marked[c]) if c < k else big_n - 1
+        out[shot] = _bisect(lo, hi, lambda i: cdf(i, c) > target)
+    return out
 
 
 def rotation_block(geometry: GroverGeometry) -> np.ndarray:

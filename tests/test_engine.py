@@ -33,6 +33,7 @@ def test_uniform_amplitudes_exact():
     for n in range(0, 9):
         state = prepare_uniform(n)
         assert state.dim == 4**n
+        assert state.amps.dtype == np.float64
         assert np.all(state.amps == 1.0 / 2**n)  # exact in double precision
         assert abs(state.norm() - 1.0) < ATOL_NORM
 
@@ -134,11 +135,13 @@ def test_iterate_rejects_negative_rounds():
 
 @st.composite
 def iterate_cases(draw):
-    """A random normalised complex state, a marked list, and a round count."""
+    """A random normalised float64 or complex state, a marked list, and a round count."""
     n = draw(st.integers(0, 4))
     big_n = 4**n
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amps = rng.normal(size=big_n) + 1j * rng.normal(size=big_n)
+    amps = rng.normal(size=big_n)
+    if draw(st.booleans()):
+        amps = amps + 1j * rng.normal(size=big_n)
     amps /= np.linalg.norm(amps)
     index = st.integers(0, big_n - 1)
     with_repeats = st.lists(index, max_size=big_n + 4)
@@ -159,7 +162,39 @@ def test_iterate_matches_stepwise_reference(case):
     for _ in range(rounds):
         want = apply_diffuser(apply_oracle(want, marked))
     got = grover_iterate(state, marked, rounds)
+    assert got.amps.dtype == want.amps.dtype == state.amps.dtype
     assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
+
+
+def three_step_iterate(state, marked, rounds):
+    """Reference iterate in three output passes: a - beta, negate when r is odd, + beta_r."""
+    if rounds == 0:
+        return state
+    idx = np.unique(np.asarray(marked, dtype=np.int64))
+    amps = state.amps
+    big_n, k = state.dim, idx.size
+    in_m, in_u = max(k, 1), max(big_n - k, 1)
+    marked_sum = amps[idx].sum()
+    alpha = marked_sum / in_m
+    beta = (amps.sum() - marked_sum) / in_u
+    angle = 2 * rounds * GroverGeometry(big_n, k).theta
+    c, s = math.cos(angle), math.sin(angle)
+    x, y = math.sqrt(k) * alpha, math.sqrt(big_n - k) * beta
+    alpha_r = (x * c + y * s) / math.sqrt(in_m)
+    beta_r = (y * c - x * s) / math.sqrt(in_u)
+    out = amps - beta
+    if rounds % 2:
+        np.negative(out, out=out)
+    out += beta_r
+    out[idx] = amps[idx] + (alpha_r - alpha)
+    return PathState(n=state.n, amps=out)
+
+
+@given(iterate_cases())
+def test_iterate_matches_three_step_formula_exactly(case):
+    state, marked, rounds = case
+    got = grover_iterate(state, marked, rounds)
+    assert np.array_equal(got.amps, three_step_iterate(state, marked, rounds).amps)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -266,9 +301,21 @@ def _grover_cases(n):
                 yield grover_iterate(prepare_uniform(n), marked, r), marked, r
 
 
-@pytest.mark.parametrize("n", range(0, 7))
+def _end_cases(n):
+    """Grover states whose marked sets of sizes 1, 2 and N/2 hold index 0, N - 1 or both."""
+    big_n = 4**n
+    inner = np.random.default_rng(n).choice(np.arange(1, big_n - 1), big_n // 2 - 2, replace=False)
+    for marked in ([0], [big_n - 1], [0, big_n - 1], np.sort(np.r_[0, inner, big_n - 1])):
+        marked = np.asarray(marked, dtype=np.int64)
+        r_opt = optimal_rounds(GroverGeometry(big_n, marked.size))
+        for r in sorted({0, 1, 2, r_opt}):
+            yield grover_iterate(prepare_uniform(n), marked, r), marked, r
+
+
+@pytest.mark.parametrize("n", range(0, 10))
 def test_two_level_shots_match_reference(n):
-    for state, marked, r in _grover_cases(n):
+    cases = _grover_cases(n) if n < 8 else _end_cases(n)
+    for state, marked, r in cases:
         for shots in (1, 5):
             for seed in range(3):
                 fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
