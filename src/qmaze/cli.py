@@ -102,10 +102,8 @@ def _enum_value(enum_cls, value: str, flag: str):
 # Output: one CSV writer, one JSON writer, one write order
 
 # The trace columns are RoundRecord's fields in order, two of them renamed.
-TRACE_COLUMNS = tuple(
-    {"t": "round", "rounds": "r"}.get(f.name, f.name)
-    for f in dataclasses.fields(adaptive.RoundRecord)
-)
+_ROUND_FIELDS = tuple(f.name for f in dataclasses.fields(adaptive.RoundRecord))
+TRACE_COLUMNS = tuple({"t": "round", "rounds": "r"}.get(name, name) for name in _ROUND_FIELDS)
 
 
 def _to_csv(columns: Sequence[str], rows: list[dict]) -> str:
@@ -233,7 +231,10 @@ def cmd_solve(args) -> int:
         }
         summary.append(f"best path: {best['letters']} (|{best['bits']}>) fitness {best['fitness']}")
         summary.append(f"optimal: {'yes' if optimal else 'no'} (f_max {scape.f_max})")
-    rounds = [dict(zip(TRACE_COLUMNS, dataclasses.astuple(rec))) for rec in trace.rounds]
+    rounds = [
+        {col: getattr(rec, name) for col, name in zip(TRACE_COLUMNS, _ROUND_FIELDS)}
+        for rec in trace.rounds
+    ]
     if settings["format"] == "json":
         text = _to_json({"status": trace.status.value, "f_max": scape.f_max,
                          "optimal": optimal, "best": best, "rounds": rounds})

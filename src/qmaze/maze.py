@@ -45,6 +45,10 @@ _OPPOSITE = {
 # Hex-digit wall bits used by the file format: set bit = open side.
 _SIDE_BIT = {Direction.N: 8, Direction.E: 4, Direction.S: 2, Direction.W: 1}
 
+# Per direction, in Direction order: (di, dj, own side bit, neighbour's side
+# bit). The hot loops index this instead of hashing enum members.
+_STEPS = tuple((*d.delta, _SIDE_BIT[d], _SIDE_BIT[d.opposite]) for d in Direction)
+
 
 class SimMode(Enum):
     WALL_AWARE = "wall-aware"
@@ -85,17 +89,19 @@ class Maze:
 
     def _validate_walls(self):
         m = self.size
+        rows = self.open_sides
         passages = 0
-        for i in range(m):
-            for j in range(m):
-                for d in Direction:
-                    if not self.is_open((i, j), d):
+        for i, row in enumerate(rows):
+            for j, sides in enumerate(row):
+                for k, (di, dj, bit, back) in enumerate(_STEPS):
+                    if not sides & bit:
                         continue
-                    di, dj = d.delta
                     ni, nj = i + di, j + dj
-                    if not self.in_grid((ni, nj)):
+                    if not (0 <= ni < m and 0 <= nj < m):
+                        d = list(Direction)[k]
                         raise MazeFormatError(f"open border wall at {(i, j)} side {d.name}")
-                    if not self.is_open((ni, nj), d.opposite):
+                    if not rows[ni][nj] & back:
+                        d = list(Direction)[k]
                         raise MazeFormatError(
                             f"wall openness not symmetric: {(i, j)} {d.name} vs "
                             f"{(ni, nj)} {d.opposite.name}"
@@ -108,15 +114,12 @@ class Maze:
             )
         # m^2 - 1 edges + connectivity <=> spanning tree.
         seen = {self.start}
-        frontier = deque([self.start])
-        while frontier:
-            cell = frontier.popleft()
-            for d in Direction:
-                if self.is_open(cell, d):
-                    nxt = (cell[0] + d.delta[0], cell[1] + d.delta[1])
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        frontier.append(nxt)
+        frontier = [self.start]
+        for i, j in frontier:  # the loop reaches cells appended during it
+            for di, dj, bit, _ in _STEPS:
+                if rows[i][j] & bit and (nxt := (i + di, j + dj)) not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
         if len(seen) != m * m:
             raise MazeFormatError(
                 f"passage graph is not a tree: only {len(seen)} of {m * m} cells reachable"
@@ -166,29 +169,30 @@ def generate_maze(
     if m < 2:
         raise ValueError(f"maze size must be >= 2, got {m}")
     rng = random.Random(seed)
-    sides = [[0] * m for _ in range(m)]
-    visited = [[False] * m for _ in range(m)]
-    stack = [(0, 0)]
-    visited[0][0] = True
-    directions = list(Direction)
+    # Cell (i, j) is c = (i + 1) * w + j + 1 in a grid with a border ring
+    # marked visited, so the ring stands in for the bounds checks.
+    w = m + 2
+    visited = [True] * (w * w)
+    for i in range(1, m + 1):
+        visited[i * w + 1 : i * w + m + 1] = [False] * m
+    sides = [0] * (w * w)
+    steps = [(di * w + dj, bit, back) for di, dj, bit, back in _STEPS]
+    stack = [w + 1]
+    visited[w + 1] = True
     while stack:
-        i, j = stack[-1]
-        candidates = []
-        for d in directions:
-            ni, nj = i + d.delta[0], j + d.delta[1]
-            if 0 <= ni < m and 0 <= nj < m and not visited[ni][nj]:
-                candidates.append((d, ni, nj))
+        c = stack[-1]
+        candidates = [(c + off, bit, back) for off, bit, back in steps if not visited[c + off]]
         if not candidates:
             stack.pop()
             continue
-        d, ni, nj = candidates[rng.randrange(len(candidates))]
-        sides[i][j] |= _SIDE_BIT[d]
-        sides[ni][nj] |= _SIDE_BIT[d.opposite]
-        visited[ni][nj] = True
-        stack.append((ni, nj))
+        nxt, bit, back = candidates[rng.randrange(len(candidates))]
+        sides[c] |= bit
+        sides[nxt] |= back
+        visited[nxt] = True
+        stack.append(nxt)
     return Maze(
         size=m,
-        open_sides=tuple(tuple(row) for row in sides),
+        open_sides=tuple(tuple(sides[i * w + 1 : i * w + m + 1]) for i in range(1, m + 1)),
         start=start if start is not None else (0, 0),
         goal=goal if goal is not None else (m - 1, m - 1),
     )
@@ -220,11 +224,14 @@ def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
     A path automaton: the rows of its transition table are the cells plus a
     frozen copy of each cell, entered on a blocked move and never left; the
     columns are the directions in ``Direction`` order, which is codec's
-    two-bit code order N=0, E=1, S=2, W=3. Every entry comes from
-    :func:`transition`. WALL_BLIND rows span the offset grid of side
+    two-bit code order N=0, E=1, S=2, W=3. The table is built vectorised,
+    one broadcast over all rows and directions, and pinned to
+    :func:`transition` by test. WALL_BLIND rows span the offset grid of side
     ``m + 2n``, which holds every cell reachable in n moves. Because the
     first move sits in the most significant bits, appending one move to
-    every path is the gather ``state = table[state].reshape(-1)``.
+    every path is the gather ``state = table.take(state, axis=0).reshape(-1)``
+    (``take`` on axis 0 copies whole rows, several times faster here than
+    fancy indexing).
 
     ``row_value(cells, frozen)`` gets the (i, j) cell of every row as an
     (R, 2) int64 array and a bool array marking the frozen rows, and returns
@@ -234,26 +241,29 @@ def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
     """
     pad = n if mode is SimMode.WALL_BLIND else 0
     side = maze.size + 2 * pad
-    live = [(i - pad, j - pad) for i in range(side) for j in range(side)]
-    row_of = {cell: r for r, cell in enumerate(live)}
-    count = len(live)
+    count = side * side
+    rows = np.arange(count)
+    live = np.stack(np.divmod(rows, side), axis=1)  # offset-grid (i + pad, j + pad)
+    di, dj, bit, _ = np.array(_STEPS).T
+    ti, tj = live[:, :1] + di, live[:, 1:] + dj
+    # Blocked moves go to the frozen copy; so would a blind move off the
+    # offset grid, which is never taken within n moves.
+    ok = (0 <= ti) & (ti < side) & (0 <= tj) & (tj < side)
+    if mode is SimMode.WALL_AWARE:
+        ok &= (np.array(maze.open_sides).reshape(-1, 1) & bit) != 0
     table = np.empty((2 * count, len(Direction)), dtype=np.intp)
-    for r, cell in enumerate(live):
-        for col, d in enumerate(Direction):
-            # Blocked moves go to the frozen copy; so would a blind move off
-            # the offset grid, which is never taken within n moves.
-            table[r, col] = row_of.get(transition(maze, cell, d, mode), count + r)
-    table[count:] = np.arange(count, 2 * count)[:, None]
-    cells = np.array(live + live, dtype=np.int64)
+    table[:count] = np.where(ok, ti * side + tj, count + rows[:, None])
+    table[count:] = (count + rows)[:, None]
+    cells = np.concatenate([live, live]).astype(np.int64) - pad
     values = np.asarray(row_value(cells, np.arange(2 * count) >= count))
-    state = np.array([row_of[maze.start]], dtype=np.intp)
+    state = np.array([(maze.start[0] + pad) * side + maze.start[1] + pad], dtype=np.intp)
     if n == 0:
         return values[state]
     for _ in range(n - 1):
-        state = table[state].reshape(-1)
+        state = table.take(state, axis=0).reshape(-1)
     # The last move gathers the values themselves, so no 4**n array of
     # row numbers is ever built.
-    return values[table][state].reshape(-1)
+    return values[table].take(state, axis=0).reshape(-1)
 
 
 def simulate_path(maze: Maze, path, mode: SimMode) -> Trajectory:
