@@ -10,15 +10,19 @@ wire with one bit per basis row, so each gate is a single integer
 XOR/AND over the whole batch. A batch keeps that form from ``pack_rows``
 through ``run_batch`` to ``unpack_column``, which decodes one register.
 
+Each builder starts from an empty ``RevCircuit``, appends registers and
+gates to it, then returns it.
 Scratch registers follow compute-use-uncompute discipline (Bennett
 cleanup): on any input whose scratch starts at zero, it ends at zero.
 Uncomputation appends the same gate objects in reverse order. The oracle
 reuses an already built fitness circuit rather than building its own: it
-runs that circuit's gates up to the fitness write, compares and marks,
-then mirrors them, so it holds the forward computation twice, not four
-times. Stages are named by spans of the gate list, not per gate: the
-fitness circuit marks ``walk`` and ``distance_fitness`` (goal difference
-through the fitness write), and ``count_gates`` tallies one span.
+starts a new circuit from copies of that circuit's registers and spans
+and its gates up to the fitness write, compares and marks, then mirrors
+them, so it holds the forward computation twice, not four times. Stages
+are named by spans of the gate list, not per gate: the fitness circuit
+marks ``walk`` and ``distance_fitness`` (goal difference through the
+fitness write), and ``count_gates`` tallies one span into a
+``GateCounts``, the one gate-count record the resource model shares.
 
 The fitness and validity builders take a ``Maze``, read its size, start
 and goal, and ignore its walls: fitness is wall-blind, validity checks
@@ -86,39 +90,80 @@ SCRATCH_ROLES = ("ancilla", "constant")
 
 
 class RevCircuit:
-    """An executable reversible circuit; ``spans`` maps a stage label to its slice (lo, hi) of gates."""
+    """A reversible circuit, built by appending registers and gates.
 
-    def __init__(self, registers: dict[str, Register], gates: list[Gate], spans: dict | None = None):
-        self.registers = registers
-        self.gates = gates
+    ``spans`` maps a stage label to its slice (lo, hi) of gates; a new
+    register takes the next ``num_bits`` bits.
+    """
+
+    def __init__(self, registers: dict | None = None, gates: list | None = None, spans: dict | None = None):
+        self.registers = {} if registers is None else registers
+        self.gates = [] if gates is None else gates
         self.spans = {} if spans is None else spans
-        self.num_bits = sum(r.width for r in registers.values())
-
-    def bits(self, name: str) -> list[int]:
-        return self.registers[name].bits
+        self.num_bits = sum(r.width for r in self.registers.values())
 
     def zero_assignment(self) -> dict[str, int]:
         return {name: 0 for name in self.registers}
 
     def inverse(self) -> "RevCircuit":
-        return RevCircuit(self.registers, list(reversed(self.gates)))
+        return RevCircuit(dict(self.registers), list(reversed(self.gates)))
 
     def scratch_registers(self) -> list[Register]:
         return [r for r in self.registers.values() if r.role in SCRATCH_ROLES]
 
+    def reg(self, name: str, width: int, role: str) -> Register:
+        if width <= 0:
+            raise ValueError(f"register '{name}' must have positive width")
+        if name in self.registers:
+            raise ValueError(f"duplicate register '{name}'")
+        r = Register(name, self.num_bits, width, role)
+        self.registers[name] = r
+        self.num_bits += width
+        return r
+
+    def maybe_reg(self, name: str, width: int, role: str) -> list[int]:
+        """Allocate only when width > 0; returns the (possibly empty) bit list."""
+        if width == 0:
+            return []
+        return self.reg(name, width, role).bits
+
+    def x(self, t: int):
+        self.gates.append(Gate(t))
+
+    def cx(self, c: int, t: int):
+        self.gates.append(Gate(t, (c,)))
+
+    def ccx(self, c1: int, c2: int, t: int):
+        self.gates.append(Gate(t, (c1, c2)))
+
+    def z(self, t: int):
+        self.gates.append(PhaseMark(t))
+
+    def mark(self) -> int:
+        return len(self.gates)
+
+    def uncompute_range(self, lo: int, hi: int):
+        """Append the inverse of gates[lo:hi]: the same (self-inverse) gates, reversed."""
+        block = self.gates[lo:hi]
+        if any(isinstance(g, PhaseMark) for g in block):
+            raise ValueError("phase markers are not part of uncomputation")
+        self.gates.extend(reversed(block))
+
 
 @dataclass(frozen=True)
 class GateCounts:
-    """Exact gate tallies plus dependency-chain depth; phase markers are not counted."""
+    """Exact gate tallies; phase markers are not counted."""
 
-    toffoli: int = 0
-    cnot: int = 0
-    nots: int = 0
-    depth: int = 0
+    toffoli: int
+    cnot: int
+    nots: int
 
 
 def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
-    """Tally a circuit's gates, optionally restricted to one labelled span."""
+    """Tally a circuit's gates, optionally restricted to one labelled span.
+
+    Phase marks count toward ``circuit_depth`` but not toward these tallies.
+    """
     gates = circuit.gates
     if stage is not None:
         if stage not in circuit.spans:
@@ -126,8 +171,6 @@ def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
         lo, hi = circuit.spans[stage]
         gates = gates[lo:hi]
     tof = cnot = nots = 0
-    depth_at = [0] * circuit.num_bits
-    depth = 0
     for g in gates:
         if len(g.controls) == 2:
             tof += 1
@@ -135,12 +178,21 @@ def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
             cnot += 1
         elif not isinstance(g, PhaseMark):
             nots += 1
+    return GateCounts(toffoli=tof, cnot=cnot, nots=nots)
+
+
+def circuit_depth(circuit: RevCircuit) -> int:
+    """Dependency-chain depth of the whole circuit: gates sharing a bit run in order.
+
+    Phase marks count toward the depth, though ``count_gates`` does not tally them.
+    """
+    depth_at = [0] * circuit.num_bits
+    for g in circuit.gates:
         touched = (g.target, *g.controls)
         d = 1 + max(depth_at[b] for b in touched)
         for b in touched:
             depth_at[b] = d
-        depth = max(depth, d)
-    return GateCounts(toffoli=tof, cnot=cnot, nots=nots, depth=depth)
+    return max(depth_at, default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -233,74 +285,16 @@ def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[
 
 
 # ---------------------------------------------------------------------------
-# Builder and arithmetic primitives
+# Arithmetic primitives
 
 
-class _Builder:
-    def __init__(self):
-        self.registers: dict[str, Register] = {}
-        self.gates: list[Gate] = []
-        self.spans: dict[str, tuple[int, int]] = {}
-        self._offset = 0
-
-    @classmethod
-    def from_circuit(cls, circuit: RevCircuit) -> "_Builder":
-        b = cls()
-        b.registers = dict(circuit.registers)
-        b.gates = list(circuit.gates)
-        b.spans = dict(circuit.spans)
-        b._offset = circuit.num_bits
-        return b
-
-    def reg(self, name: str, width: int, role: str) -> Register:
-        if width <= 0:
-            raise ValueError(f"register '{name}' must have positive width")
-        if name in self.registers:
-            raise ValueError(f"duplicate register '{name}'")
-        r = Register(name, self._offset, width, role)
-        self.registers[name] = r
-        self._offset += width
-        return r
-
-    def maybe_reg(self, name: str, width: int, role: str) -> list[int]:
-        """Allocate only when width > 0; returns the (possibly empty) bit list."""
-        if width == 0:
-            return []
-        return self.reg(name, width, role).bits
-
-    def x(self, t: int):
-        self.gates.append(Gate(t))
-
-    def cx(self, c: int, t: int):
-        self.gates.append(Gate(t, (c,)))
-
-    def ccx(self, c1: int, c2: int, t: int):
-        self.gates.append(Gate(t, (c1, c2)))
-
-    def z(self, t: int):
-        self.gates.append(PhaseMark(t))
-
-    def mark(self) -> int:
-        return len(self.gates)
-
-    def uncompute_range(self, lo: int, hi: int):
-        """Append the inverse of gates[lo:hi]: the same (self-inverse) gates, reversed."""
-        block = self.gates[lo:hi]
-        if any(isinstance(g, PhaseMark) for g in block):
-            raise ValueError("phase markers are not part of uncomputation")
-        self.gates.extend(reversed(block))
-
-    def build(self) -> RevCircuit:
-        return RevCircuit(self.registers, self.gates, self.spans)
-
-
-def _xor_const(b: _Builder, bits: list[int], value: int):
+def _xor_const(b: RevCircuit, bits: list[int], value: int):
     for k, bit in enumerate(bits):
         if (value >> k) & 1:
             b.x(bit)
 
 
-def _increment(b: _Builder, bits: list[int], chain: list[int], ctrl: int):
+def _increment(b: RevCircuit, bits: list[int], chain: list[int], ctrl: int):
     """+1 mod 2**w (w >= 2) on ``bits``, controlled by ``ctrl``; ripple carry via ``chain``."""
     w = len(bits)
     # chain[k] accumulates ctrl AND bits[0] AND ... AND bits[k].
@@ -316,7 +310,7 @@ def _increment(b: _Builder, bits: list[int], chain: list[int], ctrl: int):
     b.cx(ctrl, bits[0])
 
 
-def _decrement(b: _Builder, bits: list[int], chain: list[int], ctrl: int):
+def _decrement(b: RevCircuit, bits: list[int], chain: list[int], ctrl: int):
     """-1 mod 2**w: conjugate an increment by NOT on every bit."""
     for bit in bits:
         b.x(bit)
@@ -325,7 +319,7 @@ def _decrement(b: _Builder, bits: list[int], chain: list[int], ctrl: int):
         b.x(bit)
 
 
-def _add(b: _Builder, a: list[int], t: list[int], carry: int):
+def _add(b: RevCircuit, a: list[int], t: list[int], carry: int):
     """Ripple-carry t += a mod 2**w (equal widths); ``carry`` is borrowed scratch."""
     w = len(a)
     if w != len(t):
@@ -347,7 +341,7 @@ def _add(b: _Builder, a: list[int], t: list[int], carry: int):
         b.cx(carries[k], t[k])
 
 
-def _sub(b: _Builder, a: list[int], t: list[int], carry: int):
+def _sub(b: RevCircuit, a: list[int], t: list[int], carry: int):
     """t -= a mod 2**w via t = ~(~t + a)."""
     for bit in t:
         b.x(bit)
@@ -356,14 +350,14 @@ def _sub(b: _Builder, a: list[int], t: list[int], carry: int):
         b.x(bit)
 
 
-def _add_const(b: _Builder, value: int, t: list[int], const: list[int], carry: int, subtract: bool = False):
+def _add_const(b: RevCircuit, value: int, t: list[int], const: list[int], carry: int, subtract: bool = False):
     """t +/-= value using a temporarily loaded constant register."""
     _xor_const(b, const, value)
     (_sub if subtract else _add)(b, const, t, carry)
     _xor_const(b, const, value)
 
 
-def _masked_copy(b: _Builder, ctrl: int, src: list[int], dst: list[int]):
+def _masked_copy(b: RevCircuit, ctrl: int, src: list[int], dst: list[int]):
     """dst ^= src AND ctrl, bitwise; tolerates ctrl being one of the src bits."""
     for s, d in zip(src, dst):
         if s == ctrl:
@@ -372,7 +366,7 @@ def _masked_copy(b: _Builder, ctrl: int, src: list[int], dst: list[int]):
             b.ccx(ctrl, s, d)
 
 
-def _square(b: _Builder, src: list[int], out: list[int], tmp: list[int], carry: int):
+def _square(b: RevCircuit, src: list[int], out: list[int], tmp: list[int], carry: int):
     """out += src**2 truncated to len(out) bits (schoolbook shift-and-add).
 
     Each partial product is masked into ``tmp`` and added into the full
@@ -388,7 +382,7 @@ def _square(b: _Builder, src: list[int], out: list[int], tmp: list[int], carry: 
         _masked_copy(b, src[i], src[:span], tmp[:span])
 
 
-def _gt_const(b: _Builder, a: list[int], cutoff: int, out: int, eq: list[int]):
+def _gt_const(b: RevCircuit, a: list[int], cutoff: int, out: int, eq: list[int]):
     """out ^= (a > cutoff) for a classical cutoff, scanning MSB to LSB.
 
     A prefix-equality ancilla chain tracks "all higher bits match"; the
@@ -475,7 +469,7 @@ def build_adder(width: int, *, subtract: bool = False, constant: int | None = No
         raise ValueError("adder width must be >= 1")
     if constant is not None and not 0 <= constant < 2**width:
         raise ValueError("constant out of register range")
-    b = _Builder()
+    b = RevCircuit()
     a_bits = b.reg("a", width, "operand").bits if constant is None else None
     t_bits = b.reg("t", width, "operand").bits
     carry = b.reg("carry", 1, "ancilla").bits[0]
@@ -484,7 +478,7 @@ def build_adder(width: int, *, subtract: bool = False, constant: int | None = No
     else:
         const_bits = b.reg("k", width, "constant").bits
         _add_const(b, constant, t_bits, const_bits, carry, subtract=subtract)
-    return b.build()
+    return b
 
 
 def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
@@ -498,13 +492,13 @@ def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
     out_width = 2 * width if out_width is None else out_width
     if out_width < 1:
         raise ValueError(f"output register needs >= 1 bit, got {out_width}")
-    b = _Builder()
+    b = RevCircuit()
     a = b.reg("a", width, "operand").bits
     out = b.reg("sq", out_width, "operand").bits
     tmp = b.reg("tmp", out_width, "ancilla").bits
     carry = b.reg("carry", 1, "ancilla").bits[0]
     _square(b, a, out, tmp, carry)
-    return b.build()
+    return b
 
 
 def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
@@ -515,12 +509,12 @@ def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
     """
     if width < 1:
         raise ValueError("comparator width must be >= 1")
-    b = _Builder()
+    b = RevCircuit()
     f = b.reg("f", width, "fitness").bits
     flag = b.reg("flag", 1, "flag").bits[0]
     eq = b.maybe_reg("eq", width - 1, "ancilla")
     _gt_const(b, f, cutoff, flag, eq)
-    return b.build()
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +522,7 @@ def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
 
 
 def _emit_walk_step(
-    b: _Builder,
+    b: RevCircuit,
     path_bits: list[int],
     step: int,
     n: int,
@@ -578,7 +572,7 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     w_pos = position_width(m, n)
     wa = arith_width(m, n)
 
-    b = _Builder()
+    b = RevCircuit()
     path = b.reg("path", 2 * n, "path").bits
     pos_i = b.reg("pos_i", w_pos, "position-i").bits
     pos_j = b.reg("pos_j", w_pos, "position-j").bits
@@ -617,7 +611,7 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     b.spans = {"walk": (walk_lo, walk_hi), "distance_fitness": (walk_hi, b.mark())}
 
     b.uncompute_range(0, compute_hi)
-    return b.build()
+    return b
 
 
 def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
@@ -645,8 +639,7 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
         raise ValueError(f"cutoff must lie in [0, {2 ** (wa - 1)}) for width {wa}")
 
     forward_hi = fitness_circ.spans["distance_fitness"][1]
-    b = _Builder.from_circuit(fitness_circ)
-    del b.gates[forward_hi:]
+    b = RevCircuit(dict(fitness_circ.registers), fitness_circ.gates[:forward_hi], dict(fitness_circ.spans))
     flag = b.reg("flag", 1, "flag").bits[0]
     gsc = b.reg("gsc", 1, "ancilla").bits[0]
     eq = b.maybe_reg("eq", wa - 1, "ancilla")
@@ -661,7 +654,7 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     b.z(flag)
     b.uncompute_range(cmp_lo, cmp_hi)
     b.uncompute_range(0, forward_hi)
-    return b.build()
+    return b
 
 
 def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
@@ -681,7 +674,7 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     m, start = maze.size, maze.start
     w_pos = position_width(m, n)
 
-    b = _Builder()
+    b = RevCircuit()
     path = b.reg("path", 2 * n, "path").bits
     pos_i = b.reg("pos_i", w_pos, "position-i").bits
     pos_j = b.reg("pos_j", w_pos, "position-j").bits
@@ -713,4 +706,4 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     compute_hi = b.mark()
     b.cx(vchain[n - 1], vout)
     b.uncompute_range(0, compute_hi)
-    return b.build()
+    return b

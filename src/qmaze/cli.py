@@ -324,15 +324,7 @@ def cmd_resources(args) -> int:
         doc = {
             "predicted": pred.as_dict(),
             "measured": act.as_dict(),
-            "fits": {
-                name: {
-                    "slope": c.slope,
-                    "intercept": c.intercept,
-                    "residual_ratio": c.residual_ratio,
-                    "passed": c.passed,
-                }
-                for name, c in claims.items()
-            },
+            "fits": {name: {**dataclasses.asdict(c), "passed": c.passed} for name, c in claims.items()},
         }
         _write_out(_to_json(doc), args.out)
         return code

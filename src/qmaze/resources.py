@@ -16,25 +16,18 @@ explicit residual thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import circuits
 from .circuits import arith_width, build_fitness_circuit, build_gt_comparator, build_oracle_circuit
-from .circuits import count_gates, position_width
+from .circuits import GateCounts, circuit_depth, count_gates, position_width
 from .fitness import make_spec
 from .maze import Maze
 
 RESIDUAL_THRESHOLD = 0.05
-
-
-@dataclass(frozen=True)
-class StageCounts:
-    toffoli: int
-    cnot: int
-    nots: int
 
 
 @dataclass(frozen=True)
@@ -44,7 +37,7 @@ class ResourceReport:
     cutoff: int
     register_widths: dict[str, int]
     ancilla: int
-    stages: dict[str, StageCounts]
+    stages: dict[str, GateCounts]
     depth: int  # measured dependency-chain depth, or a gate-count upper bound
 
     @property
@@ -52,16 +45,7 @@ class ResourceReport:
         return sum(self.register_widths.values()) + self.ancilla
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "cutoff": self.cutoff,
-            "register_widths": dict(self.register_widths),
-            "ancilla": self.ancilla,
-            "total_qubits": self.total_qubits,
-            "stages": {k: vars(v) for k, v in self.stages.items()},
-            "depth": self.depth,
-        }
+        return {**asdict(self), "total_qubits": self.total_qubits}
 
 
 # ---------------------------------------------------------------------------
@@ -72,27 +56,27 @@ def _popcount(v: int) -> int:
     return bin(v).count("1")
 
 
-def _add_counts(w: int) -> StageCounts:
+def _add_counts(w: int) -> GateCounts:
     if w == 1:
-        return StageCounts(0, 2, 0)
-    return StageCounts(2 * (w - 1), 4 * (w - 1) + 2, 0)
+        return GateCounts(0, 2, 0)
+    return GateCounts(2 * (w - 1), 4 * (w - 1) + 2, 0)
 
 
-def _increment_counts(w: int) -> StageCounts:
-    return StageCounts(2 * (w - 1), w, 0)
+def _increment_counts(w: int) -> GateCounts:
+    return GateCounts(2 * (w - 1), w, 0)
 
 
-def walk_stage_counts(maze: Maze, n: int) -> StageCounts:
+def walk_stage_counts(maze: Maze, n: int) -> GateCounts:
     """Path-simulation stage: 4 doubly-controlled +/-1 updates per step."""
     w = position_width(maze.size, n)
     inc = _increment_counts(w)
     tof = n * 4 * (2 + inc.toffoli)
     cnot = n * 4 * inc.cnot
     nots = n * (16 + 2 * (2 * w))  # control-polarity toggles + decrement conjugation
-    return StageCounts(tof, cnot, nots)
+    return GateCounts(tof, cnot, nots)
 
 
-def _square_counts(w: int) -> StageCounts:
+def _square_counts(w: int) -> GateCounts:
     tof = cnot = 0
     for i in range(w):
         span = w - i
@@ -102,10 +86,10 @@ def _square_counts(w: int) -> StageCounts:
         add = _add_counts(span)
         tof += add.toffoli
         cnot += add.cnot
-    return StageCounts(tof, cnot, 0)
+    return GateCounts(tof, cnot, 0)
 
 
-def distance_fitness_stage_counts(maze: Maze, n: int) -> StageCounts:
+def distance_fitness_stage_counts(maze: Maze, n: int) -> GateCounts:
     """Subtraction of the offset goal, sign extension, squaring, distance sum, C - d."""
     m = maze.size
     w = position_width(m, n)
@@ -125,20 +109,20 @@ def distance_fitness_stage_counts(maze: Maze, n: int) -> StageCounts:
     tof += add.toffoli
     cnot += add.cnot
     nots += _popcount(make_spec(m).offset) + 2 * wa
-    return StageCounts(tof, cnot, nots)
+    return GateCounts(tof, cnot, nots)
 
 
-def init_stage_counts(maze: Maze, n: int) -> StageCounts:
+def init_stage_counts(maze: Maze, n: int) -> GateCounts:
     """Loading the offset start, each coordinate + n, into the position registers."""
-    return StageCounts(0, 0, sum(_popcount(s + n) for s in maze.start))
+    return GateCounts(0, 0, sum(_popcount(s + n) for s in maze.start))
 
 
-def comparator_counts(width: int, cutoff: int) -> StageCounts:
+def comparator_counts(width: int, cutoff: int) -> GateCounts:
     """Prefix-equality comparator cost for one classical cutoff."""
     if cutoff < 0:
-        return StageCounts(0, 0, 1)
+        return GateCounts(0, 0, 1)
     if cutoff >= 2**width - 1:
-        return StageCounts(0, 0, 0)
+        return GateCounts(0, 0, 0)
     tof = cnot = nots = 0
     have_chain = False
     for i in range(width - 1, -1, -1):
@@ -156,11 +140,11 @@ def comparator_counts(width: int, cutoff: int) -> StageCounts:
             else:
                 cnot += 2
             have_chain = True
-    return StageCounts(tof, cnot, nots)
+    return GateCounts(tof, cnot, nots)
 
 
-def _combine(*parts: StageCounts) -> StageCounts:
-    return StageCounts(
+def _combine(*parts: GateCounts) -> GateCounts:
+    return GateCounts(
         sum(p.toffoli for p in parts), sum(p.cnot for p in parts), sum(p.nots for p in parts)
     )
 
@@ -196,7 +180,7 @@ def predict(maze: Maze, n: int) -> ResourceReport:
     dist_fit = distance_fitness_stage_counts(maze, n)
     init = init_stage_counts(maze, n)
     cmp_counts = comparator_counts(wa, cutoff)
-    guard = StageCounts(1, 0, 2)  # sign-bit AND around the flag write
+    guard = GateCounts(1, 0, 2)  # sign-bit AND around the flag write
     # Oracle = forward part (init, walk, distance through the fitness write),
     # guarded comparator, then both mirrored; the phase mark is not counted.
     half = _combine(init, path_sim, dist_fit, cmp_counts, guard)
@@ -225,17 +209,15 @@ def measured(maze: Maze, n: int) -> ResourceReport:
         if reg.role not in circuits.SCRATCH_ROLES
     }
     ancilla = sum(r.width for r in oracle.scratch_registers())
-    total = count_gates(oracle)
-    counts = {
+    stages = {
         "path_sim": count_gates(oracle, stage="walk"),
         "distance_fitness": count_gates(oracle, stage="distance_fitness"),
         "comparator": count_gates(build_gt_comparator(arith_width(m, n), cutoff)),
-        "oracle_total": total,
+        "oracle_total": count_gates(oracle),
     }
-    stages = {name: StageCounts(c.toffoli, c.cnot, c.nots) for name, c in counts.items()}
     return ResourceReport(
         n=n, m=m, cutoff=cutoff, register_widths=widths, ancilla=ancilla,
-        stages=stages, depth=total.depth,
+        stages=stages, depth=circuit_depth(oracle),
     )
 
 
@@ -279,12 +261,14 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitClaim:
 def check_asymptotics(maze: Maze, ns: Iterable[int]) -> dict[str, FitClaim]:
     """Fit measured Toffoli counts against the linear scaling claims.
 
-    The maze's walk cost is fit against the path lengths ``ns``; comparator
-    cost is fit against register widths 2..8, each at the fixed-shape
-    cutoff 100...01. Raises on fewer than three distinct path lengths.
+    The maze's walk cost is fit against the path lengths ``ns``, read from
+    each fitness circuit's ``walk`` span, which the oracle shares gate for
+    gate; comparator cost is fit against register widths 2..8, each at the
+    fixed-shape cutoff 100...01. Raises on fewer than three distinct path
+    lengths.
     """
     ns = sorted(set(ns))
-    walk_tof = [measured(maze, n).stages["path_sim"].toffoli for n in ns]
+    walk_tof = [count_gates(build_fitness_circuit(maze, n), "walk").toffoli for n in ns]
     widths = range(2, 9)
     cmp_tof = [count_gates(build_gt_comparator(w, 2 ** (w - 1) + 1)).toffoli for w in widths]
     return {

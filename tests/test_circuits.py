@@ -22,7 +22,6 @@ from qmaze.circuits import (
     PhaseMark,
     Register,
     RevCircuit,
-    _Builder,
     _gt_const,
     arith_width,
     build_adder,
@@ -31,6 +30,7 @@ from qmaze.circuits import (
     build_oracle_circuit,
     build_squarer,
     build_validity_circuit,
+    circuit_depth,
     count_gates,
     pack_rows,
     position_width,
@@ -380,6 +380,7 @@ def test_oracle_self_inverse():
 def test_oracles_share_one_fitness_circuit(m, n):
     fitness_circ = build_fitness_circuit(generate_maze(m, seed=0), n)
     gates, spans = list(fitness_circ.gates), dict(fitness_circ.spans)
+    registers, num_bits = dict(fitness_circ.registers), fitness_circ.num_bits
     assert set(spans) == {"walk", "distance_fitness"}
     hi = spans["distance_fitness"][1]
     forward = gates[:hi]
@@ -393,13 +394,15 @@ def test_oracles_share_one_fitness_circuit(m, n):
     assert len(fitness_circ.gates) == len(gates)
     assert all(a is b for a, b in zip(fitness_circ.gates, gates))
     assert fitness_circ.spans == spans
+    assert fitness_circ.registers == registers
+    assert fitness_circ.num_bits == num_bits
 
 
 def sandwich_oracle(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     """Reference oracle: the whole fitness circuit F W F^-1, the guarded
     comparator and phase mark, then all of it reversed (four copies of F)."""
     fit = fitness_circ.registers["fit"].bits
-    b = _Builder.from_circuit(fitness_circ)
+    b = RevCircuit(dict(fitness_circ.registers), list(fitness_circ.gates), dict(fitness_circ.spans))
     flag = b.reg("flag", 1, "flag").bits[0]
     gsc = b.reg("gsc", 1, "ancilla").bits[0]
     eq = b.maybe_reg("eq", len(fit) - 1, "ancilla")
@@ -412,7 +415,7 @@ def sandwich_oracle(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     b.z(flag)
     b.uncompute_range(lo, hi)
     b.uncompute_range(0, len(fitness_circ.gates))
-    return b.build()
+    return b
 
 
 def assert_oracle_matches_sandwich(fitness_circ: RevCircuit, cutoff: int, n: int):
@@ -597,7 +600,7 @@ def test_small_circuits_bijective_exhaustively():
 def test_count_gates_identity_and_additivity():
     empty = RevCircuit({}, [])
     c = count_gates(empty)
-    assert (c.toffoli, c.cnot, c.nots, c.depth) == (0, 0, 0, 0)
+    assert (c.toffoli, c.cnot, c.nots, circuit_depth(empty)) == (0, 0, 0, 0)
     circ = build_gt_comparator(4, 5)
     total = count_gates(circ)
     doubled = count_gates(RevCircuit(circ.registers, circ.gates + circ.gates))
@@ -620,7 +623,7 @@ def test_count_gates_rejects_unknown_stage():
 
 
 def test_uncompute_range_checks_before_appending():
-    b = _Builder()
+    b = RevCircuit()
     w = b.reg("w", 2, "operand").bits
     b.x(w[0])
     b.z(w[0])

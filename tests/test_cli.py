@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import textwrap
 
@@ -480,6 +481,37 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         assert "FAIL" not in stdout
         mismatched = [line.split(":")[0] for line in stdout.splitlines() if line.startswith("MISMATCH")]
         assert mismatched == ["MISMATCH ancilla", "MISMATCH stage comparator"]
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest",
+    [
+        pytest.param(
+            ["--n", "2", "--m", "2", "--format", "json"],
+            0,
+            "bb1ebbbe75b1820413edb2842dcc46a01e1d58a3e676c4ecf7376fbb0196f7db",
+            id="readme-json",
+        ),
+        pytest.param(
+            ["--n", "9", "--m", "8"],
+            0,
+            "5d6481b1f113e6478872c5dc2a5cd3f95d8f51499bf344387d3d210dcb7bf039",
+            id="ci-table",
+        ),
+        # The walk fit over n = 1..5 crosses a position-width step at m = 8,
+        # so this pins the FAIL rendering, not the verdict.
+        pytest.param(
+            ["--n", "5", "--m", "8"],
+            1,
+            "d4de9c03206d759169d6849530b003d1a001b8283c8ad02cb670d5f69751e575",
+            id="m8-fit-fails",
+        ),
+    ],
+)
+def test_resources_output_bytes_are_pinned(argv, code, digest, capsys):
+    got, stdout, err = run_cli(capsys, "resources", *argv)
+    assert (got, err) == (code, "")
+    assert hashlib.sha256(stdout.encode()).hexdigest() == digest
 
 
 def test_sweep_success_fraction(tmp_path, capsys):
