@@ -2,8 +2,12 @@
 circuits against their references, and report resource costs.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or config error
-(bad flags, config file, maze file or unwritable --out) and nothing else;
-any other exception is an internal fault and propagates with its traceback.
+(bad flags, config file, maze file, a file that cannot be read as text, or
+unwritable --out) and nothing else; any other exception is an internal fault
+and propagates with its traceback. Each setting's type and bounds or choices
+live in one parser function, which is both the flag's argparse ``type`` and
+the converter of its config value, so a bad value gets the same message
+either way.
 All randomness derives from the single --seed value: maze generation uses
 child stream (seed, 0[, run]) and the search loop uses (seed, 1[, run]),
 so identical configs reproduce byte-identical outputs.
@@ -16,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import enum
 import json
 import sys
 from collections.abc import Sequence
@@ -39,34 +42,67 @@ def _child_seed(*parts: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Config file handling (flat key = value lines)
+# Settings: one parser per key, shared by its flag and its config line
+
+
+def _int(flag: str, lo: int, hi: int | None = None):
+    """A parser for an integer in ``lo..hi``; a non-integer raises ValueError,
+    which argparse reports as an invalid int and ``parse_config`` as a bad value."""
+    bound = f"must be >= {lo}" if hi is None else f"must lie in {lo}..{hi}"
+
+    def parse(text) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise UsageError(f"{flag} {bound}")
+        return value
+
+    parse.__name__ = "int"
+    return parse
+
+
+def _choice(flag: str, values):
+    """A parser for one of ``values`` (strings or enum members), named by
+    its string value; ``metavar`` renders like argparse's ``choices``."""
+    by_name = {getattr(v, "value", v): v for v in values}
+
+    def parse(text):
+        if text not in by_name:
+            raise UsageError(f"{flag} must be one of: {', '.join(by_name)}")
+        return by_name[text]
+
+    parse.metavar = "{" + ",".join(by_name) + "}"
+    return parse
+
 
 _SEARCH = SearchConfig()
+_M = _int("--m", 2)
+_SEED = _int("--seed", 0)
+_PATH_LENGTH = _int("--n", 1, codec.MAX_PATH_LENGTH)
 
-# Each solve/sweep setting: config key -> (type, default). The search defaults
-# are SearchConfig's; mode and formula stay unset, so make_spec picks them.
+# Each solve/sweep setting: config key -> (parser, default). The search
+# defaults are SearchConfig's; mode and formula stay unset, so make_spec
+# picks them. The flags appear in --help in this order.
 _SETTINGS = {
     "maze": (str, None),
-    "m": (int, None),
-    "n": (int, None),
-    "seed": (int, 0),
+    "m": (_M, None),
+    "n": (_int("--n", 0, codec.MAX_PATH_LENGTH), None),
+    "seed": (_SEED, 0),
     "cutoff0": (int, _SEARCH.initial_cutoff),
-    "rounds": (int, _SEARCH.max_rounds),
-    "samples": (int, _SEARCH.samples),
-    "mode": (SimMode, None),
-    "formula": (Formula, None),
-    "policy": (Policy, _SEARCH.policy.value),
-    "strictness": (Strictness, _SEARCH.strictness.value),
+    "rounds": (_int("--rounds (round budget)", 1), _SEARCH.max_rounds),
+    "samples": (_int("--samples (samples per round)", 1), _SEARCH.samples),
+    "mode": (_choice("--mode", SimMode), None),
+    "formula": (_choice("--formula", Formula), None),
+    "policy": (_choice("--policy", Policy), _SEARCH.policy),
     "out": (str, None),
-    "format": (str, "csv"),
+    "format": (_choice("--format", ("csv", "json")), "csv"),
+    "strictness": (_choice("--strictness", Strictness), _SEARCH.strictness),
 }
 
 
 def parse_config(text: str) -> dict:
     """Parse ``key = value`` lines; unknown keys are errors, not warnings.
 
-    Integers are converted here; enum names stay strings until the flags
-    are merged in, so a bad one is reported under its flag.
+    Each value goes through its key's parser, the same one its flag uses.
     """
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -82,7 +118,7 @@ def parse_config(text: str) -> dict:
         if key in values:
             raise UsageError(f"config line {lineno}: duplicate key '{key}'")
         try:
-            values[key] = int(val) if _SETTINGS[key][0] is int else val
+            values[key] = _SETTINGS[key][0](val)
         except ValueError:
             raise UsageError(
                 f"config line {lineno}: bad value '{val}' for '{key}'"
@@ -90,12 +126,11 @@ def parse_config(text: str) -> dict:
     return values
 
 
-def _enum_value(enum_cls, value: str, flag: str):
-    for member in enum_cls:
-        if member.value == value:
-            return member
-    choices = ", ".join(m.value for m in enum_cls)
-    raise UsageError(f"{flag} must be one of: {choices}")
+def _read_text(path: str, what: str) -> str:
+    try:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read {what}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -137,10 +172,6 @@ def _write_out(text: str, out: str | None, summary: Sequence[str] = ()) -> None:
 
 def cmd_generate(args) -> int:
     m = args.m
-    if m < 2:
-        raise UsageError("--m must be >= 2")
-    if args.seed < 0:
-        raise UsageError("--seed must be >= 0")
     # The carve does not depend on the placement, so an unset cell is the generated maze's.
     maze = generate_maze(m, args.seed)
     start = tuple(args.start) if args.start else maze.start
@@ -157,39 +188,19 @@ def cmd_generate(args) -> int:
 def _load_solve_settings(args) -> dict:
     """``_SETTINGS`` defaults, then the config file (``solve`` only), then flags."""
     settings = {key: default for key, (_, default) in _SETTINGS.items()}
-    config_path = getattr(args, "config", None)
-    if config_path:
-        try:
-            text = Path(config_path).read_text()
-        except OSError as exc:
-            raise UsageError(f"cannot read config: {exc}") from None
-        settings.update(parse_config(text))
+    if getattr(args, "config", None):
+        settings.update(parse_config(_read_text(args.config, "config")))
     for key in settings:
         flag = getattr(args, key, None)
         if flag is not None:
             settings[key] = flag
     if settings["n"] is None:
         raise UsageError("path length --n is required")
-    if not 0 <= settings["n"] <= codec.MAX_PATH_LENGTH:
-        raise UsageError(f"--n must lie in 0..{codec.MAX_PATH_LENGTH}")
     if settings["maze"]:
         if settings["m"] is not None:
             raise UsageError("--maze and --m cannot both be given")
     elif settings["m"] is None:
         raise UsageError("either --maze FILE or --m SIZE is required")
-    elif settings["m"] < 2:
-        raise UsageError("--m must be >= 2")
-    if settings["seed"] < 0:
-        raise UsageError("--seed must be >= 0")
-    if settings["rounds"] < 1:
-        raise UsageError("--rounds (round budget) must be >= 1")
-    if settings["samples"] < 1:
-        raise UsageError("--samples (samples per round) must be >= 1")
-    if settings["format"] not in ("csv", "json"):
-        raise UsageError("--format must be csv or json")
-    for key, (kind, _) in _SETTINGS.items():
-        if issubclass(kind, enum.Enum) and settings[key] is not None:
-            settings[key] = _enum_value(kind, settings[key], f"--{key}")
     return settings
 
 
@@ -204,10 +215,7 @@ def _solve_once(settings: dict, *run: int) -> tuple[fitness.FitnessLandscape, ad
         seed=_child_seed(settings["seed"], 1, *run),
     )
     if settings["maze"]:
-        try:
-            maze = parse_maze(Path(settings["maze"]).read_text())
-        except OSError as exc:
-            raise UsageError(f"cannot read maze: {exc}") from None
+        maze = parse_maze(_read_text(settings["maze"], "maze"))
     else:
         maze = generate_maze(settings["m"], _child_seed(settings["seed"], 0, *run))
     spec = make_spec(maze.size, **{k: settings[k] for k in ("formula", "mode") if settings[k] is not None})
@@ -245,8 +253,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.runs < 1:
-        raise UsageError("--runs must be >= 1")
     settings = _load_solve_settings(args)
     rows = []
     for run in range(args.runs):
@@ -273,13 +279,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_dynamics(args) -> int:
     n, k = args.n, args.k
-    if n < 1 or n > codec.MAX_PATH_LENGTH:
-        raise UsageError(f"--n must lie in 1..{codec.MAX_PATH_LENGTH}")
     total = codec.path_count(n)
     if not 1 <= k <= total:
         raise UsageError(f"--k must lie in 1..{total}")
-    if args.rmax is not None and args.rmax < 0:
-        raise UsageError("--rmax must be >= 0")
     geometry = engine.GroverGeometry(num_states=total, num_marked=k)
     r_max = args.rmax if args.rmax is not None else 3 * max(1, engine.optimal_rounds(geometry))
     marked = np.arange(k)
@@ -294,12 +296,6 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if not 1 <= args.nmax <= 9:
-        raise UsageError("--nmax must lie in 1..9")
-    if not 2 <= args.mmax <= 8:
-        raise UsageError("--mmax must lie in 2..8")
-    if not 1 <= args.widthmax <= 8:
-        raise UsageError("--widthmax must lie in 1..8")
     results = verify.run_all(args.nmax, args.mmax, args.widthmax)
     for res in results:
         if res.passed:
@@ -310,10 +306,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_resources(args) -> int:
-    if args.n < 1 or args.n > codec.MAX_PATH_LENGTH:
-        raise UsageError(f"--n must lie in 1..{codec.MAX_PATH_LENGTH}")
-    if args.m < 2:
-        raise UsageError("--m must be >= 2")
     maze = generate_maze(args.m, seed=0)
     pred = resources.predict(maze, args.n)
     act = resources.measured(maze, args.n)
@@ -358,19 +350,15 @@ def cmd_resources(args) -> int:
 # Argument parsing
 
 
-def _add_search_flags(p: argparse.ArgumentParser, sizes_required: bool) -> None:
-    """Flags that ``solve`` and ``sweep`` share; their defaults live in ``_SETTINGS``."""
-    p.add_argument("--m", type=int, required=sizes_required)
-    p.add_argument("--n", type=int, required=sizes_required)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cutoff0", type=int)
-    p.add_argument("--rounds", type=int)
-    p.add_argument("--samples", type=int)
-    p.add_argument("--mode", choices=[m.value for m in SimMode])
-    p.add_argument("--formula", choices=[f.value for f in Formula])
-    p.add_argument("--policy", choices=[pol.value for pol in Policy])
-    p.add_argument("--out")
-    p.add_argument("--format", choices=["csv", "json"])
+def _flag(p: argparse.ArgumentParser, flag: str, parse, **kwargs) -> None:
+    p.add_argument(flag, type=parse, metavar=getattr(parse, "metavar", None), **kwargs)
+
+
+def _add_search_flags(p: argparse.ArgumentParser, skip: Sequence[str], required: Sequence[str] = ()) -> None:
+    """The ``_SETTINGS`` flags, each parsed as its config line is; defaults stay in the table."""
+    for key, (parse, _) in _SETTINGS.items():
+        if key not in skip:
+            _flag(p, f"--{key}", parse, required=key in required)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,8 +369,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a perfect maze file")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    _flag(p, "--m", _M, required=True)
+    _flag(p, "--seed", _SEED, default=0)
     p.add_argument("--start", type=int, nargs=2, metavar=("I", "J"))
     p.add_argument("--goal", type=int, nargs=2, metavar=("I", "J"))
     p.add_argument("--out")
@@ -391,32 +379,31 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="run the adaptive search on one maze")
     p.add_argument("--config", help="flat key=value settings file")
     p.add_argument("--maze", help="maze file (otherwise generated from --m)")
-    _add_search_flags(p, sizes_required=False)
-    p.add_argument("--strictness", choices=[s.value for s in Strictness])
+    _add_search_flags(p, skip=("maze",))
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("sweep", help="many seeded solves, success statistics")
-    _add_search_flags(p, sizes_required=True)
-    p.add_argument("--runs", type=int, required=True)
+    _add_search_flags(p, skip=("maze", "strictness"), required=("m", "n"))
+    _flag(p, "--runs", _int("--runs", 1), required=True)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("dynamics", help="predicted vs simulated success per round count")
-    p.add_argument("--n", type=int, required=True)
+    _flag(p, "--n", _PATH_LENGTH, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--rmax", type=int)
+    _flag(p, "--rmax", _int("--rmax", 0))
     p.add_argument("--out")
     p.set_defaults(func=cmd_dynamics)
 
     p = sub.add_parser("verify", help="exhaustive circuit-vs-reference suites")
-    p.add_argument("--nmax", type=int, default=3)
-    p.add_argument("--mmax", type=int, default=4)
-    p.add_argument("--widthmax", type=int, default=6)
+    _flag(p, "--nmax", _int("--nmax", 1, 9), default=3)
+    _flag(p, "--mmax", _int("--mmax", 2, 8), default=4)
+    _flag(p, "--widthmax", _int("--widthmax", 1, 8), default=6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("resources", help="predicted vs measured circuit costs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--format", choices=["table", "json"], default="table")
+    _flag(p, "--n", _PATH_LENGTH, required=True)
+    _flag(p, "--m", _M, required=True)
+    _flag(p, "--format", _choice("--format", ("table", "json")), default="table")
     p.add_argument("--out")
     p.set_defaults(func=cmd_resources)
 
@@ -424,9 +411,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

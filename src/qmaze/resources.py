@@ -10,8 +10,8 @@ distance arithmetic through the fitness write), the guarded comparator,
 then both mirrored, so its total is twice their sum. Tests pin the two
 reports against each other, ``mismatches`` names where they differ, and
 ``check_asymptotics`` turns the scaling claims (comparator linear in
-width, path simulation linear in length) into least-squares fits with
-explicit residual thresholds.
+width, path simulation linear in length times position width) into
+least-squares fits with explicit residual thresholds.
 """
 
 from __future__ import annotations
@@ -261,17 +261,20 @@ def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitClaim:
 def check_asymptotics(maze: Maze, ns: Iterable[int]) -> dict[str, FitClaim]:
     """Fit measured Toffoli counts against the linear scaling claims.
 
-    The maze's walk cost is fit against the path lengths ``ns``, read from
-    each fitness circuit's ``walk`` span, which the oracle shares gate for
-    gate; comparator cost is fit against register widths 2..8, each at the
-    fixed-shape cutoff 100...01. Raises on fewer than three distinct path
-    lengths.
+    The maze's walk cost, read from each fitness circuit's ``walk`` span
+    (which the oracle shares gate for gate), is fit against
+    ``n * position_width(m, n)`` over the path lengths ``ns``: each step
+    costs a fixed number of increments of the position registers, whose
+    width grows in steps with ``n``. Comparator cost is fit against register
+    widths 2..8, each at the fixed-shape cutoff 100...01. Raises on fewer
+    than three distinct path lengths.
     """
     ns = sorted(set(ns))
     walk_tof = [count_gates(build_fitness_circuit(maze, n), "walk").toffoli for n in ns]
+    steps_times_width = [n * position_width(maze.size, n) for n in ns]
     widths = range(2, 9)
     cmp_tof = [count_gates(build_gt_comparator(w, 2 ** (w - 1) + 1)).toffoli for w in widths]
     return {
-        "path_sim_linear_in_n": linear_fit(ns, walk_tof),
+        "path_sim_linear_in_n_times_width": linear_fit(steps_times_width, walk_tof),
         "comparator_linear_in_width": linear_fit(widths, cmp_tof),
     }

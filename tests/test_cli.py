@@ -198,7 +198,7 @@ def test_solve_rejects_bad_config_format_before_solving(tmp_path, capsys):
     config.write_text("m = 3\nn = 2\nformat = xml\n")
     code, stdout, err = run_cli(capsys, "solve", "--config", str(config))
     assert code == 2
-    assert "--format must be csv or json" in err
+    assert "--format must be one of: csv, json" in err
     assert stdout == ""
 
 
@@ -238,6 +238,16 @@ def test_solve_missing_maze_file(tmp_path, capsys):
                            "--n", "2", "--out", str(tmp_path / "t.csv"))
     assert code == 2
     assert "cannot read maze" in err
+
+
+@pytest.mark.parametrize("flag, what", [("--maze", "maze"), ("--config", "config")])
+def test_solve_unreadable_text_exits_2(flag, what, tmp_path, capsys):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(bytes.fromhex("fffe00626164"))  # not UTF-8
+    code, stdout, err = run_cli(capsys, "solve", flag, str(bad), "--n", "2")
+    assert code == 2
+    assert err.startswith(f"error: cannot read {what}: ")
+    assert stdout == ""
 
 
 def test_solve_rejects_bad_maze_file(tmp_path, capsys):
@@ -448,15 +458,23 @@ def test_resources_json_schema(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("fmt", ["table", "json"])
-def test_resources_exits_1_when_a_fit_fails(capsys, fmt):
-    # At m = 3 the position width steps at n = 3, so the fit over n = 1..3 misses.
+def test_resources_exits_1_when_a_fit_fails(monkeypatch, capsys, fmt):
+    check = resources.check_asymptotics
+    walk = "path_sim_linear_in_n_times_width"
+
+    def failing(maze, ns):
+        claims = check(maze, ns)
+        return {**claims, walk: dataclasses.replace(claims[walk], residual_ratio=0.06)}
+
+    monkeypatch.setattr(resources, "check_asymptotics", failing)
     code, stdout, _ = run_cli(capsys, "resources", "--n", "2", "--m", "3", "--format", fmt)
     assert code == 1
     if fmt == "json":
-        assert not json.loads(stdout)["fits"]["path_sim_linear_in_n"]["passed"]
+        assert not json.loads(stdout)["fits"][walk]["passed"]
     else:
-        assert "path_sim_linear_in_n" in stdout and "-> FAIL" in stdout
-    code, _, _ = run_cli(capsys, "resources", "--n", "2", "--m", "2", "--format", fmt)
+        assert walk in stdout and "-> FAIL" in stdout
+    monkeypatch.undo()
+    code, _, _ = run_cli(capsys, "resources", "--n", "2", "--m", "3", "--format", fmt)
     assert code == 0
 
 
@@ -489,22 +507,21 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         pytest.param(
             ["--n", "2", "--m", "2", "--format", "json"],
             0,
-            "bb1ebbbe75b1820413edb2842dcc46a01e1d58a3e676c4ecf7376fbb0196f7db",
+            "4546952aa447643b6b498c1b28c8c58bfef4a19b7bfa525fb6ef40649ff210ce",
             id="readme-json",
         ),
         pytest.param(
             ["--n", "9", "--m", "8"],
             0,
-            "5d6481b1f113e6478872c5dc2a5cd3f95d8f51499bf344387d3d210dcb7bf039",
+            "ac273303accf5a1184cfed30e159f36289afd53c3aa85330d00851069de41850",
             id="ci-table",
         ),
-        # The walk fit over n = 1..5 crosses a position-width step at m = 8,
-        # so this pins the FAIL rendering, not the verdict.
+        # The fitted range n = 1..5 crosses a position-width step at m = 8.
         pytest.param(
             ["--n", "5", "--m", "8"],
-            1,
-            "d4de9c03206d759169d6849530b003d1a001b8283c8ad02cb670d5f69751e575",
-            id="m8-fit-fails",
+            0,
+            "5f6f624c3eca429b4585c9c2de18a1458861052942b29975e9f1f91b8584b64e",
+            id="m8-width-step",
         ),
     ],
 )
@@ -728,6 +745,69 @@ def test_bad_search_settings_exit_2(command, flags, message, flag, capsys):
     assert err.startswith("error: ") and message in err
     assert flag in err
     assert stdout == ""
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("m", "1", "--m must be >= 2"),
+        ("n", "13", "--n must lie in 0..12"),
+        ("n", "-1", "--n must lie in 0..12"),
+        ("seed", "-1", "--seed must be >= 0"),
+        ("rounds", "0", "--rounds (round budget) must be >= 1"),
+        ("samples", "0", "--samples (samples per round) must be >= 1"),
+        ("mode", "walls", "--mode must be one of: wall-aware, bounds, blind"),
+        ("formula", "paper", "--formula must be one of: maintext, appendix"),
+        ("policy", "bogus", "--policy must be one of: known-k, guessed-k"),
+        ("format", "xml", "--format must be one of: csv, json"),
+        ("strictness", "loose", "--strictness must be one of: strict, ge-at-max"),
+    ],
+    ids=["m-1", "n-13", "n-negative", "seed-negative", "rounds-0", "samples-0",
+         "mode", "formula", "policy", "format", "strictness"],
+)
+def test_flag_and_config_key_share_one_parser(key, value, message, tmp_path, capsys):
+    settings = {"m": "3", "n": "2", key: value}
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in settings.items()))
+    flags = [arg for k, v in settings.items() for arg in (f"--{k}", v)]
+    runs = [["solve", "--config", str(cfg)], ["solve", *flags]]
+    if key != "strictness":
+        runs.append(["sweep", *flags, "--runs", "2"])
+    for argv in runs:
+        assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n"), argv
+
+
+def test_bad_config_value_is_rejected_under_a_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("m = 3\nn = 2\nrounds = 0\n")
+    code, stdout, err = run_cli(capsys, "solve", "--config", str(cfg), "--rounds", "4")
+    assert (code, stdout, err) == (2, "", "error: --rounds (round budget) must be >= 1\n")
+
+
+@pytest.mark.parametrize("flag", ["--m", "--rounds"])
+def test_non_integer_flag_keeps_argparse_wording(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--n", "2", flag, "x"])
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, choices",
+    [
+        ("solve", ["--mode {wall-aware,bounds,blind}", "--formula {maintext,appendix}",
+                   "--policy {known-k,guessed-k}", "--format {csv,json}", "--strictness {strict,ge-at-max}"]),
+        ("sweep", ["--mode {wall-aware,bounds,blind}", "--formula {maintext,appendix}",
+                   "--policy {known-k,guessed-k}", "--format {csv,json}"]),
+        ("resources", ["--format {table,json}"]),
+    ],
+)
+def test_usage_lists_each_choice_set(command, choices, capsys):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    usage = capsys.readouterr().out.split("\n\n")[0]
+    assert [c for c in choices if f"[{c}]" not in usage] == []
+    assert ("--strictness" in usage) == (command == "solve")
 
 
 @pytest.mark.parametrize(

@@ -100,9 +100,28 @@ def test_comparator_fit_is_linear():
 
 def test_path_sim_fit_under_threshold():
     claims = check_asymptotics(generate_maze(4, seed=0), range(1, 7))
-    walk = claims["path_sim_linear_in_n"]
+    walk = claims["path_sim_linear_in_n_times_width"]
     assert walk.passed
     assert walk.residual_ratio < 0.05
+
+
+# `qmaze resources --n N --m M` fits n = 1..max(3, N); the position width
+# steps inside that range at many of these sizes, and the fit must still pass.
+@pytest.mark.parametrize("m", range(2, 9))
+def test_walk_fit_passes_at_every_cli_size(m):
+    maze = generate_maze(m, seed=0)
+    for n in range(1, 13):
+        walk = check_asymptotics(maze, range(1, max(3, n) + 1))["path_sim_linear_in_n_times_width"]
+        assert walk.passed, (m, n, walk)
+
+
+def test_walk_fit_rejects_a_quadratic_cost():
+    # A walk that cost n^2 * w Toffolis would fail the same fit.
+    ns = range(1, 10)
+    steps_times_width = [n * position_width(8, n) for n in ns]
+    quadratic = linear_fit(steps_times_width, [n * x for n, x in zip(ns, steps_times_width)])
+    assert not quadratic.passed
+    assert quadratic.residual_ratio == pytest.approx(0.14, abs=0.005)
 
 
 def test_check_asymptotics_rejects_sparse_input():
