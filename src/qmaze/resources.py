@@ -16,10 +16,10 @@ least-squares fits with explicit residual thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from . import circuits
 from .circuits import arith_width, build_fitness_circuit, build_gt_comparator, build_oracle_circuit
@@ -247,14 +247,23 @@ class FitClaim:
 
 
 def linear_fit(xs: Sequence[float], ys: Sequence[float]) -> FitClaim:
-    """Least-squares a*x + b with residual ratio ||y - yhat|| / ||y||."""
+    """Least-squares a*x + b with residual ratio ||y - yhat|| / ||y||.
+
+    The sums are exact fractions, so points on a line give that line's
+    slope and intercept exactly, with no rounding noise.
+    """
     if len(xs) < 3:
         raise ValueError("need at least 3 points for a fit")
-    x = np.asarray(xs, dtype=float)
-    y = np.asarray(ys, dtype=float)
-    a, b = np.polyfit(x, y, 1)
-    resid = y - (a * x + b)
-    ratio = float(np.linalg.norm(resid) / np.linalg.norm(y))
+    x = [Fraction(v) for v in xs]
+    y = [Fraction(v) for v in ys]
+    k, sx, sy = len(x), sum(x), sum(y)
+    det = k * sum(u * u for u in x) - sx * sx
+    if det == 0:
+        raise ValueError("need at least two distinct x values for a fit")
+    a = (k * sum(u * v for u, v in zip(x, y)) - sx * sy) / det
+    b = (sy - a * sx) / k
+    resid = sum((v - a * u - b) ** 2 for u, v in zip(x, y))
+    ratio = math.sqrt(resid / sum(v * v for v in y))
     return FitClaim(slope=float(a), intercept=float(b), residual_ratio=ratio)
 
 

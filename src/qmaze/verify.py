@@ -8,17 +8,31 @@ vs the landscape-derived diagonal oracle, plus ancilla cleanup and
 involution checks. Every suite compares the whole output batch with an
 expected batch: the inputs, with the checked register replaced by its
 reference values. A suite stops at the first mismatch and reports it.
+
+Shared work runs once per ``run_all`` call, and nothing is kept between
+calls. Each exhaustive input, every path or every comparator ``f``, is
+packed once per register layout: the four oracles of a (maze, n) share
+one layout, and so do all comparators of one width. The oracles of a
+(maze, n) begin with the same forward fitness gates, the same objects,
+so that prefix runs once and each oracle runs only its remaining gates
+from the prefix's output; an oracle whose prefix holds any other gate
+object runs whole. The cutoff C // 2 run serves three suites:
+oracle-sign checks it, ancilla-cleanup reads its registers, and
+involution runs that oracle once more from its output and multiplies
+the two sign vectors.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import circuits, codec, fitness
+from . import codec, fitness
 from .circuits import (
     Batch,
+    RevCircuit,
     build_fitness_circuit,
     build_gt_comparator,
     build_oracle_circuit,
@@ -43,36 +57,35 @@ class SuiteResult:
         return self.failures == 0
 
 
-def _check(suite: str, cases) -> SuiteResult:
-    """Run each case and compare its whole output batch; stop at the first bad case.
+class _Suite:
+    """One suite's tally: it checks cases until the first bad one."""
 
-    A case is (where, circuit, inputs, reference, want_signs); ``inputs``
-    maps register names to arrays of one value per row. Each ``reference``
-    register is an output absent from ``inputs``, so the expected batch is
-    the input batch ORed with the packed reference registers. The bad
-    rows are the OR over wires of output XOR expected, plus the rows whose
-    sign differs from ``want_signs`` (None leaves signs unchecked).
-    Registers are decoded only to name the first bad row, ``where(row)``.
-    """
-    checked = 0
-    for where, circ, inputs, reference, want_signs in cases:
-        size = len(next(iter(inputs.values())))
-        batch = pack_rows(circ, inputs, size)
-        out, signs = run_batch(circ, batch)
-        want = batch
-        if reference:
-            ref = pack_rows(circ, reference, size).wires
-            want = Batch(size, tuple(a | b for a, b in zip(batch.wires, ref)))
-        checked += size
+    def __init__(self, name: str):
+        self.name = name
+        self.checked = 0
+        self.failed: SuiteResult | None = None
+
+    @property
+    def open(self) -> bool:
+        return self.failed is None
+
+    def check(self, where, circ: RevCircuit, out: Batch, signs, want: Batch, want_signs=None) -> bool:
+        """Compare one case's output batch with ``want``; False on a mismatch.
+
+        The bad rows are the OR over wires of output XOR expected, plus the
+        rows whose sign differs from ``want_signs`` (None leaves signs
+        unchecked). Registers are decoded only to name the first bad row,
+        ``where(row)``.
+        """
+        self.checked += out.size
         bad = 0
         for a, b in zip(out.wires, want.wires):
             bad |= a ^ b
         if want_signs is not None:
             want_signs = np.broadcast_to(want_signs, signs.shape)
-            for i in np.flatnonzero(signs != want_signs):
-                bad |= 1 << int(i)
+            bad |= int.from_bytes(np.packbits(signs != want_signs, bitorder="little").tobytes(), "little")
         if not bad:
-            continue
+            return True
         row = (bad & -bad).bit_length() - 1
         for name in circ.registers:
             got, exp = (int(unpack_column(circ, b, name)[row]) for b in (out, want))
@@ -81,17 +94,34 @@ def _check(suite: str, cases) -> SuiteResult:
                 break
         else:
             found = f"sign {int(signs[row])}, expected {int(want_signs[row])}"
-        return SuiteResult(suite, checked, bad.bit_count(), f"{where(row)}: {found}")
-    return SuiteResult(suite, checked, 0)
+        self.failed = SuiteResult(self.name, self.checked, bad.bit_count(), f"{where(row)}: {found}")
+        return False
+
+    def result(self) -> SuiteResult:
+        return self.failed or SuiteResult(self.name, self.checked, 0)
 
 
-def _path_case(m: int, n: int, label: str = ""):
-    """Where a bad path row lies, and the inputs that sweep every path of length n."""
+def _packed(circ: RevCircuit, name: str, values: np.ndarray, layouts: dict) -> Batch:
+    """``values`` in register ``name``, packed once per register layout kept in ``layouts``."""
+    layout = tuple(circ.registers.values())
+    if layout not in layouts:
+        layouts[layout] = pack_rows(circ, {name: values}, len(values))
+    return layouts[layout]
 
-    def where(u: int) -> str:
-        return f"m={m} n={n}{label} path={u:0{2*n}b}"
 
-    return where, {"path": np.arange(codec.path_count(n))}
+def _expected(circ: RevCircuit, batch: Batch, reference: dict) -> Batch:
+    """The input batch ORed with the packed ``reference`` registers, outputs absent from the inputs."""
+    ref = pack_rows(circ, reference, batch.size).wires
+    return Batch(batch.size, tuple(a | b for a, b in zip(batch.wires, ref)))
+
+
+def _where(m: int, n: int, label: str = ""):
+    """Names a path row: the bad row's path, after the case's m, n and label."""
+    return lambda u: f"m={m} n={n}{label} path={u:0{2*n}b}"
+
+
+def _paths(n: int) -> np.ndarray:
+    return np.arange(codec.path_count(n))
 
 
 def _blind_values(maze: Maze, n: int) -> np.ndarray:
@@ -99,44 +129,52 @@ def _blind_values(maze: Maze, n: int) -> np.ndarray:
     return fitness.landscape(maze, n, make_spec(maze.size, Formula.MAIN, SimMode.WALL_BLIND)).values
 
 
+def _path_suite(name: str, circuits: dict, reference) -> SuiteResult:
+    """Circuits keyed (maze, n) on every path: the registers ``reference(maze, n, circ)``
+    gives hold its values, every other register reads back its input, and every sign is +1."""
+    suite = _Suite(name)
+    for (maze, n), circ in circuits.items():
+        batch = pack_rows(circ, {"path": _paths(n)}, codec.path_count(n))
+        out, signs = run_batch(circ, batch)
+        want = _expected(circ, batch, reference(maze, n, circ))
+        if not suite.check(_where(maze.size, n), circ, out, signs, want, 1):
+            break
+    return suite.result()
+
+
 def verify_fitness(fitness_circuits: dict, blind: dict) -> SuiteResult:
     """Fitness circuits keyed (maze, n) == ``blind[maze, n]``, the classical
     wall-blind fitness (mod 2**width), all inputs."""
-
-    def cases():
-        for (maze, n), circ in fitness_circuits.items():
-            wa = circ.registers["fit"].width
-            where, paths = _path_case(maze.size, n)
-            yield where, circ, paths, {"fit": blind[maze, n] % (1 << wa)}, 1
-
-    return _check("fitness", cases())
+    return _path_suite(
+        "fitness",
+        fitness_circuits,
+        lambda maze, n, circ: {"fit": blind[maze, n] % (1 << circ.registers["fit"].width)},
+    )
 
 
 def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResult:
     """Every (f, cutoff) pair, widths 1..width_max, vs integer >."""
-
-    def cases():
-        for w in range(1, width_max + 1):
-            f = np.arange(1 << w)
-            for cutoff in range(1 << w):
-                yield (
-                    lambda i: f"w={w} f={i} c={cutoff}",
-                    builder(w, cutoff), {"f": f}, {"flag": f > cutoff}, 1,
-                )
-
-    return _check("comparator", cases())
+    suite = _Suite("comparator")
+    for w in range(1, width_max + 1):
+        f = np.arange(1 << w)
+        layouts: dict = {}
+        for cutoff in range(1 << w):
+            circ = builder(w, cutoff)
+            batch = _packed(circ, "f", f, layouts)
+            out, signs = run_batch(circ, batch)
+            want = _expected(circ, batch, {"flag": f > cutoff})
+            if not suite.check(lambda i: f"w={w} f={i} c={cutoff}", circ, out, signs, want, 1):
+                return suite.result()
+    return suite.result()
 
 
 def verify_validity(validity_circuits: dict) -> SuiteResult:
     """Validity circuits keyed (maze, n) == no blocked move in the bounds-only path automaton, all inputs."""
-
-    def cases():
-        for (maze, n), circ in validity_circuits.items():
-            ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
-            where, paths = _path_case(maze.size, n)
-            yield where, circ, paths, {"valid": ref}, 1
-
-    return _check("validity", cases())
+    return _path_suite(
+        "validity",
+        validity_circuits,
+        lambda maze, n, _: {"valid": path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)},
+    )
 
 
 def _oracle_cutoffs(m: int) -> list[int]:
@@ -144,41 +182,67 @@ def _oracle_cutoffs(m: int) -> list[int]:
     return sorted({0, 1, c // 2, c - 1})
 
 
-def verify_oracle_sign(oracles: dict, blind: dict) -> SuiteResult:
-    """Oracles keyed (maze, n), cutoff: sign == the oracle derived from the
-    wall-blind fitness ``blind[maze, n]``, registers restored, all inputs."""
+class _SharedPrefix:
+    """Runs oracles that begin with one forward prefix: the prefix once, then each oracle's rest.
 
-    def cases():
-        for (maze, n), by_cutoff in oracles.items():
-            values = blind[maze, n]
-            for cutoff, circ in by_cutoff.items():
-                where, paths = _path_case(maze.size, n, f" cutoff={cutoff}")
-                yield where, circ, paths, {}, np.where(values > cutoff, -1, 1)
+    The prefix is ``first``'s gates up to the end of its ``distance_fitness``
+    span. An oracle shares it only if it has the same registers and its
+    first gates are the same objects; any other oracle runs whole.
+    """
 
-    return _check("oracle-sign", cases())
+    def __init__(self, first: RevCircuit):
+        self.circ = RevCircuit(first.registers, first.gates[: first.spans.get("distance_fitness", (0, 0))[1]])
+        self.output = None
+
+    def run(self, circ: RevCircuit, batch: Batch):
+        hi = len(self.circ.gates)
+        if (
+            not hi
+            or circ.registers != self.circ.registers
+            or len(circ.gates) < hi
+            or not all(map(operator.is_, circ.gates, self.circ.gates))
+        ):
+            return run_batch(circ, batch)
+        if self.output is None:
+            self.output = run_batch(self.circ, batch)
+        mid, signs = self.output
+        out, rest = run_batch(RevCircuit(circ.registers, circ.gates[hi:]), mid)
+        return out, signs * rest
 
 
-def verify_ancilla_cleanup(oracles: dict) -> SuiteResult:
-    """After the cutoff C // 2 oracle, every register reads back its input, on every input."""
+def verify_oracles(oracles: dict, blind: dict) -> tuple[SuiteResult, SuiteResult, SuiteResult]:
+    """The oracle-sign, ancilla-cleanup and involution suites over oracles keyed (maze, n), cutoff.
 
-    def cases():
-        for (maze, n), by_cutoff in oracles.items():
-            where, paths = _path_case(maze.size, n)
-            yield where, by_cutoff[make_spec(maze.size).offset // 2], paths, {}, None
-
-    return _check("ancilla-cleanup", cases())
-
-
-def verify_involutions(oracles: dict) -> SuiteResult:
-    """The cutoff C // 2 oracle applied twice is the identity with net sign +1, all inputs."""
-
-    def cases():
-        for (maze, n), by_cutoff in oracles.items():
-            circ = by_cutoff[make_spec(maze.size).offset // 2]
-            where, paths = _path_case(maze.size, n, " (oracle twice)")
-            yield where, circuits.RevCircuit(circ.registers, circ.gates + circ.gates), paths, {}, 1
-
-    return _check("involution", cases())
+    oracle-sign: each oracle's sign == the oracle derived from the wall-blind
+    fitness ``blind[maze, n]``, registers restored. ancilla-cleanup: after the
+    cutoff C // 2 oracle, every register reads back its input. involution:
+    that oracle applied twice is the identity with net sign +1. All inputs;
+    one (maze, n) at a time, and each suite stops at its own first failure.
+    """
+    sign, cleanup, twice = _Suite("oracle-sign"), _Suite("ancilla-cleanup"), _Suite("involution")
+    for (maze, n), by_cutoff in oracles.items():
+        if not (sign.open or cleanup.open or twice.open):
+            break
+        m, half = maze.size, make_spec(maze.size).offset // 2
+        if half not in by_cutoff:
+            raise ValueError(f"m={m} n={n}: ancilla-cleanup and involution need the cutoff {half} oracle")
+        paths, layouts = _paths(n), {}
+        prefix = _SharedPrefix(next(iter(by_cutoff.values())))
+        for cutoff, circ in by_cutoff.items():
+            reused = cutoff == half and (cleanup.open or twice.open)
+            if not (sign.open or reused):
+                continue
+            batch = _packed(circ, "path", paths, layouts)
+            out, signs = prefix.run(circ, batch)
+            if sign.open:
+                want_signs = np.where(blind[maze, n] > cutoff, -1, 1)
+                sign.check(_where(m, n, f" cutoff={cutoff}"), circ, out, signs, batch, want_signs)
+            if reused and cleanup.open:
+                cleanup.check(_where(m, n), circ, out, signs, batch)
+            if reused and twice.open:
+                out, again = run_batch(circ, out)
+                twice.check(_where(m, n, " (oracle twice)"), circ, out, signs * again, batch, 1)
+    return sign.result(), cleanup.result(), twice.result()
 
 
 def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResult]:
@@ -197,7 +261,5 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
         verify_fitness(fitness_circuits, blind),
         verify_comparator(comparator_width_max),
         verify_validity(validity_circuits),
-        verify_oracle_sign(oracles, blind),
-        verify_ancilla_cleanup(oracles),
-        verify_involutions(oracles),
+        *verify_oracles(oracles, blind),
     ]

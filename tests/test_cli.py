@@ -399,17 +399,17 @@ def _oracle():
 def _corrupt_oracle_sign(_monkeypatch):
     key, cutoff, circ = _oracle()
     unsigned = RevCircuit(circ.registers, [g for g in circ.gates if not isinstance(g, PhaseMark)])
-    return verify.verify_oracle_sign({key: {cutoff: unsigned}}, {key: verify._blind_values(*key)})
+    return verify.verify_oracles({key: {cutoff: unsigned}}, {key: verify._blind_values(*key)})[0]
 
 
 def _corrupt_cleanup(_monkeypatch):
     key, cutoff, circ = _oracle()
-    return verify.verify_ancilla_cleanup({key: {cutoff: _dropped(circ)}})
+    return verify.verify_oracles({key: {cutoff: _dropped(circ)}}, {key: verify._blind_values(*key)})[1]
 
 
 def _corrupt_involution(_monkeypatch):
     key, cutoff, circ = _oracle()
-    return verify.verify_involutions({key: {cutoff: _dropped(circ, 0)}})
+    return verify.verify_oracles({key: {cutoff: _dropped(circ, 0)}}, {key: verify._blind_values(*key)})[2]
 
 
 @pytest.mark.parametrize(
@@ -507,7 +507,7 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         pytest.param(
             ["--n", "2", "--m", "2", "--format", "json"],
             0,
-            "4546952aa447643b6b498c1b28c8c58bfef4a19b7bfa525fb6ef40649ff210ce",
+            "6d4e4a7e634a376f9332295f35b369604805667604ece91dfcea4f612e3bddc3",
             id="readme-json",
         ),
         pytest.param(

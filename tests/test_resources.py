@@ -98,6 +98,20 @@ def test_comparator_fit_is_linear():
     assert cmp_claim.slope == pytest.approx(3.0)
 
 
+def test_fits_on_exact_lines_are_exact():
+    # `qmaze resources --n 2 --m 2` fits these; both sets of counts lie on a line.
+    claims = check_asymptotics(generate_maze(2, seed=0), range(1, 4))
+    walk, cmp_claim = claims["path_sim_linear_in_n_times_width"], claims["comparator_linear_in_width"]
+    assert (walk.slope, walk.intercept, walk.residual_ratio) == (8.0, 0.0, 0.0)
+    assert (cmp_claim.slope, cmp_claim.intercept, cmp_claim.residual_ratio) == (3.0, -6.0, 0.0)
+    assert f"{walk.intercept:.3f}" == "0.000"
+
+
+def test_linear_fit_rejects_a_single_x_value():
+    with pytest.raises(ValueError):
+        linear_fit([2, 2, 2], [1, 2, 3])
+
+
 def test_path_sim_fit_under_threshold():
     claims = check_asymptotics(generate_maze(4, seed=0), range(1, 7))
     walk = claims["path_sim_linear_in_n_times_width"]

@@ -1,0 +1,302 @@
+"""`verify`'s shared runs, pinned to a per-case reference.
+
+``verify.run_all`` packs each exhaustive input once per register layout,
+runs the forward prefix that a (maze, n)'s oracles share once, and reads
+the cutoff C // 2 oracle's run for ancilla-cleanup and involution. The
+reference below runs every case on its own instead: one ``pack_rows`` and
+one ``run_batch`` per case, and the oracle doubled into one circuit for
+involution. The two must return equal ``SuiteResult``s, on passing
+circuits and on mutated ones.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from qmaze import verify
+from qmaze.circuits import (
+    Batch,
+    Gate,
+    PhaseMark,
+    RevCircuit,
+    build_fitness_circuit,
+    build_gt_comparator,
+    build_oracle_circuit,
+    build_validity_circuit,
+    pack_rows,
+    run_batch,
+    unpack_column,
+)
+from qmaze.fitness import make_spec
+from qmaze.maze import SimMode, generate_maze, path_end_values
+
+# ---------------------------------------------------------------------------
+# Per-case reference
+
+
+def _reference_check(suite, cases) -> verify.SuiteResult:
+    """Pack, run and compare each case on its own; stop at the first bad case.
+
+    A case is (where, circuit, inputs, reference, want_signs), as ``verify``
+    had it before the shared runs: the expected batch is the input batch
+    ORed with the packed reference registers, and each sign mismatch is
+    marked row by row.
+    """
+    checked = 0
+    for where, circ, inputs, reference, want_signs in cases:
+        size = len(next(iter(inputs.values())))
+        batch = pack_rows(circ, inputs, size)
+        out, signs = verify.run_batch(circ, batch)
+        want = batch
+        if reference:
+            ref = pack_rows(circ, reference, size).wires
+            want = Batch(size, tuple(a | b for a, b in zip(batch.wires, ref)))
+        checked += size
+        bad = 0
+        for a, b in zip(out.wires, want.wires):
+            bad |= a ^ b
+        if want_signs is not None:
+            want_signs = np.broadcast_to(want_signs, signs.shape)
+            for i in np.flatnonzero(signs != want_signs):
+                bad |= 1 << int(i)
+        if not bad:
+            continue
+        row = (bad & -bad).bit_length() - 1
+        for name in circ.registers:
+            got, exp = (int(unpack_column(circ, b, name)[row]) for b in (out, want))
+            if got != exp:
+                found = f"register '{name}' {got}, expected {exp}"
+                break
+        else:
+            found = f"sign {int(signs[row])}, expected {int(want_signs[row])}"
+        return verify.SuiteResult(suite, checked, bad.bit_count(), f"{where(row)}: {found}")
+    return verify.SuiteResult(suite, checked, 0)
+
+
+def _path_case(m, n, label=""):
+    return (lambda u: f"m={m} n={n}{label} path={u:0{2*n}b}"), {"path": np.arange(4**n)}
+
+
+def _reference_oracles(oracles, blind) -> list[verify.SuiteResult]:
+    """oracle-sign, ancilla-cleanup and involution, each case run whole and on its own."""
+
+    def sign_cases():
+        for (maze, n), by_cutoff in oracles.items():
+            for cutoff, circ in by_cutoff.items():
+                where, paths = _path_case(maze.size, n, f" cutoff={cutoff}")
+                yield where, circ, paths, {}, np.where(blind[maze, n] > cutoff, -1, 1)
+
+    def half(maze, by_cutoff):
+        return by_cutoff[make_spec(maze.size).offset // 2]
+
+    def cleanup_cases():
+        for (maze, n), by_cutoff in oracles.items():
+            where, paths = _path_case(maze.size, n)
+            yield where, half(maze, by_cutoff), paths, {}, None
+
+    def involution_cases():
+        for (maze, n), by_cutoff in oracles.items():
+            circ = half(maze, by_cutoff)
+            where, paths = _path_case(maze.size, n, " (oracle twice)")
+            yield where, RevCircuit(circ.registers, circ.gates + circ.gates), paths, {}, 1
+
+    return [
+        _reference_check("oracle-sign", sign_cases()),
+        _reference_check("ancilla-cleanup", cleanup_cases()),
+        _reference_check("involution", involution_cases()),
+    ]
+
+
+def _reference_run_all(n_max, m_max, width_max) -> list[verify.SuiteResult]:
+    mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
+    keys = [(maze, n) for maze in mazes for n in range(1, n_max + 1)]
+    blind = {key: verify._blind_values(*key) for key in keys}
+
+    def fitness_cases():
+        for maze, n in keys:
+            circ = build_fitness_circuit(maze, n)
+            where, paths = _path_case(maze.size, n)
+            yield where, circ, paths, {"fit": blind[maze, n] % (1 << circ.registers["fit"].width)}, 1
+
+    def comparator_cases():
+        for w in range(1, width_max + 1):
+            f = np.arange(1 << w)
+            for cutoff in range(1 << w):
+                where = lambda i: f"w={w} f={i} c={cutoff}"
+                yield where, build_gt_comparator(w, cutoff), {"f": f}, {"flag": f > cutoff}, 1
+
+    def validity_cases():
+        for maze, n in keys:
+            ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+            where, paths = _path_case(maze.size, n)
+            yield where, build_validity_circuit(maze, n), paths, {"valid": ref}, 1
+
+    oracles = {key: _oracles(*key) for key in keys}
+    return [
+        _reference_check("fitness", fitness_cases()),
+        _reference_check("comparator", comparator_cases()),
+        _reference_check("validity", validity_cases()),
+        *_reference_oracles(oracles, blind),
+    ]
+
+
+def _oracles(maze, n) -> dict:
+    fit = build_fitness_circuit(maze, n)
+    return {c: build_oracle_circuit(fit, c) for c in verify._oracle_cutoffs(maze.size)}
+
+
+def _gate_rows(monkeypatch) -> list[int]:
+    """Gate rows run through ``verify.run_batch`` from now on, in a one-item list."""
+    rows = [0]
+
+    def counted(circuit, batch):
+        rows[0] += len(circuit.gates) * batch.size
+        return run_batch(circuit, batch)
+
+    monkeypatch.setattr(verify, "run_batch", counted)
+    return rows
+
+
+def test_run_all_equals_the_per_case_reference(monkeypatch):
+    rows = _gate_rows(monkeypatch)
+    reference = _reference_run_all(3, 4, 6)
+    reference_rows, rows[0] = rows[0], 0
+    shared = verify.run_all(n_max=3, m_max=4, comparator_width_max=6)
+    assert shared == reference
+    assert all(r.passed for r in shared)
+    # Per (maze, n), the shared run saves three runs of the prefix P that its
+    # four oracles share, and two of the C // 2 oracle: cleanup reads the
+    # oracle-sign run, and involution runs it once more, not twice.
+    saved = 0
+    for maze in (generate_maze(m, seed=0) for m in range(2, 5)):
+        for n in range(1, 4):
+            half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
+            saved += 4**n * (3 * _forward_hi(half) + 2 * len(half.gates))
+    assert reference_rows - rows[0] == saved
+
+
+# ---------------------------------------------------------------------------
+# Mutated oracles: the shared run must report what the reference reports
+
+
+def _keys():
+    return [(generate_maze(m, seed=0), 2) for m in (3, 4)]
+
+
+def _forward_hi(circ) -> int:
+    return circ.spans["distance_fitness"][1]
+
+
+def _drop_prefix_gate(circ):
+    return circ.gates[: _forward_hi(circ) // 2] + circ.gates[_forward_hi(circ) // 2 + 1 :]
+
+
+def _drop_mirror_gate(circ):
+    at = len(circ.gates) - _forward_hi(circ) // 2
+    return circ.gates[:at] + circ.gates[at + 1 :]
+
+
+def _drop_phase_mark(circ):
+    return [g for g in circ.gates if not isinstance(g, PhaseMark)]
+
+
+def _mark_in_prefix(circ):
+    at = _forward_hi(circ) // 2
+    return circ.gates[:at] + [PhaseMark(circ.registers["path"].offset)] + circ.gates[at:]
+
+
+def _mutated(key, index, edit):
+    """Oracles of ``_keys()``, with the ``index``-th cutoff's oracle of ``key`` given ``edit``'s gates."""
+    oracles = {k: _oracles(*k) for k in _keys()}
+    cutoff = list(oracles[key])[index]
+    circ = oracles[key][cutoff]
+    oracles[key][cutoff] = RevCircuit(circ.registers, edit(circ), circ.spans)
+    return oracles, cutoff
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
+@pytest.mark.parametrize(
+    "edit",
+    [_drop_prefix_gate, _drop_mirror_gate, _drop_phase_mark, _mark_in_prefix],
+    ids=["prefix", "mirror", "phase-mark", "mark-in-prefix"],
+)
+def test_mutated_oracle_results_equal_the_reference(edit, index):
+    key = _keys()[0]
+    assert len(verify._oracle_cutoffs(key[0].size)) == 4
+    oracles, cutoff = _mutated(key, index, edit)
+    blind = {k: verify._blind_values(*k) for k in oracles}
+    shared = list(verify.verify_oracles(oracles, blind))
+    assert shared == _reference_oracles(oracles, blind)
+    # A dropped phase mark is invisible only at a cutoff that marks no path.
+    assert shared[0].passed == (edit is _drop_phase_mark and not (blind[key] > cutoff).any())
+
+
+# ---------------------------------------------------------------------------
+# The prefix is shared only by object identity
+
+
+def _replace_forward_gate(circ, make):
+    gates = list(circ.gates)
+    at = _forward_hi(circ) // 2
+    gates[at] = make(gates[at], circ.num_bits)
+    return gates
+
+
+def _equal_copy(gate, _num_bits):
+    return Gate(gate.target, gate.controls)
+
+
+def _moved_target(gate, num_bits):
+    return Gate(next(b for b in range(num_bits) if b not in (gate.target, *gate.controls)), gate.controls)
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
+def test_an_equal_but_distinct_gate_runs_its_oracle_whole(monkeypatch, index):
+    key = _keys()[0]
+    blind = {k: verify._blind_values(*k) for k in _keys()}
+    clean = {k: _oracles(*k) for k in _keys()}
+    rows = _gate_rows(monkeypatch)
+    want = verify.verify_oracles(clean, blind)
+    clean_rows, rows[0] = rows[0], 0
+
+    oracles, _ = _mutated(key, index, lambda circ: _replace_forward_gate(circ, _equal_copy))
+    got = verify.verify_oracles(oracles, blind)
+    assert got == want and all(r.passed for r in got)
+    # The copied gate is equal but not the same object, so its oracle ran whole.
+    assert rows[0] > clean_rows
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
+def test_a_moved_target_fails_oracle_sign_at_its_cutoff(index):
+    key = _keys()[0]
+    oracles, cutoff = _mutated(key, index, lambda circ: _replace_forward_gate(circ, _moved_target))
+    blind = {k: verify._blind_values(*k) for k in oracles}
+    sign = verify.verify_oracles(oracles, blind)[0]
+    assert not sign.passed
+    assert sign.counterexample.startswith(f"m={key[0].size} n=2 cutoff={cutoff} path=")
+    assert sign == _reference_oracles(oracles, blind)[0]
+
+
+# ---------------------------------------------------------------------------
+# Failure reports
+
+
+def test_all_wrong_signs_report_every_row():
+    maze, n = generate_maze(2, seed=0), 8
+    cutoff = make_spec(maze.size).offset // 2
+    circ = build_oracle_circuit(build_fitness_circuit(maze, n), cutoff)
+    flag = circ.registers["flag"].offset
+    # flag is 0 on every row after the oracle, so X Z X flips every sign.
+    flipped = RevCircuit(circ.registers, circ.gates + [Gate(flag), PhaseMark(flag), Gate(flag)], circ.spans)
+    oracles, blind = {(maze, n): {cutoff: flipped}}, {(maze, n): verify._blind_values(maze, n)}
+    sign = verify.verify_oracles(oracles, blind)[0]
+    assert sign.failures == 4**n
+    assert sign == _reference_oracles(oracles, blind)[0]
+
+
+def test_a_key_without_the_half_cutoff_oracle_is_rejected():
+    maze = generate_maze(3, seed=0)
+    oracles = {(maze, 2): {0: _oracles(maze, 2)[0]}}
+    with pytest.raises(ValueError, match="cutoff 8 oracle"):
+        verify.verify_oracles(oracles, {(maze, 2): verify._blind_values(maze, 2)})
