@@ -1,10 +1,13 @@
 """Reversible-circuit layer: fitness evaluation, comparators, oracle, validity.
 
 Circuits are ordered lists of NOT/CNOT/Toffoli gates over named bit
-registers, plus single-bit Z phase markers. Every gate is self-inverse, so
-a circuit's inverse is its reversed gate list. Executing a circuit on a
-classical basis state is exact: bits map to bits bijectively and the only
-quantum effect, the phase marker, is tracked as a +/-1 sign per state.
+registers, plus single-bit Z phase markers. A gate is an immutable
+(target, controls) tuple, checked once when made, which executors unpack
+as ``t, c = g``; a ``PhaseMark`` is a ``Gate`` but never equals one.
+Every gate is self-inverse, so a circuit's inverse is its reversed gate
+list. Executing a circuit on a classical basis state is exact: bits map
+to bits bijectively and the only quantum effect, the phase marker, is
+tracked as a +/-1 sign per state.
 Execution is bitsliced: a ``Batch`` of basis states is one integer per
 wire with one bit per basis row, so each gate is a single integer
 XOR/AND over the whole batch. A batch keeps that form from ``pack_rows``
@@ -18,11 +21,14 @@ Uncomputation appends the same gate objects in reverse order. The oracle
 reuses an already built fitness circuit rather than building its own: it
 starts a new circuit from copies of that circuit's registers and spans
 and its gates up to the fitness write, compares and marks, then mirrors
-them, so it holds the forward computation twice, not four times. Stages
-are named by spans of the gate list, not per gate: the fitness circuit
-marks ``walk`` and ``distance_fitness`` (goal difference through the
-fitness write), and ``count_gates`` tallies one span into a
-``GateCounts``, the one gate-count record the resource model shares.
+them, so it holds the forward computation twice, not four times. The
+oracles of one fitness circuit therefore share their prefix and their
+mirror gate for gate, as the same objects, which lets ``verify`` run
+each shared segment once. Stages are named by spans of the gate list,
+not per gate: the fitness circuit marks ``walk`` and
+``distance_fitness`` (goal difference through the fitness write), and
+``count_gates`` tallies one span into a ``GateCounts``, the one
+gate-count record the resource model shares.
 
 The fitness and validity builders take a ``Maze``, read its size, start
 and goal, and ignore its walls: fitness is wall-blind, validity checks
@@ -41,6 +47,7 @@ Arithmetic conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -51,27 +58,58 @@ from .maze import Direction, Maze
 # Gate and circuit data model
 
 
-@dataclass(frozen=True)
-class Gate:
-    """X-family gate: 0 controls = NOT, 1 = CNOT, 2 = Toffoli."""
+class Gate(tuple):
+    """X-family gate: 0 controls = NOT, 1 = CNOT, 2 = Toffoli.
 
-    target: int
-    controls: tuple[int, ...] = ()
+    A gate is the pair (target, controls), so executors unpack it as
+    ``t, c = g``. It equals only a gate of its own type with the same bits.
+    """
 
-    def __post_init__(self):
-        if len(self.controls) > 2:
+    __slots__ = ()
+
+    def __new__(cls, target: int, controls: tuple[int, ...] = ()):
+        # Chained comparisons: every bit >= 0 and no two bits equal.
+        if not controls:
+            ok = target >= 0
+        elif len(controls) == 1:
+            ok = target >= 0 <= controls[0] != target
+        elif len(controls) == 2:
+            c1, c2 = controls
+            ok = target >= 0 <= c1 != c2 != target != c1 and c2 >= 0
+        else:
             raise ValueError("gates above two controls must be decomposed")
-        if self.target in self.controls or len(set(self.controls)) != len(self.controls):
-            raise ValueError(f"gate bits must be distinct: {self}")
+        if not ok:
+            need = "nonnegative" if min((target, *controls)) < 0 else "distinct"
+            raise ValueError(f"gate bits must be {need}: {cls.__name__}(target={target!r}, controls={controls!r})")
+        return tuple.__new__(cls, (target, controls))
+
+    target = property(itemgetter(0))
+    controls = property(itemgetter(1))
+
+    def __eq__(self, other):
+        return type(self) is type(other) and tuple.__eq__(self, other)
+
+    def __ne__(self, other):
+        return not self == other
+
+    __hash__ = tuple.__hash__
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"{type(self).__name__}(target={self.target!r}, controls={self.controls!r})"
 
 
-@dataclass(frozen=True)
 class PhaseMark(Gate):
     """Z on one bit, recorded as a per-basis-state sign flip."""
 
-    def __post_init__(self):
-        if self.controls:
+    __slots__ = ()
+
+    def __new__(cls, target: int, controls: tuple[int, ...] = ()):
+        if controls:
             raise ValueError("phase marker takes no controls")
+        return super().__new__(cls, target)
 
 
 @dataclass(frozen=True)
@@ -145,7 +183,7 @@ class RevCircuit:
     def uncompute_range(self, lo: int, hi: int):
         """Append the inverse of gates[lo:hi]: the same (self-inverse) gates, reversed."""
         block = self.gates[lo:hi]
-        if any(isinstance(g, PhaseMark) for g in block):
+        if PhaseMark in map(type, block):
             raise ValueError("phase markers are not part of uncomputation")
         self.gates.extend(reversed(block))
 
@@ -172,11 +210,12 @@ def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
         gates = gates[lo:hi]
     tof = cnot = nots = 0
     for g in gates:
-        if len(g.controls) == 2:
+        _, c = g
+        if len(c) == 2:
             tof += 1
-        elif len(g.controls) == 1:
+        elif c:
             cnot += 1
-        elif not isinstance(g, PhaseMark):
+        elif type(g) is not PhaseMark:
             nots += 1
     return GateCounts(toffoli=tof, cnot=cnot, nots=nots)
 
@@ -187,8 +226,8 @@ def circuit_depth(circuit: RevCircuit) -> int:
     Phase marks count toward the depth, though ``count_gates`` does not tally them.
     """
     depth_at = [0] * circuit.num_bits
-    for g in circuit.gates:
-        touched = (g.target, *g.controls)
+    for t, c in circuit.gates:
+        touched = (t, *c)
         d = 1 + max(depth_at[b] for b in touched)
         for b in touched:
             depth_at[b] = d
@@ -259,15 +298,15 @@ def run_batch(circuit: RevCircuit, batch: Batch) -> tuple[Batch, np.ndarray]:
     ones = (1 << batch.size) - 1
     neg = 0
     for g in circuit.gates:
-        c = g.controls
+        t, c = g
         if len(c) == 2:
-            w[g.target] ^= w[c[0]] & w[c[1]]
+            w[t] ^= w[c[0]] & w[c[1]]
         elif c:
-            w[g.target] ^= w[c[0]]
-        elif isinstance(g, PhaseMark):
-            neg ^= w[g.target]
+            w[t] ^= w[c[0]]
+        elif type(g) is PhaseMark:
+            neg ^= w[t]
         else:
-            w[g.target] ^= ones
+            w[t] ^= ones
     signs = 1 - 2 * _planes([neg], batch.size)[0].astype(np.int8)
     return Batch(batch.size, tuple(w)), signs
 

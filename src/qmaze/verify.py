@@ -12,14 +12,21 @@ reference values. A suite stops at the first mismatch and reports it.
 Shared work runs once per ``run_all`` call, and nothing is kept between
 calls. Each exhaustive input, every path or every comparator ``f``, is
 packed once per register layout: the four oracles of a (maze, n) share
-one layout, and so do all comparators of one width. The oracles of a
-(maze, n) begin with the same forward fitness gates, the same objects,
-so that prefix runs once and each oracle runs only its remaining gates
-from the prefix's output; an oracle whose prefix holds any other gate
-object runs whole. The cutoff C // 2 run serves three suites:
-oracle-sign checks it, ancilla-cleanup reads its registers, and
-involution runs that oracle once more from its output and multiplies
-the two sign vectors.
+one layout, and so do all comparators of one width. Each oracle
+``F W . C Z C^-1 . W^-1 F^-1`` runs as three segments. The oracles of a
+(maze, n) begin with the same forward fitness gates ``F W``, the same
+objects, so that prefix runs once and each oracle runs its own middle
+``C Z C^-1`` from the prefix's output; an oracle whose prefix holds any
+other gate object runs whole. They also end with the same mirror
+``W^-1 F^-1``; when every middle restores the bits it changes, as a
+correct one does, every mirror gets the prefix's output, so the first
+mirror run serves every oracle whose mirror is the same gate objects and
+whose middle's output equals that run's input. The cutoff C // 2 run
+serves three suites: oracle-sign checks it, ancilla-cleanup reads its
+registers, and involution squares its signs when it restored its input
+(a second pass would repeat the same run); otherwise involution runs
+that oracle once more from its output and multiplies the two sign
+vectors.
 """
 
 from __future__ import annotations
@@ -182,32 +189,51 @@ def _oracle_cutoffs(m: int) -> list[int]:
     return sorted({0, 1, c // 2, c - 1})
 
 
-class _SharedPrefix:
-    """Runs oracles that begin with one forward prefix: the prefix once, then each oracle's rest.
+def _same(gates: list, shared: list) -> bool:
+    """True if ``gates`` are the very objects of ``shared``, in order."""
+    return len(gates) == len(shared) and all(map(operator.is_, gates, shared))
+
+
+class _SharedRuns:
+    """Runs oracles of one (maze, n) as prefix ``F W``, middle ``C Z C^-1`` and mirror ``W^-1 F^-1``.
 
     The prefix is ``first``'s gates up to the end of its ``distance_fitness``
-    span. An oracle shares it only if it has the same registers and its
-    first gates are the same objects; any other oracle runs whole.
+    span, and the mirror as many gates at its end. An oracle shares the
+    prefix run only if it has the same registers and its first gates are
+    the same objects; any other oracle runs whole. A sharing oracle runs
+    its own middle, then reuses the first run of the shared mirror if its
+    last gates are the same objects and its middle's output equals that
+    run's input; otherwise it runs its mirror. A run depends only on its
+    gates and its input, so every result is the whole oracle's.
     """
 
     def __init__(self, first: RevCircuit):
-        self.circ = RevCircuit(first.registers, first.gates[: first.spans.get("distance_fitness", (0, 0))[1]])
-        self.output = None
+        hi = first.spans.get("distance_fitness", (0, 0))[1]
+        self.registers = first.registers
+        self.prefix = first.gates[:hi]
+        self.mirror = first.gates[len(first.gates) - hi :]
+        self.prefix_run = self.mirror_run = None
+
+    def _run(self, gates: list, batch: Batch):
+        return run_batch(RevCircuit(self.registers, gates), batch)
 
     def run(self, circ: RevCircuit, batch: Batch):
-        hi = len(self.circ.gates)
-        if (
-            not hi
-            or circ.registers != self.circ.registers
-            or len(circ.gates) < hi
-            or not all(map(operator.is_, circ.gates, self.circ.gates))
-        ):
+        hi, gates = len(self.prefix), circ.gates
+        if not hi or circ.registers != self.registers or len(gates) < 2 * hi or not _same(gates[:hi], self.prefix):
             return run_batch(circ, batch)
-        if self.output is None:
-            self.output = run_batch(self.circ, batch)
-        mid, signs = self.output
-        out, rest = run_batch(RevCircuit(circ.registers, circ.gates[hi:]), mid)
-        return out, signs * rest
+        if self.prefix_run is None:
+            self.prefix_run = self._run(self.prefix, batch)
+        mid, prefix_signs = self.prefix_run
+        mid, middle_signs = self._run(gates[hi : len(gates) - hi], mid)
+        mirror = gates[len(gates) - hi :]
+        shared = _same(mirror, self.mirror)
+        if shared and self.mirror_run is not None and self.mirror_run[0] == mid:
+            out, mirror_signs = self.mirror_run[1]
+        else:
+            out, mirror_signs = self._run(mirror, mid)
+            if shared and self.mirror_run is None:
+                self.mirror_run = mid, (out, mirror_signs)
+        return out, prefix_signs * middle_signs * mirror_signs
 
 
 def verify_oracles(oracles: dict, blind: dict) -> tuple[SuiteResult, SuiteResult, SuiteResult]:
@@ -227,20 +253,21 @@ def verify_oracles(oracles: dict, blind: dict) -> tuple[SuiteResult, SuiteResult
         if half not in by_cutoff:
             raise ValueError(f"m={m} n={n}: ancilla-cleanup and involution need the cutoff {half} oracle")
         paths, layouts = _paths(n), {}
-        prefix = _SharedPrefix(next(iter(by_cutoff.values())))
+        runs = _SharedRuns(next(iter(by_cutoff.values())))
         for cutoff, circ in by_cutoff.items():
             reused = cutoff == half and (cleanup.open or twice.open)
             if not (sign.open or reused):
                 continue
             batch = _packed(circ, "path", paths, layouts)
-            out, signs = prefix.run(circ, batch)
+            out, signs = runs.run(circ, batch)
             if sign.open:
                 want_signs = np.where(blind[maze, n] > cutoff, -1, 1)
                 sign.check(_where(m, n, f" cutoff={cutoff}"), circ, out, signs, batch, want_signs)
             if reused and cleanup.open:
                 cleanup.check(_where(m, n), circ, out, signs, batch)
             if reused and twice.open:
-                out, again = run_batch(circ, out)
+                # On a restored input, the second pass would repeat the first run.
+                out, again = (out, signs) if out == batch else run_batch(circ, out)
                 twice.check(_where(m, n, " (oracle twice)"), circ, out, signs * again, batch, 1)
     return sign.result(), cleanup.result(), twice.result()
 

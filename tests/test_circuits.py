@@ -8,6 +8,7 @@ basis input at small widths.
 from __future__ import annotations
 
 import hashlib
+import pickle
 
 import numpy as np
 import pytest
@@ -87,6 +88,32 @@ def test_gate_rejects_duplicate_bits():
         Gate(0, (0,))
     with pytest.raises(ValueError):
         Gate(2, (1, 1))
+    # A negative bit would index wires from the end: run_batch's w[-1] is the last wire.
+    for target, controls in ((-1, ()), (-1, (0,)), (0, (-1,)), (1, (0, -2))):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Gate(target, controls)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PhaseMark(-1)
+
+
+def test_gates_are_immutable_values_of_their_own_type():
+    assert isinstance(PhaseMark(3), Gate)
+    assert Gate(3) != PhaseMark(3) and PhaseMark(3) != Gate(3)
+    assert Gate(3) != (3, ()) and (3, ()) != Gate(3)
+    assert Gate(1, (2,)) == Gate(1, (2,)) and hash(Gate(1, (2,))) == hash(Gate(1, (2,)))
+    assert len({Gate(1, (2,)), Gate(1, (2,)), Gate(2, (1,))}) == 2
+    g = Gate(1, (2, 0))
+    assert (g.target, g.controls) == (1, (2, 0))
+    for name in ("target", "controls", "other"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 5)
+    assert repr(g) == "Gate(target=1, controls=(2, 0))"
+    assert repr(PhaseMark(4)) == "PhaseMark(target=4, controls=())"
+    assert pickle.loads(pickle.dumps(PhaseMark(4))) == PhaseMark(4)
+    with pytest.raises(ValueError, match="no controls"):
+        PhaseMark(0, (1,))
+    with pytest.raises(ValueError, match="decomposed"):
+        Gate(0, (1, 2, 3))
 
 
 def test_pack_rows_rejects_unknown_register():

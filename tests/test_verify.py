@@ -1,12 +1,13 @@
 """`verify`'s shared runs, pinned to a per-case reference.
 
 ``verify.run_all`` packs each exhaustive input once per register layout,
-runs the forward prefix that a (maze, n)'s oracles share once, and reads
-the cutoff C // 2 oracle's run for ancilla-cleanup and involution. The
-reference below runs every case on its own instead: one ``pack_rows`` and
-one ``run_batch`` per case, and the oracle doubled into one circuit for
-involution. The two must return equal ``SuiteResult``s, on passing
-circuits and on mutated ones.
+runs the forward prefix that a (maze, n)'s oracles share once, runs their
+shared mirror once per equal input, and reads the cutoff C // 2 oracle's
+run for ancilla-cleanup and, when that run restores its input, for
+involution. The reference below runs every case on its own instead: one
+``pack_rows`` and one ``run_batch`` per case, and the oracle doubled into
+one circuit for involution. The two must return equal ``SuiteResult``s,
+on passing circuits and on mutated ones.
 """
 
 from __future__ import annotations
@@ -165,15 +166,16 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
     shared = verify.run_all(n_max=3, m_max=4, comparator_width_max=6)
     assert shared == reference
     assert all(r.passed for r in shared)
-    # Per (maze, n), the shared run saves three runs of the prefix P that its
-    # four oracles share, and two of the C // 2 oracle: cleanup reads the
-    # oracle-sign run, and involution runs it once more, not twice.
+    # Per (maze, n), the shared run saves three runs each of the prefix P and
+    # of the mirror (also P gates) that its four oracles share, and three
+    # runs of the C // 2 oracle: cleanup reads the oracle-sign run, and
+    # involution reads it again, since that run restores its input.
     saved = 0
     for maze in (generate_maze(m, seed=0) for m in range(2, 5)):
         for n in range(1, 4):
             half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
-            saved += 4**n * (3 * _forward_hi(half) + 2 * len(half.gates))
-    assert reference_rows - rows[0] == saved
+            saved += 4**n * (6 * _forward_hi(half) + 3 * len(half.gates))
+    assert reference_rows - rows[0] == saved == 2_413_260
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +196,21 @@ def _drop_prefix_gate(circ):
 
 def _drop_mirror_gate(circ):
     at = len(circ.gates) - _forward_hi(circ) // 2
+    return circ.gates[:at] + circ.gates[at + 1 :]
+
+
+def _move_mirror_target(circ):
+    """Moves one mirror gate's target: the mirror's input is unchanged, its gates are not."""
+    gates = list(circ.gates)
+    at = len(gates) - _forward_hi(circ) // 2
+    gates[at] = _moved_target(gates[at], circ.num_bits)
+    return gates
+
+
+def _drop_uncompare_gate(circ):
+    """Drops the first gate of C^-1, so the mirror's input keeps that gate's bit flipped."""
+    compare = (len(circ.gates) - 2 * _forward_hi(circ) - 1) // 2  # gates in C, before Z
+    at = _forward_hi(circ) + compare + 1
     return circ.gates[:at] + circ.gates[at + 1 :]
 
 
@@ -218,8 +235,15 @@ def _mutated(key, index, edit):
 @pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
 @pytest.mark.parametrize(
     "edit",
-    [_drop_prefix_gate, _drop_mirror_gate, _drop_phase_mark, _mark_in_prefix],
-    ids=["prefix", "mirror", "phase-mark", "mark-in-prefix"],
+    [
+        _drop_prefix_gate,
+        _drop_mirror_gate,
+        _move_mirror_target,
+        _drop_uncompare_gate,
+        _drop_phase_mark,
+        _mark_in_prefix,
+    ],
+    ids=["prefix", "mirror", "mirror-target", "uncompare", "phase-mark", "mark-in-prefix"],
 )
 def test_mutated_oracle_results_equal_the_reference(edit, index):
     key = _keys()[0]
