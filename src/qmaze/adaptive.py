@@ -83,12 +83,6 @@ class CutoffTrace:
     best_index: int | None = None
     best_fitness: int | None = None
 
-    def cutoffs(self) -> list[int]:
-        return [r.cutoff for r in self.rounds]
-
-    def strict_increases(self) -> int:
-        return sum(1 for r in self.rounds if r.new_cutoff > r.cutoff)
-
 
 def update_cutoff(cutoff: int, f_star: int) -> int:
     """Monotone ratchet: next cutoff is max(current, observed best)."""

@@ -17,7 +17,14 @@ Each builder starts from an empty ``RevCircuit``, appends registers and
 gates to it, then returns it.
 Scratch registers follow compute-use-uncompute discipline (Bennett
 cleanup): on any input whose scratch starts at zero, it ends at zero.
-Uncomputation appends the same gate objects in reverse order. The oracle
+Uncomputation appends the same gate objects in reverse order, and a
+repeated block is appended as the same objects too: the second half of
+each conjugation pair (the NOTs around a decrement or subtraction, a
+loaded constant, a masked copy, a walk step's control toggle) repeats the
+first, and each direction's increment or decrement, like validity's
+per-step bound check, is emitted once per build and repeated at every
+later step. Gates are immutable, so sharing objects changes no result;
+nothing is kept between builds. The oracle
 reuses an already built fitness circuit rather than building its own: it
 starts a new circuit from copies of that circuit's registers and spans
 and its gates up to the fitness write, compares and marks, then mirrors
@@ -140,9 +147,6 @@ class RevCircuit:
         self.spans = {} if spans is None else spans
         self.num_bits = sum(r.width for r in self.registers.values())
 
-    def zero_assignment(self) -> dict[str, int]:
-        return {name: 0 for name in self.registers}
-
     def inverse(self) -> "RevCircuit":
         return RevCircuit(dict(self.registers), list(reversed(self.gates)))
 
@@ -179,6 +183,10 @@ class RevCircuit:
 
     def mark(self) -> int:
         return len(self.gates)
+
+    def repeat(self, lo: int, hi: int):
+        """Append gates[lo:hi] again, in the same order, as the same gate objects."""
+        self.gates.extend(self.gates[lo:hi])
 
     def uncompute_range(self, lo: int, hi: int):
         """Append the inverse of gates[lo:hi]: the same (self-inverse) gates, reversed."""
@@ -355,11 +363,12 @@ def _increment(b: RevCircuit, bits: list[int], chain: list[int], ctrl: int):
 
 def _decrement(b: RevCircuit, bits: list[int], chain: list[int], ctrl: int):
     """-1 mod 2**w: conjugate an increment by NOT on every bit."""
+    lo = b.mark()
     for bit in bits:
         b.x(bit)
+    hi = b.mark()
     _increment(b, bits, chain, ctrl)
-    for bit in bits:
-        b.x(bit)
+    b.repeat(lo, hi)
 
 
 def _add(b: RevCircuit, a: list[int], t: list[int], carry: int):
@@ -386,18 +395,21 @@ def _add(b: RevCircuit, a: list[int], t: list[int], carry: int):
 
 def _sub(b: RevCircuit, a: list[int], t: list[int], carry: int):
     """t -= a mod 2**w via t = ~(~t + a)."""
+    lo = b.mark()
     for bit in t:
         b.x(bit)
+    hi = b.mark()
     _add(b, a, t, carry)
-    for bit in t:
-        b.x(bit)
+    b.repeat(lo, hi)
 
 
 def _add_const(b: RevCircuit, value: int, t: list[int], const: list[int], carry: int, subtract: bool = False):
     """t +/-= value using a temporarily loaded constant register."""
+    lo = b.mark()
     _xor_const(b, const, value)
+    hi = b.mark()
     (_sub if subtract else _add)(b, const, t, carry)
-    _xor_const(b, const, value)
+    b.repeat(lo, hi)
 
 
 def _masked_copy(b: RevCircuit, ctrl: int, src: list[int], dst: list[int]):
@@ -420,9 +432,11 @@ def _square(b: RevCircuit, src: list[int], out: list[int], tmp: list[int], carry
     for i in range(min(w, p)):
         window = p - i
         span = min(w, window)
+        lo = b.mark()
         _masked_copy(b, src[i], src[:span], tmp[:span])
+        hi = b.mark()
         _add(b, tmp[:window], out[i:], carry)
-        _masked_copy(b, src[i], src[:span], tmp[:span])
+        b.repeat(lo, hi)
 
 
 def _gt_const(b: RevCircuit, a: list[int], cutoff: int, out: int, eq: list[int]):
@@ -494,11 +508,6 @@ def arith_width(m: int, n: int) -> int:
     return max(w, position_width(m, n))
 
 
-def signed_register_value(value: int, width: int) -> int:
-    """Interpret a register's integer content as two's complement."""
-    return value - (1 << width) if (value >> (width - 1)) & 1 else value
-
-
 # ---------------------------------------------------------------------------
 # Standalone arithmetic builders
 
@@ -564,6 +573,19 @@ def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
 # Fitness, oracle, and validity circuits
 
 
+def _emit_once(b: RevCircuit, blocks: dict, key, emit):
+    """Append block ``key``: ``emit()``'s gates the first time, then those same gate objects.
+
+    ``blocks`` maps a key to its first span and belongs to one build.
+    """
+    if key in blocks:
+        b.repeat(*blocks[key])
+    else:
+        lo = b.mark()
+        emit()
+        blocks[key] = (lo, b.mark())
+
+
 def _emit_walk_step(
     b: RevCircuit,
     path_bits: list[int],
@@ -573,11 +595,14 @@ def _emit_walk_step(
     pos_j: list[int],
     ctl: int,
     chain: list[int],
+    blocks: dict,
 ):
     """Direction-controlled coordinate updates for one path step (1-based).
 
     A direction's two-bit code is its index in ``Direction``, codec's code
-    order; its ``delta`` picks the coordinate register and the sign.
+    order; its ``delta`` picks the coordinate register and the sign. Only
+    the control toggle reads the step's path bits, so each direction's
+    increment or decrement is the same block at every step, kept in ``blocks``.
     """
     hi = path_bits[2 * (n - step) + 1]
     lo = path_bits[2 * (n - step)]
@@ -585,18 +610,16 @@ def _emit_walk_step(
         di, dj = d.delta
         reg_bits = pos_i if di else pos_j
         op = _increment if di + dj > 0 else _decrement
+        toggle_lo = b.mark()
         conj = [bit for bit, want in ((hi, code >> 1), (lo, code & 1)) if want == 0]
-
-        def control_toggle():
-            for bit in conj:
-                b.x(bit)
-            b.ccx(hi, lo, ctl)
-            for bit in conj:
-                b.x(bit)
-
-        control_toggle()
-        op(b, reg_bits, chain, ctl)
-        control_toggle()
+        for bit in conj:
+            b.x(bit)
+        b.ccx(hi, lo, ctl)
+        for bit in conj:
+            b.x(bit)
+        toggle_hi = b.mark()
+        _emit_once(b, blocks, code, lambda: op(b, reg_bits, chain, ctl))
+        b.repeat(toggle_lo, toggle_hi)
 
 
 def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
@@ -634,8 +657,9 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     _xor_const(b, pos_i, start[0] + n)
     _xor_const(b, pos_j, start[1] + n)
     walk_lo = b.mark()
+    blocks: dict = {}
     for step in range(1, n + 1):
-        _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain)
+        _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain, blocks)
     walk_hi = b.mark()
     _add_const(b, goal[0] + n, pos_i, kconst, carry, subtract=True)
     _add_const(b, goal[1] + n, pos_j, kconst, carry, subtract=True)
@@ -730,16 +754,20 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     ctl = b.reg("ctl", 1, "ancilla").bits[0]
     chain = b.maybe_reg("chain", w_pos - 1, "ancilla")
 
-    _xor_const(b, pos_i, start[0])
-    _xor_const(b, pos_j, start[1])
-    for step in range(1, n + 1):
-        _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain)
-        cmp_lo = b.mark()
+    def bound_check():
         _gt_const(b, pos_i, m - 1, inb_i, eq)
         _gt_const(b, pos_j, m - 1, inb_j, eq)
         b.x(inb_i)
         b.x(inb_j)
         b.ccx(inb_i, inb_j, phi)
+
+    _xor_const(b, pos_i, start[0])
+    _xor_const(b, pos_j, start[1])
+    blocks: dict = {}
+    for step in range(1, n + 1):
+        _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain, blocks)
+        cmp_lo = b.mark()
+        _emit_once(b, blocks, "bounds", bound_check)
         cmp_hi = b.mark()
         if step == 1:
             b.cx(phi, vchain[0])

@@ -11,6 +11,7 @@ either way.
 All randomness derives from the single --seed value: maze generation uses
 child stream (seed, 0[, run]) and the search loop uses (seed, 1[, run]),
 so identical configs reproduce byte-identical outputs.
+The argparse parser is built once per process, on the first ``main`` call.
 The solve trace, the sweep runs and the dynamics rows go through one CSV
 writer, and every JSON output through one JSON writer. A command writes
 --out before it prints its summary lines, so a failed write prints nothing.
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from collections.abc import Sequence
@@ -361,7 +363,14 @@ def _add_search_flags(p: argparse.ArgumentParser, skip: Sequence[str], required:
             _flag(p, f"--{key}", parse, required=key in required)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``qmaze`` parser, built on the first call and reused for the rest of the process.
+
+    Parsing keeps no state in the parser, and argparse reads the terminal
+    width only when it prints, so reuse changes no output. Each subcommand's
+    ``cmd_*`` function looks its helpers up by module name when it runs.
+    """
     parser = argparse.ArgumentParser(
         prog="qmaze",
         description="Amplitude-amplification maze solver and circuit checker",

@@ -24,14 +24,6 @@ def encode_direction(d: Direction) -> int:
     return _DIR_CODE[d]
 
 
-def decode_direction(code: int) -> Direction:
-    """Inverse of :func:`encode_direction`."""
-    try:
-        return _CODE_DIR[code]
-    except KeyError:
-        raise ValueError(f"direction code must be in 0..3, got {code}") from None
-
-
 def encode_path(path) -> int:
     """Concatenate two-bit direction codes, first move in the MSB pair."""
     value = 0

@@ -68,10 +68,6 @@ class FitnessLandscape:
     def f_max(self) -> int:
         return int(self.values.max())
 
-    @property
-    def argmax_set(self) -> np.ndarray:
-        return np.flatnonzero(self.values == self.values.max())
-
 
 def landscape(maze: Maze, n: int, spec: FitnessSpec) -> FitnessLandscape:
     """Tabulate fitness over all 4**n paths.

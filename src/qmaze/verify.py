@@ -12,7 +12,9 @@ reference values. A suite stops at the first mismatch and reports it.
 Shared work runs once per ``run_all`` call, and nothing is kept between
 calls. Each exhaustive input, every path or every comparator ``f``, is
 packed once per register layout: the four oracles of a (maze, n) share
-one layout, and so do all comparators of one width. Each oracle
+one layout, and so do all comparators of one width. Each width's
+comparator reference is packed once too, one ``flag`` row per cutoff,
+and a case's expected batch ORs its row into one wire. Each oracle
 ``F W . C Z C^-1 . W^-1 F^-1`` runs as three segments. The oracles of a
 (maze, n) begin with the same forward fitness gates ``F W``, the same
 objects, so that prefix runs once and each oracle runs its own middle
@@ -160,16 +162,25 @@ def verify_fitness(fitness_circuits: dict, blind: dict) -> SuiteResult:
 
 
 def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResult:
-    """Every (f, cutoff) pair, widths 1..width_max, vs integer >."""
+    """Every (f, cutoff) pair, widths 1..width_max, vs integer >.
+
+    Each width packs its reference once: row c of ``f > f[:, None]`` is
+    cutoff c's ``flag`` column, and a case's expected batch is its input
+    batch with that row ORed into the ``flag`` wire.
+    """
     suite = _Suite("comparator")
     for w in range(1, width_max + 1):
         f = np.arange(1 << w)
+        rows = np.packbits(f > f[:, None], axis=1, bitorder="little")
+        flags = [int.from_bytes(row.tobytes(), "little") for row in rows]
         layouts: dict = {}
         for cutoff in range(1 << w):
             circ = builder(w, cutoff)
             batch = _packed(circ, "f", f, layouts)
             out, signs = run_batch(circ, batch)
-            want = _expected(circ, batch, {"flag": f > cutoff})
+            wires = list(batch.wires)
+            wires[circ.registers["flag"].offset] |= flags[cutoff]
+            want = Batch(batch.size, tuple(wires))
             if not suite.check(lambda i: f"w={w} f={i} c={cutoff}", circ, out, signs, want, 1):
                 return suite.result()
     return suite.result()

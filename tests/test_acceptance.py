@@ -54,11 +54,11 @@ def test_criterion_1_worked_example():
     classical = fitness_fn(EXAMPLE_MAZE, path, spec)
 
     fit_circ = build_fitness_circuit(EXAMPLE_MAZE, 2)
-    out, _ = run_on_basis(fit_circ, fit_circ.zero_assignment() | {"path": 0b1001})
+    out, _ = run_on_basis(fit_circ, dict.fromkeys(fit_circ.registers, 0) | {"path": 0b1001})
     register = out["fit"]
 
     oracle = build_oracle_circuit(fit_circ, cutoff=2)
-    _, sign = run_on_basis(oracle, oracle.zero_assignment() | {"path": 0b1001})
+    _, sign = run_on_basis(oracle, dict.fromkeys(oracle.registers, 0) | {"path": 0b1001})
     elapsed = time.perf_counter() - t0
 
     ok = classical == 4 and register == 0b100 and sign == -1 and elapsed < 1.0
@@ -83,8 +83,8 @@ def test_criterion_2_comparator_exact():
             mismatches += int(np.sum(got != (np.arange(span) > cutoff)))
             pairs += span
     pinned = build_gt_comparator(4, 9)
-    hit, _ = run_on_basis(pinned, pinned.zero_assignment() | {"f": 11})
-    miss, _ = run_on_basis(pinned, pinned.zero_assignment() | {"f": 5})
+    hit, _ = run_on_basis(pinned, dict.fromkeys(pinned.registers, 0) | {"f": 11})
+    miss, _ = run_on_basis(pinned, dict.fromkeys(pinned.registers, 0) | {"f": 5})
     elapsed = time.perf_counter() - t0
     ok = mismatches == 0 and hit["flag"] == 1 and miss["flag"] == 0 and elapsed < 10.0
     report(
@@ -211,9 +211,9 @@ def test_criterion_7_cutoff_convergence():
             policy=Policy.KNOWN_K, samples=3, seed=10_000 + i,
         )
         trace = run_adaptive(scape, config)
-        cutoffs = trace.cutoffs()
+        cutoffs = [r.cutoff for r in trace.rounds]
         monotone_ok &= all(b >= a for a, b in zip(cutoffs, cutoffs[1:]))
-        increase_ok &= trace.strict_increases() <= scape.f_max - 0
+        increase_ok &= sum(r.new_cutoff > r.cutoff for r in trace.rounds) <= scape.f_max - 0
         successes += int(
             trace.status is Status.CONVERGED_OPTIMAL and trace.best_fitness == scape.f_max
         )

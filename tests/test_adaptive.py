@@ -34,6 +34,14 @@ from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
 
 
+def _cutoffs(trace: CutoffTrace) -> list[int]:
+    return [r.cutoff for r in trace.rounds]
+
+
+def _strict_increases(trace: CutoffTrace) -> int:
+    return sum(r.new_cutoff > r.cutoff for r in trace.rounds)
+
+
 @pytest.fixture
 def example_scape(example_maze):
     spec = make_spec(2, Formula.MAIN, SimMode.WALL_AWARE)
@@ -154,7 +162,7 @@ def test_strictness_matters_only_at_an_initial_cutoff_of_f_max(example_scape, po
 
 
 def test_persistence_of_optima(example_scape):
-    argmax = set(example_scape.argmax_set.tolist())
+    argmax = set(np.flatnonzero(example_scape.values == example_scape.f_max).tolist())
     cutoff = example_scape.f_max
     for _ in range(5):  # cutoff is a fixed point of the update at f_max
         marked = marked_for_cutoff(example_scape, cutoff, Strictness.GE_AT_MAX)
@@ -177,10 +185,10 @@ def test_trace_invariants_random_mazes(seed):
     maze = generate_maze(3, seed=seed)
     scape = landscape(maze, 2, make_spec(3))
     trace = run_adaptive(scape, SearchConfig(seed=seed, max_rounds=24))
-    cutoffs = trace.cutoffs()
+    cutoffs = _cutoffs(trace)
     assert all(b >= a for a, b in zip(cutoffs, cutoffs[1:]))
     assert all(r.new_cutoff <= scape.f_max for r in trace.rounds)
-    assert trace.strict_increases() <= scape.f_max - 0
+    assert _strict_increases(trace) <= scape.f_max - 0
 
 
 def test_monte_carlo_convergence_small():
@@ -229,8 +237,8 @@ def test_config_validation():
 def test_trace_helpers():
     rec = RoundRecord(1, 0, 4, 0.5, 1, 9, 4, 4)
     trace = CutoffTrace(rounds=[rec], status=Status.CONVERGED_OPTIMAL)
-    assert trace.cutoffs() == [0]
-    assert trace.strict_increases() == 1
+    assert _cutoffs(trace) == [0]
+    assert _strict_increases(trace) == 1
 
 
 def _statevector_run(scape, config):

@@ -8,6 +8,7 @@ basis input at small widths.
 from __future__ import annotations
 
 import hashlib
+import operator
 import pickle
 
 import numpy as np
@@ -37,11 +38,15 @@ from qmaze.circuits import (
     position_width,
     run_batch,
     run_on_basis,
-    signed_register_value,
     unpack_column,
 )
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze, path_end_values, simulate_path
+
+
+def signed_register_value(value: int, width: int) -> int:
+    """Interpret a register's integer content as two's complement."""
+    return value - (1 << width) if (value >> (width - 1)) & 1 else value
 
 
 def sweep(circuit: RevCircuit, values: dict) -> tuple[np.ndarray, np.ndarray]:
@@ -77,7 +82,7 @@ def test_run_on_basis_rejects_bad_assignment():
     circ = build_adder(2)
     with pytest.raises(ValueError, match="missing"):
         run_on_basis(circ, {"a": 1})
-    good = circ.zero_assignment()
+    good = dict.fromkeys(circ.registers, 0)
     good["a"] = 4  # width 2 holds 0..3
     with pytest.raises(ValueError, match="range"):
         run_on_basis(circ, good)
@@ -204,7 +209,7 @@ def test_adder_exhaustive(width, subtract):
 
 def test_adder_3bit_example():
     circ = build_adder(3)
-    assign = circ.zero_assignment() | {"a": 0b001, "t": 0b011}
+    assign = dict.fromkeys(circ.registers, 0) | {"a": 0b001, "t": 0b011}
     out, _ = run_on_basis(circ, assign)
     assert out["t"] == 0b100
 
@@ -258,8 +263,8 @@ def test_squarer_exhaustive(width):
 
 def test_squarer_small_values():
     circ = build_squarer(2)
-    assert run_on_basis(circ, circ.zero_assignment())[0]["sq"] == 0
-    out, _ = run_on_basis(circ, circ.zero_assignment() | {"a": 3})
+    assert run_on_basis(circ, dict.fromkeys(circ.registers, 0))[0]["sq"] == 0
+    out, _ = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"a": 3})
     assert out["sq"] == 9
 
 
@@ -285,9 +290,9 @@ def test_squarer_rejects_narrow_output():
 
 def test_comparator_pinned_pair():
     circ = build_gt_comparator(4, 9)
-    out, _ = run_on_basis(circ, circ.zero_assignment() | {"f": 0b1011})
+    out, _ = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"f": 0b1011})
     assert out["flag"] == 1  # 11 > 9
-    out, _ = run_on_basis(circ, circ.zero_assignment() | {"f": 0b0101})
+    out, _ = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"f": 0b0101})
     assert out["flag"] == 0  # 5 < 9
 
 
@@ -321,7 +326,7 @@ def test_comparator_toffoli_linear_in_width():
 
 def test_fitness_circuit_worked_example():
     circ = build_fitness_circuit(generate_maze(2, seed=0), 2)
-    out, sign = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
+    out, sign = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"path": 0b1001})
     assert out["fit"] == 0b100
     assert sign == 1
     assert all(out[reg.name] == 0 for reg in circ.scratch_registers())
@@ -330,7 +335,7 @@ def test_fitness_circuit_worked_example():
 def test_fitness_circuit_wall_blind_example():
     # (E,E) from (0,0): ends (0,2), distance to (1,1) is 2, fitness 2.
     circ = build_fitness_circuit(generate_maze(2, seed=0), 2)
-    out, _ = run_on_basis(circ, circ.zero_assignment() | {"path": 0b0101})
+    out, _ = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"path": 0b0101})
     assert out["fit"] == 2
 
 
@@ -366,7 +371,7 @@ def test_fitness_circuit_custom_start_goal():
 
 def test_oracle_worked_example_sign():
     circ = build_oracle_circuit(build_fitness_circuit(generate_maze(2, seed=0), 2), cutoff=2)
-    out, sign = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
+    out, sign = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"path": 0b1001})
     assert sign == -1  # fitness 4 > 2 flips the phase
     assert out["path"] == 0b1001
     assert all(out[name] == 0 for name in circ.registers if name != "path")
@@ -487,7 +492,7 @@ FITNESS_DIGEST = "d595a97e114e637c11450a4bcd5603f38dfe3884e843d71f5c1e46ec79174e
 ORACLE_DIGEST = "fb40eb6e6ebe525dfb03009a9af393a06932f0365fb5f387f03942f9b1035fd5"
 
 
-def test_fitness_and_oracle_gate_lists_are_pinned():
+def _gate_list_digests() -> tuple[str, str]:
     fitness_hash, oracle_hash = hashlib.sha256(), hashlib.sha256()
 
     def update(h, circ):
@@ -501,8 +506,44 @@ def test_fitness_and_oracle_gate_lists_are_pinned():
             update(fitness_hash, fit)
             for c in verify._oracle_cutoffs(m):
                 update(oracle_hash, build_oracle_circuit(fit, c))
-    assert fitness_hash.hexdigest() == FITNESS_DIGEST
-    assert oracle_hash.hexdigest() == ORACLE_DIGEST
+    return fitness_hash.hexdigest(), oracle_hash.hexdigest()
+
+
+def test_fitness_and_oracle_gate_lists_are_pinned():
+    assert _gate_list_digests() == (FITNESS_DIGEST, ORACLE_DIGEST)
+
+
+@pytest.mark.parametrize("build", [build_fitness_circuit, build_validity_circuit])
+def test_builds_share_no_gate_list(build):
+    maze = generate_maze(4, seed=0)
+    first, second = build(maze, 3), build(maze, 3)
+    assert first.gates is not second.gates
+    kept = list(second.gates)
+    lo, hi = first.spans.get("walk", (0, len(first.gates)))
+    first.gates[(lo + hi) // 2] = PhaseMark(0)
+    assert first.gates != kept
+    assert second.gates == kept
+    assert _gate_list_digests()[0] == FITNESS_DIGEST
+
+
+def test_repeated_blocks_are_appended_as_the_same_objects():
+    circ = RevCircuit()
+    circ.reg("r", 3, "operand")
+    circ.x(0)
+    circ.cx(0, 1)
+    circ.ccx(0, 1, 2)
+    circ.repeat(1, 3)
+    assert len(circ.gates) == 5 and all(map(operator.is_, circ.gates[3:], circ.gates[1:3]))
+    # A subtraction's closing NOTs are its opening NOTs.
+    sub = build_adder(3, subtract=True).gates
+    assert all(map(operator.is_, sub[:3], sub[-3:]))
+    # The walk's two steps differ only in their control toggles; every
+    # increment or decrement gate of step 2 is step 1's object.
+    fit = build_fitness_circuit(generate_maze(3, seed=0), 2)
+    lo, hi = fit.spans["walk"]
+    step1, step2 = fit.gates[lo : (lo + hi) // 2], fit.gates[(lo + hi) // 2 : hi]
+    assert any(a is b for a, b in zip(step1, step2))
+    assert all((a is b) == (a == b) for a, b in zip(step1, step2))
 
 
 # ---------------------------------------------------------------------------
@@ -511,9 +552,9 @@ def test_fitness_and_oracle_gate_lists_are_pinned():
 
 def test_validity_examples(example_maze):
     circ = build_validity_circuit(example_maze, 2)
-    out, _ = run_on_basis(circ, circ.zero_assignment() | {"path": 0b1001})
+    out, _ = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"path": 0b1001})
     assert out["valid"] == 1  # S,E stays inside
-    out, _ = run_on_basis(circ, circ.zero_assignment() | {"path": 0b0010})
+    out, _ = run_on_basis(circ, dict.fromkeys(circ.registers, 0) | {"path": 0b0010})
     assert out["valid"] == 0  # N,... leaves immediately
 
 

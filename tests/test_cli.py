@@ -837,3 +837,25 @@ def test_internal_value_error_propagates(monkeypatch, capsys):
     monkeypatch.setattr("qmaze.cli.run_adaptive", broken)
     with pytest.raises(ValueError, match="internal fault"):
         main(["solve", "--m", "3", "--n", "2"])
+
+
+# ---------------------------------------------------------------------------
+# One parser per process
+
+
+def test_parser_is_built_once_and_reused_across_calls(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    first = run_cli(capsys, "solve", "--m", "3", "--n", "2", "--format", "json")
+    assert first[0] == 0 and first[1]
+    assert run_cli(capsys, "solve", "--m", "1") == (2, "", "error: --m must be >= 2\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: qmaze solve")
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"m = 3\nn = 2\n# caf\xe9\n")
+    code, stdout, err = run_cli(capsys, "solve", "--config", str(cfg))
+    assert (code, stdout) == (2, "") and err.startswith("error: cannot read config: ")
+    code, stdout, _ = run_cli(capsys, "verify", "--nmax", "1", "--mmax", "2", "--widthmax", "2")
+    assert code == 0 and stdout.count("PASS") == 6
+    again = run_cli(capsys, "solve", "--m", "3", "--n", "2", "--format", "json")
+    assert again[:2] == first[:2]  # same exit code, byte-identical stdout

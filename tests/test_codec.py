@@ -19,9 +19,9 @@ def test_direction_codes():
 
 def test_direction_round_trip():
     for d in Direction:
-        assert codec.decode_direction(codec.encode_direction(d)) is d
+        assert codec.decode_index(codec.encode_direction(d), 1) == (d,)
     with pytest.raises(ValueError):
-        codec.decode_direction(4)
+        codec.decode_index(4, 1)
 
 
 def test_encode_path_layout():

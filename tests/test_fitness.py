@@ -78,7 +78,7 @@ def test_landscape_matches_hand_simulation(example_maze):
     for u in range(16):
         assert scape.values[u] == hand_fitness(example_maze, codec.decode_index(u, 2), 4)
     assert scape.f_max == 4
-    assert list(scape.argmax_set) == [0b1001]
+    assert list(np.flatnonzero(scape.values == scape.f_max)) == [0b1001]
 
 
 def test_landscape_wall_blind_allows_negative(example_maze):

@@ -1,10 +1,10 @@
 """`verify`'s shared runs, pinned to a per-case reference.
 
-``verify.run_all`` packs each exhaustive input once per register layout,
-runs the forward prefix that a (maze, n)'s oracles share once, runs their
-shared mirror once per equal input, and reads the cutoff C // 2 oracle's
-run for ancilla-cleanup and, when that run restores its input, for
-involution. The reference below runs every case on its own instead: one
+``verify.run_all`` packs each exhaustive input once per register layout
+and each width's comparator reference once, runs the forward prefix that
+a (maze, n)'s oracles share once, runs their shared mirror once per equal
+input, and reads the cutoff C // 2 oracle's run for ancilla-cleanup and,
+when that run restores its input, for involution. The reference below runs every case on its own instead: one
 ``pack_rows`` and one ``run_batch`` per case, and the oracle doubled into
 one circuit for involution. The two must return equal ``SuiteResult``s,
 on passing circuits and on mutated ones.
@@ -120,13 +120,6 @@ def _reference_run_all(n_max, m_max, width_max) -> list[verify.SuiteResult]:
             where, paths = _path_case(maze.size, n)
             yield where, circ, paths, {"fit": blind[maze, n] % (1 << circ.registers["fit"].width)}, 1
 
-    def comparator_cases():
-        for w in range(1, width_max + 1):
-            f = np.arange(1 << w)
-            for cutoff in range(1 << w):
-                where = lambda i: f"w={w} f={i} c={cutoff}"
-                yield where, build_gt_comparator(w, cutoff), {"f": f}, {"flag": f > cutoff}, 1
-
     def validity_cases():
         for maze, n in keys:
             ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
@@ -136,10 +129,18 @@ def _reference_run_all(n_max, m_max, width_max) -> list[verify.SuiteResult]:
     oracles = {key: _oracles(*key) for key in keys}
     return [
         _reference_check("fitness", fitness_cases()),
-        _reference_check("comparator", comparator_cases()),
+        _reference_check("comparator", _comparator_cases(width_max)),
         _reference_check("validity", validity_cases()),
         *_reference_oracles(oracles, blind),
     ]
+
+
+def _comparator_cases(width_max, builder=build_gt_comparator):
+    for w in range(1, width_max + 1):
+        f = np.arange(1 << w)
+        for cutoff in range(1 << w):
+            where = lambda i: f"w={w} f={i} c={cutoff}"
+            yield where, builder(w, cutoff), {"f": f}, {"flag": f > cutoff}, 1
 
 
 def _oracles(maze, n) -> dict:
@@ -176,6 +177,41 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
             half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
             saved += 4**n * (6 * _forward_hi(half) + 3 * len(half.gates))
     assert reference_rows - rows[0] == saved == 2_413_260
+
+
+# ---------------------------------------------------------------------------
+# Mutated comparators: the per-width reference must report what the per-case one reports
+
+
+def _drop_comparator_gate(circ):
+    at = len(circ.gates) // 2
+    return circ.gates[:at] + circ.gates[at + 1 :]
+
+
+def _x_on_flag(circ):
+    return circ.gates + [Gate(circ.registers["flag"].offset)]
+
+
+def _corrupted_at(bad_w, edit):
+    """``build_gt_comparator``, with ``edit``'s gates at width ``bad_w``'s cutoff 2**(bad_w - 1) - 1."""
+
+    def builder(w, cutoff):
+        circ = build_gt_comparator(w, cutoff)
+        if (w, cutoff) != (bad_w, (1 << (bad_w - 1)) - 1):
+            return circ
+        return RevCircuit(circ.registers, edit(circ))
+
+    return builder
+
+
+@pytest.mark.parametrize("width_max", range(1, 5), ids=lambda w: f"widthmax{w}")
+@pytest.mark.parametrize("bad_w", range(1, 5), ids=lambda w: f"bad{w}")
+@pytest.mark.parametrize("edit", [_drop_comparator_gate, _x_on_flag], ids=["drop-gate", "x-on-flag"])
+def test_mutated_comparator_results_equal_the_reference(edit, bad_w, width_max):
+    builder = _corrupted_at(bad_w, edit)
+    got = verify.verify_comparator(width_max, builder)
+    assert got == _reference_check("comparator", _comparator_cases(width_max, builder))
+    assert got.passed == (bad_w > width_max)
 
 
 # ---------------------------------------------------------------------------
