@@ -117,15 +117,19 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     marked_cutoff, marked = None, None
 
     for t in range(1, config.max_rounds + 1):
+        # The marked set, and with it k, theta and known-k's r, changes only with the cutoff.
         if cutoff != marked_cutoff:
             marked_cutoff, marked = cutoff, marked_for_cutoff(scape, cutoff, config.strictness)
-        k = int(marked.size)
-        if k == 0:
-            trace.status = Status.DEGENERATE
-            break
-        geometry = GroverGeometry(num_states=values.size, num_marked=k)
+            k = int(marked.size)
+            if k == 0:
+                trace.status = Status.DEGENERATE
+                break
+            geometry = GroverGeometry(num_states=values.size, num_marked=k)
+            theta = geometry.theta
+            if config.policy is Policy.KNOWN_K:
+                known_r = optimal_rounds(geometry)
         if config.policy is Policy.KNOWN_K:
-            r = optimal_rounds(geometry)
+            r = known_r
         else:
             # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
@@ -141,7 +145,7 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
                 t=t,
                 cutoff=cutoff,
                 k=k,
-                theta=geometry.theta,
+                theta=theta,
                 rounds=r,
                 outcome_index=outcome,
                 outcome_fitness=f_star,

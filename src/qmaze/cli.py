@@ -12,6 +12,8 @@ All randomness derives from the single --seed value: maze generation uses
 child stream (seed, 0[, run]) and the search loop uses (seed, 1[, run]),
 so identical configs reproduce byte-identical outputs.
 The argparse parser is built once per process, on the first ``main`` call.
+``verify`` and ``resources``, and the circuit layer under them, are imported
+only by the subcommands that use them, so the others start without them.
 The solve trace, the sweep runs and the dynamics rows go through one CSV
 writer, and every JSON output through one JSON writer. A command writes
 --out before it prints its summary lines, so a failed write prints nothing.
@@ -29,7 +31,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import adaptive, codec, engine, fitness, resources, verify
+from . import adaptive, codec, engine, fitness
 from .adaptive import Policy, SearchConfig, Strictness, run_adaptive
 from .fitness import Formula, make_spec
 from .maze import MazeFormatError, SimMode, generate_maze, parse_maze, serialize_maze
@@ -298,6 +300,8 @@ def cmd_dynamics(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     results = verify.run_all(args.nmax, args.mmax, args.widthmax)
     for res in results:
         if res.passed:
@@ -308,6 +312,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_resources(args) -> int:
+    from . import resources
+
     maze = generate_maze(args.m, seed=0)
     pred = resources.predict(maze, args.n)
     act = resources.measured(maze, args.n)

@@ -3,6 +3,8 @@
 Holds 4**n amplitudes indexed by encoded paths. ``prepare_uniform`` makes
 them real float64, since the start, the oracle and the diffuser are all
 real; every operation also accepts a complex state and keeps it complex.
+The uniform state is one float64 broadcast over all 4**n entries: a
+read-only zero-stride view that allocates nothing.
 The oracle is diagonal (marked amplitudes get a sign flip), the diffuser
 is inversion about the mean, and their composition rotates the state by
 2*theta inside the two-dimensional span of the marked and unmarked
@@ -10,9 +12,12 @@ superpositions, with theta = arcsin(sqrt(k/N)). ``grover_iterate`` applies
 r iterates in one pass over the state through that plane decomposition
 (Boyer, Brassard, Hoyer and Tapp, arXiv:quant-ph/9605034); the
 step-by-step composition of ``apply_oracle`` and ``apply_diffuser`` is the
-statevector reference it is tested against. Operations never modify their
-input; ``grover_iterate`` with zero rounds returns its input state, and
-every other operation returns a new one.
+statevector reference it is tested against. On a constant state, such as
+the uniform one, an iterate has only two levels to write, one on the
+marked set and one on the rest, and writes them without reading the
+input. Operations never modify their input; ``grover_iterate`` with zero
+rounds returns its input state, and every other operation returns a new
+one.
 """
 
 from __future__ import annotations
@@ -81,10 +86,12 @@ class DegenerateGeometryError(ValueError):
 
 
 def prepare_uniform(n: int) -> PathState:
-    """Uniform superposition: every amplitude exactly 1/2**n."""
-    total = codec.path_count(n)
-    amps = np.full(total, 1.0 / 2**n, dtype=np.float64)
-    return PathState(n=n, amps=amps)
+    """Uniform superposition: every amplitude exactly 1/2**n.
+
+    The amplitudes are one float64 broadcast over 4**n entries, a read-only
+    view with stride 0; writing to it raises ValueError.
+    """
+    return PathState(n=n, amps=np.broadcast_to(np.float64(2.0**-n), (codec.path_count(n),)))
 
 
 def _marked_indices(state: PathState, marked) -> np.ndarray:
@@ -119,6 +126,12 @@ def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
     (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by 2*r*theta. The result equals
     r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for any state
     and for k = 0 or k = N as well; a marked index listed twice counts once.
+
+    A state with stride 0, such as ``prepare_uniform``'s, is constant, so
+    its sums are k*a0 and N*a0 and the output has two levels, each written
+    once with no pass over the input. For a0 = 2**-n those products are
+    exact and equal the summed ones, so the output is the same, bit for
+    bit, as that of a contiguous copy of the state.
     """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
@@ -132,18 +145,27 @@ def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
     big_n, k = state.dim, idx.size
     # max(., 1) gives an empty set mean 0; it has no entries to write.
     in_m, in_u = max(k, 1), max(big_n - k, 1)
-    marked_amps = amps[idx]
-    marked_sum = marked_amps.sum()
+    constant = amps.strides == (0,)
+    if constant:
+        marked_amps = amps[0]
+        marked_sum, total = k * marked_amps, big_n * marked_amps
+    else:
+        marked_amps = amps[idx]
+        marked_sum, total = marked_amps.sum(), amps.sum()
     alpha = marked_sum / in_m
-    beta = (amps.sum() - marked_sum) / in_u
+    beta = (total - marked_sum) / in_u
     angle = 2 * rounds * GroverGeometry(big_n, k).theta
     c, s = math.cos(angle), math.sin(angle)
     x, y = math.sqrt(k) * alpha, math.sqrt(big_n - k) * beta
     alpha_r = (x * c + y * s) / math.sqrt(in_m)
     beta_r = (y * c - x * s) / math.sqrt(in_u)
     # (-1)**r * (amps - beta), in one pass: negating a difference is exact.
-    out = np.subtract(beta, amps) if rounds % 2 else np.subtract(amps, beta)
+    # A constant state computes its one unmarked level the same way, from one entry.
+    unmarked = amps[:1] if constant else amps
+    out = np.subtract(beta, unmarked) if rounds % 2 else np.subtract(unmarked, beta)
     out += beta_r
+    if constant:
+        out = np.full(big_n, out[0], dtype=out.dtype)
     out[idx] = marked_amps + (alpha_r - alpha)
     return PathState(n=state.n, amps=out)
 

@@ -91,7 +91,6 @@ class _Suite:
         for a, b in zip(out.wires, want.wires):
             bad |= a ^ b
         if want_signs is not None:
-            want_signs = np.broadcast_to(want_signs, signs.shape)
             bad |= int.from_bytes(np.packbits(signs != want_signs, bitorder="little").tobytes(), "little")
         if not bad:
             return True
@@ -102,7 +101,8 @@ class _Suite:
                 found = f"register '{name}' {got}, expected {exp}"
                 break
         else:
-            found = f"sign {int(signs[row])}, expected {int(want_signs[row])}"
+            want_sign = np.broadcast_to(want_signs, signs.shape)[row]
+            found = f"sign {int(signs[row])}, expected {int(want_sign)}"
         self.failed = SuiteResult(self.name, self.checked, bad.bit_count(), f"{where(row)}: {found}")
         return False
 

@@ -5,7 +5,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +32,19 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_the_circuit_layer_unloaded():
+    """Only `verify` and `resources` need the circuits; a fresh `import qmaze.cli` loads none of them."""
+    probe = "import sys, qmaze.cli; print([m for m in sys.modules if m in sys.argv[1:]])"
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "qmaze.verify", "qmaze.resources", "qmaze.circuits"],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])},
+    )
+    assert result.stdout == "[]\n"
 
 
 # ---------------------------------------------------------------------------

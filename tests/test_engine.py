@@ -36,6 +36,9 @@ def test_uniform_amplitudes_exact():
         assert state.amps.dtype == np.float64
         assert np.all(state.amps == 1.0 / 2**n)  # exact in double precision
         assert abs(state.norm() - 1.0) < ATOL_NORM
+        assert not state.amps.flags.writeable
+        with pytest.raises(ValueError):
+            state.amps[0] = 0.0
 
 
 def test_oracle_identity_on_empty_marked():
@@ -195,6 +198,62 @@ def test_iterate_matches_three_step_formula_exactly(case):
     state, marked, rounds = case
     got = grover_iterate(state, marked, rounds)
     assert np.array_equal(got.amps, three_step_iterate(state, marked, rounds).amps)
+
+
+def _contiguous(state):
+    return PathState(n=state.n, amps=state.amps.copy())
+
+
+def _marked_sets(n):
+    """Prefix sets with k in {0, 1, N-1, N}, then random sorted sets of sizes 1, N/4, N/2 and N-1."""
+    big_n = 4**n
+    rng = np.random.default_rng(100 + n)
+    sets = [np.arange(k) for k in sorted({0, 1, big_n - 1, big_n})]
+    for k in sorted({1, big_n // 4, big_n // 2, big_n - 1} - {0}):
+        sets.append(np.sort(rng.choice(big_n, size=k, replace=False)))
+    return sets
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_uniform_iterate_equals_a_contiguous_copy_bit_for_bit(n):
+    uniform = prepare_uniform(n)
+    copy = _contiguous(uniform)
+    for marked in _marked_sets(n):
+        for r in range(41):
+            got = grover_iterate(uniform, marked, r).amps
+            want = grover_iterate(copy, marked, r).amps
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (n, marked.size, r)
+            assert np.array_equal(np.signbit(got), np.signbit(want)), (n, marked.size, r)
+
+
+@pytest.mark.parametrize("n", range(0, 5))
+def test_uniform_state_reads_like_a_contiguous_copy(n):
+    uniform = prepare_uniform(n)
+    copy = _contiguous(uniform)
+    assert uniform.norm() == copy.norm()
+    assert np.array_equal(uniform.probabilities(), copy.probabilities())
+    assert np.array_equal(apply_diffuser(uniform).amps, apply_diffuser(copy).amps)
+    for marked in _marked_sets(n):
+        assert np.array_equal(apply_oracle(uniform, marked).amps, apply_oracle(copy, marked).amps)
+        assert uniform.marked_probability(marked) == copy.marked_probability(marked)
+        for two_level in (None, marked):
+            gens = np.random.default_rng(7), np.random.default_rng(7)
+            got, want = (measure_shots(s, g, 5, marked=two_level) for s, g in zip((uniform, copy), gens))
+            assert np.array_equal(got, want), (n, marked.size, two_level is None)
+            assert gens[0].random() == gens[1].random()
+
+
+def test_complex_broadcast_state_stays_complex():
+    state = PathState(n=2, amps=np.broadcast_to(np.complex128(0.25j), (16,)))
+    marked = np.array([3, 9])
+    want = state
+    for r in range(6):
+        got = grover_iterate(state, marked, r)
+        assert got.amps.dtype == np.complex128
+        assert np.array_equal(got.amps, grover_iterate(_contiguous(state), marked, r).amps)
+        assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
+        want = apply_diffuser(apply_oracle(want, marked))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
