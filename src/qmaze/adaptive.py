@@ -8,7 +8,15 @@ at most f_max - C_1 times, so the loop converges in finite time.
 
 A round's state, grown from the uniform state, has one amplitude on the
 marked set and one on the rest, so each round samples from those two
-levels without a pass over the state.
+levels without a pass over the state; a round with no iterate samples the
+uniform state itself.
+
+Because the cutoff only rises, each marked set {f > C} lies inside the one
+before it. A rise therefore narrows the previous set, comparing only its k
+entries, instead of rescanning all 4**n fitness values; only a set that
+still holds every path, as round 1's does under the default cutoff 0, is
+rescanned. Past the first set, a round's only pass over 4**n entries is
+the iterate's one write.
 """
 
 from __future__ import annotations
@@ -89,15 +97,33 @@ def update_cutoff(cutoff: int, f_star: int) -> int:
     return max(cutoff, f_star)
 
 
-def marked_for_cutoff(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> np.ndarray:
+def marked_for_cutoff(
+    scape: FitnessLandscape, cutoff: int, strictness: Strictness, previous: np.ndarray | None = None
+) -> np.ndarray:
     """Round marked set: fitness > cutoff, or >= under GE_AT_MAX when cutoff == f_max.
 
     ``run_adaptive`` stops at the first sample that reaches f_max, so the cutoff
     is f_max at marking time only when the initial cutoff is; there STRICT marks nothing.
+    The strict set is empty exactly when cutoff >= f_max, so GE_AT_MAX falls back
+    to >= only then, and no f_max pass is needed.
+
+    ``previous``, if given, is this function's set for the same landscape and
+    strictness at a cutoff <= ``cutoff``. The rule is monotone in the cutoff, so
+    the new set lies inside it: only its entries are compared, in O(k) work, and
+    the result is still sorted and unique, equal to a rescan element for element.
+    A ``previous`` that holds every path is rescanned instead, which is faster.
     """
-    if strictness is Strictness.GE_AT_MAX and cutoff == scape.f_max:
-        return np.flatnonzero(scape.values >= cutoff)
-    return np.flatnonzero(scape.values > cutoff)
+    values = scape.values
+    full = previous is None or previous.size == values.size
+    pool = values if full else values[previous]
+
+    def select(mask: np.ndarray) -> np.ndarray:
+        return np.flatnonzero(mask) if full else previous[mask]
+
+    marked = select(pool > cutoff)
+    if marked.size == 0 and strictness is Strictness.GE_AT_MAX:
+        marked = select(pool >= cutoff)
+    return marked
 
 
 def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
@@ -117,9 +143,11 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     marked_cutoff, marked = None, None
 
     for t in range(1, config.max_rounds + 1):
-        # The marked set, and with it k, theta and known-k's r, changes only with the cutoff.
+        # The marked set, and with it k, theta and known-k's r, changes only with the cutoff;
+        # a rise narrows the previous set.
         if cutoff != marked_cutoff:
-            marked_cutoff, marked = cutoff, marked_for_cutoff(scape, cutoff, config.strictness)
+            marked = marked_for_cutoff(scape, cutoff, config.strictness, marked)
+            marked_cutoff = cutoff
             k = int(marked.size)
             if k == 0:
                 trace.status = Status.DEGENERATE
@@ -133,7 +161,7 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
         else:
             # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
-        state = grover_iterate(uniform, marked, r)
+        state = grover_iterate(uniform, marked, r) if r else uniform
         shots = measure_shots(state, rng, config.samples, marked=marked)
         shot_fitness = values[shots]
         f_star = int(shot_fitness.max())

@@ -53,7 +53,7 @@ class PathState:
 
     def marked_probability(self, marked) -> float:
         """Born probability of the marked set; a repeated index counts once."""
-        idx = np.unique(_marked_indices(self, marked))
+        idx = _marked_indices(self, marked)
         return float(np.sum(np.abs(self.amps[idx]) ** 2))
 
 
@@ -95,9 +95,15 @@ def prepare_uniform(n: int) -> PathState:
 
 
 def _marked_indices(state: PathState, marked) -> np.ndarray:
-    """Marked basis indices as int64, each checked to lie in [0, dim)."""
-    idx = np.asarray(marked, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= state.dim):
+    """Marked basis indices as sorted unique int64, each checked to lie in [0, dim).
+
+    marked_for_cutoff passes sorted unique sets, so one sortedness pass skips
+    np.unique, which costs more; once sorted, the ends alone bound every index.
+    """
+    idx = np.asarray(marked, dtype=np.int64).ravel()
+    if np.any(idx[1:] <= idx[:-1]):
+        idx = np.unique(idx)
+    if idx.size and (idx[0] < 0 or idx[-1] >= state.dim):
         raise ValueError("marked index out of range")
     return idx
 
@@ -138,9 +144,6 @@ def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
     idx = _marked_indices(state, marked)
     if rounds == 0:
         return state
-    # marked_for_cutoff passes sorted unique sets; np.unique costs more than the pass.
-    if np.any(idx[1:] <= idx[:-1]):
-        idx = np.unique(idx)
     amps = state.amps
     big_n, k = state.dim, idx.size
     # max(., 1) gives an empty set mean 0; it has no entries to write.

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmaze import adaptive
 from qmaze.adaptive import (
     GUESS_GROWTH,
     CutoffTrace,
@@ -69,6 +70,53 @@ def test_cutoff_sequence_properties(observations, c1):
 def _first_round(scape, cutoff):
     config = SearchConfig(initial_cutoff=cutoff, strictness=Strictness.STRICT, max_rounds=1)
     return run_adaptive(scape, config).rounds[0]
+
+
+def _rescan(scape, cutoff, strictness):
+    """The marking rule written out: > cutoff, or >= under GE_AT_MAX at cutoff == f_max."""
+    if strictness is Strictness.GE_AT_MAX and cutoff == scape.f_max:
+        return np.flatnonzero(scape.values >= cutoff)
+    return np.flatnonzero(scape.values > cutoff)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("m", range(2, 7))
+def test_narrowed_sets_equal_a_rescan(m, n):
+    scape = landscape(generate_maze(m, seed=10 * m + n), n, make_spec(m))
+    rng = np.random.default_rng(10 * m + n)
+    low, f_max = int(scape.values.min()), scape.f_max
+    for strictness in Strictness:
+        sequences = [[f_max, f_max, f_max + 1], [low - 1, f_max - 1, f_max]]
+        sequences += [np.sort(rng.integers(low - 2, f_max + 3, size=6)).tolist() for _ in range(12)]
+        for cutoffs in sequences:
+            previous = None
+            for cutoff in cutoffs:
+                want = _rescan(scape, cutoff, strictness)
+                assert np.array_equal(marked_for_cutoff(scape, cutoff, strictness), want)
+                previous = marked_for_cutoff(scape, cutoff, strictness, previous)
+                assert previous.dtype == want.dtype
+                assert np.array_equal(previous, want), (strictness, cutoffs, cutoff)
+
+
+def test_rounds_without_an_iterate_skip_the_call(monkeypatch):
+    scape = landscape(generate_maze(6, seed=2), 5, make_spec(6))
+    skipped = 0
+    for policy in Policy:
+        for seed in range(5):
+            config = SearchConfig(policy=policy, seed=seed)
+            want = run_adaptive(scape, config)
+            calls = []
+
+            def counted(state, marked, rounds):
+                calls.append(rounds)
+                return grover_iterate(state, marked, rounds)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(adaptive, "grover_iterate", counted)
+                assert run_adaptive(scape, config) == want
+            assert calls == [rec.rounds for rec in want.rounds if rec.rounds]
+            skipped += len(want.rounds) - len(calls)
+    assert skipped > 0
 
 
 def test_rounds_for_cutoff_quarter():

@@ -124,11 +124,28 @@ def test_iterate_full_marked_set_stays_certain():
         assert abs(state.marked_probability(np.arange(4)) - 1.0) < ATOL_DYNAMICS
 
 
-@pytest.mark.parametrize("marked", [[99], [4], [-1], [0, 3, 4]])
+@pytest.mark.parametrize("marked", [[99], [4], [-1], [0, 3, 4], [3, 9, 0], [3, -1, 0], 4])
 @pytest.mark.parametrize("rounds", [0, 1, 5])
 def test_iterate_rejects_out_of_range(marked, rounds):
+    # [3, 9, 0] and [3, -1, 0] are unsorted, with the bad index in the middle; 4 is a scalar.
     with pytest.raises(ValueError):
         grover_iterate(prepare_uniform(1), marked, rounds)
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 5])
+def test_iterate_takes_a_scalar_index(rounds):
+    state = prepare_uniform(1)
+    got = grover_iterate(state, 3, rounds)
+    assert np.array_equal(got.amps, grover_iterate(state, [3], rounds).amps)
+    assert state.marked_probability(3) == state.marked_probability([3])
+
+
+@pytest.mark.parametrize("rounds", range(6))
+def test_iterate_counts_a_repeated_index_once(rounds):
+    ramp = np.linspace(1, 2, 16)
+    for state in (prepare_uniform(2), PathState(n=2, amps=ramp / np.linalg.norm(ramp))):
+        got = grover_iterate(state, [5, 1, 5, 5], rounds)
+        assert np.array_equal(got.amps, grover_iterate(state, [1, 5], rounds).amps)
 
 
 def test_iterate_rejects_negative_rounds():
