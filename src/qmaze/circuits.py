@@ -266,25 +266,20 @@ def pack_rows(circuit: RevCircuit, values: dict[str, int | np.ndarray], batch: i
     """Bitsliced batch from per-register values (scalar or array); absent registers are zero.
 
     Only the registers named in ``values`` are packed; every other wire is 0.
+    A scalar value is broadcast to every row.
     """
     unknown = set(values) - set(circuit.registers)
     if unknown:
         raise ValueError(f"no register {sorted(unknown)} in this circuit")
-    ones = (1 << batch) - 1
     wires = [0] * circuit.num_bits
     for name, v in values.items():
         reg = circuit.registers[name]
-        if np.ndim(v) == 0:
-            out_of_range = not 0 <= v < 1 << reg.width
-            bits = [ones if int(v) >> k & 1 else 0 for k in range(reg.width)]
-        else:
-            v = np.broadcast_to(np.asarray(v, dtype=np.int64), (batch,))
-            out_of_range = bool(((v < 0) | (v >> reg.width != 0)).any())
-            planes = (v >> np.arange(reg.width)[:, None]) & 1
-            packed = np.packbits(planes.astype(np.uint8), axis=1, bitorder="little")
-            bits = [int.from_bytes(p.tobytes(), "little") for p in packed]
-        if out_of_range:
+        v = np.broadcast_to(np.asarray(v, dtype=np.int64), (batch,))
+        if ((v < 0) | (v >> reg.width != 0)).any():
             raise ValueError(f"value out of range for {reg.width}-bit register '{name}'")
+        planes = (v >> np.arange(reg.width)[:, None]) & 1
+        packed = np.packbits(planes.astype(np.uint8), axis=1, bitorder="little")
+        bits = [int.from_bytes(p.tobytes(), "little") for p in packed]
         wires[reg.offset : reg.offset + reg.width] = bits
     return Batch(batch, tuple(wires))
 

@@ -8,16 +8,17 @@ read-only zero-stride view that allocates nothing.
 The oracle is diagonal (marked amplitudes get a sign flip), the diffuser
 is inversion about the mean, and their composition rotates the state by
 2*theta inside the two-dimensional span of the marked and unmarked
-superpositions, with theta = arcsin(sqrt(k/N)). ``grover_iterate`` applies
-r iterates in one pass over the state through that plane decomposition
-(Boyer, Brassard, Hoyer and Tapp, arXiv:quant-ph/9605034); the
-step-by-step composition of ``apply_oracle`` and ``apply_diffuser`` is the
-statevector reference it is tested against. On a constant state, such as
-the uniform one, an iterate has only two levels to write, one on the
-marked set and one on the rest, and writes them without reading the
-input. Operations never modify their input; ``grover_iterate`` with zero
-rounds returns its input state, and every other operation returns a new
-one.
+superpositions, with theta = arcsin(sqrt(k/N)). A search starts every
+round from the uniform state, which lies in that span, so
+``grover_iterate`` takes only a constant (stride-0) state and applies r
+iterates by rotating in the span (Boyer, Brassard, Hoyer and Tapp,
+arXiv:quant-ph/9605034): its output has two levels, one on the marked
+set and one on the rest, written without reading the input. The
+step-by-step composition of ``apply_oracle`` and ``apply_diffuser``
+takes any state and is the statevector reference the iterate is tested
+against. Operations never modify their input; ``grover_iterate`` with
+zero rounds returns its input state, and every other operation returns a
+new one.
 """
 
 from __future__ import annotations
@@ -123,53 +124,41 @@ def apply_diffuser(state: PathState) -> PathState:
 
 
 def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
-    """Apply (diffuser . oracle) ``rounds`` times, in one pass over the state.
+    """Apply (diffuser . oracle) ``rounds`` times to a constant state, such as ``prepare_uniform``'s.
 
-    Split the amplitudes as a = alpha*1_M + beta*1_U + rho_M + rho_U, where
-    alpha and beta are the means over the k marked indices M and the rest U,
-    and each residual rho sums to zero on its own set. The r-th power of the
-    iterate keeps rho_M, multiplies rho_U by (-1)**r, and rotates
-    (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by 2*r*theta. The result equals
-    r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for any state
-    and for k = 0 or k = N as well; a marked index listed twice counts once.
-
-    A state with stride 0, such as ``prepare_uniform``'s, is constant, so
-    its sums are k*a0 and N*a0 and the output has two levels, each written
-    once with no pass over the input. For a0 = 2**-n those products are
-    exact and equal the summed ones, so the output is the same, bit for
-    bit, as that of a contiguous copy of the state.
+    The state must be one value a0 broadcast with stride 0; any other state
+    raises ValueError, at every ``rounds``. Its means on the k marked
+    indices and on the rest are alpha = k*a0/k and beta = (N*a0 - k*a0)/(N-k),
+    and r iterates rotate (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by
+    2*r*theta. So the output has two levels, a0 + (alpha_r - alpha) on the
+    marked set and (-1)**r * (a0 - beta) + beta_r on the rest, and equals
+    r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for k = 0 and
+    k = N as well; a marked index listed twice counts once. For a0 = 2**-n
+    both means are exact, so the levels are bit for bit those of the same
+    decomposition summed over a contiguous copy of the state.
     """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
     idx = _marked_indices(state, marked)
+    if state.amps.strides != (0,):
+        raise ValueError("grover_iterate needs a constant state with stride 0, such as prepare_uniform's")
     if rounds == 0:
         return state
-    amps = state.amps
+    a0 = state.amps[0]
     big_n, k = state.dim, idx.size
     # max(., 1) gives an empty set mean 0; it has no entries to write.
     in_m, in_u = max(k, 1), max(big_n - k, 1)
-    constant = amps.strides == (0,)
-    if constant:
-        marked_amps = amps[0]
-        marked_sum, total = k * marked_amps, big_n * marked_amps
-    else:
-        marked_amps = amps[idx]
-        marked_sum, total = marked_amps.sum(), amps.sum()
+    marked_sum = k * a0
     alpha = marked_sum / in_m
-    beta = (total - marked_sum) / in_u
+    beta = (big_n * a0 - marked_sum) / in_u
     angle = 2 * rounds * GroverGeometry(big_n, k).theta
     c, s = math.cos(angle), math.sin(angle)
     x, y = math.sqrt(k) * alpha, math.sqrt(big_n - k) * beta
     alpha_r = (x * c + y * s) / math.sqrt(in_m)
     beta_r = (y * c - x * s) / math.sqrt(in_u)
-    # (-1)**r * (amps - beta), in one pass: negating a difference is exact.
-    # A constant state computes its one unmarked level the same way, from one entry.
-    unmarked = amps[:1] if constant else amps
-    out = np.subtract(beta, unmarked) if rounds % 2 else np.subtract(unmarked, beta)
-    out += beta_r
-    if constant:
-        out = np.full(big_n, out[0], dtype=out.dtype)
-    out[idx] = marked_amps + (alpha_r - alpha)
+    # For odd r, (-1)**r * (a0 - beta) is taken as beta - a0: equal but for the sign of a zero.
+    out = np.full(big_n, (beta - a0 if rounds % 2 else a0 - beta) + beta_r)
+    out[idx] = a0 + (alpha_r - alpha)
     return PathState(n=state.n, amps=out)
 
 
@@ -201,14 +190,15 @@ def measure_shots(
     Without ``marked`` this is ``Generator.choice`` over the Born
     probabilities, the reference for any state. With ``marked`` the caller
     promises that ``marked`` is sorted, unique and in range, and that the
-    amplitude is constant on ``marked`` and constant on its complement, as
-    it is for a Grover state grown from ``prepare_uniform``. Then the
-    weights are read from two amplitudes, and each shot inverts the
-    cumulative distribution by scalar bisection, in O(shots * (log k + n))
-    steps with no 4**n array. Both paths draw ``rng.random(shots)`` and
-    return the smallest index whose cumulative weight exceeds the draw's
-    share of the total, so a seed gives the same shots from either path
-    unless a draw lands within rounding of a step of the distribution.
+    amplitude is constant on ``marked`` and constant on its complement;
+    every ``grover_iterate`` output keeps that promise for its marked set.
+    Then the weights are read from two amplitudes, and each shot inverts
+    the cumulative distribution by scalar bisection, in
+    O(shots * (log k + n)) steps with no 4**n array. Both paths draw
+    ``rng.random(shots)`` and return the smallest index whose cumulative
+    weight exceeds the draw's share of the total, so a seed gives the same
+    shots from either path unless a draw lands within rounding of a step of
+    the distribution.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

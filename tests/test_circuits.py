@@ -141,6 +141,14 @@ def test_pack_rows_gives_one_wire_per_register_bit():
     assert np.array_equal(unpack_column(circ, batch, "carry"), np.zeros(70))
 
 
+@pytest.mark.parametrize("value", [-1, 8, np.int64(-1), np.int64(8)])
+@pytest.mark.parametrize("batch", [1, 2])
+def test_pack_rows_rejects_a_value_out_of_range(value, batch):
+    circ = build_adder(3)  # a scalar is broadcast, then checked against 0 <= v < 2**3
+    with pytest.raises(ValueError, match="out of range for 3-bit register 'a'"):
+        pack_rows(circ, {"a": value}, batch)
+
+
 def run_rows_reference(circuit: RevCircuit, rows: list[list[int]]) -> tuple[list, list]:
     """Per-row scalar interpreter: a list of ints per row, gate by gate."""
     bits, signs = [], []

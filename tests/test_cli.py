@@ -738,6 +738,18 @@ def test_cli_output_golden_bytes(argv, stdout, written, example_maze_file, tmp_p
     assert out.read_bytes() == written.encode()
 
 
+def test_guessed_k_sweep_output_is_pinned(tmp_path, capsys):
+    """Guessed-k at the benchmark's maze size: each run draws its r per round,
+    so these bytes pin the iterate, the sampler and the policy's draws together."""
+    out = tmp_path / "out"
+    argv = ["sweep", "--m", "8", "--n", "9", "--runs", "20", "--seed", "3", "--policy", "guessed-k"]
+    code, got, err = run_cli(capsys, *argv, "--out", str(out))
+    assert (code, err) == (0, "")
+    assert got == "success fraction: 0.05 (1/20)\n"
+    digest = "4ca80782ccb69dd061cd5d14214ea69bdeac86c3acb145a9a6b3e4aaa1912cb9"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # error mapping: only validation errors exit 2
 

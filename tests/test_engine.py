@@ -142,10 +142,9 @@ def test_iterate_takes_a_scalar_index(rounds):
 
 @pytest.mark.parametrize("rounds", range(6))
 def test_iterate_counts_a_repeated_index_once(rounds):
-    ramp = np.linspace(1, 2, 16)
-    for state in (prepare_uniform(2), PathState(n=2, amps=ramp / np.linalg.norm(ramp))):
-        got = grover_iterate(state, [5, 1, 5, 5], rounds)
-        assert np.array_equal(got.amps, grover_iterate(state, [1, 5], rounds).amps)
+    state = prepare_uniform(2)
+    got = grover_iterate(state, [5, 1, 5, 5], rounds)
+    assert np.array_equal(got.amps, grover_iterate(state, [1, 5], rounds).amps)
 
 
 def test_iterate_rejects_negative_rounds():
@@ -153,16 +152,28 @@ def test_iterate_rejects_negative_rounds():
         grover_iterate(prepare_uniform(1), [0], -1)
 
 
+@pytest.mark.parametrize("n", [0, 2])
+@pytest.mark.parametrize("rounds", [0, 1, 5])
+def test_iterate_rejects_a_state_that_is_not_a_broadcast(n, rounds):
+    ramp = np.linspace(1, 2, 4**n)
+    for state in (_contiguous(prepare_uniform(n)), PathState(n=n, amps=ramp / np.linalg.norm(ramp))):
+        with pytest.raises(ValueError, match="stride 0"):
+            grover_iterate(state, [0], rounds)
+
+
 @st.composite
 def iterate_cases(draw):
-    """A random normalised float64 or complex state, a marked list, and a round count."""
+    """A constant start, a marked list, and a round count.
+
+    The start is the uniform state or a complex broadcast of 2**-n times
+    1, -1, 1j or -1j, whose sums are exact like the uniform state's.
+    """
     n = draw(st.integers(0, 4))
     big_n = 4**n
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    amps = rng.normal(size=big_n)
+    state = prepare_uniform(n)
     if draw(st.booleans()):
-        amps = amps + 1j * rng.normal(size=big_n)
-    amps /= np.linalg.norm(amps)
+        phase = draw(st.sampled_from([1, -1, 1j, -1j]))
+        state = PathState(n=n, amps=np.broadcast_to(np.complex128(phase * 2.0**-n), (big_n,)))
     index = st.integers(0, big_n - 1)
     with_repeats = st.lists(index, max_size=big_n + 4)
     marked = draw(
@@ -172,7 +183,7 @@ def iterate_cases(draw):
             with_repeats.map(lambda extra: list(range(big_n)) + extra),
         )
     )
-    return PathState(n=n, amps=amps), np.array(marked, dtype=np.int64), draw(st.integers(0, 64))
+    return state, np.array(marked, dtype=np.int64), draw(st.integers(0, 64))
 
 
 @given(iterate_cases())
@@ -238,10 +249,24 @@ def test_uniform_iterate_equals_a_contiguous_copy_bit_for_bit(n):
     for marked in _marked_sets(n):
         for r in range(41):
             got = grover_iterate(uniform, marked, r).amps
-            want = grover_iterate(copy, marked, r).amps
+            want = three_step_iterate(copy, marked, r).amps
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (n, marked.size, r)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (n, marked.size, r)
+
+
+@pytest.mark.parametrize("n", range(0, 7))
+def test_iterate_output_has_one_level_on_the_marked_set_and_one_on_the_rest(n):
+    # measure_shots(..., marked=...) reads the weights of exactly these two levels.
+    complex_start = np.broadcast_to(np.complex128(-1j * 2.0**-n), (4**n,))
+    starts = (prepare_uniform(n), PathState(n=n, amps=complex_start))
+    for marked in _marked_sets(n):
+        rest = np.setdiff1d(np.arange(4**n), marked)
+        for state in starts:
+            for r in range(41):
+                amps = grover_iterate(state, marked, r).amps
+                assert np.unique(amps[marked]).size <= 1, (n, marked.size, r)
+                assert np.unique(amps[rest]).size <= 1, (n, marked.size, r)
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -268,7 +293,7 @@ def test_complex_broadcast_state_stays_complex():
     for r in range(6):
         got = grover_iterate(state, marked, r)
         assert got.amps.dtype == np.complex128
-        assert np.array_equal(got.amps, grover_iterate(_contiguous(state), marked, r).amps)
+        assert np.array_equal(got.amps, three_step_iterate(_contiguous(state), marked, r).amps)
         assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
         want = apply_diffuser(apply_oracle(want, marked))
 
