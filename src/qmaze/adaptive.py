@@ -9,14 +9,17 @@ at most f_max - C_1 times, so the loop converges in finite time.
 A round's state, grown from the uniform state, has one amplitude on the
 marked set and one on the rest, so each round samples from those two
 levels without a pass over the state; a round with no iterate samples the
-uniform state itself.
+uniform state itself, whose shots have a closed form. A round's state is
+dropped as soon as it is sampled, so one 4**n state is alive at a time and
+each iterate reuses the memory the last one freed.
 
 Because the cutoff only rises, each marked set {f > C} lies inside the one
 before it. A rise therefore narrows the previous set, comparing only its k
 entries, instead of rescanning all 4**n fitness values; only a set that
 still holds every path, as round 1's does under the default cutoff 0, is
-rescanned. Past the first set, a round's only pass over 4**n entries is
-the iterate's one write.
+rescanned, and a rescan that marks every path returns 0..N-1 without
+collecting indices. Past the first set, a round's only pass over 4**n
+entries is the iterate's one write.
 """
 
 from __future__ import annotations
@@ -111,14 +114,17 @@ def marked_for_cutoff(
     strictness at a cutoff <= ``cutoff``. The rule is monotone in the cutoff, so
     the new set lies inside it: only its entries are compared, in O(k) work, and
     the result is still sorted and unique, equal to a rescan element for element.
-    A ``previous`` that holds every path is rescanned instead, which is faster.
+    A ``previous`` that holds every path is rescanned instead, which is faster,
+    and a rescan that marks every path returns ``np.arange(N)``.
     """
     values = scape.values
     full = previous is None or previous.size == values.size
     pool = values if full else values[previous]
 
     def select(mask: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(mask) if full else previous[mask]
+        if not full:
+            return previous[mask]
+        return np.arange(mask.size) if mask.all() else np.flatnonzero(mask)
 
     marked = select(pool > cutoff)
     if marked.size == 0 and strictness is Strictness.GE_AT_MAX:
@@ -161,8 +167,10 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
         else:
             # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
-        state = grover_iterate(uniform, marked, r) if r else uniform
-        shots = measure_shots(state, rng, config.samples, marked=marked)
+        # Unnamed, so no round's state outlives its sampling: the next iterate reuses its memory.
+        shots = measure_shots(
+            grover_iterate(uniform, marked, r) if r else uniform, rng, config.samples, marked=marked
+        )
         shot_fitness = values[shots]
         f_star = int(shot_fitness.max())
         candidates = shots[shot_fitness == f_star]

@@ -194,11 +194,12 @@ def measure_shots(
     every ``grover_iterate`` output keeps that promise for its marked set.
     Then the weights are read from two amplitudes, and each shot inverts
     the cumulative distribution by scalar bisection, in
-    O(shots * (log k + n)) steps with no 4**n array. Both paths draw
-    ``rng.random(shots)`` and return the smallest index whose cumulative
-    weight exceeds the draw's share of the total, so a seed gives the same
-    shots from either path unless a draw lands within rounding of a step of
-    the distribution.
+    O(shots * (log k + n)) steps with no 4**n array; ``prepare_uniform``'s
+    state needs no bisection, as its shots have a closed form. Both paths
+    draw ``rng.random(shots)`` and return the smallest index whose
+    cumulative weight exceeds the draw's share of the total, so a seed gives
+    the same shots from either path unless a draw lands within rounding of a
+    step of the distribution.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -231,10 +232,17 @@ def _two_level_shots(
     Each shot bisects twice on scalars: over the marked entries, where
     c(marked[j]) = j + 1, for the first one above the target, then over the
     unmarked gap before it, where c is constant.
+
+    A stride-0 state of 2**-n, ``prepare_uniform``'s, skips the bisection with
+    the same draws and the same shots, for any marked set: every weight is the
+    power of two 4**-n, so F(i) is exactly (i + 1) * 4**-n, F(N-1) is exactly
+    1, u * N is exact, and the smallest i with F(i) > u is floor(u * N).
     """
     big_n, k = state.dim, marked.size
     if k and (marked[0] < 0 or marked[-1] >= big_n):
         raise ValueError("marked index out of range")
+    if state.amps.strides == (0,) and state.amps[0] == 2.0**-state.n:
+        return (gen.random(shots) * big_n).astype(np.int64)
     first_u = _bisect(0, k, lambda j: marked[j] != j)
 
     def weight(i: int) -> float:  # as probabilities() computes it

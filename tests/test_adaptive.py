@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -31,7 +32,7 @@ from qmaze.engine import (
     optimal_rounds,
     prepare_uniform,
 )
-from qmaze.fitness import Formula, landscape, make_spec
+from qmaze.fitness import FitnessLandscape, Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
 
 
@@ -96,6 +97,35 @@ def test_narrowed_sets_equal_a_rescan(m, n):
                 previous = marked_for_cutoff(scape, cutoff, strictness, previous)
                 assert previous.dtype == want.dtype
                 assert np.array_equal(previous, want), (strictness, cutoffs, cutoff)
+
+
+def test_every_path_set_equals_a_rescan():
+    varied = landscape(generate_maze(5, seed=3), 5, make_spec(5))
+    flat = FitnessLandscape(n=3, values=np.full(64, 7, dtype=np.int64))
+    cases = [(varied, int(varied.values.min()) - 1, Strictness.STRICT), (flat, 7, Strictness.GE_AT_MAX)]
+    for scape, cutoff, strictness in cases:
+        want = np.flatnonzero(scape.values >= cutoff)
+        assert want.size == scape.values.size
+        for previous in (None, want):
+            got = marked_for_cutoff(scape, cutoff, strictness, previous)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("policy", list(Policy))
+def test_a_search_holds_one_state_at_a_time(policy):
+    # The benchmark's search landscape. Holding a round's state while the next
+    # iterate writes its own peaks at twice the 8 * 4**n bytes of one state.
+    scape = landscape(generate_maze(8, seed=6), 9, make_spec(8))
+    run_adaptive(scape, SearchConfig(policy=policy))  # warm-up
+    for seed in range(3):
+        tracemalloc.start()
+        try:
+            run_adaptive(scape, SearchConfig(seed=seed, policy=policy))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * 4**9, (seed, peak)
 
 
 def test_rounds_without_an_iterate_skip_the_call(monkeypatch):

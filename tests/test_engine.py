@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qmaze import engine
 from qmaze.engine import (
     DegenerateGeometryError,
     GroverGeometry,
@@ -255,6 +256,18 @@ def test_uniform_iterate_equals_a_contiguous_copy_bit_for_bit(n):
             assert np.array_equal(np.signbit(got), np.signbit(want)), (n, marked.size, r)
 
 
+def test_complex_start_keeps_the_unmarked_term():
+    # 3 * 2**-4 + 0j taken from 2**4 * 2**-4 + 0j and divided by 253 lands one ulp below a0, so
+    # the unmarked level's (-1)**r * (a0 - beta) term is not zero; without it these levels differ.
+    a0 = np.complex128(2.0**-4)
+    assert (256 * a0 - 3 * a0) / 253 != a0
+    state = PathState(n=4, amps=np.broadcast_to(a0, (256,)))
+    marked = np.array([5, 77, 200])
+    for r in (1, 2, 7):
+        got = grover_iterate(state, marked, r).amps
+        assert np.array_equal(got, three_step_iterate(_contiguous(state), marked, r).amps), r
+
+
 @pytest.mark.parametrize("n", range(0, 7))
 def test_iterate_output_has_one_level_on_the_marked_set_and_one_on_the_rest(n):
     # measure_shots(..., marked=...) reads the weights of exactly these two levels.
@@ -425,6 +438,55 @@ def test_two_level_shots_match_reference(n):
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, marked.size, r, shots, seed)
                 assert fast.random() == ref.random()  # the same draws were used
+
+
+@st.composite
+def uniform_shot_cases(draw):
+    """n, a sorted marked set (empty, random or every path), a shot count and a seed."""
+    n = draw(st.integers(0, 6))
+    big_n = 4**n
+    marked = draw(
+        st.one_of(
+            st.just([]),
+            st.sets(st.integers(0, big_n - 1), max_size=64).map(sorted),
+            st.just(list(range(big_n))),
+        )
+    )
+    return n, np.array(marked, dtype=np.int64), draw(st.integers(1, 9)), draw(st.integers(0, 2**63))
+
+
+@given(uniform_shot_cases())
+def test_uniform_shots_in_closed_form_match_the_bisection(case):
+    n, marked, shots, seed = case
+    for value in (np.float64(2.0**-n), np.complex128(2.0**-n)):
+        start = PathState(n=n, amps=np.broadcast_to(value, (4**n,)))
+        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = measure_shots(start, fast, shots, marked=marked)
+        want = measure_shots(_contiguous(start), ref, shots, marked=marked)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert fast.random() == ref.random()  # the same draws were used
+
+
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_only_the_uniform_broadcast_skips_the_bisection(n, monkeypatch):
+    calls = []
+    bisect = engine._bisect
+    monkeypatch.setattr(engine, "_bisect", lambda *args: calls.append(args) or bisect(*args))
+    big_n = 4**n
+    marked = np.arange(0, big_n, 2)
+    starts = [
+        (np.broadcast_to(np.float64(2.0**-n), (big_n,)), False),
+        (np.broadcast_to(np.complex128(2.0**-n), (big_n,)), False),
+        (np.full(big_n, 2.0**-n), True),
+        (np.broadcast_to(np.float64(-(2.0**-n)), (big_n,)), True),
+        (np.broadcast_to(np.float64(2.0 ** -(n + 1)), (big_n,)), True),
+        (np.broadcast_to(np.float64(0.3), (big_n,)), True),
+    ]
+    for amps, bisects in starts:
+        calls.clear()
+        measure_shots(PathState(n=n, amps=amps), 0, 3, marked=marked)
+        assert bool(calls) == bisects, (amps[0], amps.strides)
 
 
 class _FixedDraws(np.random.Generator):
