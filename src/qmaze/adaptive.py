@@ -6,20 +6,20 @@ best fitness seen: C_{t+1} = max(C_t, f*_t). The cutoff sequence is
 non-decreasing, bounded by the landscape maximum, and strictly increases
 at most f_max - C_1 times, so the loop converges in finite time.
 
-A round's state, grown from the uniform state, has one amplitude on the
-marked set and one on the rest, so each round samples from those two
-levels without a pass over the state; a round with no iterate samples the
-uniform state itself, whose shots have a closed form. A round's state is
-dropped as soon as it is sampled, so one 4**n state is alive at a time and
-each iterate reuses the memory the last one freed.
+k comes from the landscape's fitness histogram; the marked set is built
+only for a round that runs an iterate. A round's state, grown from the
+uniform state, has one amplitude on the marked set and one on the rest, so
+each round samples from those two levels without a pass over the state; a
+round with no iterate samples the uniform state itself, whose shots have a
+closed form. A round's state is dropped as soon as it is sampled, so one
+4**n state is alive at a time and each iterate reuses the memory the last
+one freed.
 
 Because the cutoff only rises, each marked set {f > C} lies inside the one
-before it. A rise therefore narrows the previous set, comparing only its k
-entries, instead of rescanning all 4**n fitness values; only a set that
-still holds every path, as round 1's does under the default cutoff 0, is
-rescanned, and a rescan that marks every path returns 0..N-1 without
-collecting indices. Past the first set, a round's only pass over 4**n
-entries is the iterate's one write.
+before it. A set is therefore the last one built, narrowed by comparing
+only its entries; only a search's first set rescans all 4**n fitness
+values. Past that, a round's only pass over 4**n entries is the iterate's
+one write.
 """
 
 from __future__ import annotations
@@ -114,22 +114,26 @@ def marked_for_cutoff(
     strictness at a cutoff <= ``cutoff``. The rule is monotone in the cutoff, so
     the new set lies inside it: only its entries are compared, in O(k) work, and
     the result is still sorted and unique, equal to a rescan element for element.
-    A ``previous`` that holds every path is rescanned instead, which is faster,
-    and a rescan that marks every path returns ``np.arange(N)``.
+    Without ``previous`` all 4**n values are rescanned.
     """
     values = scape.values
-    full = previous is None or previous.size == values.size
-    pool = values if full else values[previous]
+    pool = values if previous is None else values[previous]
 
     def select(mask: np.ndarray) -> np.ndarray:
-        if not full:
-            return previous[mask]
-        return np.arange(mask.size) if mask.all() else np.flatnonzero(mask)
+        return np.flatnonzero(mask) if previous is None else previous[mask]
 
     marked = select(pool > cutoff)
     if marked.size == 0 and strictness is Strictness.GE_AT_MAX:
         marked = select(pool >= cutoff)
     return marked
+
+
+def marked_count(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> int:
+    """The size of ``marked_for_cutoff``'s set, summed from the landscape's histogram."""
+    k = int(scape.counts[scape.levels > cutoff].sum())
+    if k == 0 and strictness is Strictness.GE_AT_MAX:
+        k = int(scape.counts[scape.levels >= cutoff].sum())
+    return k
 
 
 def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
@@ -146,15 +150,14 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     cutoff = config.initial_cutoff
     escalation = 0
     uniform = prepare_uniform(scape.n)
-    marked_cutoff, marked = None, None
+    k_cutoff = marked_cutoff = marked = None
+    nothing = np.empty(0, dtype=np.int64)
 
     for t in range(1, config.max_rounds + 1):
-        # The marked set, and with it k, theta and known-k's r, changes only with the cutoff;
-        # a rise narrows the previous set.
-        if cutoff != marked_cutoff:
-            marked = marked_for_cutoff(scape, cutoff, config.strictness, marked)
-            marked_cutoff = cutoff
-            k = int(marked.size)
+        # k, theta and known-k's r change only with the cutoff.
+        if cutoff != k_cutoff:
+            k_cutoff = cutoff
+            k = marked_count(scape, cutoff, config.strictness)
             if k == 0:
                 trace.status = Status.DEGENERATE
                 break
@@ -167,10 +170,12 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
         else:
             # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
+        if r and cutoff != marked_cutoff:
+            marked, marked_cutoff = marked_for_cutoff(scape, cutoff, config.strictness, marked), cutoff
         # Unnamed, so no round's state outlives its sampling: the next iterate reuses its memory.
-        shots = measure_shots(
-            grover_iterate(uniform, marked, r) if r else uniform, rng, config.samples, marked=marked
-        )
+        # The uniform state's closed-form draw holds for any set, so a round without an iterate needs none.
+        shots = measure_shots(grover_iterate(uniform, marked, r) if r else uniform, rng, config.samples,
+                              marked=marked if r else nothing)
         shot_fitness = values[shots]
         f_star = int(shot_fitness.max())
         candidates = shots[shot_fitness == f_star]

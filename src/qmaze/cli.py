@@ -232,7 +232,7 @@ def cmd_solve(args) -> int:
     scape, trace = _solve_once(settings)
     n = settings["n"]
     summary = [f"status: {trace.status.value}", f"rounds used: {len(trace.rounds)}"]
-    f_max = scape.f_max  # a pass over all 4**n values; read it once
+    f_max = scape.f_max
     optimal = trace.best_fitness == f_max
     best = None
     if trace.best_index is not None:

@@ -193,9 +193,10 @@ def measure_shots(
     amplitude is constant on ``marked`` and constant on its complement;
     every ``grover_iterate`` output keeps that promise for its marked set.
     Then the weights are read from two amplitudes, and each shot inverts
-    the cumulative distribution by scalar bisection, in
-    O(shots * (log k + n)) steps with no 4**n array; ``prepare_uniform``'s
-    state needs no bisection, as its shots have a closed form. Both paths
+    the cumulative distribution on scalars, bisecting over ``marked`` and
+    searching the unmarked gap from a closed-form guess, in
+    O(shots * log k) steps with no 4**n array; ``prepare_uniform``'s
+    state needs no search, as its shots have a closed form. Both paths
     draw ``rng.random(shots)`` and return the smallest index whose
     cumulative weight exceeds the draw's share of the total, so a seed gives
     the same shots from either path unless a draw lands within rounding of a
@@ -222,6 +223,16 @@ def _bisect(lo: int, hi: int, above) -> int:
     return lo
 
 
+def _gallop(lo: int, hi: int, guess: int, above) -> int:
+    """``_bisect(lo, hi, above)``, run in windows guess +/- (2**j - 1) widened until one holds the answer."""
+    step = 0
+    while True:
+        a, b = max(lo, guess - step), min(hi, guess + step)
+        if (a == lo or not above(a - 1)) and (b == hi or above(b)):
+            return _bisect(a, b, above)
+        step = 2 * step + 1
+
+
 def _two_level_shots(
     state: PathState, gen: np.random.Generator, shots: int, marked: np.ndarray
 ) -> np.ndarray:
@@ -229,9 +240,12 @@ def _two_level_shots(
 
     F is non-decreasing in floating point and flat across zero-weight
     indices, so the smallest i with F(i) > u*F(N-1) always has weight > 0.
-    Each shot bisects twice on scalars: over the marked entries, where
-    c(marked[j]) = j + 1, for the first one above the target, then over the
-    unmarked gap before it, where c is constant.
+    Each shot bisects over the marked entries, where c(marked[j]) = j + 1,
+    for the first one above the target. In the unmarked gap before it c is
+    constant, so F(i) > target solves to i > (target - w_m*c)/w_u + c - 1;
+    ``_gallop`` starts from that guess, clamped to the gap, and tests the same
+    predicate, so rounding in the guess costs probes, never a different shot.
+    With w_u == 0 no gap index passes, so the guess is the gap's end.
 
     A stride-0 state of 2**-n, ``prepare_uniform``'s, skips the bisection with
     the same draws and the same shots, for any marked set: every weight is the
@@ -260,7 +274,9 @@ def _two_level_shots(
         # c < k whenever marked[-1] == N-1, because target < F(N-1).
         lo = int(marked[c - 1]) + 1 if c else 0
         hi = int(marked[c]) if c < k else big_n - 1
-        out[shot] = _bisect(lo, hi, lambda i: cdf(i, c) > target)
+        x = (target - w_m * c) / w_u + c - 1 if w_u else hi
+        guess = lo if x < lo else hi if x >= hi else math.floor(x) + 1
+        out[shot] = _gallop(lo, hi, guess, lambda i: cdf(i, c) > target)
     return out
 
 

@@ -7,8 +7,9 @@ the goal. Two formula variants exist: the power-of-two offset C = 2**r
 :func:`fitness` scores one path by walking it with ``simulate_path``; that
 scalar walk is the reference the landscape is tested against. The
 landscape scores all 4**n paths at once: gathers over the cell /
-frozen-cell transition table of ``maze.path_end_values``, one per move,
-the last of which reads a per-row fitness array.
+frozen-cell transition table of ``maze.path_end_histogram``, one per move,
+the last of which reads a per-row fitness array. A forward count over the
+same table gives the number of paths on each value without a 4**n pass.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import codec
-from .maze import Maze, SimMode, path_end_values, simulate_path
+from .maze import Maze, SimMode, path_end_histogram, simulate_path
 
 
 class Formula(enum.Enum):
@@ -59,14 +60,16 @@ def fitness(maze: Maze, path, spec: FitnessSpec) -> int:
 
 @dataclass(frozen=True)
 class FitnessLandscape:
-    """Fitness of every length-n path, indexed by the path encoding."""
+    """Fitness of every length-n path, indexed by the path encoding, and its histogram."""
 
     n: int
     values: np.ndarray  # shape (4**n,), int64
+    levels: np.ndarray  # the distinct fitness values, ascending
+    counts: np.ndarray  # int64 paths per level, each >= 1
 
     @property
     def f_max(self) -> int:
-        return int(self.values.max())
+        return int(self.levels[-1])
 
 
 def landscape(maze: Maze, n: int, spec: FitnessSpec) -> FitnessLandscape:
@@ -76,8 +79,8 @@ def landscape(maze: Maze, n: int, spec: FitnessSpec) -> FitnessLandscape:
     """
     codec.path_count(n)
     goal = np.array(maze.goal)
-    values = path_end_values(
+    values, levels, counts = path_end_histogram(
         maze, n, spec.mode, lambda cells, _: spec.offset - ((cells - goal) ** 2).sum(axis=1)
     )
-    return FitnessLandscape(n=n, values=values)
+    return FitnessLandscape(n=n, values=values, levels=levels, counts=counts)
 

@@ -239,6 +239,27 @@ def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
     False) iff it ends in a frozen row. ``n`` is not range-checked here;
     see ``codec.path_count``.
     """
+    return _end_values(n, *_automaton(maze, n, mode, row_value))
+
+
+def path_end_histogram(maze: Maze, n: int, mode: SimMode, row_value):
+    """``path_end_values``' array, its distinct values ascending, and how many paths end on each (>= 1).
+
+    Counted forward over the table, one ``bincount`` per move, not over 4**n paths; exact in float64.
+    """
+    table, values, start = _automaton(maze, n, mode, row_value)
+    reach = np.zeros(values.size)
+    reach[start] = 1.0
+    for _ in range(n):
+        reach = np.bincount(table.ravel(), weights=reach.repeat(table.shape[1]), minlength=values.size)
+    low = values.min()
+    counts = np.bincount(values - low, weights=reach)
+    levels = np.flatnonzero(counts)
+    return _end_values(n, table, values, start), levels + low, counts[levels].astype(np.int64)
+
+
+def _automaton(maze: Maze, n: int, mode: SimMode, row_value):
+    """The path automaton's transition table, its per-row values and its start row, a length-1 array."""
     pad = n if mode is SimMode.WALL_BLIND else 0
     side = maze.size + 2 * pad
     count = side * side
@@ -256,7 +277,10 @@ def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
     table[count:] = (count + rows)[:, None]
     cells = np.concatenate([live, live]).astype(np.int64) - pad
     values = np.asarray(row_value(cells, np.arange(2 * count) >= count))
-    state = np.array([(maze.start[0] + pad) * side + maze.start[1] + pad], dtype=np.intp)
+    return table, values, np.array([(maze.start[0] + pad) * side + maze.start[1] + pad], dtype=np.intp)
+
+
+def _end_values(n: int, table: np.ndarray, values: np.ndarray, state: np.ndarray) -> np.ndarray:
     if n == 0:
         return values[state]
     for _ in range(n - 1):

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+from qmaze.fitness import FitnessLandscape
 from qmaze.maze import Maze
 
 # The canonical 2x2 example: start (0,0), goal (1,1), unique solution S->E.
@@ -12,3 +14,15 @@ EXAMPLE_SIDES = ((0b0110, 0b0001), (0b1100, 0b0001))
 @pytest.fixture
 def example_maze() -> Maze:
     return Maze(size=2, open_sides=EXAMPLE_SIDES, start=(0, 0), goal=(1, 1))
+
+
+@pytest.fixture
+def landscape_of():
+    """Build a landscape from hand-written values, its histogram counted by ``np.unique``."""
+
+    def build(n: int, values) -> FitnessLandscape:
+        values = np.asarray(values, dtype=np.int64)
+        levels, counts = np.unique(values, return_counts=True)
+        return FitnessLandscape(n=n, values=values, levels=levels, counts=counts.astype(np.int64))
+
+    return build

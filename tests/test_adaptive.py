@@ -21,6 +21,7 @@ from qmaze.adaptive import (
     SearchConfig,
     Status,
     Strictness,
+    marked_count,
     marked_for_cutoff,
     run_adaptive,
     update_cutoff,
@@ -32,7 +33,7 @@ from qmaze.engine import (
     optimal_rounds,
     prepare_uniform,
 )
-from qmaze.fitness import FitnessLandscape, Formula, landscape, make_spec
+from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
 
 
@@ -94,14 +95,15 @@ def test_narrowed_sets_equal_a_rescan(m, n):
             for cutoff in cutoffs:
                 want = _rescan(scape, cutoff, strictness)
                 assert np.array_equal(marked_for_cutoff(scape, cutoff, strictness), want)
+                assert marked_count(scape, cutoff, strictness) == want.size
                 previous = marked_for_cutoff(scape, cutoff, strictness, previous)
                 assert previous.dtype == want.dtype
                 assert np.array_equal(previous, want), (strictness, cutoffs, cutoff)
 
 
-def test_every_path_set_equals_a_rescan():
+def test_every_path_set_equals_a_rescan(landscape_of):
     varied = landscape(generate_maze(5, seed=3), 5, make_spec(5))
-    flat = FitnessLandscape(n=3, values=np.full(64, 7, dtype=np.int64))
+    flat = landscape_of(3, np.full(64, 7))
     cases = [(varied, int(varied.values.min()) - 1, Strictness.STRICT), (flat, 7, Strictness.GE_AT_MAX)]
     for scape, cutoff, strictness in cases:
         want = np.flatnonzero(scape.values >= cutoff)
@@ -149,12 +151,40 @@ def test_rounds_without_an_iterate_skip_the_call(monkeypatch):
     assert skipped > 0
 
 
-def test_rounds_for_cutoff_quarter():
-    # A quarter of the space marked -> theta = pi/6 -> exactly one round.
-    from qmaze.fitness import FitnessLandscape
+def test_only_rounds_with_an_iterate_build_a_marked_set(monkeypatch):
+    scape = landscape(generate_maze(6, seed=2), 5, make_spec(6))
+    f_max = scape.f_max
+    built = 0
+    for policy in Policy:
+        for strictness in Strictness:
+            for cutoff0, seed in [(0, 0), (0, 1), (0, 2), (f_max - 2, 3), (f_max, 4)]:
+                config = SearchConfig(initial_cutoff=cutoff0, policy=policy, strictness=strictness, seed=seed)
+                want = run_adaptive(scape, config)
+                calls = []
 
-    values = np.array([1] * 12 + [5] * 4, dtype=np.int64)
-    scape = FitnessLandscape(n=2, values=values)
+                def counted(scape_, cutoff, strictness_, previous=None):
+                    calls.append((cutoff, None if previous is None else previous.size))
+                    return marked_for_cutoff(scape_, cutoff, strictness_, previous)
+
+                with monkeypatch.context() as patch:
+                    patch.setattr(adaptive, "marked_for_cutoff", counted)
+                    assert run_adaptive(scape, config) == want
+                # One set per cutoff that has a round with an iterate, each narrowed from the last.
+                expected, last_k = [], None
+                for rec in want.rounds:
+                    if rec.rounds and (not expected or expected[-1][0] != rec.cutoff):
+                        expected.append((rec.cutoff, last_k))
+                        last_k = rec.k
+                assert calls == expected, config
+                for rec in want.rounds:
+                    assert rec.k == _rescan(scape, rec.cutoff, strictness).size, (config, rec)
+                built += len(calls)
+    assert built > 0
+
+
+def test_rounds_for_cutoff_quarter(landscape_of):
+    # A quarter of the space marked -> theta = pi/6 -> exactly one round.
+    scape = landscape_of(2, [1] * 12 + [5] * 4)
     k = marked_for_cutoff(scape, 2, Strictness.STRICT).size
     assert k == 4
     first = _first_round(scape, 2)

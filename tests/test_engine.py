@@ -489,6 +489,79 @@ def test_only_the_uniform_broadcast_skips_the_bisection(n, monkeypatch):
         assert bool(calls) == bisects, (amps[0], amps.strides)
 
 
+def _bisection_shots(state, gen, shots, marked):
+    """The two-level sampler that bisects every unmarked gap: the gap search's reference."""
+
+    def first(lo, hi, above):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid + 1, hi)
+        return lo
+
+    big_n, k = state.dim, marked.size
+    first_u = first(0, k, lambda j: marked[j] != j)
+    w_m = float(state.probabilities()[marked[0]]) if k else 0.0
+    w_u = float(state.probabilities()[first_u]) if first_u < big_n else 0.0
+
+    def cdf(i, c):
+        return w_m * c + w_u * (i + 1 - c)
+
+    out = np.empty(shots, dtype=np.int64)
+    for shot, target in enumerate((gen.random(shots) * cdf(big_n - 1, k)).tolist()):
+        c = first(0, k, lambda j: cdf(int(marked[j]), j + 1) > target)
+        lo = int(marked[c - 1]) + 1 if c else 0
+        hi = int(marked[c]) if c < k else big_n - 1
+        out[shot] = first(lo, hi, lambda i: cdf(i, c) > target)
+    return out
+
+
+def _gap_search_cases():
+    """Two-level states with sorted marked sets: Grover states at n 1-7 and r in
+    {1, 2, 3, 7, 20, 100}, states with no weight on one level or random levels,
+    and k = 1 at n = 9 after r = 401."""
+    rng = np.random.default_rng(27)
+    for n in range(1, 8):
+        big_n = 4**n
+        for k in sorted({1, 2, big_n // 4, big_n // 2, big_n - 1, int(rng.integers(1, big_n))}):
+            marked = np.sort(rng.choice(big_n, size=k, replace=False))
+            for r in (1, 2, 3, 7, 20, 100):
+                yield grover_iterate(prepare_uniform(n), marked, r), marked
+            for a_marked, a_rest in ((1, 0), (0, 1), (rng.random(), rng.random())):
+                yield _two_level_state(n, marked, a_marked, a_rest), marked
+    yield grover_iterate(prepare_uniform(9), np.array([123_456]), 401), np.array([123_456])
+
+
+def test_gap_search_matches_the_bisection():
+    zero_level = {"marked": 0, "rest": 0}
+    for case, (state, marked) in enumerate(_gap_search_cases()):
+        probs = state.probabilities()
+        zero_level["marked"] += marked.size > 0 and probs[marked[0]] == 0
+        zero_level["rest"] += marked.size < state.dim and np.delete(probs, marked).max() == 0
+        fast, ref = np.random.default_rng(case), np.random.default_rng(case)
+        got = measure_shots(state, fast, 40, marked=marked)
+        assert np.array_equal(got, _bisection_shots(state, ref, 40, marked)), (state.n, marked.size)
+        assert fast.random() == ref.random()  # the same draws were used
+    assert zero_level["marked"] and zero_level["rest"]
+
+
+def test_gallop_finds_the_bisection_index_from_any_guess():
+    for lo in range(3):
+        for hi in range(lo, lo + 40):
+            for answer in range(lo, hi + 1):
+                for guess in range(lo, hi + 1):
+                    calls = []
+
+                    def above(i):
+                        calls.append(i)
+                        return i >= answer
+
+                    assert engine._gallop(lo, hi, guess, above) == answer
+                    assert all(lo <= i < hi for i in calls)
+                    # A window of 2**j - 1 either side: at most two probes per window, then a bisection.
+                    windows = math.ceil(math.log2(abs(guess - answer) + 1))
+                    assert len(calls) <= (2 if guess == answer else 4 + 3 * windows)
+
+
 class _FixedDraws(np.random.Generator):
     """A generator whose ``random`` returns the given draws."""
 

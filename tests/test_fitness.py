@@ -193,6 +193,22 @@ def test_landscape_matches_scalar_reference(case, mode, formula):
         assert blocked[u] == (not simulate_path(maze, path, mode).valid), (u, n, mode)
 
 
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("m", range(2, 9))
+def test_histogram_counts_every_path(m, mode):
+    # The forward count over the automaton against a count of the 4**n values.
+    spec = make_spec(m, Formula.MAIN, mode)
+    for n in range(0, 10):
+        scape = landscape(generate_maze(m, seed=10 * m + n), n, spec)
+        levels, counts = np.unique(scape.values, return_counts=True)
+        assert scape.levels.dtype == scape.counts.dtype == np.int64
+        assert np.array_equal(scape.levels, levels), (m, n, mode)
+        assert np.array_equal(scape.counts, counts), (m, n, mode)
+        assert scape.f_max == scape.values.max()
+    if mode is SimMode.WALL_BLIND:
+        assert scape.levels[0] < 0  # the count reaches negative values too
+
+
 @pytest.mark.parametrize("n", [-1, codec.MAX_PATH_LENGTH + 1])
 def test_landscape_rejects_out_of_range_length(example_maze, n):
     with pytest.raises(ValueError):
