@@ -100,15 +100,24 @@ def update_cutoff(cutoff: int, f_star: int) -> int:
     return max(cutoff, f_star)
 
 
+def _threshold(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> int:
+    """The least marked fitness: the round marks every path with fitness >= this value.
+
+    Fitness values are integers, so f > cutoff is f >= cutoff + 1. GE_AT_MAX
+    marks f >= cutoff instead when the strict set is empty, which is exactly
+    when cutoff >= f_max. ``run_adaptive`` stops at the first sample that
+    reaches f_max, so that happens only when the initial cutoff is f_max or
+    above; there STRICT marks nothing.
+    """
+    if strictness is Strictness.GE_AT_MAX and scape.f_max <= cutoff:
+        return cutoff
+    return cutoff + 1
+
+
 def marked_for_cutoff(
     scape: FitnessLandscape, cutoff: int, strictness: Strictness, previous: np.ndarray | None = None
 ) -> np.ndarray:
-    """Round marked set: fitness > cutoff, or >= under GE_AT_MAX when cutoff == f_max.
-
-    ``run_adaptive`` stops at the first sample that reaches f_max, so the cutoff
-    is f_max at marking time only when the initial cutoff is; there STRICT marks nothing.
-    The strict set is empty exactly when cutoff >= f_max, so GE_AT_MAX falls back
-    to >= only then, and no f_max pass is needed.
+    """Round marked set: fitness > cutoff, or >= under GE_AT_MAX when cutoff >= f_max.
 
     ``previous``, if given, is this function's set for the same landscape and
     strictness at a cutoff <= ``cutoff``. The rule is monotone in the cutoff, so
@@ -116,24 +125,15 @@ def marked_for_cutoff(
     the result is still sorted and unique, equal to a rescan element for element.
     Without ``previous`` all 4**n values are rescanned.
     """
-    values = scape.values
-    pool = values if previous is None else values[previous]
-
-    def select(mask: np.ndarray) -> np.ndarray:
-        return np.flatnonzero(mask) if previous is None else previous[mask]
-
-    marked = select(pool > cutoff)
-    if marked.size == 0 and strictness is Strictness.GE_AT_MAX:
-        marked = select(pool >= cutoff)
-    return marked
+    t = _threshold(scape, cutoff, strictness)
+    if previous is None:
+        return np.flatnonzero(scape.values >= t)
+    return previous[scape.values[previous] >= t]
 
 
 def marked_count(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> int:
     """The size of ``marked_for_cutoff``'s set, summed from the landscape's histogram."""
-    k = int(scape.counts[scape.levels > cutoff].sum())
-    if k == 0 and strictness is Strictness.GE_AT_MAX:
-        k = int(scape.counts[scape.levels >= cutoff].sum())
-    return k
+    return int(scape.counts[scape.levels >= _threshold(scape, cutoff, strictness)].sum())
 
 
 def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:

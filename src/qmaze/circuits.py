@@ -147,9 +147,6 @@ class RevCircuit:
         self.spans = {} if spans is None else spans
         self.num_bits = sum(r.width for r in self.registers.values())
 
-    def inverse(self) -> "RevCircuit":
-        return RevCircuit(dict(self.registers), list(reversed(self.gates)))
-
     def scratch_registers(self) -> list[Register]:
         return [r for r in self.registers.values() if r.role in SCRATCH_ROLES]
 
@@ -312,22 +309,6 @@ def run_batch(circuit: RevCircuit, batch: Batch) -> tuple[Batch, np.ndarray]:
             w[t] ^= ones
     signs = 1 - 2 * _planes([neg], batch.size)[0].astype(np.int8)
     return Batch(batch.size, tuple(w)), signs
-
-
-def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[str, int], int]:
-    """Execute on one basis state given as register values.
-
-    Every register must be assigned a value within its width; returns the
-    output assignment and the accumulated phase sign (+1 or -1).
-    """
-    missing = set(circuit.registers) - set(assignment)
-    extra = set(assignment) - set(circuit.registers)
-    if missing or extra:
-        raise ValueError(f"assignment mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
-    batch = pack_rows(circuit, assignment, batch=1)
-    out_batch, signs = run_batch(circuit, batch)
-    out = {name: int(unpack_column(circuit, out_batch, name)[0]) for name in circuit.registers}
-    return out, int(signs[0])
 
 
 # ---------------------------------------------------------------------------
@@ -504,48 +485,7 @@ def arith_width(m: int, n: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Standalone arithmetic builders
-
-
-def build_adder(width: int, *, subtract: bool = False, constant: int | None = None) -> RevCircuit:
-    """In-place adder: t +/-= a (or a classical constant), exact modulo 2**width.
-
-    Registers: ``a`` (absent when adding a constant), ``t``, plus scratch.
-    """
-    if width < 1:
-        raise ValueError("adder width must be >= 1")
-    if constant is not None and not 0 <= constant < 2**width:
-        raise ValueError("constant out of register range")
-    b = RevCircuit()
-    a_bits = b.reg("a", width, "operand").bits if constant is None else None
-    t_bits = b.reg("t", width, "operand").bits
-    carry = b.reg("carry", 1, "ancilla").bits[0]
-    if constant is None:
-        (_sub if subtract else _add)(b, a_bits, t_bits, carry)
-    else:
-        const_bits = b.reg("k", width, "constant").bits
-        _add_const(b, constant, t_bits, const_bits, carry, subtract=subtract)
-    return b
-
-
-def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
-    """Out-of-place squarer |a>|0> -> |a>|a**2 mod 2**out_width>; out_width defaults to 2*width.
-
-    An output narrower than 2*width truncates, as the fitness circuit's
-    squares do.
-    """
-    if width < 1:
-        raise ValueError("squarer width must be >= 1")
-    out_width = 2 * width if out_width is None else out_width
-    if out_width < 1:
-        raise ValueError(f"output register needs >= 1 bit, got {out_width}")
-    b = RevCircuit()
-    a = b.reg("a", width, "operand").bits
-    out = b.reg("sq", out_width, "operand").bits
-    tmp = b.reg("tmp", out_width, "ancilla").bits
-    carry = b.reg("carry", 1, "ancilla").bits[0]
-    _square(b, a, out, tmp, carry)
-    return b
+# Standalone comparator
 
 
 def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:

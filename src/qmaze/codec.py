@@ -16,20 +16,6 @@ MAX_PATH_LENGTH = 12
 # A direction's code is its index in ``Direction``; the circuits' walk step
 # and ``maze.path_end_values`` read the same order.
 _CODE_DIR = dict(enumerate(Direction))
-_DIR_CODE = {d: code for code, d in _CODE_DIR.items()}
-
-
-def encode_direction(d: Direction) -> int:
-    """Two-bit code of a single direction (N=0, E=1, S=2, W=3)."""
-    return _DIR_CODE[d]
-
-
-def encode_path(path) -> int:
-    """Concatenate two-bit direction codes, first move in the MSB pair."""
-    value = 0
-    for d in path:
-        value = (value << 2) | _DIR_CODE[d]
-    return value
 
 
 def decode_index(value: int, n: int) -> tuple[Direction, ...]:

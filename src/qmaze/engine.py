@@ -46,9 +46,6 @@ class PathState:
     def dim(self) -> int:
         return self.amps.size
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
 
@@ -174,14 +171,9 @@ def optimal_rounds(geometry: GroverGeometry) -> int:
     return max(0, math.floor(math.pi / (4 * geometry.theta) - 0.5 + 1e-9))
 
 
-def measure(state: PathState, rng: np.random.Generator | int) -> int:
-    """Sample one basis index with Born-rule probabilities."""
-    return int(measure_shots(state, rng, 1)[0])
-
-
 def measure_shots(
     state: PathState,
-    rng: np.random.Generator | int,
+    rng: np.random.Generator,
     shots: int,
     marked: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -204,12 +196,11 @@ def measure_shots(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if marked is not None:
-        return _two_level_shots(state, gen, shots, np.asarray(marked, dtype=np.int64))
+        return _two_level_shots(state, rng, shots, np.asarray(marked, dtype=np.int64))
     probs = state.probabilities()
     probs = probs / probs.sum()  # guard rounding drift at the 1e-16 level
-    return gen.choice(state.dim, size=shots, p=probs)
+    return rng.choice(state.dim, size=shots, p=probs)
 
 
 def _bisect(lo: int, hi: int, above) -> int:
@@ -278,38 +269,3 @@ def _two_level_shots(
         guess = lo if x < lo else hi if x >= hi else math.floor(x) + 1
         out[shot] = _gallop(lo, hi, guess, lambda i: cdf(i, c) > target)
     return out
-
-
-def rotation_block(geometry: GroverGeometry) -> np.ndarray:
-    """The 2x2 matrix of one Grover iterate on span{|perp>, |T>}.
-
-    Built from the statevector action of one oracle-then-diffuser step on
-    the two basis vectors (synthetic marked set of the right size), not
-    from the closed form or ``grover_iterate``; in this basis order it
-    equals [[cos2t, -sin2t], [sin2t, cos2t]].
-    """
-    if geometry.degenerate or geometry.num_marked == geometry.num_states:
-        raise DegenerateGeometryError("rotation block needs 1 <= k < N")
-    big_n, k = geometry.num_states, geometry.num_marked
-    n = round(math.log(big_n, 4))
-    if 4**n != big_n:
-        raise ValueError("state count must be a power of four")
-    marked = np.arange(k, dtype=np.int64)
-    target = np.zeros(big_n, dtype=np.complex128)
-    target[:k] = 1 / math.sqrt(k)
-    perp = np.zeros(big_n, dtype=np.complex128)
-    perp[k:] = 1 / math.sqrt(big_n - k)
-    basis = (perp, target)
-    block = np.empty((2, 2), dtype=np.complex128)
-    for col, vec in enumerate(basis):
-        out = apply_diffuser(apply_oracle(PathState(n=n, amps=vec), marked)).amps
-        block[0, col] = np.vdot(basis[0], out)
-        block[1, col] = np.vdot(basis[1], out)
-    return block
-
-
-def rotation_spectrum(geometry: GroverGeometry) -> np.ndarray:
-    """Eigenvalues of the iterate's 2x2 block; equals exp(+/-2i*theta)."""
-    eig = np.linalg.eigvals(rotation_block(geometry))
-    return eig[np.argsort(eig.imag)]  # e^{-2i theta} first, e^{+2i theta} second
-

@@ -11,7 +11,6 @@ circuit computes).
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -150,10 +149,6 @@ class Trajectory:
     def end(self) -> tuple[int, int]:
         return self.cells[-1]
 
-    @property
-    def valid(self) -> bool:
-        return self.fail_step is None
-
 
 def generate_maze(
     m: int,
@@ -235,8 +230,8 @@ def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
 
     ``row_value(cells, frozen)`` gets the (i, j) cell of every row as an
     (R, 2) int64 array and a bool array marking the frozen rows, and returns
-    one value per row. A path is blocked (``simulate_path(...).valid`` is
-    False) iff it ends in a frozen row. ``n`` is not range-checked here;
+    one value per row. A path is blocked (``simulate_path(...).fail_step`` is
+    not None) iff it ends in a frozen row. ``n`` is not range-checked here;
     see ``codec.path_count``.
     """
     return _end_values(n, *_automaton(maze, n, mode, row_value))
@@ -304,39 +299,6 @@ def simulate_path(maze: Maze, path, mode: SimMode) -> Trajectory:
                 pos = nxt
         cells.append(pos)
     return Trajectory(cells=tuple(cells), fail_step=fail_step)
-
-
-def shortest_path_length(maze: Maze, a: tuple[int, int], b: tuple[int, int]) -> int:
-    """Length of the unique tree path between two cells."""
-    return len(tree_path(maze, a, b))
-
-
-def tree_path(maze: Maze, a: tuple[int, int], b: tuple[int, int]) -> tuple[Direction, ...]:
-    """The unique direction sequence from a to b along open passages."""
-    for cell in (a, b):
-        if not maze.in_grid(cell):
-            raise ValueError(f"cell {cell} outside the grid")
-    parent: dict[tuple[int, int], tuple[tuple[int, int], Direction]] = {}
-    frontier = deque([a])
-    seen = {a}
-    while frontier:
-        cell = frontier.popleft()
-        if cell == b:
-            break
-        for d in Direction:
-            if maze.is_open(cell, d):
-                nxt = (cell[0] + d.delta[0], cell[1] + d.delta[1])
-                if nxt not in seen:
-                    seen.add(nxt)
-                    parent[nxt] = (cell, d)
-                    frontier.append(nxt)
-    steps = []
-    cell = b
-    while cell != a:
-        prev, d = parent[cell]
-        steps.append(d)
-        cell = prev
-    return tuple(reversed(steps))
 
 
 def serialize_maze(maze: Maze) -> str:

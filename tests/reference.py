@@ -1,0 +1,172 @@
+"""Reference helpers that only the tests use.
+
+None of these runs in a ``qmaze`` subcommand, so the package does not ship
+them. Each is a plain restatement the package's fast paths are pinned
+against: a one-row circuit run, standalone adder and squarer builders over
+the circuit layer's private arithmetic primitives, the Grover iterate's
+2x2 block and spectrum built from statevector steps, the maze's tree path
+by breadth-first search, and the two-bit path encoding.
+"""
+
+from __future__ import annotations
+
+import math
+from collections import deque
+
+import numpy as np
+
+from qmaze.circuits import RevCircuit, _add, _add_const, _square, _sub, pack_rows, run_batch, unpack_column
+from qmaze.engine import DegenerateGeometryError, GroverGeometry, PathState, apply_diffuser, apply_oracle
+from qmaze.maze import Direction, Maze
+
+# ---------------------------------------------------------------------------
+# Circuits
+
+
+def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[str, int], int]:
+    """Execute on one basis state given as register values.
+
+    Every register must be assigned a value within its width; returns the
+    output assignment and the accumulated phase sign (+1 or -1).
+    """
+    missing = set(circuit.registers) - set(assignment)
+    extra = set(assignment) - set(circuit.registers)
+    if missing or extra:
+        raise ValueError(f"assignment mismatch: missing {sorted(missing)}, unknown {sorted(extra)}")
+    batch = pack_rows(circuit, assignment, batch=1)
+    out_batch, signs = run_batch(circuit, batch)
+    out = {name: int(unpack_column(circuit, out_batch, name)[0]) for name in circuit.registers}
+    return out, int(signs[0])
+
+
+def build_adder(width: int, *, subtract: bool = False, constant: int | None = None) -> RevCircuit:
+    """In-place adder: t +/-= a (or a classical constant), exact modulo 2**width.
+
+    Registers: ``a`` (absent when adding a constant), ``t``, plus scratch.
+    """
+    if width < 1:
+        raise ValueError("adder width must be >= 1")
+    if constant is not None and not 0 <= constant < 2**width:
+        raise ValueError("constant out of register range")
+    b = RevCircuit()
+    a_bits = b.reg("a", width, "operand").bits if constant is None else None
+    t_bits = b.reg("t", width, "operand").bits
+    carry = b.reg("carry", 1, "ancilla").bits[0]
+    if constant is None:
+        (_sub if subtract else _add)(b, a_bits, t_bits, carry)
+    else:
+        const_bits = b.reg("k", width, "constant").bits
+        _add_const(b, constant, t_bits, const_bits, carry, subtract=subtract)
+    return b
+
+
+def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
+    """Out-of-place squarer |a>|0> -> |a>|a**2 mod 2**out_width>; out_width defaults to 2*width.
+
+    An output narrower than 2*width truncates, as the fitness circuit's
+    squares do.
+    """
+    if width < 1:
+        raise ValueError("squarer width must be >= 1")
+    out_width = 2 * width if out_width is None else out_width
+    if out_width < 1:
+        raise ValueError(f"output register needs >= 1 bit, got {out_width}")
+    b = RevCircuit()
+    a = b.reg("a", width, "operand").bits
+    out = b.reg("sq", out_width, "operand").bits
+    tmp = b.reg("tmp", out_width, "ancilla").bits
+    carry = b.reg("carry", 1, "ancilla").bits[0]
+    _square(b, a, out, tmp, carry)
+    return b
+
+
+# ---------------------------------------------------------------------------
+# Engine
+
+
+def rotation_block(geometry: GroverGeometry) -> np.ndarray:
+    """The 2x2 matrix of one Grover iterate on span{|perp>, |T>}.
+
+    Built from the statevector action of one oracle-then-diffuser step on
+    the two basis vectors (synthetic marked set of the right size), not
+    from the closed form or ``grover_iterate``; in this basis order it
+    equals [[cos2t, -sin2t], [sin2t, cos2t]].
+    """
+    if geometry.degenerate or geometry.num_marked == geometry.num_states:
+        raise DegenerateGeometryError("rotation block needs 1 <= k < N")
+    big_n, k = geometry.num_states, geometry.num_marked
+    n = round(math.log(big_n, 4))
+    if 4**n != big_n:
+        raise ValueError("state count must be a power of four")
+    marked = np.arange(k, dtype=np.int64)
+    target = np.zeros(big_n, dtype=np.complex128)
+    target[:k] = 1 / math.sqrt(k)
+    perp = np.zeros(big_n, dtype=np.complex128)
+    perp[k:] = 1 / math.sqrt(big_n - k)
+    basis = (perp, target)
+    block = np.empty((2, 2), dtype=np.complex128)
+    for col, vec in enumerate(basis):
+        out = apply_diffuser(apply_oracle(PathState(n=n, amps=vec), marked)).amps
+        block[0, col] = np.vdot(basis[0], out)
+        block[1, col] = np.vdot(basis[1], out)
+    return block
+
+
+def rotation_spectrum(geometry: GroverGeometry) -> np.ndarray:
+    """Eigenvalues of the iterate's 2x2 block; equals exp(+/-2i*theta)."""
+    eig = np.linalg.eigvals(rotation_block(geometry))
+    return eig[np.argsort(eig.imag)]  # e^{-2i theta} first, e^{+2i theta} second
+
+
+# ---------------------------------------------------------------------------
+# Maze and path encoding
+
+
+def shortest_path_length(maze: Maze, a: tuple[int, int], b: tuple[int, int]) -> int:
+    """Length of the unique tree path between two cells."""
+    return len(tree_path(maze, a, b))
+
+
+def tree_path(maze: Maze, a: tuple[int, int], b: tuple[int, int]) -> tuple[Direction, ...]:
+    """The unique direction sequence from a to b along open passages."""
+    for cell in (a, b):
+        if not maze.in_grid(cell):
+            raise ValueError(f"cell {cell} outside the grid")
+    parent: dict[tuple[int, int], tuple[tuple[int, int], Direction]] = {}
+    frontier = deque([a])
+    seen = {a}
+    while frontier:
+        cell = frontier.popleft()
+        if cell == b:
+            break
+        for d in Direction:
+            if maze.is_open(cell, d):
+                nxt = (cell[0] + d.delta[0], cell[1] + d.delta[1])
+                if nxt not in seen:
+                    seen.add(nxt)
+                    parent[nxt] = (cell, d)
+                    frontier.append(nxt)
+    steps = []
+    cell = b
+    while cell != a:
+        prev, d = parent[cell]
+        steps.append(d)
+        cell = prev
+    return tuple(reversed(steps))
+
+
+# Two bits per direction, N=00, E=01, S=10, W=11: its index in ``Direction``.
+_DIR_CODE = {d: code for code, d in enumerate(Direction)}
+
+
+def encode_direction(d: Direction) -> int:
+    """Two-bit code of a single direction (N=0, E=1, S=2, W=3)."""
+    return _DIR_CODE[d]
+
+
+def encode_path(path) -> int:
+    """Concatenate two-bit direction codes, first move in the MSB pair."""
+    value = 0
+    for d in path:
+        value = (value << 2) | _DIR_CODE[d]
+    return value

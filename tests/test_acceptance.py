@@ -22,7 +22,6 @@ from qmaze.circuits import (
     count_gates,
     pack_rows,
     run_batch,
-    run_on_basis,
     unpack_column,
 )
 from qmaze.cli import main as cli_main
@@ -36,6 +35,7 @@ from qmaze.engine import (
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import Maze, SimMode, generate_maze, simulate_path
 from qmaze.resources import linear_fit, measured
+from reference import run_on_basis
 
 EXAMPLE_MAZE = Maze(2, ((0b0110, 0b0001), (0b1100, 0b0001)), (0, 0), (1, 1))
 
@@ -181,7 +181,7 @@ def test_criterion_6_validity_operator():
             got = unpack_column(circ, out, "valid")
             want = np.array(
                 [
-                    int(simulate_path(maze, codec.decode_index(u, n), SimMode.BOUNDS_ONLY).valid)
+                    int(simulate_path(maze, codec.decode_index(u, n), SimMode.BOUNDS_ONLY).fail_step is None)
                     for u in range(4**n)
                 ]
             )

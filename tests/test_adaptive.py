@@ -89,6 +89,7 @@ def test_narrowed_sets_equal_a_rescan(m, n):
     low, f_max = int(scape.values.min()), scape.f_max
     for strictness in Strictness:
         sequences = [[f_max, f_max, f_max + 1], [low - 1, f_max - 1, f_max]]
+        sequences.append([-(2**63) - 1, f_max - 1, 2**63 - 1, 10**30])  # outside int64, and cutoff + 1 crossing it
         sequences += [np.sort(rng.integers(low - 2, f_max + 3, size=6)).tolist() for _ in range(12)]
         for cutoffs in sequences:
             previous = None

@@ -34,11 +34,23 @@ def run_cli(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_the_circuit_layer_unloaded():
-    """Only `verify` and `resources` need the circuits; a fresh `import qmaze.cli` loads none of them."""
-    probe = "import sys, qmaze.cli; print([m for m in sys.modules if m in sys.argv[1:]])"
+@pytest.mark.parametrize(
+    "module, unloaded",
+    [
+        # Only `verify` and `resources` need the circuits.
+        pytest.param("qmaze.cli", ("qmaze.verify", "qmaze.resources", "qmaze.circuits"), id="qmaze.cli"),
+        # The package root holds only `__version__`.
+        pytest.param("qmaze", ("numpy", "qmaze.*"), id="qmaze"),
+    ],
+)
+def test_cli_import_leaves_the_circuit_layer_unloaded(module, unloaded):
+    """A fresh import of ``module`` loads no module that matches a pattern in ``unloaded``."""
+    probe = (
+        f"import sys, {module}, fnmatch; "
+        "print([m for m in sys.modules if any(fnmatch.fnmatchcase(m, p) for p in sys.argv[1:])])"
+    )
     result = subprocess.run(
-        [sys.executable, "-c", probe, "qmaze.verify", "qmaze.resources", "qmaze.circuits"],
+        [sys.executable, "-c", probe, *unloaded],
         capture_output=True,
         text=True,
         check=True,

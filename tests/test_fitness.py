@@ -20,10 +20,9 @@ from qmaze.maze import (
     SimMode,
     generate_maze,
     path_end_values,
-    shortest_path_length,
     simulate_path,
-    tree_path,
 )
+from reference import encode_path, shortest_path_length, tree_path
 
 DELTAS = {Direction.N: (-1, 0), Direction.E: (0, 1), Direction.S: (1, 0), Direction.W: (0, -1)}
 
@@ -96,7 +95,7 @@ def test_landscape_max_equals_tree_path_fitness():
     assert n == 6
     scape = landscape(maze, n, spec)
     assert scape.f_max == spec.offset
-    assert scape.values[codec.encode_path(tree_path(maze, maze.start, maze.goal))] == spec.offset
+    assert scape.values[encode_path(tree_path(maze, maze.start, maze.goal))] == spec.offset
 
 
 def test_padded_tree_path_attains_max():
@@ -190,7 +189,7 @@ def test_landscape_matches_scalar_reference(case, mode, formula):
     for u in range(4**n):
         path = codec.decode_index(u, n)
         assert values[u] == fitness(maze, path, spec), (u, n, mode)
-        assert blocked[u] == (not simulate_path(maze, path, mode).valid), (u, n, mode)
+        assert blocked[u] == (simulate_path(maze, path, mode).fail_step is not None), (u, n, mode)
 
 
 @pytest.mark.parametrize("mode", list(SimMode))

@@ -18,11 +18,10 @@ from qmaze.maze import (
     parse_maze,
     path_end_values,
     serialize_maze,
-    shortest_path_length,
     simulate_path,
     transition,
-    tree_path,
 )
+from reference import shortest_path_length, tree_path
 
 
 def open_passages(maze: Maze) -> set[frozenset]:
@@ -116,7 +115,7 @@ def test_path_end_values_matches_transition_from_every_start(m):
                 for u, path in enumerate(itertools.product(list(Direction), repeat=n)):
                     traj = simulate_path(maze, path, mode)
                     assert (end_i[u], end_j[u]) == traj.end, (start, mode, n, path)
-                    assert frozen[u] == (not traj.valid), (start, mode, n, path)
+                    assert frozen[u] == (traj.fail_step is not None), (start, mode, n, path)
 
 
 def test_transition_wall_aware(example_maze):
@@ -139,14 +138,14 @@ def test_transition_wall_blind(example_maze):
 def test_simulate_path_reaches_goal(example_maze):
     traj = simulate_path(example_maze, [Direction.S, Direction.E], SimMode.WALL_AWARE)
     assert traj.end == (1, 1)
-    assert traj.valid
+    assert traj.fail_step is None
     assert traj.cells == ((0, 0), (1, 0), (1, 1))
 
 
 def test_simulate_empty_path(example_maze):
     traj = simulate_path(example_maze, [], SimMode.WALL_AWARE)
     assert traj.end == example_maze.start
-    assert traj.valid
+    assert traj.fail_step is None
 
 
 def test_simulate_freezes_after_block(example_maze):
