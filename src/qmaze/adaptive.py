@@ -9,17 +9,14 @@ at most f_max - C_1 times, so the loop converges in finite time.
 k comes from the landscape's fitness histogram; the marked set is built
 only for a round that runs an iterate. A round's state, grown from the
 uniform state, has one amplitude on the marked set and one on the rest, so
-each round samples from those two levels without a pass over the state; a
-round with no iterate samples the uniform state itself, whose shots have a
-closed form. A round's state is dropped as soon as it is sampled, so one
-4**n state is alive at a time and each iterate reuses the memory the last
-one freed.
+``grover_iterate`` returns just those two levels and the marked set, and
+each round samples from them without any 4**n array; a round with no
+iterate samples the uniform state itself, whose shots have a closed form.
 
 Because the cutoff only rises, each marked set {f > C} lies inside the one
 before it. A set is therefore the last one built, narrowed by comparing
-only its entries; only a search's first set rescans all 4**n fitness
-values. Past that, a round's only pass over 4**n entries is the iterate's
-one write.
+only its entries; the only pass over 4**n entries left in a search is its
+first set's rescan of the fitness values.
 """
 
 from __future__ import annotations
@@ -151,7 +148,6 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     escalation = 0
     uniform = prepare_uniform(scape.n)
     k_cutoff = marked_cutoff = marked = None
-    nothing = np.empty(0, dtype=np.int64)
 
     for t in range(1, config.max_rounds + 1):
         # k, theta and known-k's r change only with the cutoff.
@@ -172,10 +168,7 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
         if r and cutoff != marked_cutoff:
             marked, marked_cutoff = marked_for_cutoff(scape, cutoff, config.strictness, marked), cutoff
-        # Unnamed, so no round's state outlives its sampling: the next iterate reuses its memory.
-        # The uniform state's closed-form draw holds for any set, so a round without an iterate needs none.
-        shots = measure_shots(grover_iterate(uniform, marked, r) if r else uniform, rng, config.samples,
-                              marked=marked if r else nothing)
+        shots = measure_shots(grover_iterate(uniform, marked, r) if r else uniform, rng, config.samples)
         shot_fitness = values[shots]
         f_star = int(shot_fitness.max())
         candidates = shots[shot_fitness == f_star]

@@ -1,10 +1,10 @@
 """Exact amplitude-amplification simulator over the path register.
 
-Holds 4**n amplitudes indexed by encoded paths. ``prepare_uniform`` makes
-them real float64, since the start, the oracle and the diffuser are all
-real; every operation also accepts a complex state and keeps it complex.
-The uniform state is one float64 broadcast over all 4**n entries: a
-read-only zero-stride view that allocates nothing.
+A ``PathState`` holds 4**n amplitudes indexed by encoded paths.
+``prepare_uniform`` makes them real float64, since the start, the oracle
+and the diffuser are all real; every operation also accepts a complex
+state and keeps it complex. The uniform state is one float64 broadcast
+over all 4**n entries: a read-only zero-stride view that allocates nothing.
 The oracle is diagonal (marked amplitudes get a sign flip), the diffuser
 is inversion about the mean, and their composition rotates the state by
 2*theta inside the two-dimensional span of the marked and unmarked
@@ -12,13 +12,12 @@ superpositions, with theta = arcsin(sqrt(k/N)). A search starts every
 round from the uniform state, which lies in that span, so
 ``grover_iterate`` takes only a constant (stride-0) state and applies r
 iterates by rotating in the span (Boyer, Brassard, Hoyer and Tapp,
-arXiv:quant-ph/9605034): its output has two levels, one on the marked
-set and one on the rest, written without reading the input. The
-step-by-step composition of ``apply_oracle`` and ``apply_diffuser``
-takes any state and is the statevector reference the iterate is tested
-against. Operations never modify their input; ``grover_iterate`` with
-zero rounds returns its input state, and every other operation returns a
-new one.
+arXiv:quant-ph/9605034). It returns a ``TwoLevelState``: the marked set
+and two scalar levels, one on the set and one on the rest, with no 4**n
+array. The statevector, ``apply_oracle`` then ``apply_diffuser`` on a
+``PathState`` and ``Generator.choice`` over its Born probabilities, is
+the reference only, which the iterate and the sampler are tested against.
+Operations never modify their input.
 """
 
 from __future__ import annotations
@@ -53,6 +52,19 @@ class PathState:
         """Born probability of the marked set; a repeated index counts once."""
         idx = _marked_indices(self, marked)
         return float(np.sum(np.abs(self.amps[idx]) ** 2))
+
+
+@dataclass(frozen=True)
+class TwoLevelState:
+    """Amplitude ``on`` at each index of ``marked`` and ``off`` at every other index of [0, 4**n).
+
+    ``marked`` is sorted, unique and in range, as ``grover_iterate`` returns it.
+    """
+
+    n: int
+    marked: np.ndarray
+    on: float | complex
+    off: float | complex
 
 
 @dataclass(frozen=True)
@@ -120,30 +132,31 @@ def apply_diffuser(state: PathState) -> PathState:
     return PathState(n=state.n, amps=2 * mean - state.amps)
 
 
-def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
+def grover_iterate(state: PathState, marked, rounds: int) -> TwoLevelState:
     """Apply (diffuser . oracle) ``rounds`` times to a constant state, such as ``prepare_uniform``'s.
 
     The state must be one value a0 broadcast with stride 0; any other state
     raises ValueError, at every ``rounds``. Its means on the k marked
     indices and on the rest are alpha = k*a0/k and beta = (N*a0 - k*a0)/(N-k),
     and r iterates rotate (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by
-    2*r*theta. So the output has two levels, a0 + (alpha_r - alpha) on the
-    marked set and (-1)**r * (a0 - beta) + beta_r on the rest, and equals
-    r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for k = 0 and
-    k = N as well; a marked index listed twice counts once. For a0 = 2**-n
-    both means are exact, so the levels are bit for bit those of the same
-    decomposition summed over a contiguous copy of the state.
+    2*r*theta. So the result is the ``TwoLevelState`` with level
+    a0 + (alpha_r - alpha) on the marked set and (-1)**r * (a0 - beta) + beta_r
+    on the rest (a0 on both for r = 0), the sorted unique marked set, and it
+    equals r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for
+    k = 0 and k = N as well; a marked index listed twice counts once. For
+    a0 = 2**-n both means are exact, so the levels are bit for bit those of
+    the same decomposition summed over a contiguous copy of the state.
     """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
     idx = _marked_indices(state, marked)
     if state.amps.strides != (0,):
         raise ValueError("grover_iterate needs a constant state with stride 0, such as prepare_uniform's")
-    if rounds == 0:
-        return state
     a0 = state.amps[0]
+    if rounds == 0:
+        return TwoLevelState(state.n, idx, a0, a0)
     big_n, k = state.dim, idx.size
-    # max(., 1) gives an empty set mean 0; it has no entries to write.
+    # max(., 1) gives an empty level mean 0; it weighs nothing in the sampler.
     in_m, in_u = max(k, 1), max(big_n - k, 1)
     marked_sum = k * a0
     alpha = marked_sum / in_m
@@ -154,9 +167,8 @@ def grover_iterate(state: PathState, marked, rounds: int) -> PathState:
     alpha_r = (x * c + y * s) / math.sqrt(in_m)
     beta_r = (y * c - x * s) / math.sqrt(in_u)
     # For odd r, (-1)**r * (a0 - beta) is taken as beta - a0: equal but for the sign of a zero.
-    out = np.full(big_n, (beta - a0 if rounds % 2 else a0 - beta) + beta_r)
-    out[idx] = a0 + (alpha_r - alpha)
-    return PathState(n=state.n, amps=out)
+    off = (beta - a0 if rounds % 2 else a0 - beta) + beta_r
+    return TwoLevelState(state.n, idx, a0 + (alpha_r - alpha), off)
 
 
 def optimal_rounds(geometry: GroverGeometry) -> int:
@@ -171,33 +183,29 @@ def optimal_rounds(geometry: GroverGeometry) -> int:
     return max(0, math.floor(math.pi / (4 * geometry.theta) - 0.5 + 1e-9))
 
 
-def measure_shots(
-    state: PathState,
-    rng: np.random.Generator,
-    shots: int,
-    marked: np.ndarray | None = None,
-) -> np.ndarray:
+def measure_shots(state: PathState | TwoLevelState, rng: np.random.Generator, shots: int) -> np.ndarray:
     """Sample many basis indices; deterministic for a seeded generator.
 
-    Without ``marked`` this is ``Generator.choice`` over the Born
-    probabilities, the reference for any state. With ``marked`` the caller
-    promises that ``marked`` is sorted, unique and in range, and that the
-    amplitude is constant on ``marked`` and constant on its complement;
-    every ``grover_iterate`` output keeps that promise for its marked set.
-    Then the weights are read from two amplitudes, and each shot inverts
-    the cumulative distribution on scalars, bisecting over ``marked`` and
+    A ``PathState`` is sampled by ``Generator.choice`` over its Born
+    probabilities, the reference for any state, except a 2**-n broadcast
+    such as ``prepare_uniform``'s: every weight is the power of two 4**-n,
+    so the smallest i with cumulative weight (i + 1) * 4**-n > u is exactly
+    floor(u * 4**n), the index ``choice`` returns for the same draw u. A
+    ``TwoLevelState`` is sampled from its two levels: each shot inverts the
+    cumulative distribution on scalars, bisecting over ``marked`` and
     searching the unmarked gap from a closed-form guess, in
-    O(shots * log k) steps with no 4**n array; ``prepare_uniform``'s
-    state needs no search, as its shots have a closed form. Both paths
-    draw ``rng.random(shots)`` and return the smallest index whose
-    cumulative weight exceeds the draw's share of the total, so a seed gives
-    the same shots from either path unless a draw lands within rounding of a
-    step of the distribution.
+    O(shots * log k) steps with no 4**n array. Every path draws
+    ``rng.random(shots)`` and returns the smallest index whose cumulative
+    weight exceeds the draw's share of the total, so a seed gives the same
+    shots from the two-level state as from its statevector unless a draw
+    lands within rounding of a step of the distribution.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if marked is not None:
-        return _two_level_shots(state, rng, shots, np.asarray(marked, dtype=np.int64))
+    if isinstance(state, TwoLevelState):
+        return _two_level_shots(state, rng, shots)
+    if state.amps.strides == (0,) and state.amps[0] == 2.0**-state.n:
+        return (rng.random(shots) * state.dim).astype(np.int64)
     probs = state.probabilities()
     probs = probs / probs.sum()  # guard rounding drift at the 1e-16 level
     return rng.choice(state.dim, size=shots, p=probs)
@@ -224,9 +232,13 @@ def _gallop(lo: int, hi: int, guess: int, above) -> int:
         step = 2 * step + 1
 
 
-def _two_level_shots(
-    state: PathState, gen: np.random.Generator, shots: int, marked: np.ndarray
-) -> np.ndarray:
+def _weight(level: float | complex) -> float:
+    """|level|**2, bit for bit as ``PathState.probabilities`` computes it; a numpy scalar's ``** 2`` is not."""
+    a = float(np.abs(level))
+    return a * a
+
+
+def _two_level_shots(state: TwoLevelState, gen: np.random.Generator, shots: int) -> np.ndarray:
     """Invert F(i) = w_m*c(i) + w_u*(i + 1 - c(i)), c(i) = #marked <= i, per shot.
 
     F is non-decreasing in floating point and flat across zero-weight
@@ -237,24 +249,13 @@ def _two_level_shots(
     ``_gallop`` starts from that guess, clamped to the gap, and tests the same
     predicate, so rounding in the guess costs probes, never a different shot.
     With w_u == 0 no gap index passes, so the guess is the gap's end.
-
-    A stride-0 state of 2**-n, ``prepare_uniform``'s, skips the bisection with
-    the same draws and the same shots, for any marked set: every weight is the
-    power of two 4**-n, so F(i) is exactly (i + 1) * 4**-n, F(N-1) is exactly
-    1, u * N is exact, and the smallest i with F(i) > u is floor(u * N).
     """
-    big_n, k = state.dim, marked.size
+    marked = state.marked
+    big_n, k = codec.path_count(state.n), marked.size
     if k and (marked[0] < 0 or marked[-1] >= big_n):
         raise ValueError("marked index out of range")
-    if state.amps.strides == (0,) and state.amps[0] == 2.0**-state.n:
-        return (gen.random(shots) * big_n).astype(np.int64)
-    first_u = _bisect(0, k, lambda j: marked[j] != j)
-
-    def weight(i: int) -> float:  # as probabilities() computes it
-        return float((np.abs(state.amps[i : i + 1]) ** 2)[0])
-
-    w_m = weight(marked[0]) if k else 0.0
-    w_u = weight(first_u) if first_u < big_n else 0.0
+    w_m = _weight(state.on) if k else 0.0
+    w_u = _weight(state.off) if k < big_n else 0.0
 
     def cdf(i: int, c: int) -> float:
         return w_m * c + w_u * (i + 1 - c)

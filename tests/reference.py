@@ -4,8 +4,9 @@ None of these runs in a ``qmaze`` subcommand, so the package does not ship
 them. Each is a plain restatement the package's fast paths are pinned
 against: a one-row circuit run, standalone adder and squarer builders over
 the circuit layer's private arithmetic primitives, the Grover iterate's
-2x2 block and spectrum built from statevector steps, the maze's tree path
-by breadth-first search, and the two-bit path encoding.
+2x2 block and spectrum built from statevector steps, the statevector of a
+two-level state, the maze's tree path by breadth-first search, and the
+two-bit path encoding.
 """
 
 from __future__ import annotations
@@ -16,7 +17,14 @@ from collections import deque
 import numpy as np
 
 from qmaze.circuits import RevCircuit, _add, _add_const, _square, _sub, pack_rows, run_batch, unpack_column
-from qmaze.engine import DegenerateGeometryError, GroverGeometry, PathState, apply_diffuser, apply_oracle
+from qmaze.engine import (
+    DegenerateGeometryError,
+    GroverGeometry,
+    PathState,
+    TwoLevelState,
+    apply_diffuser,
+    apply_oracle,
+)
 from qmaze.maze import Direction, Maze
 
 # ---------------------------------------------------------------------------
@@ -116,6 +124,13 @@ def rotation_spectrum(geometry: GroverGeometry) -> np.ndarray:
     """Eigenvalues of the iterate's 2x2 block; equals exp(+/-2i*theta)."""
     eig = np.linalg.eigvals(rotation_block(geometry))
     return eig[np.argsort(eig.imag)]  # e^{-2i theta} first, e^{+2i theta} second
+
+
+def statevector(state: TwoLevelState) -> PathState:
+    """The 4**n amplitudes of a two-level state: ``off`` everywhere, then ``on`` scattered over ``marked``."""
+    amps = np.full(4**state.n, state.off, dtype=np.result_type(state.on, state.off))
+    amps[state.marked] = state.on
+    return PathState(n=state.n, amps=amps)
 
 
 # ---------------------------------------------------------------------------

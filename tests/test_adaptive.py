@@ -35,6 +35,7 @@ from qmaze.engine import (
 )
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
+from reference import statevector
 
 
 def _cutoffs(trace: CutoffTrace) -> list[int]:
@@ -116,9 +117,9 @@ def test_every_path_set_equals_a_rescan(landscape_of):
 
 
 @pytest.mark.parametrize("policy", list(Policy))
-def test_a_search_holds_one_state_at_a_time(policy):
-    # The benchmark's search landscape. Holding a round's state while the next
-    # iterate writes its own peaks at twice the 8 * 4**n bytes of one state.
+def test_a_search_holds_no_amplitude_array(policy):
+    # The benchmark's search landscape. One 4**n float64 state is 8 * 4**n bytes; a
+    # round holds two levels and a marked set, and the peak is the first set's rescan.
     scape = landscape(generate_maze(8, seed=6), 9, make_spec(8))
     run_adaptive(scape, SearchConfig(policy=policy))  # warm-up
     for seed in range(3):
@@ -128,7 +129,7 @@ def test_a_search_holds_one_state_at_a_time(policy):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * 4**9, (seed, peak)
+        assert peak < 0.5 * 8 * 4**9, (seed, peak)
 
 
 def test_rounds_without_an_iterate_skip_the_call(monkeypatch):
@@ -352,7 +353,7 @@ def test_trace_helpers():
 
 def _statevector_run(scape, config):
     """Reference loop: every round re-marks, prepares a fresh uniform state
-    and samples from all 4**n Born probabilities."""
+    and samples its full statevector from all 4**n Born probabilities."""
     rng = np.random.default_rng(config.seed)
     trace = CutoffTrace()
     cutoff, escalation = config.initial_cutoff, 0
@@ -366,7 +367,7 @@ def _statevector_run(scape, config):
             r = optimal_rounds(geometry)
         else:
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
-        state = grover_iterate(prepare_uniform(scape.n), marked, r)
+        state = statevector(grover_iterate(prepare_uniform(scape.n), marked, r))
         shots = measure_shots(state, rng, config.samples)
         shot_fitness = scape.values[shots]
         f_star = int(shot_fitness.max())

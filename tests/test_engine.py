@@ -15,6 +15,7 @@ from qmaze.engine import (
     DegenerateGeometryError,
     GroverGeometry,
     PathState,
+    TwoLevelState,
     apply_diffuser,
     apply_oracle,
     grover_iterate,
@@ -22,7 +23,7 @@ from qmaze.engine import (
     optimal_rounds,
     prepare_uniform,
 )
-from reference import rotation_block, rotation_spectrum
+from reference import rotation_block, rotation_spectrum, statevector
 
 ATOL_NORM = 1e-12
 ATOL_DYNAMICS = 1e-9
@@ -105,7 +106,7 @@ def test_oracle_is_involution():
 
 def test_iterate_zero_rounds_probability():
     geometry = GroverGeometry(16, 5)
-    state = grover_iterate(prepare_uniform(2), np.arange(5), 0)
+    state = statevector(grover_iterate(prepare_uniform(2), np.arange(5), 0))
     assert abs(state.marked_probability(np.arange(5)) - 5 / 16) < ATOL_DYNAMICS
     assert abs(geometry.success_probability(0) - 5 / 16) < ATOL_DYNAMICS
 
@@ -113,13 +114,13 @@ def test_iterate_zero_rounds_probability():
 def test_iterate_closed_form_example():
     # n=2, k=1, r=2: sin^2(5 * arcsin(1/4)).
     want = math.sin(5 * math.asin(0.25)) ** 2
-    state = grover_iterate(prepare_uniform(2), [9], 2)
+    state = statevector(grover_iterate(prepare_uniform(2), [9], 2))
     assert abs(state.marked_probability([9]) - want) < ATOL_DYNAMICS
 
 
 def test_iterate_full_marked_set_stays_certain():
     for r in range(4):
-        state = grover_iterate(prepare_uniform(1), np.arange(4), r)
+        state = statevector(grover_iterate(prepare_uniform(1), np.arange(4), r))
         assert abs(state.marked_probability(np.arange(4)) - 1.0) < ATOL_DYNAMICS
 
 
@@ -134,8 +135,8 @@ def test_iterate_rejects_out_of_range(marked, rounds):
 @pytest.mark.parametrize("rounds", [0, 1, 5])
 def test_iterate_takes_a_scalar_index(rounds):
     state = prepare_uniform(1)
-    got = grover_iterate(state, 3, rounds)
-    assert np.array_equal(got.amps, grover_iterate(state, [3], rounds).amps)
+    got = statevector(grover_iterate(state, 3, rounds))
+    assert np.array_equal(got.amps, statevector(grover_iterate(state, [3], rounds)).amps)
     assert state.marked_probability(3) == state.marked_probability([3])
 
 
@@ -143,7 +144,8 @@ def test_iterate_takes_a_scalar_index(rounds):
 def test_iterate_counts_a_repeated_index_once(rounds):
     state = prepare_uniform(2)
     got = grover_iterate(state, [5, 1, 5, 5], rounds)
-    assert np.array_equal(got.amps, grover_iterate(state, [1, 5], rounds).amps)
+    assert np.array_equal(got.marked, [1, 5])
+    assert np.array_equal(statevector(got).amps, statevector(grover_iterate(state, [1, 5], rounds)).amps)
 
 
 def test_iterate_rejects_negative_rounds():
@@ -191,7 +193,7 @@ def test_iterate_matches_stepwise_reference(case):
     want = state
     for _ in range(rounds):
         want = apply_diffuser(apply_oracle(want, marked))
-    got = grover_iterate(state, marked, rounds)
+    got = statevector(grover_iterate(state, marked, rounds))
     assert got.amps.dtype == want.amps.dtype == state.amps.dtype
     assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
 
@@ -223,7 +225,7 @@ def three_step_iterate(state, marked, rounds):
 @given(iterate_cases())
 def test_iterate_matches_three_step_formula_exactly(case):
     state, marked, rounds = case
-    got = grover_iterate(state, marked, rounds)
+    got = statevector(grover_iterate(state, marked, rounds))
     assert np.array_equal(got.amps, three_step_iterate(state, marked, rounds).amps)
 
 
@@ -247,7 +249,7 @@ def test_uniform_iterate_equals_a_contiguous_copy_bit_for_bit(n):
     copy = _contiguous(uniform)
     for marked in _marked_sets(n):
         for r in range(41):
-            got = grover_iterate(uniform, marked, r).amps
+            got = statevector(grover_iterate(uniform, marked, r)).amps
             want = three_step_iterate(copy, marked, r).amps
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (n, marked.size, r)
@@ -262,22 +264,26 @@ def test_complex_start_keeps_the_unmarked_term():
     state = PathState(n=4, amps=np.broadcast_to(a0, (256,)))
     marked = np.array([5, 77, 200])
     for r in (1, 2, 7):
-        got = grover_iterate(state, marked, r).amps
+        got = statevector(grover_iterate(state, marked, r)).amps
         assert np.array_equal(got, three_step_iterate(_contiguous(state), marked, r).amps), r
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_iterate_output_has_one_level_on_the_marked_set_and_one_on_the_rest(n):
-    # measure_shots(..., marked=...) reads the weights of exactly these two levels.
+    # The reference has one level on the marked set and one on the rest, so the
+    # iterate's two levels and sorted marked set are the whole state.
     complex_start = np.broadcast_to(np.complex128(-1j * 2.0**-n), (4**n,))
     starts = (prepare_uniform(n), PathState(n=n, amps=complex_start))
     for marked in _marked_sets(n):
         rest = np.setdiff1d(np.arange(4**n), marked)
         for state in starts:
             for r in range(41):
-                amps = grover_iterate(state, marked, r).amps
-                assert np.unique(amps[marked]).size <= 1, (n, marked.size, r)
-                assert np.unique(amps[rest]).size <= 1, (n, marked.size, r)
+                got = grover_iterate(state, marked, r)
+                assert got.marked.dtype == np.int64 and np.array_equal(got.marked, marked)
+                want = three_step_iterate(_contiguous(state), marked, r).amps
+                assert np.unique(want[marked]).size <= 1, (n, marked.size, r)
+                assert np.unique(want[rest]).size <= 1, (n, marked.size, r)
+                assert np.array_equal(statevector(got).amps, want), (n, marked.size, r)
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -290,11 +296,13 @@ def test_uniform_state_reads_like_a_contiguous_copy(n):
     for marked in _marked_sets(n):
         assert np.array_equal(apply_oracle(uniform, marked).amps, apply_oracle(copy, marked).amps)
         assert uniform.marked_probability(marked) == copy.marked_probability(marked)
-        for two_level in (None, marked):
-            gens = np.random.default_rng(7), np.random.default_rng(7)
-            got, want = (measure_shots(s, g, 5, marked=two_level) for s, g in zip((uniform, copy), gens))
-            assert np.array_equal(got, want), (n, marked.size, two_level is None)
-            assert gens[0].random() == gens[1].random()
+        # The closed form, Generator.choice and the two-level sampler at r = 0.
+        states = (uniform, copy, grover_iterate(uniform, marked, 0))
+        gens = [np.random.default_rng(7) for _ in states]
+        got, *want = (measure_shots(s, g, 5) for s, g in zip(states, gens))
+        for other in want:
+            assert np.array_equal(got, other), (n, marked.size)
+        assert gens[0].random() == gens[1].random() == gens[2].random()
 
 
 def test_complex_broadcast_state_stays_complex():
@@ -302,7 +310,7 @@ def test_complex_broadcast_state_stays_complex():
     marked = np.array([3, 9])
     want = state
     for r in range(6):
-        got = grover_iterate(state, marked, r)
+        got = statevector(grover_iterate(state, marked, r))
         assert got.amps.dtype == np.complex128
         assert np.array_equal(got.amps, three_step_iterate(_contiguous(state), marked, r).amps)
         assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
@@ -431,8 +439,8 @@ def test_two_level_shots_match_reference(n):
         for shots in (1, 5):
             for seed in range(3):
                 fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-                got = measure_shots(state, fast, shots, marked=marked)
-                want = measure_shots(state, ref, shots)
+                got = measure_shots(state, fast, shots)
+                want = measure_shots(statevector(state), ref, shots)
                 assert got.dtype == want.dtype
                 assert np.array_equal(got, want), (n, marked.size, r, shots, seed)
                 assert fast.random() == ref.random()  # the same draws were used
@@ -455,19 +463,36 @@ def uniform_shot_cases(draw):
 
 @given(uniform_shot_cases())
 def test_uniform_shots_in_closed_form_match_the_bisection(case):
+    # The closed form against Generator.choice on a contiguous copy and against
+    # the two-level sampler with both levels 2**-n.
     n, marked, shots, seed = case
     for value in (np.float64(2.0**-n), np.complex128(2.0**-n)):
         start = PathState(n=n, amps=np.broadcast_to(value, (4**n,)))
-        fast, ref = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = measure_shots(start, fast, shots, marked=marked)
-        want = measure_shots(_contiguous(start), ref, shots, marked=marked)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got, want)
-        assert fast.random() == ref.random()  # the same draws were used
+        states = (start, _contiguous(start), TwoLevelState(n, marked, value, value))
+        gens = [np.random.default_rng(seed) for _ in states]
+        got, *want = (measure_shots(s, g, shots) for s, g in zip(states, gens))
+        for other in want:
+            assert got.dtype == other.dtype
+            assert np.array_equal(got, other)
+        assert gens[0].random() == gens[1].random() == gens[2].random()  # the same draws were used
+
+
+class _ChoiceCounter(np.random.Generator):
+    """A seeded generator that counts its ``choice`` calls."""
+
+    def __init__(self):
+        super().__init__(np.random.PCG64(0))
+        self.choices = 0
+
+    def choice(self, *args, **kwargs):
+        self.choices += 1
+        return super().choice(*args, **kwargs)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
 def test_only_the_uniform_broadcast_skips_the_bisection(n, monkeypatch):
+    # A 2**-n broadcast PathState takes the closed form; any other PathState goes
+    # to Generator.choice, and every TwoLevelState bisects, even at 2**-n on both levels.
     calls = []
     bisect = engine._bisect
     monkeypatch.setattr(engine, "_bisect", lambda *args: calls.append(args) or bisect(*args))
@@ -481,10 +506,16 @@ def test_only_the_uniform_broadcast_skips_the_bisection(n, monkeypatch):
         (np.broadcast_to(np.float64(2.0 ** -(n + 1)), (big_n,)), True),
         (np.broadcast_to(np.float64(0.3), (big_n,)), True),
     ]
-    for amps, bisects in starts:
+    for amps, chooses in starts:
+        gen = _ChoiceCounter()
+        measure_shots(PathState(n=n, amps=amps), gen, 3)
+        assert not calls
+        assert gen.choices == chooses, (amps[0], amps.strides)
+    for state in (TwoLevelState(n, marked, 2.0**-n, 2.0**-n), grover_iterate(prepare_uniform(n), marked, 0)):
+        gen = _ChoiceCounter()
+        measure_shots(state, gen, 3)
+        assert calls and not gen.choices
         calls.clear()
-        measure_shots(PathState(n=n, amps=amps), np.random.default_rng(0), 3, marked=marked)
-        assert bool(calls) == bisects, (amps[0], amps.strides)
 
 
 def _bisection_shots(state, gen, shots, marked):
@@ -514,30 +545,31 @@ def _bisection_shots(state, gen, shots, marked):
 
 
 def _gap_search_cases():
-    """Two-level states with sorted marked sets: Grover states at n 1-7 and r in
-    {1, 2, 3, 7, 20, 100}, states with no weight on one level or random levels,
-    and k = 1 at n = 9 after r = 401."""
+    """Two-level states: Grover states at n 1-7 and r in {1, 2, 3, 7, 20, 100},
+    states with no weight on one level or random levels, and k = 1 at n = 9
+    after r = 401."""
     rng = np.random.default_rng(27)
     for n in range(1, 8):
         big_n = 4**n
         for k in sorted({1, 2, big_n // 4, big_n // 2, big_n - 1, int(rng.integers(1, big_n))}):
             marked = np.sort(rng.choice(big_n, size=k, replace=False))
             for r in (1, 2, 3, 7, 20, 100):
-                yield grover_iterate(prepare_uniform(n), marked, r), marked
+                yield grover_iterate(prepare_uniform(n), marked, r)
             for a_marked, a_rest in ((1, 0), (0, 1), (rng.random(), rng.random())):
-                yield _two_level_state(n, marked, a_marked, a_rest), marked
-    yield grover_iterate(prepare_uniform(9), np.array([123_456]), 401), np.array([123_456])
+                yield _two_level_state(n, marked, a_marked, a_rest)
+    yield grover_iterate(prepare_uniform(9), np.array([123_456]), 401)
 
 
 def test_gap_search_matches_the_bisection():
     zero_level = {"marked": 0, "rest": 0}
-    for case, (state, marked) in enumerate(_gap_search_cases()):
-        probs = state.probabilities()
+    for case, state in enumerate(_gap_search_cases()):
+        marked, reference = state.marked, statevector(state)
+        probs = reference.probabilities()
         zero_level["marked"] += marked.size > 0 and probs[marked[0]] == 0
-        zero_level["rest"] += marked.size < state.dim and np.delete(probs, marked).max() == 0
+        zero_level["rest"] += marked.size < reference.dim and np.delete(probs, marked).max() == 0
         fast, ref = np.random.default_rng(case), np.random.default_rng(case)
-        got = measure_shots(state, fast, 40, marked=marked)
-        assert np.array_equal(got, _bisection_shots(state, ref, 40, marked)), (state.n, marked.size)
+        got = measure_shots(state, fast, 40)
+        assert np.array_equal(got, _bisection_shots(reference, ref, 40, marked)), (state.n, marked.size)
         assert fast.random() == ref.random()  # the same draws were used
     assert zero_level["marked"] and zero_level["rest"]
 
@@ -581,30 +613,54 @@ def _choice_by_hand(state, draws):
 
 
 def _two_level_state(n, marked, a_marked, a_rest):
+    """Complex levels a_marked and a_rest on a sorted marked set, scaled to norm 1."""
     amps = np.full(4**n, a_rest, dtype=np.complex128)
     amps[marked] = a_marked
-    return PathState(n=n, amps=amps / np.linalg.norm(amps))
+    norm = np.linalg.norm(amps)
+    return TwoLevelState(n, marked, np.complex128(a_marked) / norm, np.complex128(a_rest) / norm)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_two_level_shots_at_extreme_draws(n):
     draws = [0.0, np.nextafter(1.0, 0.0)]
-    cases = [(state, marked) for state, marked, _ in _grover_cases(n)]
+    cases = [state for state, _, _ in _grover_cases(n)]
     # Zero weight on one level: the ends of the distribution must skip it.
     for k in sorted({1, 4**n // 2, 4**n - 1} - {0, 4**n}):
         marked = np.sort(np.random.default_rng(k).choice(4**n, size=k, replace=False))
-        cases.append((_two_level_state(n, marked, 1, 0), marked))
-        cases.append((_two_level_state(n, marked, 0, 1), marked))
-    for state, marked in cases:
-        got = measure_shots(state, _FixedDraws(draws), 2, marked=marked)
-        assert np.array_equal(got, _choice_by_hand(state, draws)), (n, marked.size)
-        assert np.all(state.probabilities()[got] > 0)
+        cases.append(_two_level_state(n, marked, 1, 0))
+        cases.append(_two_level_state(n, marked, 0, 1))
+    for state in cases:
+        reference = statevector(state)
+        got = measure_shots(state, _FixedDraws(draws), 2)
+        assert np.array_equal(got, _choice_by_hand(reference, draws)), (n, state.marked.size)
+        assert np.all(reference.probabilities()[got] > 0)
+
+
+@pytest.mark.parametrize(
+    ("on", "off"),
+    [
+        (np.float64(0.42672114373024106), np.float64(0.5221459136721442)),
+        (np.complex128(0.496621556292265 + 0.24551948182149674j), np.complex128(0.4806548359172628)),
+    ],
+    ids=["float", "complex"],
+)
+def test_two_level_weights_square_the_levels_as_probabilities_does(on, off):
+    # For these levels a numpy scalar's ** 2, or Python's abs of a complex, is an ulp off
+    # the array's |x|**2, and the draw at F(0) / F(N-1), the first step of the
+    # distribution, then lands on the other side of it.
+    state = TwoLevelState(1, np.array([0]), on, off)
+    reference = statevector(state)
+    probs = reference.probabilities()
+    assert float(np.abs(on) ** 2) != probs[0] or abs(complex(on)) ** 2 != probs[0]
+    draws = [probs[0] / (probs[0] + 3 * probs[1])]
+    got = measure_shots(state, _FixedDraws(draws), 1)
+    assert np.array_equal(got, _bisection_shots(reference, _FixedDraws(draws), 1, state.marked))
 
 
 @pytest.mark.parametrize("marked", [[-1, 2], [0, 4]])
 def test_two_level_shots_reject_out_of_range(marked):
     with pytest.raises(ValueError):
-        measure_shots(prepare_uniform(1), np.random.default_rng(0), 1, marked=marked)
+        measure_shots(TwoLevelState(1, np.array(marked), 0.5, 0.5), np.random.default_rng(0), 1)
 
 
 def test_rotation_spectrum_half_marked():
