@@ -6,17 +6,15 @@ best fitness seen: C_{t+1} = max(C_t, f*_t). The cutoff sequence is
 non-decreasing, bounded by the landscape maximum, and strictly increases
 at most f_max - C_1 times, so the loop converges in finite time.
 
-k comes from the landscape's fitness histogram; the marked set is built
-only for a round that runs an iterate. A round's state, grown from the
-uniform state, has one amplitude on the marked set and one on the rest, so
-``grover_iterate`` returns just those two levels and the marked set, and
-each round samples from them without any 4**n array; a round with no
-iterate samples the uniform state itself, whose shots have a closed form.
-
-Because the cutoff only rises, each marked set {f > C} lies inside the one
-before it. A set is therefore the last one built, narrowed by comparing
-only its entries; the only pass over 4**n entries left in a search is its
-first set's rescan of the fitness values.
+k comes from the landscape's fitness histogram. A round that runs an
+iterate marks its paths by per-row suffix counts over the landscape's path
+automaton, built once per cutoff in n passes over its rows: ``grover_iterate``
+reads only k from them, and the sampler descends the code tree by them. A
+round with no iterate samples the uniform state itself, whose shots have a
+closed form. A shot's fitness is read along its n moves, so a search makes
+no pass over the 4**n paths and never builds the landscape's ``values``.
+``marked_for_cutoff``, the marked set as sorted path indices, is the
+reference the counts are tested against.
 """
 
 from __future__ import annotations
@@ -27,8 +25,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import codec
 from .engine import (
     GroverGeometry,
+    PathCounts,
     grover_iterate,
     measure_shots,
     optimal_rounds,
@@ -38,6 +38,8 @@ from .fitness import FitnessLandscape
 
 # Escalation base for iteration counts when k is treated as unknown.
 GUESS_GROWTH = 6 / 5
+
+_EVERY_MOVE = np.ones(4, dtype=np.int64)
 
 
 class Policy(enum.Enum):
@@ -133,6 +135,21 @@ def marked_count(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -
     return int(scape.counts[scape.levels >= _threshold(scape, cutoff, strictness)].sum())
 
 
+def marked_paths(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> PathCounts:
+    """``marked_for_cutoff``'s set as per-row suffix counts over the landscape's automaton.
+
+    counts[0] marks the rows whose value clears the threshold, and
+    counts[s][row] = sum over moves of counts[s-1][table[row, move]]: one
+    numpy pass over the rows per move, so no 4**n array is built. The sum
+    over moves is a product with ones, cheaper than ``sum(axis=1)`` on
+    arrays this small.
+    """
+    counts = [(scape.row_values >= _threshold(scape, cutoff, strictness)).astype(np.int64)]
+    for _ in range(scape.n):
+        counts.append(counts[-1].take(scape.table) @ _EVERY_MOVE)
+    return PathCounts(scape.moves, [c.tolist() for c in counts], scape.start)
+
+
 def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     """Run the full adaptive loop against a fitness landscape.
 
@@ -142,7 +159,6 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
     """
     rng = np.random.default_rng(config.seed)
     trace = CutoffTrace()
-    values = scape.values
     f_max = scape.f_max
     cutoff = config.initial_cutoff
     escalation = 0
@@ -157,7 +173,7 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
             if k == 0:
                 trace.status = Status.DEGENERATE
                 break
-            geometry = GroverGeometry(num_states=values.size, num_marked=k)
+            geometry = GroverGeometry(num_states=codec.path_count(scape.n), num_marked=k)
             theta = geometry.theta
             if config.policy is Policy.KNOWN_K:
                 known_r = optimal_rounds(geometry)
@@ -167,12 +183,11 @@ def run_adaptive(scape: FitnessLandscape, config: SearchConfig) -> CutoffTrace:
             # k treated as unknown: draw from [0, ceil(GUESS_GROWTH**escalation)).
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
         if r and cutoff != marked_cutoff:
-            marked, marked_cutoff = marked_for_cutoff(scape, cutoff, config.strictness, marked), cutoff
+            marked, marked_cutoff = marked_paths(scape, cutoff, config.strictness), cutoff
         shots = measure_shots(grover_iterate(uniform, marked, r) if r else uniform, rng, config.samples)
-        shot_fitness = values[shots]
-        f_star = int(shot_fitness.max())
-        candidates = shots[shot_fitness == f_star]
-        outcome = int(candidates.min())  # deterministic tie-break: lowest index
+        shot_fitness = {shot: scape.value(shot) for shot in shots.tolist()}
+        f_star = max(shot_fitness.values())
+        outcome = min(shot for shot, f in shot_fitness.items() if f == f_star)  # deterministic tie-break: lowest index
         new_cutoff = update_cutoff(cutoff, f_star)
         trace.rounds.append(
             RoundRecord(

@@ -10,14 +10,19 @@ is inversion about the mean, and their composition rotates the state by
 2*theta inside the two-dimensional span of the marked and unmarked
 superpositions, with theta = arcsin(sqrt(k/N)). A search starts every
 round from the uniform state, which lies in that span, so
-``grover_iterate`` takes only a constant (stride-0) state and applies r
-iterates by rotating in the span (Boyer, Brassard, Hoyer and Tapp,
-arXiv:quant-ph/9605034). It returns a ``TwoLevelState``: the marked set
-and two scalar levels, one on the set and one on the rest, with no 4**n
-array. The statevector, ``apply_oracle`` then ``apply_diffuser`` on a
-``PathState`` and ``Generator.choice`` over its Born probabilities, is
-the reference only, which the iterate and the sampler are tested against.
-Operations never modify their input.
+``grover_iterate`` takes only that state and applies r iterates by
+rotating in the span (Boyer, Brassard, Hoyer and Tapp,
+arXiv:quant-ph/9605034): the two levels, one on the marked paths and one
+on the rest, are scalar functions of (n, k, r). The marked set is a
+``PathCounts``: per-row suffix counts over a path automaton, which give k
+and, for the sampler, the number of marked paths under every node of the
+4-ary code tree. ``measure_shots`` samples a ``TwoLevelState`` by
+descending that tree, as counting-based uniform generation does (Jerrum,
+Valiant and Vazirani, TCS 43, 1986), with no 4**n array. The
+statevector, ``apply_oracle`` then ``apply_diffuser`` on a ``PathState``
+and ``Generator.choice`` over its Born probabilities, is the reference
+only, which the iterate and the sampler are tested against. Operations
+never modify their input.
 """
 
 from __future__ import annotations
@@ -55,16 +60,39 @@ class PathState:
 
 
 @dataclass(frozen=True)
-class TwoLevelState:
-    """Amplitude ``on`` at each index of ``marked`` and ``off`` at every other index of [0, 4**n).
+class PathCounts:
+    """A set of length-n paths, counted over a path automaton.
 
-    ``marked`` is sorted, unique and in range, as ``grover_iterate`` returns it.
+    ``table[row][move]`` is the row that one move leads to, and
+    ``counts[s][row]`` is how many of the 4**s move sequences from ``row``
+    lie in the set; the paths start at row ``start``, so the set holds
+    ``counts[n][start]`` paths. Both are lists of Python ints.
     """
 
-    n: int
-    marked: np.ndarray
+    table: list[list[int]]
+    counts: list[list[int]]
+    start: int
+
+    @property
+    def n(self) -> int:
+        return len(self.counts) - 1
+
+    @property
+    def k(self) -> int:
+        return self.counts[-1][self.start]
+
+
+@dataclass(frozen=True)
+class TwoLevelState:
+    """Amplitude ``on`` on each path of ``marked`` and ``off`` on every other path of length ``marked.n``."""
+
+    marked: PathCounts
     on: float | complex
     off: float | complex
+
+    @property
+    def n(self) -> int:
+        return self.marked.n
 
 
 @dataclass(frozen=True)
@@ -132,30 +160,43 @@ def apply_diffuser(state: PathState) -> PathState:
     return PathState(n=state.n, amps=2 * mean - state.amps)
 
 
-def grover_iterate(state: PathState, marked, rounds: int) -> TwoLevelState:
-    """Apply (diffuser . oracle) ``rounds`` times to a constant state, such as ``prepare_uniform``'s.
+def grover_iterate(state: PathState, marked: PathCounts, rounds: int) -> TwoLevelState:
+    """Apply (diffuser . oracle) ``rounds`` times to ``prepare_uniform``'s state.
 
-    The state must be one value a0 broadcast with stride 0; any other state
-    raises ValueError, at every ``rounds``. Its means on the k marked
-    indices and on the rest are alpha = k*a0/k and beta = (N*a0 - k*a0)/(N-k),
-    and r iterates rotate (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by
-    2*r*theta. So the result is the ``TwoLevelState`` with level
-    a0 + (alpha_r - alpha) on the marked set and (-1)**r * (a0 - beta) + beta_r
-    on the rest (a0 on both for r = 0), the sorted unique marked set, and it
-    equals r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding, for
-    k = 0 and k = N as well; a marked index listed twice counts once. For
-    a0 = 2**-n both means are exact, so the levels are bit for bit those of
-    the same decomposition summed over a contiguous copy of the state.
+    The state must be the 2**-n broadcast with stride 0 that
+    ``prepare_uniform`` returns, and ``marked`` a set of paths of the same
+    length n; anything else raises ValueError, at every ``rounds``. Only
+    ``marked.k`` enters the levels, which ``uniform_levels`` computes; the
+    result equals r-fold ``apply_diffuser(apply_oracle(.))`` up to rounding,
+    for k = 0 and k = N as well.
     """
     if rounds < 0:
         raise ValueError("round count must be >= 0")
-    idx = _marked_indices(state, marked)
-    if state.amps.strides != (0,):
-        raise ValueError("grover_iterate needs a constant state with stride 0, such as prepare_uniform's")
-    a0 = state.amps[0]
+    n = state.n
+    if state.amps.strides != (0,) or state.amps[0] != 2.0**-n:
+        raise ValueError("grover_iterate needs prepare_uniform's state: a 2**-n broadcast with stride 0")
+    if marked.n != n:
+        raise ValueError(f"marked set holds paths of length {marked.n}, the state's are {n}")
+    return TwoLevelState(marked, *uniform_levels(n, marked.k, rounds))
+
+
+def uniform_levels(n: int, k: int, rounds: int) -> tuple[float, float]:
+    """The marked and unmarked amplitudes after ``rounds`` iterates from the uniform state, with k of 4**n paths marked.
+
+    With a0 = 2**-n, the means on the k marked paths and on the rest are
+    alpha = k*a0/k and beta = (N*a0 - k*a0)/(N-k), and r iterates rotate
+    (x, y) = (sqrt(k)*alpha, sqrt(N-k)*beta) by 2*r*theta to (x_r, y_r).
+    The marked level is a0 + (alpha_r - alpha) and the unmarked one beta_r
+    (a0 on both for r = 0). Both means are exact for a0 = 2**-n, so the
+    unmarked term (-1)**r * (a0 - beta) of a general constant start is
+    exactly 0 here whenever an unmarked path exists, and the levels are bit
+    for bit those of the same decomposition summed over a contiguous copy
+    of the state.
+    """
+    a0 = 2.0**-n
     if rounds == 0:
-        return TwoLevelState(state.n, idx, a0, a0)
-    big_n, k = state.dim, idx.size
+        return a0, a0
+    big_n = 4**n
     # max(., 1) gives an empty level mean 0; it weighs nothing in the sampler.
     in_m, in_u = max(k, 1), max(big_n - k, 1)
     marked_sum = k * a0
@@ -166,9 +207,7 @@ def grover_iterate(state: PathState, marked, rounds: int) -> TwoLevelState:
     x, y = math.sqrt(k) * alpha, math.sqrt(big_n - k) * beta
     alpha_r = (x * c + y * s) / math.sqrt(in_m)
     beta_r = (y * c - x * s) / math.sqrt(in_u)
-    # For odd r, (-1)**r * (a0 - beta) is taken as beta - a0: equal but for the sign of a zero.
-    off = (beta - a0 if rounds % 2 else a0 - beta) + beta_r
-    return TwoLevelState(state.n, idx, a0 + (alpha_r - alpha), off)
+    return a0 + (alpha_r - alpha), beta_r
 
 
 def optimal_rounds(geometry: GroverGeometry) -> int:
@@ -191,10 +230,8 @@ def measure_shots(state: PathState | TwoLevelState, rng: np.random.Generator, sh
     such as ``prepare_uniform``'s: every weight is the power of two 4**-n,
     so the smallest i with cumulative weight (i + 1) * 4**-n > u is exactly
     floor(u * 4**n), the index ``choice`` returns for the same draw u. A
-    ``TwoLevelState`` is sampled from its two levels: each shot inverts the
-    cumulative distribution on scalars, bisecting over ``marked`` and
-    searching the unmarked gap from a closed-form guess, in
-    O(shots * log k) steps with no 4**n array. Every path draws
+    ``TwoLevelState`` is sampled by descending the 4-ary code tree of its
+    marked set, in O(shots * n) steps with no 4**n array. Every path draws
     ``rng.random(shots)`` and returns the smallest index whose cumulative
     weight exceeds the draw's share of the total, so a seed gives the same
     shots from the two-level state as from its statevector unless a draw
@@ -203,33 +240,12 @@ def measure_shots(state: PathState | TwoLevelState, rng: np.random.Generator, sh
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if isinstance(state, TwoLevelState):
-        return _two_level_shots(state, rng, shots)
+        return _descent_shots(state, rng, shots)
     if state.amps.strides == (0,) and state.amps[0] == 2.0**-state.n:
         return (rng.random(shots) * state.dim).astype(np.int64)
     probs = state.probabilities()
     probs = probs / probs.sum()  # guard rounding drift at the 1e-16 level
     return rng.choice(state.dim, size=shots, p=probs)
-
-
-def _bisect(lo: int, hi: int, above) -> int:
-    """Smallest i in [lo, hi) with above(i), or hi if none; above must be monotone."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if above(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-def _gallop(lo: int, hi: int, guess: int, above) -> int:
-    """``_bisect(lo, hi, above)``, run in windows guess +/- (2**j - 1) widened until one holds the answer."""
-    step = 0
-    while True:
-        a, b = max(lo, guess - step), min(hi, guess + step)
-        if (a == lo or not above(a - 1)) and (b == hi or above(b)):
-            return _bisect(a, b, above)
-        step = 2 * step + 1
 
 
 def _weight(level: float | complex) -> float:
@@ -238,35 +254,37 @@ def _weight(level: float | complex) -> float:
     return a * a
 
 
-def _two_level_shots(state: TwoLevelState, gen: np.random.Generator, shots: int) -> np.ndarray:
-    """Invert F(i) = w_m*c(i) + w_u*(i + 1 - c(i)), c(i) = #marked <= i, per shot.
+def _descent_shots(state: TwoLevelState, gen: np.random.Generator, shots: int) -> np.ndarray:
+    """Invert F(i) = w_m*c(i) + w_u*(i + 1 - c(i)), c(i) = #marked <= i, per shot, by descent.
 
-    F is non-decreasing in floating point and flat across zero-weight
-    indices, so the smallest i with F(i) > u*F(N-1) always has weight > 0.
-    Each shot bisects over the marked entries, where c(marked[j]) = j + 1,
-    for the first one above the target. In the unmarked gap before it c is
-    constant, so F(i) > target solves to i > (target - w_m*c)/w_u + c - 1;
-    ``_gallop`` starts from that guess, clamped to the gap, and tests the same
-    predicate, so rounding in the guess costs probes, never a different shot.
-    With w_u == 0 no gap index passes, so the guess is the gap's end.
+    F is non-decreasing in floating point, since + and * round monotonically,
+    and flat across zero-weight indices, so the smallest i with
+    F(i) > u*F(N-1) always has weight > 0. Each shot walks down the code
+    tree, first move as the most significant digit: at each node it enters
+    the first child whose last index i has F(i) above the target, with c(i)
+    summed from the counts. Every index before that child has F at most the
+    target and the child's last index is above it, so the walk ends on that
+    smallest i, the one the statevector's inversion returns. Some child
+    always passes: F(N-1) exceeds u*F(N-1) for every draw u < 1, and the
+    child entered one level up passed at its own last index.
     """
     marked = state.marked
-    big_n, k = codec.path_count(state.n), marked.size
-    if k and (marked[0] < 0 or marked[-1] >= big_n):
-        raise ValueError("marked index out of range")
+    table, counts = marked.table, marked.counts
+    n, k = marked.n, marked.k
+    big_n = 4**n
     w_m = _weight(state.on) if k else 0.0
     w_u = _weight(state.off) if k < big_n else 0.0
-
-    def cdf(i: int, c: int) -> float:
-        return w_m * c + w_u * (i + 1 - c)
-
     out = np.empty(shots, dtype=np.int64)
-    for shot, target in enumerate((gen.random(shots) * cdf(big_n - 1, k)).tolist()):
-        c = _bisect(0, k, lambda j: cdf(int(marked[j]), j + 1) > target)
-        # c < k whenever marked[-1] == N-1, because target < F(N-1).
-        lo = int(marked[c - 1]) + 1 if c else 0
-        hi = int(marked[c]) if c < k else big_n - 1
-        x = (target - w_m * c) / w_u + c - 1 if w_u else hi
-        guess = lo if x < lo else hi if x >= hi else math.floor(x) + 1
-        out[shot] = _gallop(lo, hi, guess, lambda i: cdf(i, c) > target)
+    for shot, target in enumerate((gen.random(shots) * (w_m * k + w_u * (big_n - k))).tolist()):
+        row, index, c = marked.start, 0, 0
+        for s in range(n - 1, -1, -1):
+            size, below = 4**s, counts[s]
+            for child in table[row]:
+                after, index = c + below[child], index + size
+                if w_m * after + w_u * (index - after) > target:
+                    break
+                c = after
+            index -= size
+            row = child
+        out[shot] = index
     return out

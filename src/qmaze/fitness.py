@@ -6,21 +6,22 @@ the goal. Two formula variants exist: the power-of-two offset C = 2**r
 
 :func:`fitness` scores one path by walking it with ``simulate_path``; that
 scalar walk is the reference the landscape is tested against. The
-landscape scores all 4**n paths at once: gathers over the cell /
-frozen-cell transition table of ``maze.path_end_histogram``, one per move,
-the last of which reads a per-row fitness array. A forward count over the
-same table gives the number of paths on each value without a 4**n pass.
+landscape is the path automaton of ``maze.path_automaton`` with a fitness
+on each row: a path scores the value of the row its n moves reach. A
+forward count over the table gives the number of paths on each value, and
+the 4**n per-path ``values``, one gather per move, are built only when read.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from . import codec
-from .maze import Maze, SimMode, path_end_histogram, simulate_path
+from .maze import Maze, SimMode, end_histogram, end_values, path_automaton, simulate_path
 
 
 class Formula(enum.Enum):
@@ -60,27 +61,47 @@ def fitness(maze: Maze, path, spec: FitnessSpec) -> int:
 
 @dataclass(frozen=True)
 class FitnessLandscape:
-    """Fitness of every length-n path, indexed by the path encoding, and its histogram."""
+    """Fitness of every length-n path as a path automaton, and its histogram.
+
+    ``table[row, move]`` is the row one move leads to; a path's fitness is
+    ``row_values`` at the row its n moves reach from ``start``.
+    """
 
     n: int
-    values: np.ndarray  # shape (4**n,), int64
-    levels: np.ndarray  # the distinct fitness values, ascending
+    table: np.ndarray  # (rows, 4) intp
+    row_values: np.ndarray  # int64, one per row
+    start: int
+    levels: np.ndarray  # the distinct path fitness values, ascending
     counts: np.ndarray  # int64 paths per level, each >= 1
 
     @property
     def f_max(self) -> int:
         return int(self.levels[-1])
 
+    @cached_property
+    def values(self) -> np.ndarray:
+        """Fitness of every path, indexed by the path encoding: shape (4**n,), int64; built on first read."""
+        return end_values(self.n, self.table, self.row_values, self.start)
+
+    @cached_property
+    def moves(self) -> list[list[int]]:
+        """``table`` as nested lists of Python ints, for walks one path at a time."""
+        return self.table.tolist()
+
+    def value(self, index: int) -> int:
+        """Fitness of the path with code ``index``, read along its n moves, first move in the top bits."""
+        row, moves = self.start, self.moves
+        for shift in range(2 * self.n - 2, -1, -2):
+            row = moves[row][index >> shift & 3]
+        return int(self.row_values[row])
+
 
 def landscape(maze: Maze, n: int, spec: FitnessSpec) -> FitnessLandscape:
-    """Tabulate fitness over all 4**n paths.
+    """The fitness landscape over all 4**n paths, without a 4**n pass.
 
     Raises ValueError if n is negative or above ``codec.MAX_PATH_LENGTH``.
     """
     codec.path_count(n)
     goal = np.array(maze.goal)
-    values, levels, counts = path_end_histogram(
-        maze, n, spec.mode, lambda cells, _: spec.offset - ((cells - goal) ** 2).sum(axis=1)
-    )
-    return FitnessLandscape(n=n, values=values, levels=levels, counts=counts)
-
+    automaton = path_automaton(maze, n, spec.mode, lambda cells, _: spec.offset - ((cells - goal) ** 2).sum(axis=1))
+    return FitnessLandscape(n, *automaton, *end_histogram(n, *automaton))

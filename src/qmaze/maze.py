@@ -216,45 +216,28 @@ def transition(
 def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
     """A per-row quantity read where each length-``n`` path stops, by path code.
 
-    A path automaton: the rows of its transition table are the cells plus a
-    frozen copy of each cell, entered on a blocked move and never left; the
-    columns are the directions in ``Direction`` order, which is codec's
-    two-bit code order N=0, E=1, S=2, W=3. The table is built vectorised,
-    one broadcast over all rows and directions, and pinned to
-    :func:`transition` by test. WALL_BLIND rows span the offset grid of side
-    ``m + 2n``, which holds every cell reachable in n moves. Because the
-    first move sits in the most significant bits, appending one move to
-    every path is the gather ``state = table.take(state, axis=0).reshape(-1)``
-    (``take`` on axis 0 copies whole rows, several times faster here than
-    fancy indexing).
+    ``row_value`` is as for :func:`path_automaton`, whose automaton this
+    gathers over; ``n`` is not range-checked here, see ``codec.path_count``.
+    """
+    return end_values(n, *path_automaton(maze, n, mode, row_value))
+
+
+def path_automaton(maze: Maze, n: int, mode: SimMode, row_value) -> tuple[np.ndarray, np.ndarray, int]:
+    """The path automaton's transition table, its per-row values and its start row.
+
+    The rows of the table are the cells plus a frozen copy of each cell,
+    entered on a blocked move and never left; the columns are the directions
+    in ``Direction`` order, which is codec's two-bit code order N=0, E=1,
+    S=2, W=3. The table is built vectorised, one broadcast over all rows and
+    directions, and pinned to :func:`transition` by test. WALL_BLIND rows
+    span the offset grid of side ``m + 2n``, which holds every cell
+    reachable in n moves.
 
     ``row_value(cells, frozen)`` gets the (i, j) cell of every row as an
     (R, 2) int64 array and a bool array marking the frozen rows, and returns
     one value per row. A path is blocked (``simulate_path(...).fail_step`` is
-    not None) iff it ends in a frozen row. ``n`` is not range-checked here;
-    see ``codec.path_count``.
+    not None) iff it ends in a frozen row.
     """
-    return _end_values(n, *_automaton(maze, n, mode, row_value))
-
-
-def path_end_histogram(maze: Maze, n: int, mode: SimMode, row_value):
-    """``path_end_values``' array, its distinct values ascending, and how many paths end on each (>= 1).
-
-    Counted forward over the table, one ``bincount`` per move, not over 4**n paths; exact in float64.
-    """
-    table, values, start = _automaton(maze, n, mode, row_value)
-    reach = np.zeros(values.size)
-    reach[start] = 1.0
-    for _ in range(n):
-        reach = np.bincount(table.ravel(), weights=reach.repeat(table.shape[1]), minlength=values.size)
-    low = values.min()
-    counts = np.bincount(values - low, weights=reach)
-    levels = np.flatnonzero(counts)
-    return _end_values(n, table, values, start), levels + low, counts[levels].astype(np.int64)
-
-
-def _automaton(maze: Maze, n: int, mode: SimMode, row_value):
-    """The path automaton's transition table, its per-row values and its start row, a length-1 array."""
     pad = n if mode is SimMode.WALL_BLIND else 0
     side = maze.size + 2 * pad
     count = side * side
@@ -272,10 +255,18 @@ def _automaton(maze: Maze, n: int, mode: SimMode, row_value):
     table[count:] = (count + rows)[:, None]
     cells = np.concatenate([live, live]).astype(np.int64) - pad
     values = np.asarray(row_value(cells, np.arange(2 * count) >= count))
-    return table, values, np.array([(maze.start[0] + pad) * side + maze.start[1] + pad], dtype=np.intp)
+    return table, values, (maze.start[0] + pad) * side + maze.start[1] + pad
 
 
-def _end_values(n: int, table: np.ndarray, values: np.ndarray, state: np.ndarray) -> np.ndarray:
+def end_values(n: int, table: np.ndarray, values: np.ndarray, start: int) -> np.ndarray:
+    """``values`` at the row each of the 4**n length-``n`` paths from ``start`` reaches, by path code.
+
+    Because the first move sits in the most significant bits, appending one
+    move to every path is the gather ``state = table.take(state, axis=0).reshape(-1)``
+    (``take`` on axis 0 copies whole rows, several times faster here than
+    fancy indexing).
+    """
+    state = np.array([start], dtype=np.intp)
     if n == 0:
         return values[state]
     for _ in range(n - 1):
@@ -283,6 +274,21 @@ def _end_values(n: int, table: np.ndarray, values: np.ndarray, state: np.ndarray
     # The last move gathers the values themselves, so no 4**n array of
     # row numbers is ever built.
     return values[table].take(state, axis=0).reshape(-1)
+
+
+def end_histogram(n: int, table: np.ndarray, values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values the length-``n`` paths from ``start`` end on, ascending, and the paths on each (>= 1).
+
+    Counted forward over the table, one ``bincount`` per move, not over 4**n paths; exact in float64.
+    """
+    reach = np.zeros(values.size)
+    reach[start] = 1.0
+    for _ in range(n):
+        reach = np.bincount(table.ravel(), weights=reach.repeat(table.shape[1]), minlength=values.size)
+    low = values.min()
+    counts = np.bincount(values - low, weights=reach)
+    levels = np.flatnonzero(counts)
+    return levels + low, counts[levels].astype(np.int64)
 
 
 def simulate_path(maze: Maze, path, mode: SimMode) -> Trajectory:

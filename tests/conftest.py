@@ -5,6 +5,7 @@ import pytest
 
 from qmaze.fitness import FitnessLandscape
 from qmaze.maze import Maze
+from reference import trie_automaton
 
 # The canonical 2x2 example: start (0,0), goal (1,1), unique solution S->E.
 # Passages: (0,0)-(1,0), (1,0)-(1,1), (0,0)-(0,1).
@@ -18,11 +19,10 @@ def example_maze() -> Maze:
 
 @pytest.fixture
 def landscape_of():
-    """Build a landscape from hand-written values, its histogram counted by ``np.unique``."""
+    """Build a landscape from hand-written values on a trie automaton, its histogram counted by ``np.unique``."""
 
     def build(n: int, values) -> FitnessLandscape:
-        values = np.asarray(values, dtype=np.int64)
-        levels, counts = np.unique(values, return_counts=True)
-        return FitnessLandscape(n=n, values=values, levels=levels, counts=counts.astype(np.int64))
+        levels, counts = np.unique(np.asarray(values, dtype=np.int64), return_counts=True)
+        return FitnessLandscape(n, *trie_automaton(n, values), levels, counts.astype(np.int64))
 
     return build

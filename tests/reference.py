@@ -4,9 +4,10 @@ None of these runs in a ``qmaze`` subcommand, so the package does not ship
 them. Each is a plain restatement the package's fast paths are pinned
 against: a one-row circuit run, standalone adder and squarer builders over
 the circuit layer's private arithmetic primitives, the Grover iterate's
-2x2 block and spectrum built from statevector steps, the statevector of a
-two-level state, the maze's tree path by breadth-first search, and the
-two-bit path encoding.
+2x2 block and spectrum built from statevector steps, path automata for
+hand-written values and path sets, a path set's indices read back from its
+counts, the statevector of a two-level state, the maze's tree path by
+breadth-first search, and the two-bit path encoding.
 """
 
 from __future__ import annotations
@@ -20,12 +21,13 @@ from qmaze.circuits import RevCircuit, _add, _add_const, _square, _sub, pack_row
 from qmaze.engine import (
     DegenerateGeometryError,
     GroverGeometry,
+    PathCounts,
     PathState,
     TwoLevelState,
     apply_diffuser,
     apply_oracle,
 )
-from qmaze.maze import Direction, Maze
+from qmaze.maze import Direction, Maze, end_values
 
 # ---------------------------------------------------------------------------
 # Circuits
@@ -126,10 +128,67 @@ def rotation_spectrum(geometry: GroverGeometry) -> np.ndarray:
     return eig[np.argsort(eig.imag)]  # e^{-2i theta} first, e^{+2i theta} second
 
 
+def trie_automaton(n: int, values) -> tuple[np.ndarray, np.ndarray, int]:
+    """A path automaton for hand-written values of the 4**n paths: one row per path prefix.
+
+    The prefix p of length d is row (4**d - 1) // 3 + p, so move c leads
+    from row r to row 4*r + 1 + c. The full-length prefixes carry the
+    values and loop on themselves; the shorter ones carry the least value,
+    which no path of length n reads. Returns the table, the row values and
+    the start row, as ``maze.path_automaton`` does.
+    """
+    values = np.asarray(values, dtype=np.int64)
+    if values.shape != (4**n,):
+        raise ValueError(f"need 4**{n} values")
+    inner = (4**n - 1) // 3
+    table = np.empty((inner + 4**n, 4), dtype=np.intp)
+    table[:inner] = 4 * np.arange(inner)[:, None] + 1 + np.arange(4)
+    table[inner:] = np.arange(inner, inner + 4**n)[:, None]
+    return table, np.concatenate([np.full(inner, values.min()), values]), 0
+
+
+def path_counts(n: int, marked) -> PathCounts:
+    """The set of length-n path codes ``marked`` (repeats allowed) as counts over a pruned trie.
+
+    Row 0 has no marked path below it and row 1 only marked paths; both loop
+    on themselves. Every other row is a prefix with both kinds below it, and
+    its four moves lead to the rows of its four extensions. Each row's count
+    is summed from the set directly, not by the suffix recurrence.
+    """
+    idx = np.asarray(marked, dtype=np.int64).ravel()
+    if idx.size and (idx.min() < 0 or idx.max() >= 4**n):
+        raise ValueError("path code out of range")
+    hit = np.zeros(4**n, dtype=np.int64)
+    hit[idx] = 1
+    below = np.concatenate([[0], np.cumsum(hit)]).tolist()
+    table = [[0] * 4, [1] * 4]
+    counts = [[0, 4**s] for s in range(n + 1)]
+
+    def row(s: int, first: int) -> int:
+        k = below[first + 4**s] - below[first]
+        if k in (0, 4**s):
+            return int(k > 0)
+        r = len(table)
+        table.append([])
+        for level in counts:
+            level.append(0)
+        counts[s][r] = k
+        table[r] = [row(s - 1, first + c * 4 ** (s - 1)) for c in range(4)]
+        return r
+
+    return PathCounts(table, counts, row(n, 0))
+
+
+def marked_indices(marked: PathCounts) -> np.ndarray:
+    """The sorted codes of the paths a ``PathCounts`` holds: each path's end row, read through its table."""
+    ends = end_values(marked.n, np.array(marked.table, dtype=np.intp), np.array(marked.counts[0]), marked.start)
+    return np.flatnonzero(ends)
+
+
 def statevector(state: TwoLevelState) -> PathState:
-    """The 4**n amplitudes of a two-level state: ``off`` everywhere, then ``on`` scattered over ``marked``."""
+    """The 4**n amplitudes of a two-level state: ``off`` everywhere, then ``on`` scattered over its marked paths."""
     amps = np.full(4**state.n, state.off, dtype=np.result_type(state.on, state.off))
-    amps[state.marked] = state.on
+    amps[marked_indices(state.marked)] = state.on
     return PathState(n=state.n, amps=amps)
 
 

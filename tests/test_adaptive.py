@@ -23,6 +23,7 @@ from qmaze.adaptive import (
     Strictness,
     marked_count,
     marked_for_cutoff,
+    marked_paths,
     run_adaptive,
     update_cutoff,
 )
@@ -35,7 +36,7 @@ from qmaze.engine import (
 )
 from qmaze.fitness import Formula, landscape, make_spec
 from qmaze.maze import SimMode, generate_maze
-from reference import statevector
+from reference import marked_indices, path_counts, statevector
 
 
 def _cutoffs(trace: CutoffTrace) -> list[int]:
@@ -103,6 +104,24 @@ def test_narrowed_sets_equal_a_rescan(m, n):
                 assert np.array_equal(previous, want), (strictness, cutoffs, cutoff)
 
 
+@pytest.mark.parametrize("n", range(0, 7))
+@pytest.mark.parametrize("mode", list(SimMode))
+def test_suffix_counts_mark_the_rescanned_set(mode, n):
+    # k read from the counts is the rescan's size, and the paths the counts mark,
+    # read back through the automaton, are the rescan's paths.
+    m = 2 + n % 4
+    scape = landscape(generate_maze(m, seed=n), n, make_spec(m, Formula.MAIN, mode))
+    low, f_max = int(scape.values.min()), scape.f_max
+    cutoffs = [-(2**63) - 1, low - 2, low - 1, low, f_max - 1, f_max, f_max + 1, 2**63 - 1, 10**30]
+    cutoffs += np.unique(scape.values).tolist()
+    for strictness in Strictness:
+        for cutoff in cutoffs:
+            want = _rescan(scape, cutoff, strictness)
+            counts = marked_paths(scape, cutoff, strictness)
+            assert counts.n == n and counts.k == want.size, (strictness, cutoff)
+            assert np.array_equal(marked_indices(counts), want), (strictness, cutoff)
+
+
 def test_every_path_set_equals_a_rescan(landscape_of):
     varied = landscape(generate_maze(5, seed=3), 5, make_spec(5))
     flat = landscape_of(3, np.full(64, 7))
@@ -118,18 +137,22 @@ def test_every_path_set_equals_a_rescan(landscape_of):
 
 @pytest.mark.parametrize("policy", list(Policy))
 def test_a_search_holds_no_amplitude_array(policy):
-    # The benchmark's search landscape. One 4**n float64 state is 8 * 4**n bytes; a
-    # round holds two levels and a marked set, and the peak is the first set's rescan.
-    scape = landscape(generate_maze(8, seed=6), 9, make_spec(8))
-    run_adaptive(scape, SearchConfig(policy=policy))  # warm-up
+    # The benchmark's search landscape. A landscape holds its automaton's 128 rows
+    # and a round two levels and suffix counts over those rows; neither builds the
+    # 4**n values. Landscape and search peaked at 84-91 KB, where one 4**9 float64
+    # state is 2 MiB, so the bound does not grow with 4**n.
+    maze = generate_maze(8, seed=6)
+    run_adaptive(landscape(maze, 9, make_spec(8)), SearchConfig(policy=policy))  # warm-up
     for seed in range(3):
         tracemalloc.start()
         try:
+            scape = landscape(maze, 9, make_spec(8))
             run_adaptive(scape, SearchConfig(seed=seed, policy=policy))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * 8 * 4**9, (seed, peak)
+        assert peak < 192 * 1024, (seed, peak)
+        assert "values" not in vars(scape)
 
 
 def test_rounds_without_an_iterate_skip_the_call(monkeypatch):
@@ -164,19 +187,22 @@ def test_only_rounds_with_an_iterate_build_a_marked_set(monkeypatch):
                 want = run_adaptive(scape, config)
                 calls = []
 
-                def counted(scape_, cutoff, strictness_, previous=None):
-                    calls.append((cutoff, None if previous is None else previous.size))
-                    return marked_for_cutoff(scape_, cutoff, strictness_, previous)
+                def counted(scape_, cutoff, strictness_):
+                    calls.append(cutoff)
+                    return marked_paths(scape_, cutoff, strictness_)
+
+                def rescan(*args):
+                    raise AssertionError("the loop builds no index set")
 
                 with monkeypatch.context() as patch:
-                    patch.setattr(adaptive, "marked_for_cutoff", counted)
+                    patch.setattr(adaptive, "marked_paths", counted)
+                    patch.setattr(adaptive, "marked_for_cutoff", rescan)
                     assert run_adaptive(scape, config) == want
-                # One set per cutoff that has a round with an iterate, each narrowed from the last.
-                expected, last_k = [], None
+                # One set of counts per cutoff that has a round with an iterate.
+                expected = []
                 for rec in want.rounds:
-                    if rec.rounds and (not expected or expected[-1][0] != rec.cutoff):
-                        expected.append((rec.cutoff, last_k))
-                        last_k = rec.k
+                    if rec.rounds and (not expected or expected[-1] != rec.cutoff):
+                        expected.append(rec.cutoff)
                 assert calls == expected, config
                 for rec in want.rounds:
                     assert rec.k == _rescan(scape, rec.cutoff, strictness).size, (config, rec)
@@ -367,7 +393,7 @@ def _statevector_run(scape, config):
             r = optimal_rounds(geometry)
         else:
             r = int(rng.integers(0, max(1, math.ceil(GUESS_GROWTH**escalation))))
-        state = statevector(grover_iterate(prepare_uniform(scape.n), marked, r))
+        state = statevector(grover_iterate(prepare_uniform(scape.n), path_counts(scape.n, marked), r))
         shots = measure_shots(state, rng, config.samples)
         shot_fitness = scape.values[shots]
         f_star = int(shot_fitness.max())

@@ -11,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qmaze import engine
+from qmaze.adaptive import Strictness, marked_for_cutoff, marked_paths
 from qmaze.engine import (
     DegenerateGeometryError,
     GroverGeometry,
@@ -23,7 +24,9 @@ from qmaze.engine import (
     optimal_rounds,
     prepare_uniform,
 )
-from reference import rotation_block, rotation_spectrum, statevector
+from qmaze.fitness import Formula, landscape, make_spec
+from qmaze.maze import SimMode, generate_maze
+from reference import marked_indices, path_counts, rotation_block, rotation_spectrum, statevector
 
 ATOL_NORM = 1e-12
 ATOL_DYNAMICS = 1e-9
@@ -62,6 +65,7 @@ def test_oracle_negates_one_amplitude():
 def test_marked_probability_counts_a_repeat_once():
     assert prepare_uniform(1).marked_probability([0, 0, 0, 0, 0]) == 0.25
     assert prepare_uniform(1).marked_probability([3, 0, 3]) == 0.5
+    assert prepare_uniform(1).marked_probability(3) == prepare_uniform(1).marked_probability([3]) == 0.25
 
 
 @pytest.mark.parametrize("marked", [[-1], [4], [0, 99]])
@@ -104,9 +108,14 @@ def test_oracle_is_involution():
     assert np.allclose(twice.amps, state.amps, atol=ATOL_NORM)
 
 
+def _iterate(n, marked, rounds):
+    """``grover_iterate`` from the uniform state on the paths with codes ``marked``."""
+    return grover_iterate(prepare_uniform(n), path_counts(n, marked), rounds)
+
+
 def test_iterate_zero_rounds_probability():
     geometry = GroverGeometry(16, 5)
-    state = statevector(grover_iterate(prepare_uniform(2), np.arange(5), 0))
+    state = statevector(_iterate(2, np.arange(5), 0))
     assert abs(state.marked_probability(np.arange(5)) - 5 / 16) < ATOL_DYNAMICS
     assert abs(geometry.success_probability(0) - 5 / 16) < ATOL_DYNAMICS
 
@@ -114,43 +123,31 @@ def test_iterate_zero_rounds_probability():
 def test_iterate_closed_form_example():
     # n=2, k=1, r=2: sin^2(5 * arcsin(1/4)).
     want = math.sin(5 * math.asin(0.25)) ** 2
-    state = statevector(grover_iterate(prepare_uniform(2), [9], 2))
+    state = statevector(_iterate(2, [9], 2))
     assert abs(state.marked_probability([9]) - want) < ATOL_DYNAMICS
 
 
 def test_iterate_full_marked_set_stays_certain():
     for r in range(4):
-        state = statevector(grover_iterate(prepare_uniform(1), np.arange(4), r))
+        state = statevector(_iterate(1, np.arange(4), r))
         assert abs(state.marked_probability(np.arange(4)) - 1.0) < ATOL_DYNAMICS
 
 
-@pytest.mark.parametrize("marked", [[99], [4], [-1], [0, 3, 4], [3, 9, 0], [3, -1, 0], 4])
+@pytest.mark.parametrize("marked", [[99], [4], [15], [0, 3, 4], [3, 9, 0], [0, 3, 63], 4])
 @pytest.mark.parametrize("rounds", [0, 1, 5])
 def test_iterate_rejects_out_of_range(marked, rounds):
-    # [3, 9, 0] and [3, -1, 0] are unsorted, with the bad index in the middle; 4 is a scalar.
-    with pytest.raises(ValueError):
-        grover_iterate(prepare_uniform(1), marked, rounds)
-
-
-@pytest.mark.parametrize("rounds", [0, 1, 5])
-def test_iterate_takes_a_scalar_index(rounds):
-    state = prepare_uniform(1)
-    got = statevector(grover_iterate(state, 3, rounds))
-    assert np.array_equal(got.amps, statevector(grover_iterate(state, [3], rounds)).amps)
-    assert state.marked_probability(3) == state.marked_probability([3])
-
-
-@pytest.mark.parametrize("rounds", range(6))
-def test_iterate_counts_a_repeated_index_once(rounds):
-    state = prepare_uniform(2)
-    got = grover_iterate(state, [5, 1, 5, 5], rounds)
-    assert np.array_equal(got.marked, [1, 5])
-    assert np.array_equal(statevector(got).amps, statevector(grover_iterate(state, [1, 5], rounds)).amps)
+    # Each set holds a code >= 4, outside the n = 1 state's [0, 4): a set of longer paths.
+    longer = path_counts(next(n for n in range(2, 5) if 4**n > np.max(marked)), marked)
+    assert longer.n > 1
+    with pytest.raises(ValueError, match="paths of length"):
+        grover_iterate(prepare_uniform(1), longer, rounds)
+    with pytest.raises(ValueError, match="paths of length"):
+        grover_iterate(prepare_uniform(longer.n + 1), longer, rounds)
 
 
 def test_iterate_rejects_negative_rounds():
     with pytest.raises(ValueError):
-        grover_iterate(prepare_uniform(1), [0], -1)
+        _iterate(1, [0], -1)
 
 
 @pytest.mark.parametrize("n", [0, 2])
@@ -159,22 +156,28 @@ def test_iterate_rejects_a_state_that_is_not_a_broadcast(n, rounds):
     ramp = np.linspace(1, 2, 4**n)
     for state in (_contiguous(prepare_uniform(n)), PathState(n=n, amps=ramp / np.linalg.norm(ramp))):
         with pytest.raises(ValueError, match="stride 0"):
-            grover_iterate(state, [0], rounds)
+            grover_iterate(state, path_counts(n, [0]), rounds)
+
+
+def test_iterate_rejects_a_broadcast_other_than_the_uniform_state():
+    # The levels are functions of (n, k, r) for the 2**-n start alone.
+    for n in (0, 2):
+        a0 = 2.0**-n
+        for value in (-a0, a0 / 2, np.complex128(1j * a0), np.complex128(-a0)):
+            state = PathState(n=n, amps=np.broadcast_to(value, (4**n,)))
+            for rounds in (0, 1, 5):
+                with pytest.raises(ValueError, match="stride 0"):
+                    grover_iterate(state, path_counts(n, [0]), rounds)
+        # A complex broadcast of 2**-n holds the same amplitudes as the uniform state.
+        state = PathState(n=n, amps=np.broadcast_to(np.complex128(a0), (4**n,)))
+        assert grover_iterate(state, path_counts(n, [0]), 3) == _iterate(n, [0], 3)
 
 
 @st.composite
 def iterate_cases(draw):
-    """A constant start, a marked list, and a round count.
-
-    The start is the uniform state or a complex broadcast of 2**-n times
-    1, -1, 1j or -1j, whose sums are exact like the uniform state's.
-    """
+    """A path length, a marked list (repeats allowed) and a round count."""
     n = draw(st.integers(0, 4))
     big_n = 4**n
-    state = prepare_uniform(n)
-    if draw(st.booleans()):
-        phase = draw(st.sampled_from([1, -1, 1j, -1j]))
-        state = PathState(n=n, amps=np.broadcast_to(np.complex128(phase * 2.0**-n), (big_n,)))
     index = st.integers(0, big_n - 1)
     with_repeats = st.lists(index, max_size=big_n + 4)
     marked = draw(
@@ -184,17 +187,17 @@ def iterate_cases(draw):
             with_repeats.map(lambda extra: list(range(big_n)) + extra),
         )
     )
-    return state, np.array(marked, dtype=np.int64), draw(st.integers(0, 64))
+    return n, np.array(marked, dtype=np.int64), draw(st.integers(0, 64))
 
 
 @given(iterate_cases())
 def test_iterate_matches_stepwise_reference(case):
-    state, marked, rounds = case
-    want = state
+    n, marked, rounds = case
+    want = prepare_uniform(n)
     for _ in range(rounds):
         want = apply_diffuser(apply_oracle(want, marked))
-    got = statevector(grover_iterate(state, marked, rounds))
-    assert got.amps.dtype == want.amps.dtype == state.amps.dtype
+    got = statevector(_iterate(n, marked, rounds))
+    assert got.amps.dtype == want.amps.dtype == np.float64
     assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
 
 
@@ -224,9 +227,9 @@ def three_step_iterate(state, marked, rounds):
 
 @given(iterate_cases())
 def test_iterate_matches_three_step_formula_exactly(case):
-    state, marked, rounds = case
-    got = statevector(grover_iterate(state, marked, rounds))
-    assert np.array_equal(got.amps, three_step_iterate(state, marked, rounds).amps)
+    n, marked, rounds = case
+    got = statevector(_iterate(n, marked, rounds))
+    assert np.array_equal(got.amps, three_step_iterate(prepare_uniform(n), marked, rounds).amps)
 
 
 def _contiguous(state):
@@ -248,42 +251,40 @@ def test_uniform_iterate_equals_a_contiguous_copy_bit_for_bit(n):
     uniform = prepare_uniform(n)
     copy = _contiguous(uniform)
     for marked in _marked_sets(n):
+        counts = path_counts(n, marked)
         for r in range(41):
-            got = statevector(grover_iterate(uniform, marked, r)).amps
+            got = statevector(grover_iterate(uniform, counts, r)).amps
             want = three_step_iterate(copy, marked, r).amps
             assert got.dtype == want.dtype
             assert np.array_equal(got, want), (n, marked.size, r)
             assert np.array_equal(np.signbit(got), np.signbit(want)), (n, marked.size, r)
 
 
-def test_complex_start_keeps_the_unmarked_term():
-    # 3 * 2**-4 + 0j taken from 2**4 * 2**-4 + 0j and divided by 253 lands one ulp below a0, so
-    # the unmarked level's (-1)**r * (a0 - beta) term is not zero; without it these levels differ.
-    a0 = np.complex128(2.0**-4)
-    assert (256 * a0 - 3 * a0) / 253 != a0
-    state = PathState(n=4, amps=np.broadcast_to(a0, (256,)))
-    marked = np.array([5, 77, 200])
-    for r in (1, 2, 7):
-        got = statevector(grover_iterate(state, marked, r)).amps
-        assert np.array_equal(got, three_step_iterate(_contiguous(state), marked, r).amps), r
+def test_uniform_start_has_no_unmarked_term():
+    # A general constant start a0 leaves (-1)**r * (a0 - beta) on the unmarked level. From
+    # 2**-n the unmarked mean beta is a0 exactly whenever an unmarked path exists (k < N), so
+    # the term is an exact zero and dropping it changes no bit; at k = N no path has that level.
+    for n in range(0, 7):
+        a0, big_n = 2.0**-n, 4**n
+        for k in range(big_n):
+            beta = (big_n * a0 - k * a0) / (big_n - k)
+            assert a0 - beta == 0.0 and beta - a0 == 0.0, (n, k)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
 def test_iterate_output_has_one_level_on_the_marked_set_and_one_on_the_rest(n):
     # The reference has one level on the marked set and one on the rest, so the
-    # iterate's two levels and sorted marked set are the whole state.
-    complex_start = np.broadcast_to(np.complex128(-1j * 2.0**-n), (4**n,))
-    starts = (prepare_uniform(n), PathState(n=n, amps=complex_start))
+    # iterate's two levels and its marked paths are the whole state.
     for marked in _marked_sets(n):
         rest = np.setdiff1d(np.arange(4**n), marked)
-        for state in starts:
-            for r in range(41):
-                got = grover_iterate(state, marked, r)
-                assert got.marked.dtype == np.int64 and np.array_equal(got.marked, marked)
-                want = three_step_iterate(_contiguous(state), marked, r).amps
-                assert np.unique(want[marked]).size <= 1, (n, marked.size, r)
-                assert np.unique(want[rest]).size <= 1, (n, marked.size, r)
-                assert np.array_equal(statevector(got).amps, want), (n, marked.size, r)
+        counts = path_counts(n, marked)
+        for r in range(41):
+            got = grover_iterate(prepare_uniform(n), counts, r)
+            assert got.marked is counts and np.array_equal(marked_indices(got.marked), marked)
+            want = three_step_iterate(_contiguous(prepare_uniform(n)), marked, r).amps
+            assert np.unique(want[marked]).size <= 1, (n, marked.size, r)
+            assert np.unique(want[rest]).size <= 1, (n, marked.size, r)
+            assert np.array_equal(statevector(got).amps, want), (n, marked.size, r)
 
 
 @pytest.mark.parametrize("n", range(0, 5))
@@ -297,24 +298,12 @@ def test_uniform_state_reads_like_a_contiguous_copy(n):
         assert np.array_equal(apply_oracle(uniform, marked).amps, apply_oracle(copy, marked).amps)
         assert uniform.marked_probability(marked) == copy.marked_probability(marked)
         # The closed form, Generator.choice and the two-level sampler at r = 0.
-        states = (uniform, copy, grover_iterate(uniform, marked, 0))
+        states = (uniform, copy, grover_iterate(uniform, path_counts(n, marked), 0))
         gens = [np.random.default_rng(7) for _ in states]
         got, *want = (measure_shots(s, g, 5) for s, g in zip(states, gens))
         for other in want:
             assert np.array_equal(got, other), (n, marked.size)
         assert gens[0].random() == gens[1].random() == gens[2].random()
-
-
-def test_complex_broadcast_state_stays_complex():
-    state = PathState(n=2, amps=np.broadcast_to(np.complex128(0.25j), (16,)))
-    marked = np.array([3, 9])
-    want = state
-    for r in range(6):
-        got = statevector(grover_iterate(state, marked, r))
-        assert got.amps.dtype == np.complex128
-        assert np.array_equal(got.amps, three_step_iterate(_contiguous(state), marked, r).amps)
-        assert np.allclose(got.amps, want.amps, rtol=0, atol=ATOL_NORM)
-        want = apply_diffuser(apply_oracle(want, marked))
 
 
 @pytest.mark.parametrize("n", range(1, 7))
@@ -391,7 +380,7 @@ def test_measure_uniform_frequencies():
 
 
 def test_measure_post_grover_frequency():
-    state = grover_iterate(prepare_uniform(2), [9], 2)
+    state = _iterate(2, [9], 2)
     want = GroverGeometry(16, 1).success_probability(2)
     samples = measure_shots(state, np.random.default_rng(99), 10000)
     assert abs(np.mean(samples == 9) - want) < 0.01
@@ -418,18 +407,17 @@ def _grover_cases(n):
                 r_opt = optimal_rounds(GroverGeometry(big_n, k))
                 rounds |= {r_opt, r_opt + 3}
             for r in sorted(rounds):
-                yield grover_iterate(prepare_uniform(n), marked, r), marked, r
+                yield _iterate(n, marked, r), marked, r
 
 
 def _end_cases(n):
-    """Grover states whose marked sets of sizes 1, 2 and N/2 hold index 0, N - 1 or both."""
+    """Grover states whose marked sets of sizes 1, 2 and N/2 + 1 hold index 0, N - 1 or both."""
     big_n = 4**n
-    inner = np.random.default_rng(n).choice(np.arange(1, big_n - 1), big_n // 2 - 2, replace=False)
-    for marked in ([0], [big_n - 1], [0, big_n - 1], np.sort(np.r_[0, inner, big_n - 1])):
+    for marked in ([0], [big_n - 1], [0, big_n - 1], np.r_[np.arange(big_n // 2), big_n - 1]):
         marked = np.asarray(marked, dtype=np.int64)
         r_opt = optimal_rounds(GroverGeometry(big_n, marked.size))
         for r in sorted({0, 1, 2, r_opt}):
-            yield grover_iterate(prepare_uniform(n), marked, r), marked, r
+            yield _iterate(n, marked, r), marked, r
 
 
 @pytest.mark.parametrize("n", range(0, 10))
@@ -446,9 +434,45 @@ def test_two_level_shots_match_reference(n):
                 assert fast.random() == ref.random()  # the same draws were used
 
 
+def _bisection_shots(state, gen, shots):
+    """The two-level sampler over the sorted marked indices, bisecting every step: the descent's reference.
+
+    Each shot inverts F(i) = w_m*c(i) + w_u*(i + 1 - c(i)), c(i) = #marked <= i,
+    for the smallest i with F(i) > u*F(N-1): a bisection over the marked
+    indices, then one over the unmarked gap before the first that passes.
+    """
+
+    def first(lo, hi, above):
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if above(mid) else (mid + 1, hi)
+        return lo
+
+    marked = marked_indices(state.marked)
+    big_n, k = 4**state.n, marked.size
+    w_m = _weight(state.on) if k else 0.0
+    w_u = _weight(state.off) if k < big_n else 0.0
+
+    def cdf(i, c):
+        return w_m * c + w_u * (i + 1 - c)
+
+    out = np.empty(shots, dtype=np.int64)
+    for shot, target in enumerate((gen.random(shots) * cdf(big_n - 1, k)).tolist()):
+        c = first(0, k, lambda j: cdf(int(marked[j]), j + 1) > target)
+        lo = int(marked[c - 1]) + 1 if c else 0
+        hi = int(marked[c]) if c < k else big_n - 1
+        out[shot] = first(lo, hi, lambda i: cdf(i, c) > target)
+    return out
+
+
+def _weight(level):
+    """|level|**2 taken from a one-entry array, as ``PathState.probabilities`` computes it."""
+    return float((np.abs(np.array([level])) ** 2)[0])
+
+
 @st.composite
 def uniform_shot_cases(draw):
-    """n, a sorted marked set (empty, random or every path), a shot count and a seed."""
+    """n, a marked set (empty, random or every path), a shot count and a seed."""
     n = draw(st.integers(0, 6))
     big_n = 4**n
     marked = draw(
@@ -458,23 +482,24 @@ def uniform_shot_cases(draw):
             st.just(list(range(big_n))),
         )
     )
-    return n, np.array(marked, dtype=np.int64), draw(st.integers(1, 9)), draw(st.integers(0, 2**63))
+    return n, marked, draw(st.integers(1, 9)), draw(st.integers(0, 2**63))
 
 
 @given(uniform_shot_cases())
 def test_uniform_shots_in_closed_form_match_the_bisection(case):
-    # The closed form against Generator.choice on a contiguous copy and against
-    # the two-level sampler with both levels 2**-n.
+    # The closed form against Generator.choice on a contiguous copy, against
+    # the two-level sampler with both levels 2**-n, and against the bisection.
     n, marked, shots, seed = case
     for value in (np.float64(2.0**-n), np.complex128(2.0**-n)):
         start = PathState(n=n, amps=np.broadcast_to(value, (4**n,)))
-        states = (start, _contiguous(start), TwoLevelState(n, marked, value, value))
-        gens = [np.random.default_rng(seed) for _ in states]
-        got, *want = (measure_shots(s, g, shots) for s, g in zip(states, gens))
+        two_level = TwoLevelState(path_counts(n, marked), value, value)
+        gens = [np.random.default_rng(seed) for _ in range(4)]
+        got, *want = (measure_shots(s, g, shots) for s, g in zip((start, _contiguous(start), two_level), gens))
+        want.append(_bisection_shots(two_level, gens[3], shots))
         for other in want:
             assert got.dtype == other.dtype
             assert np.array_equal(got, other)
-        assert gens[0].random() == gens[1].random() == gens[2].random()  # the same draws were used
+        assert len({g.random() for g in gens}) == 1  # the same draws were used
 
 
 class _ChoiceCounter(np.random.Generator):
@@ -490,14 +515,14 @@ class _ChoiceCounter(np.random.Generator):
 
 
 @pytest.mark.parametrize("n", [0, 1, 3])
-def test_only_the_uniform_broadcast_skips_the_bisection(n, monkeypatch):
+def test_only_the_uniform_broadcast_skips_the_descent(n, monkeypatch):
     # A 2**-n broadcast PathState takes the closed form; any other PathState goes
-    # to Generator.choice, and every TwoLevelState bisects, even at 2**-n on both levels.
+    # to Generator.choice, and every TwoLevelState descends, even at 2**-n on both levels.
     calls = []
-    bisect = engine._bisect
-    monkeypatch.setattr(engine, "_bisect", lambda *args: calls.append(args) or bisect(*args))
+    descend = engine._descent_shots
+    monkeypatch.setattr(engine, "_descent_shots", lambda *args: calls.append(args) or descend(*args))
     big_n = 4**n
-    marked = np.arange(0, big_n, 2)
+    marked = path_counts(n, np.arange(0, big_n, 2))
     starts = [
         (np.broadcast_to(np.float64(2.0**-n), (big_n,)), False),
         (np.broadcast_to(np.complex128(2.0**-n), (big_n,)), False),
@@ -511,40 +536,14 @@ def test_only_the_uniform_broadcast_skips_the_bisection(n, monkeypatch):
         measure_shots(PathState(n=n, amps=amps), gen, 3)
         assert not calls
         assert gen.choices == chooses, (amps[0], amps.strides)
-    for state in (TwoLevelState(n, marked, 2.0**-n, 2.0**-n), grover_iterate(prepare_uniform(n), marked, 0)):
+    for state in (TwoLevelState(marked, 2.0**-n, 2.0**-n), grover_iterate(prepare_uniform(n), marked, 0)):
         gen = _ChoiceCounter()
         measure_shots(state, gen, 3)
         assert calls and not gen.choices
         calls.clear()
 
 
-def _bisection_shots(state, gen, shots, marked):
-    """The two-level sampler that bisects every unmarked gap: the gap search's reference."""
-
-    def first(lo, hi, above):
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if above(mid) else (mid + 1, hi)
-        return lo
-
-    big_n, k = state.dim, marked.size
-    first_u = first(0, k, lambda j: marked[j] != j)
-    w_m = float(state.probabilities()[marked[0]]) if k else 0.0
-    w_u = float(state.probabilities()[first_u]) if first_u < big_n else 0.0
-
-    def cdf(i, c):
-        return w_m * c + w_u * (i + 1 - c)
-
-    out = np.empty(shots, dtype=np.int64)
-    for shot, target in enumerate((gen.random(shots) * cdf(big_n - 1, k)).tolist()):
-        c = first(0, k, lambda j: cdf(int(marked[j]), j + 1) > target)
-        lo = int(marked[c - 1]) + 1 if c else 0
-        hi = int(marked[c]) if c < k else big_n - 1
-        out[shot] = first(lo, hi, lambda i: cdf(i, c) > target)
-    return out
-
-
-def _gap_search_cases():
+def _descent_cases():
     """Two-level states: Grover states at n 1-7 and r in {1, 2, 3, 7, 20, 100},
     states with no weight on one level or random levels, and k = 1 at n = 9
     after r = 401."""
@@ -554,42 +553,57 @@ def _gap_search_cases():
         for k in sorted({1, 2, big_n // 4, big_n // 2, big_n - 1, int(rng.integers(1, big_n))}):
             marked = np.sort(rng.choice(big_n, size=k, replace=False))
             for r in (1, 2, 3, 7, 20, 100):
-                yield grover_iterate(prepare_uniform(n), marked, r)
+                yield _iterate(n, marked, r)
             for a_marked, a_rest in ((1, 0), (0, 1), (rng.random(), rng.random())):
                 yield _two_level_state(n, marked, a_marked, a_rest)
-    yield grover_iterate(prepare_uniform(9), np.array([123_456]), 401)
+    yield _iterate(9, [123_456], 401)
 
 
-def test_gap_search_matches_the_bisection():
+def test_descent_matches_the_index_set_inversion():
     zero_level = {"marked": 0, "rest": 0}
-    for case, state in enumerate(_gap_search_cases()):
-        marked, reference = state.marked, statevector(state)
+    for case, state in enumerate(_descent_cases()):
+        marked, reference = marked_indices(state.marked), statevector(state)
         probs = reference.probabilities()
         zero_level["marked"] += marked.size > 0 and probs[marked[0]] == 0
         zero_level["rest"] += marked.size < reference.dim and np.delete(probs, marked).max() == 0
         fast, ref = np.random.default_rng(case), np.random.default_rng(case)
         got = measure_shots(state, fast, 40)
-        assert np.array_equal(got, _bisection_shots(reference, ref, 40, marked)), (state.n, marked.size)
+        assert np.array_equal(got, _bisection_shots(state, ref, 40)), (state.n, marked.size)
         assert fast.random() == ref.random()  # the same draws were used
     assert zero_level["marked"] and zero_level["rest"]
 
 
-def test_gallop_finds_the_bisection_index_from_any_guess():
-    for lo in range(3):
-        for hi in range(lo, lo + 40):
-            for answer in range(lo, hi + 1):
-                for guess in range(lo, hi + 1):
-                    calls = []
+def _small_landscapes():
+    """Landscapes of 3x3 and 4x4 mazes at n 1-6 in every sim mode."""
+    for n in range(1, 7):
+        for mode in SimMode:
+            m = 3 + n % 2
+            yield landscape(generate_maze(m, seed=n), n, make_spec(m, Formula.MAIN, mode))
 
-                    def above(i):
-                        calls.append(i)
-                        return i >= answer
 
-                    assert engine._gallop(lo, hi, guess, above) == answer
-                    assert all(lo <= i < hi for i in calls)
-                    # A window of 2**j - 1 either side: at most two probes per window, then a bisection.
-                    windows = math.ceil(math.log2(abs(guess - answer) + 1))
-                    assert len(calls) <= (2 if guess == answer else 4 + 3 * windows)
+def test_descent_at_every_threshold_matches_the_inversion_and_the_statevector():
+    # Each landscape's marked sets at every cutoff below f_max and at f_max under
+    # GE_AT_MAX, sampled after r iterates: shot for shot as the index-set
+    # inversion draws them, and as Generator.choice draws from the statevector
+    # stepped by oracle and diffuser from the uniform state.
+    checked = 0
+    for scape in _small_landscapes():
+        uniform = prepare_uniform(scape.n)
+        for cutoff in np.unique(np.r_[scape.levels - 1, scape.f_max]).tolist():
+            indices = marked_for_cutoff(scape, cutoff, Strictness.GE_AT_MAX)
+            stepped = uniform
+            for r in range(1, 21):
+                stepped = apply_diffuser(apply_oracle(stepped, indices))
+                if r not in (1, 2, 3, 7, 20):
+                    continue
+                state = grover_iterate(uniform, marked_paths(scape, cutoff, Strictness.GE_AT_MAX), r)
+                gens = [np.random.default_rng(checked) for _ in range(3)]
+                got = measure_shots(state, gens[0], 7)
+                assert np.array_equal(got, _bisection_shots(state, gens[1], 7)), (scape.n, cutoff, r)
+                assert np.array_equal(got, measure_shots(stepped, gens[2], 7)), (scape.n, cutoff, r)
+                assert len({g.random() for g in gens}) == 1  # the same draws were used
+                checked += 1
+    assert checked > 500
 
 
 class _FixedDraws(np.random.Generator):
@@ -617,7 +631,7 @@ def _two_level_state(n, marked, a_marked, a_rest):
     amps = np.full(4**n, a_rest, dtype=np.complex128)
     amps[marked] = a_marked
     norm = np.linalg.norm(amps)
-    return TwoLevelState(n, marked, np.complex128(a_marked) / norm, np.complex128(a_rest) / norm)
+    return TwoLevelState(path_counts(n, marked), np.complex128(a_marked) / norm, np.complex128(a_rest) / norm)
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -632,7 +646,7 @@ def test_two_level_shots_at_extreme_draws(n):
     for state in cases:
         reference = statevector(state)
         got = measure_shots(state, _FixedDraws(draws), 2)
-        assert np.array_equal(got, _choice_by_hand(reference, draws)), (n, state.marked.size)
+        assert np.array_equal(got, _choice_by_hand(reference, draws)), (n, state.marked.k)
         assert np.all(reference.probabilities()[got] > 0)
 
 
@@ -648,19 +662,14 @@ def test_two_level_weights_square_the_levels_as_probabilities_does(on, off):
     # For these levels a numpy scalar's ** 2, or Python's abs of a complex, is an ulp off
     # the array's |x|**2, and the draw at F(0) / F(N-1), the first step of the
     # distribution, then lands on the other side of it.
-    state = TwoLevelState(1, np.array([0]), on, off)
+    state = TwoLevelState(path_counts(1, [0]), on, off)
     reference = statevector(state)
     probs = reference.probabilities()
     assert float(np.abs(on) ** 2) != probs[0] or abs(complex(on)) ** 2 != probs[0]
     draws = [probs[0] / (probs[0] + 3 * probs[1])]
     got = measure_shots(state, _FixedDraws(draws), 1)
-    assert np.array_equal(got, _bisection_shots(reference, _FixedDraws(draws), 1, state.marked))
-
-
-@pytest.mark.parametrize("marked", [[-1, 2], [0, 4]])
-def test_two_level_shots_reject_out_of_range(marked):
-    with pytest.raises(ValueError):
-        measure_shots(TwoLevelState(1, np.array(marked), 0.5, 0.5), np.random.default_rng(0), 1)
+    assert np.array_equal(got, _bisection_shots(state, _FixedDraws(draws), 1))
+    assert np.array_equal(got, _choice_by_hand(reference, draws))
 
 
 def test_rotation_spectrum_half_marked():
