@@ -113,21 +113,13 @@ def _threshold(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> 
     return cutoff + 1
 
 
-def marked_for_cutoff(
-    scape: FitnessLandscape, cutoff: int, strictness: Strictness, previous: np.ndarray | None = None
-) -> np.ndarray:
+def marked_for_cutoff(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> np.ndarray:
     """Round marked set: fitness > cutoff, or >= under GE_AT_MAX when cutoff >= f_max.
 
-    ``previous``, if given, is this function's set for the same landscape and
-    strictness at a cutoff <= ``cutoff``. The rule is monotone in the cutoff, so
-    the new set lies inside it: only its entries are compared, in O(k) work, and
-    the result is still sorted and unique, equal to a rescan element for element.
-    Without ``previous`` all 4**n values are rescanned.
+    A rescan of all 4**n values, the explicit set that ``marked_paths``'s
+    counts are tested against; the search loop does not call it.
     """
-    t = _threshold(scape, cutoff, strictness)
-    if previous is None:
-        return np.flatnonzero(scape.values >= t)
-    return previous[scape.values[previous] >= t]
+    return np.flatnonzero(scape.values >= _threshold(scape, cutoff, strictness))
 
 
 def marked_count(scape: FitnessLandscape, cutoff: int, strictness: Strictness) -> int:

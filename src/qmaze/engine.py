@@ -135,8 +135,8 @@ def prepare_uniform(n: int) -> PathState:
 def _marked_indices(state: PathState, marked) -> np.ndarray:
     """Marked basis indices as sorted unique int64, each checked to lie in [0, dim).
 
-    marked_for_cutoff passes sorted unique sets, so one sortedness pass skips
-    np.unique, which costs more; once sorted, the ends alone bound every index.
+    A set that is already sorted and unique takes one sortedness pass in place
+    of np.unique, which costs more; once sorted, the ends alone bound every index.
     """
     idx = np.asarray(marked, dtype=np.int64).ravel()
     if np.any(idx[1:] <= idx[:-1]):

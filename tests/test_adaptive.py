@@ -96,12 +96,16 @@ def test_narrowed_sets_equal_a_rescan(m, n):
         for cutoffs in sequences:
             previous = None
             for cutoff in cutoffs:
+                # Along a rising cutoff each set lies inside the one before, and
+                # the set, its histogram count and its suffix counts' k all agree.
                 want = _rescan(scape, cutoff, strictness)
-                assert np.array_equal(marked_for_cutoff(scape, cutoff, strictness), want)
+                got = marked_for_cutoff(scape, cutoff, strictness)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want), (strictness, cutoffs, cutoff)
                 assert marked_count(scape, cutoff, strictness) == want.size
-                previous = marked_for_cutoff(scape, cutoff, strictness, previous)
-                assert previous.dtype == want.dtype
-                assert np.array_equal(previous, want), (strictness, cutoffs, cutoff)
+                assert marked_paths(scape, cutoff, strictness).k == want.size
+                assert previous is None or np.isin(want, previous).all()
+                previous = want
 
 
 @pytest.mark.parametrize("n", range(0, 7))
@@ -129,10 +133,10 @@ def test_every_path_set_equals_a_rescan(landscape_of):
     for scape, cutoff, strictness in cases:
         want = np.flatnonzero(scape.values >= cutoff)
         assert want.size == scape.values.size
-        for previous in (None, want):
-            got = marked_for_cutoff(scape, cutoff, strictness, previous)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+        got = marked_for_cutoff(scape, cutoff, strictness)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(marked_indices(marked_paths(scape, cutoff, strictness)), want)
 
 
 @pytest.mark.parametrize("policy", list(Policy))

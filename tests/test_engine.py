@@ -411,13 +411,19 @@ def _grover_cases(n):
 
 
 def _end_cases(n):
-    """Grover states whose marked sets of sizes 1, 2 and N/2 + 1 hold index 0, N - 1 or both."""
+    """Grover states whose marked sets of sizes 1, 2 and N/2 hold index 0, N - 1 or both.
+
+    The N/2 set scatters N/2 - 2 random interior paths, so many subtrees of the
+    code tree hold both marked and unmarked paths.
+    """
     big_n = 4**n
-    for marked in ([0], [big_n - 1], [0, big_n - 1], np.r_[np.arange(big_n // 2), big_n - 1]):
+    inner = np.random.default_rng(n).choice(np.arange(1, big_n - 1), big_n // 2 - 2, replace=False)
+    for marked in ([0], [big_n - 1], [0, big_n - 1], np.sort(np.r_[0, inner, big_n - 1])):
         marked = np.asarray(marked, dtype=np.int64)
+        counts = path_counts(n, marked)
         r_opt = optimal_rounds(GroverGeometry(big_n, marked.size))
         for r in sorted({0, 1, 2, r_opt}):
-            yield _iterate(n, marked, r), marked, r
+            yield grover_iterate(prepare_uniform(n), counts, r), marked, r
 
 
 @pytest.mark.parametrize("n", range(0, 10))
