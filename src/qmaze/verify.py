@@ -10,25 +10,20 @@ expected batch: the inputs, with the checked register replaced by its
 reference values. A suite stops at the first mismatch and reports it.
 
 Shared work runs once per ``run_all`` call, and nothing is kept between
-calls. Each exhaustive input, every path or every comparator ``f``, is
-packed once per register layout: the four oracles of a (maze, n) share
-one layout, and so do all comparators of one width. Each width's
-comparator reference is packed once too, one ``flag`` row per cutoff,
-and a case's expected batch ORs its row into one wire. Each oracle
-``F W . C Z C^-1 . W^-1 F^-1`` runs as three segments. The oracles of a
-(maze, n) begin with the same forward fitness gates ``F W``, the same
-objects, so that prefix runs once and each oracle runs its own middle
-``C Z C^-1`` from the prefix's output; an oracle whose prefix holds any
-other gate object runs whole. They also end with the same mirror
-``W^-1 F^-1``; when every middle restores the bits it changes, as a
-correct one does, every mirror gets the prefix's output, so the first
-mirror run serves every oracle whose mirror is the same gate objects and
-whose middle's output equals that run's input. The cutoff C // 2 run
-serves three suites: oracle-sign checks it, ancilla-cleanup reads its
-registers, and involution squares its signs when it restored its input
-(a second pass would repeat the same run); otherwise involution runs
-that oracle once more from its output and multiplies the two sign
-vectors.
+calls. Each exhaustive input is packed once per register layout, and
+each comparator width packs its reference once, one ``flag`` row per
+cutoff. Of an oracle ``P . C Z C^-1 . P^-1``, with ``P = F W``, only the
+middle runs per oracle: the prefix ``P`` that a (maze, n)'s oracles
+share runs once, and each mirror is proven, not run. Every gate is its
+own inverse on basis states and a phase mark flips no bit, so if the
+oracle ends with ``P``'s gate objects reversed and its middle hands back
+``P``'s output, the mirror undoes ``P`` gate for gate and the oracle
+returns its input; each phase mark in ``P`` meets the same bits in the
+mirror and cancels, so the signs are the middle's. Any other oracle runs
+whole. The cutoff C // 2 run serves three suites: oracle-sign checks it,
+ancilla-cleanup reads its registers, and involution squares its signs
+when it restored its input; otherwise involution runs that oracle once
+more from its output.
 """
 
 from __future__ import annotations
@@ -206,45 +201,37 @@ def _same(gates: list, shared: list) -> bool:
 
 
 class _SharedRuns:
-    """Runs oracles of one (maze, n) as prefix ``F W``, middle ``C Z C^-1`` and mirror ``W^-1 F^-1``.
+    """Runs the oracles of one (maze, n) on one batch, each mirror proven, not run.
 
-    The prefix is ``first``'s gates up to the end of its ``distance_fitness``
-    span, and the mirror as many gates at its end. An oracle shares the
-    prefix run only if it has the same registers and its first gates are
-    the same objects; any other oracle runs whole. A sharing oracle runs
-    its own middle, then reuses the first run of the shared mirror if its
-    last gates are the same objects and its middle's output equals that
-    run's input; otherwise it runs its mirror. A run depends only on its
-    gates and its input, so every result is the whole oracle's.
+    The shared prefix ``P`` is ``first``'s gates up to the end of its
+    ``distance_fitness`` span. An oracle with ``first``'s registers that
+    begins with ``P``'s gate objects and ends with them reversed runs its
+    middle from ``P``'s output; if the middle hands that output back, the
+    oracle returns its input with the middle's signs (see the module
+    docstring). Any other oracle runs whole.
     """
 
     def __init__(self, first: RevCircuit):
         hi = first.spans.get("distance_fitness", (0, 0))[1]
         self.registers = first.registers
         self.prefix = first.gates[:hi]
-        self.mirror = first.gates[len(first.gates) - hi :]
-        self.prefix_run = self.mirror_run = None
-
-    def _run(self, gates: list, batch: Batch):
-        return run_batch(RevCircuit(self.registers, gates), batch)
+        self.prefix_out = None
 
     def run(self, circ: RevCircuit, batch: Batch):
         hi, gates = len(self.prefix), circ.gates
-        if not hi or circ.registers != self.registers or len(gates) < 2 * hi or not _same(gates[:hi], self.prefix):
-            return run_batch(circ, batch)
-        if self.prefix_run is None:
-            self.prefix_run = self._run(self.prefix, batch)
-        mid, prefix_signs = self.prefix_run
-        mid, middle_signs = self._run(gates[hi : len(gates) - hi], mid)
-        mirror = gates[len(gates) - hi :]
-        shared = _same(mirror, self.mirror)
-        if shared and self.mirror_run is not None and self.mirror_run[0] == mid:
-            out, mirror_signs = self.mirror_run[1]
-        else:
-            out, mirror_signs = self._run(mirror, mid)
-            if shared and self.mirror_run is None:
-                self.mirror_run = mid, (out, mirror_signs)
-        return out, prefix_signs * middle_signs * mirror_signs
+        if (
+            hi
+            and circ.registers == self.registers
+            and len(gates) >= 2 * hi
+            and _same(gates[:hi], self.prefix)
+            and _same(gates[: -hi - 1 : -1], self.prefix)
+        ):
+            if self.prefix_out is None:
+                self.prefix_out = run_batch(RevCircuit(self.registers, self.prefix), batch)[0]
+            out, signs = run_batch(RevCircuit(self.registers, gates[hi:-hi]), self.prefix_out)
+            if out == self.prefix_out:
+                return batch, signs
+        return run_batch(circ, batch)
 
 
 def verify_oracles(oracles: dict, blind: dict) -> tuple[SuiteResult, SuiteResult, SuiteResult]:

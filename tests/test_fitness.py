@@ -6,6 +6,9 @@ lookups so landscape checks never reuse the production simulation code.
 
 from __future__ import annotations
 
+from collections import Counter
+from math import comb
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +209,42 @@ def test_histogram_counts_every_path(m, mode):
         assert scape.f_max == scape.values.max()
     if mode is SimMode.WALL_BLIND:
         assert scape.levels[0] < 0  # the count reaches negative values too
+
+
+def _blind_histogram(maze: Maze, n: int, offset: int) -> list[tuple[int, int]]:
+    """The wall-blind (value, paths) pairs in Python ints, from a closed form, not the automaton.
+
+    An n-step walk ends at displacement (x, y) in C(n, (n+x+y)/2)·C(n, (n+x-y)/2)
+    ways: in coordinates turned by 45 degrees it is two independent ±1 walks.
+    """
+    (si, sj), (gi, gj) = maze.start, maze.goal
+    counts = Counter()
+    for x in range(-n, n + 1):
+        for y in range(-n, n + 1):
+            if abs(x) + abs(y) <= n and (n + x + y) % 2 == 0:
+                value = offset - (si + x - gi) ** 2 - (sj + y - gj) ** 2
+                counts[value] += comb(n, (n + x + y) // 2) * comb(n, (n + x - y) // 2)
+    return sorted(counts.items())
+
+
+HISTOGRAM_MAZES = [(2, 0), (5, 2), (8, 1)]  # (m, maze seed)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 10, 12])
+@pytest.mark.parametrize("m, seed", HISTOGRAM_MAZES)
+def test_blind_histogram_equals_the_closed_form(m, seed, n):
+    # Past enumeration, an exact identity is what checks the counts.
+    maze, spec = generate_maze(m, seed=seed), make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+    scape = landscape(maze, n, spec)
+    assert list(zip(scape.levels.tolist(), scape.counts.tolist())) == _blind_histogram(maze, n, spec.offset)
+
+
+@pytest.mark.parametrize("mode", list(SimMode))
+@pytest.mark.parametrize("m, seed", HISTOGRAM_MAZES)
+def test_histogram_counts_sum_to_every_path_at_n12(m, seed, mode):
+    n = 12
+    scape = landscape(generate_maze(m, seed=seed), n, make_spec(m, Formula.MAIN, mode))
+    assert sum(scape.counts.tolist()) == 4**n
 
 
 @pytest.mark.parametrize("n", [-1, codec.MAX_PATH_LENGTH + 1])

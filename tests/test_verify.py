@@ -1,13 +1,10 @@
 """`verify`'s shared runs, pinned to a per-case reference.
 
-``verify.run_all`` packs each exhaustive input once per register layout
-and each width's comparator reference once, runs the forward prefix that
-a (maze, n)'s oracles share once, runs their shared mirror once per equal
-input, and reads the cutoff C // 2 oracle's run for ancilla-cleanup and,
-when that run restores its input, for involution. The reference below runs every case on its own instead: one
-``pack_rows`` and one ``run_batch`` per case, and the oracle doubled into
-one circuit for involution. The two must return equal ``SuiteResult``s,
-on passing circuits and on mutated ones.
+``verify.run_all`` packs shared inputs once, runs a (maze, n)'s shared
+oracle prefix once and each oracle's middle, proves each mirror instead
+of running it, and reuses the cutoff C // 2 run. The reference below runs
+every case whole and on its own, the oracle doubled for involution. The
+two must return equal ``SuiteResult``s, on passing and mutated circuits.
 """
 
 from __future__ import annotations
@@ -167,16 +164,17 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
     shared = verify.run_all(n_max=3, m_max=4, comparator_width_max=6)
     assert shared == reference
     assert all(r.passed for r in shared)
-    # Per (maze, n), the shared run saves three runs each of the prefix P and
-    # of the mirror (also P gates) that its four oracles share, and three
-    # runs of the C // 2 oracle: cleanup reads the oracle-sign run, and
-    # involution reads it again, since that run restores its input.
+    # Per (maze, n), the four oracles run the shared prefix P once and no
+    # mirror (P's gates reversed), which saves three runs of P and four of
+    # its mirror, and three runs of the C // 2 oracle: cleanup reads the
+    # oracle-sign run, and involution reads it again, since that run
+    # restores its input.
     saved = 0
     for maze in (generate_maze(m, seed=0) for m in range(2, 5)):
         for n in range(1, 4):
             half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
-            saved += 4**n * (6 * _forward_hi(half) + 3 * len(half.gates))
-    assert reference_rows - rows[0] == saved == 2_413_260
+            saved += 4**n * (7 * _forward_hi(half) + 3 * len(half.gates))
+    assert reference_rows - rows[0] == saved == 2_609_584
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +257,13 @@ def _mark_in_prefix(circ):
     return circ.gates[:at] + [PhaseMark(circ.registers["path"].offset)] + circ.gates[at:]
 
 
+def _mark_in_prefix_and_mirror(circ):
+    """One phase mark inside the prefix and the same object at the mirrored depth: the two signs cancel."""
+    at, mark = _forward_hi(circ) // 2, PhaseMark(circ.registers["path"].offset)
+    back = len(circ.gates) - at
+    return circ.gates[:at] + [mark] + circ.gates[at:back] + [mark] + circ.gates[back:]
+
+
 def _mutated(key, index, edit):
     """Oracles of ``_keys()``, with the ``index``-th cutoff's oracle of ``key`` given ``edit``'s gates."""
     oracles = {k: _oracles(*k) for k in _keys()}
@@ -278,18 +283,29 @@ def _mutated(key, index, edit):
         _drop_uncompare_gate,
         _drop_phase_mark,
         _mark_in_prefix,
+        _mark_in_prefix_and_mirror,
     ],
-    ids=["prefix", "mirror", "mirror-target", "uncompare", "phase-mark", "mark-in-prefix"],
+    ids=["prefix", "mirror", "mirror-target", "uncompare", "phase-mark", "mark-in-prefix", "mark-in-prefix-and-mirror"],
 )
-def test_mutated_oracle_results_equal_the_reference(edit, index):
+def test_mutated_oracle_results_equal_the_reference(monkeypatch, edit, index):
     key = _keys()[0]
     assert len(verify._oracle_cutoffs(key[0].size)) == 4
     oracles, cutoff = _mutated(key, index, edit)
     blind = {k: verify._blind_values(*k) for k in oracles}
+    ran = []
+    monkeypatch.setattr(verify, "run_batch", lambda circ, batch: ran.append(circ) or run_batch(circ, batch))
     shared = list(verify.verify_oracles(oracles, blind))
+    if edit is _mark_in_prefix_and_mirror:
+        # The marked prefix, reversed, ends the oracle that defines it, so
+        # that oracle's mirror is proven and it never runs whole; at any
+        # other index the oracle's prefix is not the shared one.
+        assert all(r.passed for r in shared)
+        assert (index == 0) == all(circ is not oracles[key][cutoff] for circ in ran)
     assert shared == _reference_oracles(oracles, blind)
     # A dropped phase mark is invisible only at a cutoff that marks no path.
-    assert shared[0].passed == (edit is _drop_phase_mark and not (blind[key] > cutoff).any())
+    assert shared[0].passed == (
+        edit is _mark_in_prefix_and_mirror or (edit is _drop_phase_mark and not (blind[key] > cutoff).any())
+    )
 
 
 # ---------------------------------------------------------------------------
