@@ -2,8 +2,8 @@
 
 Circuits are ordered lists of NOT/CNOT/Toffoli gates over named bit
 registers, plus single-bit Z phase markers. A gate is an immutable
-(target, controls) tuple, checked once when made, which executors unpack
-as ``t, c = g``; a ``PhaseMark`` is a ``Gate`` but never equals one.
+(target, controls) tuple, checked once when made, which ``run_batch``
+reads as ``g[0]`` and ``g[1]``; a ``PhaseMark`` is a ``Gate`` but never equals one.
 Every gate is self-inverse, so a circuit's inverse is its reversed gate
 list. Executing a circuit on a classical basis state is exact: bits map
 to bits bijectively and the only quantum effect, the phase marker, is
@@ -31,8 +31,8 @@ and its gates up to the fitness write, compares and marks, then mirrors
 them, so it holds the forward computation twice, not four times. The
 oracles of one fitness circuit therefore share their prefix and their
 mirror gate for gate, as the same objects, which lets ``verify`` run
-each shared segment once. Stages are named by spans of the gate list,
-not per gate: the fitness circuit marks ``walk`` and
+the prefix once and prove each mirror instead of running it. Stages are
+named by spans of the gate list, not per gate: the fitness circuit marks ``walk`` and
 ``distance_fitness`` (goal difference through the fitness write), and
 ``count_gates`` tallies one span into a ``GateCounts``, the one
 gate-count record the resource model shares.
@@ -65,30 +65,38 @@ from .maze import Direction, Maze
 # Gate and circuit data model
 
 
+_new_tuple = tuple.__new__
+
+
+def _gate(cls, target: int, controls: tuple[int, ...]):
+    """A ``cls`` gate, its bits checked; ``Gate.__new__`` and ``RevCircuit``'s emitters both make gates here."""
+    # Chained comparisons: every bit >= 0 and no two bits equal.
+    if not controls:
+        ok = target >= 0
+    elif len(controls) == 1:
+        ok = target >= 0 <= controls[0] != target
+    elif len(controls) == 2:
+        c1, c2 = controls
+        ok = target >= 0 <= c1 != c2 != target != c1 and c2 >= 0
+    else:
+        raise ValueError("gates above two controls must be decomposed")
+    if not ok:
+        need = "nonnegative" if min((target, *controls)) < 0 else "distinct"
+        raise ValueError(f"gate bits must be {need}: {cls.__name__}(target={target!r}, controls={controls!r})")
+    return _new_tuple(cls, (target, controls))
+
+
 class Gate(tuple):
     """X-family gate: 0 controls = NOT, 1 = CNOT, 2 = Toffoli.
 
-    A gate is the pair (target, controls), so executors unpack it as
-    ``t, c = g``. It equals only a gate of its own type with the same bits.
+    A gate is the pair (target, controls). It equals only a gate of its
+    own type with the same bits.
     """
 
     __slots__ = ()
 
     def __new__(cls, target: int, controls: tuple[int, ...] = ()):
-        # Chained comparisons: every bit >= 0 and no two bits equal.
-        if not controls:
-            ok = target >= 0
-        elif len(controls) == 1:
-            ok = target >= 0 <= controls[0] != target
-        elif len(controls) == 2:
-            c1, c2 = controls
-            ok = target >= 0 <= c1 != c2 != target != c1 and c2 >= 0
-        else:
-            raise ValueError("gates above two controls must be decomposed")
-        if not ok:
-            need = "nonnegative" if min((target, *controls)) < 0 else "distinct"
-            raise ValueError(f"gate bits must be {need}: {cls.__name__}(target={target!r}, controls={controls!r})")
-        return tuple.__new__(cls, (target, controls))
+        return _gate(cls, target, controls)
 
     target = property(itemgetter(0))
     controls = property(itemgetter(1))
@@ -167,16 +175,16 @@ class RevCircuit:
         return self.reg(name, width, role).bits
 
     def x(self, t: int):
-        self.gates.append(Gate(t))
+        self.gates.append(_gate(Gate, t, ()))
 
     def cx(self, c: int, t: int):
-        self.gates.append(Gate(t, (c,)))
+        self.gates.append(_gate(Gate, t, (c,)))
 
     def ccx(self, c1: int, c2: int, t: int):
-        self.gates.append(Gate(t, (c1, c2)))
+        self.gates.append(_gate(Gate, t, (c1, c2)))
 
     def z(self, t: int):
-        self.gates.append(PhaseMark(t))
+        self.gates.append(_gate(PhaseMark, t, ()))
 
     def mark(self) -> int:
         return len(self.gates)
@@ -274,8 +282,10 @@ def pack_rows(circuit: RevCircuit, values: dict[str, int | np.ndarray], batch: i
         v = np.broadcast_to(np.asarray(v, dtype=np.int64), (batch,))
         if ((v < 0) | (v >> reg.width != 0)).any():
             raise ValueError(f"value out of range for {reg.width}-bit register '{name}'")
-        planes = (v >> np.arange(reg.width)[:, None]) & 1
-        packed = np.packbits(planes.astype(np.uint8), axis=1, bitorder="little")
+        # Bit planes from each value's little-endian bytes: uint8 throughout, never a (width, batch) int64 matrix.
+        le_bytes = v.astype("<i8").view(np.uint8).reshape(batch, 8)
+        rows = np.unpackbits(le_bytes, axis=1, count=reg.width, bitorder="little")
+        packed = np.packbits(np.ascontiguousarray(rows.T), axis=1, bitorder="little")
         bits = [int.from_bytes(p.tobytes(), "little") for p in packed]
         wires[reg.offset : reg.offset + reg.width] = bits
     return Batch(batch, tuple(wires))
@@ -298,17 +308,21 @@ def run_batch(circuit: RevCircuit, batch: Batch) -> tuple[Batch, np.ndarray]:
     ones = (1 << batch.size) - 1
     neg = 0
     for g in circuit.gates:
-        t, c = g
-        if len(c) == 2:
-            w[t] ^= w[c[0]] & w[c[1]]
-        elif c:
-            w[t] ^= w[c[0]]
+        # Indexed, not unpacked: ``t, c = g`` takes a slower path on a tuple subclass.
+        c = g[1]
+        if c:
+            if len(c) == 2:
+                w[g[0]] ^= w[c[0]] & w[c[1]]
+            else:
+                w[g[0]] ^= w[c[0]]
         elif type(g) is PhaseMark:
-            neg ^= w[t]
+            neg ^= w[g[0]]
         else:
-            w[t] ^= ones
-    signs = 1 - 2 * _planes([neg], batch.size)[0].astype(np.int8)
-    return Batch(batch.size, tuple(w)), signs
+            w[g[0]] ^= ones
+    out = Batch(batch.size, tuple(w))
+    if not neg:  # no phase mark fired: every sign is +1
+        return out, np.ones(batch.size, dtype=np.int8)
+    return out, 1 - 2 * _planes([neg], batch.size)[0].astype(np.int8)
 
 
 # ---------------------------------------------------------------------------

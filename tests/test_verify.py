@@ -1,13 +1,16 @@
 """`verify`'s shared runs, pinned to a per-case reference.
 
-``verify.run_all`` packs shared inputs once, runs a (maze, n)'s shared
-oracle prefix once and each oracle's middle, proves each mirror instead
-of running it, and reuses the cutoff C // 2 run. The reference below runs
-every case whole and on its own, the oracle doubled for involution. The
-two must return equal ``SuiteResult``s, on passing and mutated circuits.
+``verify.run_all`` packs shared inputs once, runs only A and M of each
+circuit A M A^-1 and proves its mirror, runs a (maze, n)'s fitness
+forward F W once for its fitness suite and as its oracles' shared
+prefix, and reuses the cutoff C // 2 run. The reference below runs every
+case whole and on its own, the oracle doubled for involution. The two
+must return equal ``SuiteResult``s, on passing and mutated circuits.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -106,28 +109,32 @@ def _reference_oracles(oracles, blind) -> list[verify.SuiteResult]:
     ]
 
 
-def _reference_run_all(n_max, m_max, width_max) -> list[verify.SuiteResult]:
+def _fitness_cases(circuits, blind):
+    for (maze, n), circ in circuits.items():
+        where, paths = _path_case(maze.size, n)
+        yield where, circ, paths, {"fit": blind[maze, n] % (1 << circ.registers["fit"].width)}, 1
+
+
+def _validity_cases(circuits):
+    for (maze, n), circ in circuits.items():
+        ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+        where, paths = _path_case(maze.size, n)
+        yield where, circ, paths, {"valid": ref}, 1
+
+
+def _reference_run_all(n_max, m_max, width_max, fitness_builder=build_fitness_circuit) -> list[verify.SuiteResult]:
     mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
     keys = [(maze, n) for maze in mazes for n in range(1, n_max + 1)]
     blind = {key: verify._blind_values(*key) for key in keys}
-
-    def fitness_cases():
-        for maze, n in keys:
-            circ = build_fitness_circuit(maze, n)
-            where, paths = _path_case(maze.size, n)
-            yield where, circ, paths, {"fit": blind[maze, n] % (1 << circ.registers["fit"].width)}, 1
-
-    def validity_cases():
-        for maze, n in keys:
-            ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
-            where, paths = _path_case(maze.size, n)
-            yield where, build_validity_circuit(maze, n), paths, {"valid": ref}, 1
-
-    oracles = {key: _oracles(*key) for key in keys}
+    fitness = {key: fitness_builder(*key) for key in keys}
+    oracles = {
+        (maze, n): {c: build_oracle_circuit(fitness[maze, n], c) for c in verify._oracle_cutoffs(maze.size)}
+        for maze, n in keys
+    }
     return [
-        _reference_check("fitness", fitness_cases()),
+        _reference_check("fitness", _fitness_cases(fitness, blind)),
         _reference_check("comparator", _comparator_cases(width_max)),
-        _reference_check("validity", validity_cases()),
+        _reference_check("validity", _validity_cases({key: build_validity_circuit(*key) for key in keys})),
         *_reference_oracles(oracles, blind),
     ]
 
@@ -164,17 +171,23 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
     shared = verify.run_all(n_max=3, m_max=4, comparator_width_max=6)
     assert shared == reference
     assert all(r.passed for r in shared)
-    # Per (maze, n), the four oracles run the shared prefix P once and no
-    # mirror (P's gates reversed), which saves three runs of P and four of
-    # its mirror, and three runs of the C // 2 oracle: cleanup reads the
-    # oracle-sign run, and involution reads it again, since that run
-    # restores its input.
+    # Per (maze, n), the fitness circuit F W F^-1 runs only F and W, which
+    # saves its mirror F^-1. W's output is that of P = F W, the prefix its
+    # four oracles share, so no oracle runs P or its mirror (P's gates
+    # reversed): four runs of each are saved. So are three runs of the
+    # C // 2 oracle: cleanup reads the oracle-sign run, and involution reads
+    # it again, since that run restores its input. The validity circuit
+    # A CNOT A^-1, of odd length, runs only A and its CNOT.
     saved = 0
     for maze in (generate_maze(m, seed=0) for m in range(2, 5)):
         for n in range(1, 4):
+            fit = build_fitness_circuit(maze, n)
             half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
-            saved += 4**n * (7 * _forward_hi(half) + 3 * len(half.gates))
-    assert reference_rows - rows[0] == saved == 2_609_584
+            valid = build_validity_circuit(maze, n)
+            assert len(valid.gates) % 2 == 1
+            oracle_rows = 8 * _forward_hi(half) + 3 * len(half.gates)
+            saved += 4**n * (len(fit.gates) - _forward_hi(fit) + oracle_rows + len(valid.gates) // 2)
+    assert reference_rows - rows[0] == saved == 3_115_376
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +213,25 @@ def _corrupted_at(bad_w, edit):
         return RevCircuit(circ.registers, edit(circ))
 
     return builder
+
+
+def test_a_comparator_laid_out_anew_is_packed_anew():
+    """At one cutoff ``flag`` comes first and ``f`` after it: the same wire count, ``f`` elsewhere."""
+
+    def builder(w, cutoff):
+        circ = build_gt_comparator(w, cutoff)
+        if (w, cutoff) != (3, 2):
+            return circ
+        flag = circ.registers["flag"].offset
+        wire = {flag: 0, **{b: b + 1 for b in range(flag)}}
+        wire.update((b, b) for b in range(flag + 1, circ.num_bits))
+        registers = {name: replace(r, offset=wire[r.offset]) for name, r in circ.registers.items()}
+        gates = [Gate(wire[g.target], tuple(wire[c] for c in g.controls)) for g in circ.gates]
+        return RevCircuit(registers, gates)
+
+    got = verify.verify_comparator(3, builder)
+    assert got.passed
+    assert got == _reference_check("comparator", _comparator_cases(3, builder))
 
 
 @pytest.mark.parametrize("width_max", range(1, 5), ids=lambda w: f"widthmax{w}")
@@ -309,6 +341,114 @@ def test_mutated_oracle_results_equal_the_reference(monkeypatch, edit, index):
 
 
 # ---------------------------------------------------------------------------
+# Mutated fitness and validity circuits A M A^-1: only A and M run when the
+# mirror is proven, and the result must be what the reference reports
+
+
+def _first_len(kind, circ) -> int:
+    """The length of A: the gates after the fitness write, or half of those besides validity's odd one."""
+    if kind == "fitness":
+        return len(circ.gates) - _forward_hi(circ)
+    return (len(circ.gates) - 1) // 2
+
+
+def _conjugated(kind, circ, edit) -> RevCircuit:
+    """``circ`` with ``edit``'s (A, M, A^-1) gate lists; a fitness circuit's write still ends at M's end."""
+    k, gates = _first_len(kind, circ), circ.gates
+    first, middle, mirror = edit(circ, gates[:k], gates[k : len(gates) - k], gates[len(gates) - k :])
+    spans = dict(circ.spans)
+    if kind == "fitness":
+        spans["distance_fitness"] = (spans["distance_fitness"][0], len(first) + len(middle))
+    return RevCircuit(circ.registers, first + middle + mirror, spans)
+
+
+def _cut_mirror(circ, first, middle, mirror):
+    at = len(mirror) // 2
+    return first, middle, mirror[:at] + mirror[at + 1 :]
+
+
+def _retarget_mirror(circ, first, middle, mirror):
+    at = len(mirror) // 2
+    return first, middle, mirror[:at] + [_moved_target(mirror[at], circ.num_bits)] + mirror[at + 1 :]
+
+
+def _middle_writes_path(circ, first, middle, mirror):
+    """A NOT on a path bit, which A reads, after M: the proof must be refused."""
+    return first, middle + [Gate(circ.registers["path"].offset)], mirror
+
+
+def _middle_flips_output(circ, first, middle, mirror):
+    """A NOT on the output's low bit after M: A never touches it, so the mirror is proven on a wrong output."""
+    out = circ.registers["fit" if "fit" in circ.registers else "valid"]
+    return first, middle + [Gate(out.offset)], mirror
+
+
+def _mark_in_first_and_mirror(circ, first, middle, mirror):
+    """One phase mark inside A and the same object at the mirrored depth: the two signs cancel."""
+    at, mark = len(first) // 2, PhaseMark(circ.registers["path"].offset)
+    back = len(mirror) - at
+    return first[:at] + [mark] + first[at:], middle, mirror[:back] + [mark] + mirror[back:]
+
+
+def _copy_in_first(circ, first, middle, mirror):
+    """An equal but distinct gate in A, so the mirror is not A's gate objects reversed."""
+    at = len(first) // 2
+    return first[:at] + [_equal_copy(first[at], circ.num_bits)] + first[at + 1 :], middle, mirror
+
+
+_CONJUGATE_EDITS = {
+    "cut-mirror": _cut_mirror,
+    "retarget-mirror": _retarget_mirror,
+    "middle-writes-path": _middle_writes_path,
+    "middle-flips-output": _middle_flips_output,
+    "mark-in-first-and-mirror": _mark_in_first_and_mirror,
+    "copy-in-first": _copy_in_first,
+}
+_PROVEN = (_middle_flips_output, _mark_in_first_and_mirror)
+
+
+@pytest.mark.parametrize("edit", _CONJUGATE_EDITS.values(), ids=_CONJUGATE_EDITS.keys())
+@pytest.mark.parametrize("kind", ["fitness", "validity"])
+def test_mutated_fitness_and_validity_results_equal_the_reference(monkeypatch, kind, edit):
+    keys = _keys()
+    builder = build_fitness_circuit if kind == "fitness" else build_validity_circuit
+    circuits = {key: builder(*key) for key in keys}
+    bad = circuits[keys[0]] = _conjugated(kind, circuits[keys[0]], edit)
+    blind = {key: verify._blind_values(*key) for key in keys}
+    ran = []
+    with monkeypatch.context() as m:
+        m.setattr(verify, "run_batch", lambda circ, batch: ran.append(circ) or run_batch(circ, batch))
+        if kind == "fitness":
+            got = verify.verify_fitness(circuits, blind)
+        else:
+            got = verify.verify_validity(circuits)
+    cases = _fitness_cases(circuits, blind) if kind == "fitness" else _validity_cases(circuits)
+    assert got == _reference_check(kind, cases)
+    # Only a middle that leaves A's wires alone, or marks that cancel, leave a proven mirror.
+    assert any(circ is bad for circ in ran) == (edit not in _PROVEN)
+    assert got.passed == (edit in (_mark_in_first_and_mirror, _copy_in_first))
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [pytest.param(e, id=i) for i, e in _CONJUGATE_EDITS.items() if e is not _mark_in_first_and_mirror],
+)
+def test_run_all_on_a_mutated_fitness_circuit_equals_the_reference(monkeypatch, edit):
+    """The oracles share the mutated circuit's forward run: their prefix is its first gates.
+
+    A phase mark in F cannot be mirrored into an oracle, whose builder refuses to uncompute one.
+    """
+
+    def builder(maze, n):
+        circ = build_fitness_circuit(maze, n)
+        return _conjugated("fitness", circ, edit) if (maze.size, n) == (3, 2) else circ
+
+    reference = _reference_run_all(2, 3, 2, builder)
+    monkeypatch.setattr(verify, "build_fitness_circuit", builder)
+    assert verify.run_all(n_max=2, m_max=3, comparator_width_max=2) == reference
+
+
+# ---------------------------------------------------------------------------
 # The prefix is shared only by object identity
 
 
@@ -352,6 +492,22 @@ def test_a_moved_target_fails_oracle_sign_at_its_cutoff(index):
     assert not sign.passed
     assert sign.counterexample.startswith(f"m={key[0].size} n=2 cutoff={cutoff} path=")
     assert sign == _reference_oracles(oracles, blind)[0]
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
+def test_an_oracle_packed_elsewhere_runs_whole(index):
+    """The same gate objects, but ``path`` labels other wires: the shared prefix output does not apply."""
+    key = _keys()[0]
+    oracles = {k: _oracles(*k) for k in _keys()}
+    cutoff = list(oracles[key])[index]
+    circ = oracles[key][cutoff]
+    registers = dict(circ.registers)
+    registers["path"] = replace(registers["path"], offset=registers["pos_i"].offset)
+    oracles[key][cutoff] = RevCircuit(registers, circ.gates, circ.spans)
+    blind = {k: verify._blind_values(*k) for k in oracles}
+    got = verify.verify_oracles(oracles, blind)
+    assert not got[0].passed
+    assert list(got) == _reference_oracles(oracles, blind)
 
 
 # ---------------------------------------------------------------------------
