@@ -20,11 +20,11 @@ cleanup): on any input whose scratch starts at zero, it ends at zero.
 Uncomputation appends the same gate objects in reverse order, and a
 repeated block is appended as the same objects too: the second half of
 each conjugation pair (the NOTs around a decrement or subtraction, a
-loaded constant, a masked copy, a walk step's control toggle) repeats the
-first, and each direction's increment or decrement, like validity's
-per-step bound check, is emitted once per build and repeated at every
-later step. Gates are immutable, so sharing objects changes no result;
-nothing is kept between builds. The oracle
+loaded constant, a squaring row's mask, a walk step's control toggle)
+repeats the first, and each direction's increment or decrement, like
+validity's per-step bound check, is emitted once per build and repeated
+at every later step. Gates are immutable, so sharing objects changes no
+result; nothing is kept between builds. The oracle
 reuses an already built fitness circuit rather than building its own: it
 starts a new circuit from copies of that circuit's registers and spans
 and its gates up to the fitness write, compares and marks, then mirrors
@@ -47,8 +47,9 @@ Arithmetic conventions:
     never wrap below zero; validity positions are plain coordinates mod 2**w,
     where a step off the top or left edge wraps above m - 1;
   * goal subtraction leaves a two's-complement difference in the position
-    register, which is sign-extended before squaring so squares, distance,
-    and fitness are exact in one shared arithmetic width.
+    register, which is sign-extended before squaring; both squares are
+    added straight into the distance, so distance and fitness are exact in
+    one shared arithmetic width.
 """
 
 from __future__ import annotations
@@ -402,30 +403,24 @@ def _add_const(b: RevCircuit, value: int, t: list[int], const: list[int], carry:
     b.repeat(lo, hi)
 
 
-def _masked_copy(b: RevCircuit, ctrl: int, src: list[int], dst: list[int]):
-    """dst ^= src AND ctrl, bitwise; tolerates ctrl being one of the src bits."""
-    for s, d in zip(src, dst):
-        if s == ctrl:
-            b.cx(ctrl, d)
-        else:
-            b.ccx(ctrl, s, d)
-
-
 def _square(b: RevCircuit, src: list[int], out: list[int], tmp: list[int], carry: int):
-    """out += src**2 truncated to len(out) bits (schoolbook shift-and-add).
+    """out += src**2 truncated to p = len(out) bits, each partial product s_i*s_j added once.
 
-    Each partial product is masked into ``tmp`` and added into the full
-    remaining window of ``out`` so carries propagate; ``tmp`` needs
-    len(out) bits (its upper bits stay zero and act as the zero-extension).
+    By src**2 = sum_i 4**i * s_i * (1 + sum_{j>i} s_j * 2**(j-i+1)), row i
+    masks [s_i, 0, s_i s_{i+1}, s_i s_{i+2}, ...] into ``tmp``, adds it
+    into the window out[2i:] so carries propagate, then unmasks it: the
+    windows are p, p-2, p-4, ... ``tmp`` needs p bits (its upper bits stay
+    zero and act as the zero-extension).
     """
     w, p = len(src), len(out)
-    for i in range(min(w, p)):
-        window = p - i
-        span = min(w, window)
+    for i in range(min(w, (p + 1) // 2)):
+        window = p - 2 * i
         lo = b.mark()
-        _masked_copy(b, src[i], src[:span], tmp[:span])
+        b.cx(src[i], tmp[0])
+        for k in range(2, min(w - i + 1, window)):
+            b.ccx(src[i], src[i + k - 1], tmp[k])
         hi = b.mark()
-        _add(b, tmp[:window], out[i:], carry)
+        _add(b, tmp[:window], out[2 * i :], carry)
         b.repeat(lo, hi)
 
 
@@ -485,7 +480,7 @@ def max_offset_distance(m: int, n: int) -> int:
 
 
 def arith_width(m: int, n: int) -> int:
-    """Shared width of the square, distance, and fitness registers.
+    """Shared width of the sign-extended differences, distance, and fitness registers.
 
     Chosen so the distance fits unsigned, the fitness fits two's complement
     over [C - d_max, C], and the sign-extended coordinate difference fits.
@@ -575,8 +570,9 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     """Reversible fitness evaluation: |x>|0...0> -> |x>|fitness(x)>.
 
     Simulates the path wall-blind on offset coordinates from ``maze.start``,
-    squares the differences to ``maze.goal``, and writes C - distance into
-    the fitness register in two's complement, C = make_spec(maze.size).offset;
+    adds the square of each difference to ``maze.goal`` straight into the
+    distance register, and writes C - distance into the fitness register
+    in two's complement, C = make_spec(maze.size).offset;
     every other register is uncomputed to zero. The maze's walls are
     ignored. Spans ``walk`` and ``distance_fitness`` cover the forward walk
     and the goal difference through the fitness write.
@@ -593,8 +589,6 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     pos_j = b.reg("pos_j", w_pos, "position-j").bits
     ext_i = b.maybe_reg("ext_i", wa - w_pos, "ancilla")
     ext_j = b.maybe_reg("ext_j", wa - w_pos, "ancilla")
-    sq_i = b.reg("sq_i", wa, "ancilla").bits
-    sq_j = b.reg("sq_j", wa, "ancilla").bits
     dist = b.reg("dist", wa, "distance").bits
     fit = b.reg("fit", wa, "fitness").bits
     kconst = b.reg("k", w_pos, "constant").bits
@@ -616,10 +610,8 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
         b.cx(pos_i[w_pos - 1], bit)
     for bit in ext_j:
         b.cx(pos_j[w_pos - 1], bit)
-    _square(b, pos_i + ext_i, sq_i, tmp, carry)
-    _square(b, pos_j + ext_j, sq_j, tmp, carry)
-    _add(b, sq_i, dist, carry)
-    _add(b, sq_j, dist, carry)
+    _square(b, pos_i + ext_i, dist, tmp, carry)
+    _square(b, pos_j + ext_j, dist, tmp, carry)
     compute_hi = b.mark()
 
     _xor_const(b, fit, make_spec(m).offset)

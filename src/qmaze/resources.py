@@ -77,20 +77,18 @@ def walk_stage_counts(maze: Maze, n: int) -> GateCounts:
 
 
 def _square_counts(w: int) -> GateCounts:
+    """``out += src**2`` at src and out width w: rows over windows w, w - 2, ...,
+    each masked (one CNOT, window - 2 Toffolis), added and unmasked."""
     tof = cnot = 0
-    for i in range(w):
-        span = w - i
-        diag = 1 if i < span else 0
-        tof += 2 * (span - diag)
-        cnot += 2 * diag
-        add = _add_counts(span)
-        tof += add.toffoli
-        cnot += add.cnot
+    for window in range(w, 0, -2):
+        add = _add_counts(window)
+        tof += 2 * max(window - 2, 0) + add.toffoli
+        cnot += 2 + add.cnot
     return GateCounts(tof, cnot, 0)
 
 
 def distance_fitness_stage_counts(maze: Maze, n: int) -> GateCounts:
-    """Subtraction of the offset goal, sign extension, squaring, distance sum, C - d."""
+    """Subtraction of the offset goal, sign extension, both squares summed into the distance, C - d."""
     m = maze.size
     w = position_width(m, n)
     wa = arith_width(m, n)
@@ -99,12 +97,9 @@ def distance_fitness_stage_counts(maze: Maze, n: int) -> GateCounts:
     cnot = 2 * add.cnot
     nots = sum(2 * _popcount(g + n) + 2 * w for g in maze.goal)
     cnot += 2 * (wa - w)  # sign extension
-    sq = _square_counts(wa)
+    sq = _square_counts(wa)  # each square added straight into the distance
     tof += 2 * sq.toffoli
     cnot += 2 * sq.cnot
-    add = _add_counts(wa)  # two distance accumulations
-    tof += 2 * add.toffoli
-    cnot += 2 * add.cnot
     add = _add_counts(wa)  # fitness subtraction
     tof += add.toffoli
     cnot += add.cnot
@@ -167,12 +162,11 @@ def predict(maze: Maze, n: int) -> ResourceReport:
     }
     ancilla = (
         2 * (wa - w)  # sign extensions
-        + 2 * wa  # squares
         + w  # loaded constant
         + 1  # walk control
         + 1  # adder carry
         + (w - 1)  # increment carry chain
-        + wa  # masked addend
+        + wa  # squaring row mask
         + 1  # comparator output
         + (wa - 1)  # comparator equality chain
     )

@@ -38,7 +38,7 @@ from qmaze.circuits import (
     unpack_column,
 )
 from qmaze.fitness import Formula, landscape, make_spec
-from qmaze.maze import SimMode, generate_maze, path_end_values, simulate_path
+from qmaze.maze import Maze, SimMode, generate_maze, path_end_values, simulate_path
 from reference import build_adder, build_squarer, run_on_basis
 
 
@@ -285,6 +285,18 @@ def test_truncating_squarer_exhaustive(width):
         assert scratch_clean(circ, out)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_squarer_accumulates_from_every_initial_output(width):
+    """out += a**2 mod 2**out_width, as the fitness circuit adds both squares into ``dist``."""
+    for out_width in range(1, 2 * width + 2):
+        a, out0 = (v.ravel() for v in np.meshgrid(np.arange(1 << width), np.arange(1 << out_width)))
+        circ = build_squarer(width, out_width)
+        out, _ = sweep(circ, {"a": a, "sq": out0})
+        assert np.array_equal(unpack_column(circ, out, "sq"), (out0 + a * a) % 2**out_width), out_width
+        assert np.array_equal(unpack_column(circ, out, "a"), a)
+        assert scratch_clean(circ, out)
+
+
 def test_squarer_rejects_narrow_output():
     with pytest.raises(ValueError, match="output"):
         build_squarer(3, out_width=0)
@@ -480,7 +492,7 @@ def test_oracle_matches_the_four_copy_sandwich(m):
 def test_solver_scale_oracle_gate_count():
     fitness_circ = build_fitness_circuit(generate_maze(8, seed=0), 8)
     oracle = build_oracle_circuit(fitness_circ, make_spec(8).offset // 2)
-    assert len(oracle.gates) == 4123
+    assert len(oracle.gates) == 3139
 
 
 def test_oracle_rejects_out_of_range_cutoff():
@@ -494,8 +506,8 @@ def test_oracle_rejects_out_of_range_cutoff():
 # sha256 over the registers, spans and gates of every fitness circuit, and
 # of every oracle, that verify builds at m <= 6, n <= 4; a change to any of
 # them moves its digest.
-FITNESS_DIGEST = "d595a97e114e637c11450a4bcd5603f38dfe3884e843d71f5c1e46ec79174eaa"
-ORACLE_DIGEST = "fb40eb6e6ebe525dfb03009a9af393a06932f0365fb5f387f03942f9b1035fd5"
+FITNESS_DIGEST = "baaeb39217ac025bb0aaa454eb8ad5f78dce1f66d658343296f12a9c3f91dee7"
+ORACLE_DIGEST = "95722e28d4c1ee89f3e2103cd03c4836b8474713ca1158290270a05bb77bb389"
 
 
 def _gate_list_digests() -> tuple[str, str]:
@@ -632,6 +644,43 @@ def test_circuits_follow_the_mazes_placement(m, n, seed, data):
     assert np.array_equal(signs, np.where(blind > cutoff, -1, 1))
     for cutoff in verify._oracle_cutoffs(m):
         assert_oracle_matches_sandwich(fit, cutoff, n)
+
+
+def quarter_turned(maze: Maze) -> Maze:
+    """The maze turned a quarter clockwise: cell (i, j) goes to (j, m - 1 - i).
+
+    Each move turns N -> E -> S -> W -> N, so the open-side bits N=8, E=4,
+    S=2, W=1 each move one place down, W wrapping to N.
+    """
+    m = maze.size
+    turn = lambda cell: (cell[1], m - 1 - cell[0])
+    sides = [[0] * m for _ in range(m)]
+    for i, row in enumerate(maze.open_sides):
+        for j, bits in enumerate(row):
+            ti, tj = turn((i, j))
+            sides[ti][tj] = (bits >> 1) | (bits & 1) << 3
+    return Maze(m, tuple(map(tuple, sides)), turn(maze.start), turn(maze.goal))
+
+
+def quarter_turned_codes(n: int) -> np.ndarray:
+    """Each length-n path code with every 2-bit move digit turned N -> E -> S -> W -> N."""
+    codes = np.arange(4**n)
+    return sum(((codes >> 2 * k) + 1) % 4 << 2 * k for k in range(n))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_fitness_circuit_is_invariant_under_a_quarter_turn(m, seed):
+    """Fitness reads only the squared distance to the goal, which turning maze and path together keeps."""
+    maze = generate_maze(m, seed)
+    turned = quarter_turned(maze)
+    for n in range(1, 5):
+        circ, turned_circ = build_fitness_circuit(maze, n), build_fitness_circuit(turned, n)
+        out, _ = sweep(circ, {"path": np.arange(4**n)})
+        turned_out, _ = sweep(turned_circ, {"path": quarter_turned_codes(n)})
+        fit = unpack_column(circ, out, "fit")
+        assert np.array_equal(unpack_column(turned_circ, turned_out, "fit"), fit), n
+        assert len(np.unique(fit)) > 1
 
 
 # ---------------------------------------------------------------------------

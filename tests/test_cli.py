@@ -536,20 +536,20 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         pytest.param(
             ["--n", "2", "--m", "2", "--format", "json"],
             0,
-            "6d4e4a7e634a376f9332295f35b369604805667604ece91dfcea4f612e3bddc3",
+            "2c0d497428cb01a4f70b45be928fddd570d0f7bdf23c4efe45bdd092a0d55309",
             id="readme-json",
         ),
         pytest.param(
             ["--n", "9", "--m", "8"],
             0,
-            "ac273303accf5a1184cfed30e159f36289afd53c3aa85330d00851069de41850",
+            "bb7e84eb200d85dbdafe00b83f478667f8dd03670b6a616d7454bbed154b97a4",
             id="ci-table",
         ),
         # The fitted range n = 1..5 crosses a position-width step at m = 8.
         pytest.param(
             ["--n", "5", "--m", "8"],
             0,
-            "5f6f624c3eca429b4585c9c2de18a1458861052942b29975e9f1f91b8584b64e",
+            "ea3c4b616dd2bbeae74a50d09be9e3668a55f88a75014b704ad330d40c4bc3a8",
             id="m8-width-step",
         ),
     ],

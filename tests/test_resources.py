@@ -11,12 +11,14 @@ from qmaze.fitness import make_spec
 from qmaze.maze import generate_maze
 from qmaze.resources import (
     FitClaim,
+    _square_counts,
     check_asymptotics,
     comparator_counts,
     linear_fit,
     measured,
     predict,
 )
+from reference import build_squarer
 
 GRID = [(n, m) for m in (2, 3, 4) for n in (1, 2, 3)]
 
@@ -88,6 +90,11 @@ def test_comparator_counts_formula_matches_circuit():
             want = count_gates(build_gt_comparator(w, cutoff))
             got = comparator_counts(w, cutoff)
             assert (got.toffoli, got.cnot, got.nots) == (want.toffoli, want.cnot, want.nots)
+
+
+def test_square_counts_formula_matches_circuit():
+    for w in range(1, 10):
+        assert _square_counts(w) == count_gates(build_squarer(w, w)), w
 
 
 def test_comparator_fit_is_linear():

@@ -10,7 +10,9 @@ must return equal ``SuiteResult``s, on passing and mutated circuits.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -187,7 +189,7 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
             assert len(valid.gates) % 2 == 1
             oracle_rows = 8 * _forward_hi(half) + 3 * len(half.gates)
             saved += 4**n * (len(fit.gates) - _forward_hi(fit) + oracle_rows + len(valid.gates) // 2)
-    assert reference_rows - rows[0] == saved == 3_115_376
+    assert reference_rows - rows[0] == saved == 2_260_736
 
 
 # ---------------------------------------------------------------------------
@@ -256,19 +258,38 @@ def _forward_hi(circ) -> int:
     return circ.spans["distance_fitness"][1]
 
 
+def _firing_site(circ) -> int:
+    """The first prefix gate from the prefix's middle on whose controls are all 1 on some path row.
+
+    A gate that fires on no row changes no wire, so the wires before each
+    scanned gate are those after the gates before the middle. Editing a
+    gate that never fires would change nothing, so a circuit without a
+    firing gate there fails the assertion instead of making a test vacuous.
+    """
+    n, lo, hi = circ.registers["path"].width // 2, _forward_hi(circ) // 2, _forward_hi(circ)
+    rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
+    wires = run_batch(RevCircuit(circ.registers, circ.gates[:lo]), rows)[0].wires
+    ones = (1 << rows.size) - 1
+    fires = (at for at in range(lo, hi) if reduce(operator.and_, (wires[c] for c in circ.gates[at].controls), ones))
+    at = next(fires, None)
+    assert at is not None, "no prefix gate from the middle on fires on any path"
+    return at
+
+
 def _drop_prefix_gate(circ):
-    return circ.gates[: _forward_hi(circ) // 2] + circ.gates[_forward_hi(circ) // 2 + 1 :]
+    at = _firing_site(circ)
+    return circ.gates[:at] + circ.gates[at + 1 :]
 
 
 def _drop_mirror_gate(circ):
-    at = len(circ.gates) - _forward_hi(circ) // 2
+    at = len(circ.gates) - 1 - _firing_site(circ)
     return circ.gates[:at] + circ.gates[at + 1 :]
 
 
 def _move_mirror_target(circ):
     """Moves one mirror gate's target: the mirror's input is unchanged, its gates are not."""
     gates = list(circ.gates)
-    at = len(gates) - _forward_hi(circ) // 2
+    at = len(gates) - 1 - _firing_site(circ)
     gates[at] = _moved_target(gates[at], circ.num_bits)
     return gates
 
@@ -454,7 +475,7 @@ def test_run_all_on_a_mutated_fitness_circuit_equals_the_reference(monkeypatch, 
 
 def _replace_forward_gate(circ, make):
     gates = list(circ.gates)
-    at = _forward_hi(circ) // 2
+    at = _firing_site(circ)
     gates[at] = make(gates[at], circ.num_bits)
     return gates
 
