@@ -24,14 +24,16 @@ loaded constant, a squaring row's mask, a walk step's control toggle)
 repeats the first, and each direction's increment or decrement, like
 validity's per-step bound check, is emitted once per build and repeated
 at every later step. Gates are immutable, so sharing objects changes no
-result; nothing is kept between builds. The oracle
-reuses an already built fitness circuit rather than building its own: it
-starts a new circuit from copies of that circuit's registers and spans
-and its gates up to the fitness write, compares and marks, then mirrors
-them, so it holds the forward computation twice, not four times. The
-oracles of one fitness circuit therefore share their prefix and their
-mirror gate for gate, as the same objects, which lets ``verify`` run
-the prefix once and prove each mirror instead of running it. Stages are
+result, and it only makes building faster: ``verify`` matches a mirror or
+a shared prefix by gate equality, not by object identity. Nothing is kept
+between builds. The oracle reuses an already built fitness circuit rather
+than building its own: it starts a new circuit from copies of that
+circuit's registers and spans and its gates up to the fitness write,
+compares and marks, then mirrors them, so it holds the forward
+computation twice, not four times. Each oracle of a fitness circuit
+therefore begins with that circuit's forward run and ends with it
+reversed, which lets ``verify`` run the forward part once and prove each
+mirror instead of running it. Stages are
 named by spans of the gate list, not per gate: the fitness circuit marks ``walk`` and
 ``distance_fitness`` (goal difference through the fitness write), and
 ``count_gates`` tallies one span into a ``GateCounts``, the one

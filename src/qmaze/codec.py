@@ -10,7 +10,11 @@ from __future__ import annotations
 
 from .maze import Direction
 
-# Largest supported path length; 4**12 amplitudes is the desk-scale ceiling.
+# Largest supported path length. A search holds no 4**n array, so this does
+# not bound its memory. It bounds what does hold one: the 4**n
+# ``FitnessLandscape.values``, built when read, and the ``dynamics``
+# statevector. It is also the top of every ``--n`` parser (``solve``,
+# ``sweep``, ``dynamics`` and ``resources``).
 MAX_PATH_LENGTH = 12
 
 # A direction's code is its index in ``Direction``; the circuits' walk step

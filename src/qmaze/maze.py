@@ -279,7 +279,9 @@ def end_values(n: int, table: np.ndarray, values: np.ndarray, start: int) -> np.
 def end_histogram(n: int, table: np.ndarray, values: np.ndarray, start: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values the length-``n`` paths from ``start`` end on, ascending, and the paths on each (>= 1).
 
-    Counted forward over the table, one ``bincount`` per move, not over 4**n paths; exact in float64.
+    Counted forward over the table, one ``bincount`` per move, not over 4**n paths, in float64. That is
+    exact while every count is below 2**53, so for n <= 26: the counts after a step sum to 4**step.
+    ``fitness.landscape`` stops at ``codec.MAX_PATH_LENGTH``, below that bound.
     """
     reach = np.zeros(values.size)
     reach[start] = 1.0

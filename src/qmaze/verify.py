@@ -9,29 +9,31 @@ involution checks. Every suite compares the whole output batch with an
 expected batch: the inputs, with the checked register replaced by its
 reference values. A suite stops at the first mismatch and reports it.
 
-Shared work runs once per ``run_all`` call, and nothing is kept between
-calls. Each exhaustive input is packed once per register layout, and
-each comparator width packs its reference once, one ``flag`` row per
-cutoff. The fitness, validity and oracle suites run one (maze, n) at a
-time and hold only its batches.
+``run_all`` is the one driver. Nothing is kept between its calls. Each
+comparator width packs its reference once, one ``flag`` row per cutoff.
+The other five suites share one loop over (maze, n): it builds that
+key's landscape, fitness circuit, validity circuit and oracles, runs the
+fitness forward once, checks every suite that is still open, and holds
+only that key's batches.
 
 Every mirror is proven, not run. A circuit ``A M A^-1`` ends with its
-first gates A as the same objects in reverse order; A runs once, then
-its middle M from A's output. Every gate is its own inverse on basis
-states and a phase mark flips no bit, so if no wire that M changed is a
-target or control of a gate in A, the mirror undoes A gate for gate on
-the wires A touches, and each phase mark in A meets the same bits in the
-mirror and cancels: the circuit returns its input with M's changed wires,
-and M's signs. Otherwise it runs whole. The fitness circuit is
-``F W F^-1`` and the validity circuit ``A CNOT A^-1``. Each oracle is
-``P . C Z C^-1 . P^-1``, and its prefix ``P = F W`` is the fitness
-circuit's forward run: per (maze, n), F runs once and W once from its
-output, the fitness suite reads both, and each oracle runs only its
-middle from W's output, zero-extended over ``flag``, ``gsc`` and ``eq``.
-The cutoff C // 2 run serves three suites: oracle-sign checks it,
-ancilla-cleanup reads its registers, and involution squares its signs
-when it restored its input; otherwise involution runs that oracle once
-more from its output.
+first gates A in reverse order, gate for gate equal; A runs once, then
+its middle M from A's output. Equal gates are the same self-inverse map
+on basis states and a phase mark flips no bit, so if no wire that M
+changed is a target or control of a gate in A, the mirror undoes A gate
+for gate on the wires A touches, and each phase mark in A meets the same
+bits in the mirror and cancels: the circuit returns its input with M's
+changed wires, and M's signs. Otherwise it runs whole. The fitness
+circuit is ``F W F^-1`` and the validity circuit ``A CNOT A^-1``. Each
+oracle is ``P . C Z C^-1 . P^-1`` whose prefix ``P = F W`` equals the
+fitness circuit's forward run: per (maze, n), F runs once and W once
+from its output, the fitness suite reads both, and each oracle runs only
+its middle from W's output, zero-extended over ``flag``, ``gsc`` and
+``eq``. A fitness circuit whose mirror is not proven leaves its oracles
+to run whole. The cutoff C // 2 run serves three suites: oracle-sign
+checks it, ancilla-cleanup reads its registers, and involution squares
+its signs when it restored its input; otherwise involution runs that
+oracle once more from its output.
 """
 
 from __future__ import annotations
@@ -143,38 +145,6 @@ def _blind_values(maze: Maze, n: int) -> np.ndarray:
     return fitness.landscape(maze, n, make_spec(maze.size, Formula.MAIN, SimMode.WALL_BLIND)).values
 
 
-def _path_batch(circ: RevCircuit, n: int) -> Batch:
-    return pack_rows(circ, {"path": _paths(n)}, codec.path_count(n))
-
-
-def _check_fitness(suite: _Suite, maze: Maze, n: int, circ: RevCircuit, batch: Batch, run, blind: dict) -> bool:
-    """One fitness circuit's ``run`` on every path: ``fit`` holds the wall-blind fitness (mod 2**width),
-    every other register reads back its input, and every sign is +1."""
-    fit = blind[maze, n] % (1 << circ.registers["fit"].width)
-    return suite.check(_where(maze.size, n), circ, *run, _expected(circ, batch, {"fit": fit}), 1)
-
-
-def _check_validity(suite: _Suite, maze: Maze, n: int, circ: RevCircuit) -> bool:
-    """One validity circuit on every path: ``valid`` holds the bounds-only validity,
-    every other register reads back its input, and every sign is +1."""
-    batch = _path_batch(circ, n)
-    valid = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
-    # A validity circuit is A CNOT A^-1: A is half of its gates besides the odd CNOT.
-    run = _mirrored(circ, (len(circ.gates) - 1) // 2, batch)
-    return suite.check(_where(maze.size, n), circ, *run, _expected(circ, batch, {"valid": valid}), 1)
-
-
-def verify_fitness(fitness_circuits: dict, blind: dict) -> SuiteResult:
-    """Fitness circuits keyed (maze, n) == ``blind[maze, n]``, the classical
-    wall-blind fitness (mod 2**width), all inputs."""
-    suite = _Suite("fitness")
-    for (maze, n), circ in fitness_circuits.items():
-        batch = _path_batch(circ, n)
-        if not _check_fitness(suite, maze, n, circ, batch, _forward(circ, batch)[0], blind):
-            break
-    return suite.result()
-
-
 def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResult:
     """Every (f, cutoff) pair, widths 1..width_max, vs integer >.
 
@@ -200,28 +170,14 @@ def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResul
     return suite.result()
 
 
-def verify_validity(validity_circuits: dict) -> SuiteResult:
-    """Validity circuits keyed (maze, n) == no blocked move in the bounds-only path automaton, all inputs."""
-    suite = _Suite("validity")
-    for (maze, n), circ in validity_circuits.items():
-        if not _check_validity(suite, maze, n, circ):
-            break
-    return suite.result()
-
-
 def _oracle_cutoffs(m: int) -> list[int]:
     c = make_spec(m).offset
     return sorted({0, 1, c // 2, c - 1})
 
 
-def _same(gates: list, shared: list) -> bool:
-    """True if ``gates`` are the very objects of ``shared``, in order."""
-    return len(gates) == len(shared) and all(map(operator.is_, gates, shared))
-
-
 def _mirrors(gates: list, k: int) -> bool:
-    """True if k >= 1 and the last ``k`` gates are the first ``k`` gate objects in reverse order."""
-    return 0 < k <= len(gates) // 2 and _same(gates[: -k - 1 : -1], gates[:k])
+    """True if k >= 1 and the last ``k`` gates equal the first ``k`` in reverse order."""
+    return 0 < k <= len(gates) // 2 and gates[: -k - 1 : -1] == gates[:k]
 
 
 def _segment(circ: RevCircuit, lo: int, hi: int, batch: Batch):
@@ -254,142 +210,84 @@ def _conjugate(circ: RevCircuit, k: int, batch: Batch, a_out: Batch, middle):
 
 
 def _mirrored(circ: RevCircuit, k: int, batch: Batch):
-    """``circ`` on ``batch``; if it ends with its first ``k`` gates A reversed, only A and the middle run."""
+    """``circ`` on ``batch``, and the output of its first ``k`` gates A and its middle M.
+
+    If ``circ`` ends with A reversed, only A and M run, and the mirror is
+    proven or ``circ`` runs whole (``_conjugate``). Otherwise ``circ`` runs
+    whole, and the second output is None.
+    """
     if not _mirrors(circ.gates, k):
-        return run_batch(circ, batch)
+        return run_batch(circ, batch), None
     a_out = _segment(circ, 0, k, batch)[0]
-    return _conjugate(circ, k, batch, a_out, _segment(circ, k, len(circ.gates) - k, a_out))
+    middle = _segment(circ, k, len(circ.gates) - k, a_out)
+    return _conjugate(circ, k, batch, a_out, middle), middle[0]
 
 
-class _SharedRuns:
-    """Runs the oracles of one (maze, n), each from the output of their shared prefix ``P``.
+def _oracle_run(circ: RevCircuit, batch: Batch, prefix: list, source: Batch, p_out: Batch | None):
+    """An oracle on ``batch``, from ``p_out``, the output of the gates ``prefix`` (P) on ``source``.
 
-    ``prefix`` is P's gate objects, ``source`` a batch and ``out`` P's
-    output on it. In ``run_all``, P is the fitness circuit's forward run
-    ``F W`` and ``source`` its input; without them, the first oracle that
-    begins with P runs P on its own input. P touches only the wires of
-    ``source``, so on any batch that begins with those wires its output is
-    ``out`` followed by the batch's other wires: an oracle's input is its
-    fitness circuit's, zero-extended over ``flag``, ``gsc`` and ``eq``. An
-    oracle that begins with P's gate objects and ends with them reversed
-    runs only its middle ``C Z C^-1``, and its mirror is proven; any other
-    oracle runs whole.
+    Both batches hold every path. P touches only the wires of ``source``,
+    so on a batch that begins with those wires its output is ``p_out``
+    followed by the batch's other wires. An oracle that begins with P's
+    gates and ends with them reversed runs only its middle ``C Z C^-1``,
+    and its mirror is proven; any other oracle, or any oracle when
+    ``p_out`` is None, runs whole.
     """
-
-    def __init__(self, prefix: list, source: Batch | None = None, out: Batch | None = None):
-        self.prefix, self.source, self.out = prefix, source, out
-
-    def run(self, circ: RevCircuit, batch: Batch):
-        hi, gates = len(self.prefix), circ.gates
-        if _mirrors(gates, hi) and _same(gates[:hi], self.prefix):
-            if self.source is None:
-                self.source, self.out = batch, _segment(circ, 0, hi, batch)[0]
-            known = len(self.source.wires)
-            if batch.size == self.source.size and batch.wires[:known] == self.source.wires:
-                a_out = Batch(batch.size, self.out.wires + batch.wires[known:])
-                return _conjugate(circ, hi, batch, a_out, _segment(circ, hi, len(gates) - hi, a_out))
-        return run_batch(circ, batch)
-
-
-def _forward(circ: RevCircuit, batch: Batch):
-    """A fitness circuit ``F W F^-1`` run on ``batch``, and the ``_SharedRuns`` of its oracles.
-
-    W is the fitness write, which ends the ``distance_fitness`` span, and F
-    the gates before it, as many as follow that span. F runs, then W from
-    F's output: W's output is that of the oracles' prefix ``P = F W``, and
-    the fitness run proves its mirror ``F^-1``. A circuit that does not end
-    with F's gates reversed runs whole, and leaves P to its first oracle.
-    """
-    hi = circ.spans.get("distance_fitness", (0, 0))[1]
-    k, prefix = len(circ.gates) - hi, circ.gates[:hi]
-    if not _mirrors(circ.gates, k):
-        return run_batch(circ, batch), _SharedRuns(prefix)
-    f_out = _segment(circ, 0, k, batch)[0]
-    write = _segment(circ, k, hi, f_out)
-    return _conjugate(circ, k, batch, f_out, write), _SharedRuns(prefix, batch, write[0])
-
-
-def _oracle_suites() -> tuple[_Suite, _Suite, _Suite]:
-    return _Suite("oracle-sign"), _Suite("ancilla-cleanup"), _Suite("involution")
-
-
-def _check_oracles(suites: tuple, maze: Maze, n: int, by_cutoff: dict, blind: dict, runs: _SharedRuns):
-    """One (maze, n)'s oracles, keyed by cutoff, through ``runs``; see ``verify_oracles``."""
-    sign, cleanup, twice = suites
-    m, half = maze.size, make_spec(maze.size).offset // 2
-    if half not in by_cutoff:
-        raise ValueError(f"m={m} n={n}: ancilla-cleanup and involution need the cutoff {half} oracle")
-    paths, layouts = _paths(n), {}
-    for cutoff, circ in by_cutoff.items():
-        reused = cutoff == half and (cleanup.open or twice.open)
-        if not (sign.open or reused):
-            continue
-        batch = _packed(circ, "path", paths, layouts)
-        out, signs = runs.run(circ, batch)
-        if sign.open:
-            want_signs = np.where(blind[maze, n] > cutoff, -1, 1)
-            sign.check(_where(m, n, f" cutoff={cutoff}"), circ, out, signs, batch, want_signs)
-        if reused and cleanup.open:
-            cleanup.check(_where(m, n), circ, out, signs, batch)
-        if reused and twice.open:
-            # On a restored input, the second pass would repeat the first run.
-            out, again = (out, signs) if out == batch else run_batch(circ, out)
-            twice.check(_where(m, n, " (oracle twice)"), circ, out, signs * again, batch, 1)
-
-
-def verify_oracles(oracles: dict, blind: dict) -> tuple[SuiteResult, SuiteResult, SuiteResult]:
-    """The oracle-sign, ancilla-cleanup and involution suites over oracles keyed (maze, n), cutoff.
-
-    oracle-sign: each oracle's sign == the oracle derived from the wall-blind
-    fitness ``blind[maze, n]``, registers restored. ancilla-cleanup: after the
-    cutoff C // 2 oracle, every register reads back its input. involution:
-    that oracle applied twice is the identity with net sign +1. All inputs;
-    one (maze, n) at a time, and each suite stops at its own first failure.
-    A (maze, n)'s shared prefix is its first oracle's gates up to the end
-    of its ``distance_fitness`` span.
-    """
-    suites = _oracle_suites()
-    for (maze, n), by_cutoff in oracles.items():
-        if not any(s.open for s in suites):
-            break
-        first = next(iter(by_cutoff.values()))
-        prefix = first.gates[: first.spans.get("distance_fitness", (0, 0))[1]]
-        _check_oracles(suites, maze, n, by_cutoff, blind, _SharedRuns(prefix))
-    return tuple(s.result() for s in suites)
+    hi, gates, known = len(prefix), circ.gates, len(source.wires)
+    if p_out is not None and batch.wires[:known] == source.wires and _mirrors(gates, hi) and gates[:hi] == prefix:
+        a_out = Batch(batch.size, p_out.wires + batch.wires[known:])
+        return _conjugate(circ, hi, batch, a_out, _segment(circ, hi, len(gates) - hi, a_out))
+    return run_batch(circ, batch)
 
 
 def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResult]:
-    """Every suite; each maze, wall-blind landscape, fitness circuit,
-    validity circuit and oracle is built once and shared.
+    """Every suite, each until its own first failure.
 
-    The fitness, validity and oracle suites run one (maze, n) at a time,
-    each until its own first failure, and hold only that (maze, n)'s
-    batches: its fitness circuit's forward ``P`` runs once, for the
-    fitness suite and for its oracles.
+    fitness: ``fit`` holds the wall-blind fitness (mod 2**width). validity:
+    ``valid`` holds the bounds-only validity. Both leave every other
+    register as it was, with sign +1. oracle-sign: each oracle's sign is
+    that of the oracle derived from the wall-blind fitness, registers
+    restored. ancilla-cleanup: after the cutoff C // 2 oracle, every
+    register reads back its input. involution: that oracle applied twice is
+    the identity with net sign +1. All on every path, one (maze, n) at a
+    time; see the module docstring for what runs.
     """
-    mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
-    keys = [(maze, n) for maze in mazes for n in range(1, n_max + 1)]
-    blind = {key: _blind_values(*key) for key in keys}
-    fitness_circuits = {key: build_fitness_circuit(*key) for key in keys}
-    validity_circuits = {key: build_validity_circuit(*key) for key in keys}
-    oracles = {
-        (maze, n): {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(maze.size)}
-        for (maze, n), circ in fitness_circuits.items()
-    }
-    fit, valid, oracle_suites = _Suite("fitness"), _Suite("validity"), _oracle_suites()
-    for maze, n in keys:
-        circ = fitness_circuits[maze, n]
-        batch = _path_batch(circ, n)
-        run, runs = _forward(circ, batch)
-        if fit.open:
-            _check_fitness(fit, maze, n, circ, batch, run, blind)
-        if valid.open:
-            _check_validity(valid, maze, n, validity_circuits[maze, n])
-        if any(s.open for s in oracle_suites):
-            _check_oracles(oracle_suites, maze, n, oracles[maze, n], blind, runs)
-    return [
-        fit.result(),
-        verify_comparator(comparator_width_max),
-        valid.result(),
-        *(s.result() for s in oracle_suites),
-    ]
+    fit, valid = _Suite("fitness"), _Suite("validity")
+    sign, cleanup, twice = _Suite("oracle-sign"), _Suite("ancilla-cleanup"), _Suite("involution")
+    for m in range(2, m_max + 1):
+        maze, half = generate_maze(m, seed=0), make_spec(m).offset // 2
+        for n in range(1, n_max + 1):
+            blind, paths, layouts = _blind_values(maze, n), _paths(n), {}
+            circ, validity = build_fitness_circuit(maze, n), build_validity_circuit(maze, n)
+            oracles = {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(m)}
+            where, source = _where(m, n), _packed(circ, "path", paths, layouts)
+            # The fitness circuit is F W F^-1, W the write that ends its distance_fitness
+            # span: its A M is F W, the prefix P its oracles begin with.
+            prefix = circ.gates[: circ.spans["distance_fitness"][1]]
+            run, p_out = _mirrored(circ, len(circ.gates) - len(prefix), source)
+            if fit.open:
+                want = _expected(circ, source, {"fit": blind % (1 << circ.registers["fit"].width)})
+                fit.check(where, circ, *run, want, 1)
+            if valid.open:
+                batch = _packed(validity, "path", paths, layouts)
+                ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+                # A validity circuit is A CNOT A^-1: A is half of its gates besides the odd CNOT.
+                run = _mirrored(validity, (len(validity.gates) - 1) // 2, batch)[0]
+                valid.check(where, validity, *run, _expected(validity, batch, {"valid": ref}), 1)
+            for cutoff, oracle in oracles.items():
+                reused = cutoff == half and (cleanup.open or twice.open)
+                if not (sign.open or reused):
+                    continue
+                batch = _packed(oracle, "path", paths, layouts)
+                out, signs = _oracle_run(oracle, batch, prefix, source, p_out)
+                if sign.open:
+                    want_signs = np.where(blind > cutoff, -1, 1)
+                    sign.check(_where(m, n, f" cutoff={cutoff}"), oracle, out, signs, batch, want_signs)
+                if reused and cleanup.open:
+                    cleanup.check(where, oracle, out, signs, batch)
+                if reused and twice.open:
+                    # On a restored input, the second pass would repeat the first run.
+                    out, again = (out, signs) if out == batch else run_batch(oracle, out)
+                    twice.check(_where(m, n, " (oracle twice)"), oracle, out, signs * again, batch, 1)
+    comparator = verify_comparator(comparator_width_max)
+    return [fit.result(), comparator, valid.result(), sign.result(), cleanup.result(), twice.result()]

@@ -16,16 +16,14 @@ import pytest
 from qmaze import cli, fitness, resources, verify
 from qmaze.adaptive import SearchConfig, run_adaptive
 from qmaze.circuits import (
-    PhaseMark,
+    Gate,
     RevCircuit,
-    build_fitness_circuit,
     build_gt_comparator,
     build_oracle_circuit,
-    build_validity_circuit,
 )
 from qmaze.cli import main, parse_config, UsageError
 from qmaze.fitness import landscape, make_spec
-from qmaze.maze import generate_maze, parse_maze
+from qmaze.maze import parse_maze
 
 
 def run_cli(capsys, *argv) -> tuple[int, str, str]:
@@ -396,10 +394,25 @@ def _dropped(circ: RevCircuit, index: int = -1) -> RevCircuit:
     return RevCircuit(circ.registers, gates, circ.spans)
 
 
-def _corrupt_fitness(_monkeypatch):
-    maze = generate_maze(3, seed=0)
-    blind = {(maze, 2): verify._blind_values(maze, 2)}
-    return verify.verify_fitness({(maze, 2): _dropped(build_fitness_circuit(maze, 2))}, blind)
+def _suite(name: str) -> verify.SuiteResult:
+    """The ``name`` suite's result from ``run_all`` over m 2-3, n 1-2 and comparator width 1."""
+    return next(r for r in verify.run_all(n_max=2, m_max=3, comparator_width_max=1) if r.name == name)
+
+
+def _corrupt_at_3_2(monkeypatch, name: str, edit):
+    """Has ``verify`` build its m = 3, n = 2 ``name`` circuit as ``edit`` remakes it."""
+    build = getattr(verify, name)
+
+    def builder(maze, n):
+        circ = build(maze, n)
+        return edit(circ) if (maze.size, n) == (3, 2) else circ
+
+    monkeypatch.setattr(verify, name, builder)
+
+
+def _corrupt_fitness(monkeypatch):
+    _corrupt_at_3_2(monkeypatch, "build_fitness_circuit", _dropped)
+    return _suite("fitness")
 
 
 def _corrupt_comparator(_monkeypatch):
@@ -410,35 +423,39 @@ def _corrupt_comparator(_monkeypatch):
     return verify.verify_comparator(width_max=3, builder=builder)
 
 
-def _corrupt_validity(_monkeypatch):
-    def builder(maze, n):
-        circ = build_validity_circuit(maze, n)
-        return _dropped(circ) if (maze.size, n) == (3, 2) else circ
-
-    mazes = [generate_maze(m, seed=0) for m in (2, 3)]
-    return verify.verify_validity({(maze, n): builder(maze, n) for maze in mazes for n in (1, 2)})
+def _corrupt_validity(monkeypatch):
+    _corrupt_at_3_2(monkeypatch, "build_validity_circuit", _dropped)
+    return _suite("validity")
 
 
-def _oracle():
-    maze = generate_maze(3, seed=0)
-    cutoff = make_spec(3).offset // 2
-    return (maze, 2), cutoff, build_oracle_circuit(build_fitness_circuit(maze, 2), cutoff)
+def _corrupt_oracle(monkeypatch, edit):
+    """Has ``verify`` build the m = 3, n = 2 oracle at the cutoff C // 2 = 8 as ``edit`` remakes it.
+
+    The oracle builder knows that key by its fitness circuit, whose path
+    register is 4 bits wide, and at m = 2 no oracle has the cutoff 8.
+    """
+    assert 8 not in verify._oracle_cutoffs(2)
+
+    def builder(fit, cutoff):
+        circ = build_oracle_circuit(fit, cutoff)
+        return edit(circ) if (fit.registers["path"].width, cutoff) == (4, 8) else circ
+
+    monkeypatch.setattr(verify, "build_oracle_circuit", builder)
 
 
-def _corrupt_oracle_sign(_monkeypatch):
-    key, cutoff, circ = _oracle()
-    unsigned = RevCircuit(circ.registers, [g for g in circ.gates if not isinstance(g, PhaseMark)])
-    return verify.verify_oracles({key: {cutoff: unsigned}}, {key: verify._blind_values(*key)})[0]
+def _corrupt_oracle_sign(monkeypatch):
+    _corrupt_oracle(monkeypatch, lambda circ: RevCircuit(circ.registers, [g for g in circ.gates if type(g) is Gate]))
+    return _suite("oracle-sign")
 
 
-def _corrupt_cleanup(_monkeypatch):
-    key, cutoff, circ = _oracle()
-    return verify.verify_oracles({key: {cutoff: _dropped(circ)}}, {key: verify._blind_values(*key)})[1]
+def _corrupt_cleanup(monkeypatch):
+    _corrupt_oracle(monkeypatch, _dropped)
+    return _suite("ancilla-cleanup")
 
 
-def _corrupt_involution(_monkeypatch):
-    key, cutoff, circ = _oracle()
-    return verify.verify_oracles({key: {cutoff: _dropped(circ, 0)}}, {key: verify._blind_values(*key)})[2]
+def _corrupt_involution(monkeypatch):
+    _corrupt_oracle(monkeypatch, lambda circ: _dropped(circ, 0))
+    return _suite("involution")
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,9 @@ from qmaze.maze import (
     Direction,
     Maze,
     SimMode,
+    end_histogram,
     generate_maze,
+    path_automaton,
     path_end_values,
     simulate_path,
 )
@@ -237,6 +239,19 @@ def test_blind_histogram_equals_the_closed_form(m, seed, n):
     maze, spec = generate_maze(m, seed=seed), make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
     scape = landscape(maze, n, spec)
     assert list(zip(scape.levels.tolist(), scape.counts.tolist())) == _blind_histogram(maze, n, spec.offset)
+
+
+def test_end_histogram_is_exact_at_n26():
+    """At n = 26 the counts sum to 4**26 = 2**52, so float64 still counts every path exactly.
+
+    ``landscape`` stops at the path-length cap, so the automaton is built here directly.
+    """
+    m, n = 8, 26
+    maze, spec = generate_maze(m, seed=1), make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+    goal = np.array(maze.goal)
+    automaton = path_automaton(maze, n, spec.mode, lambda cells, _: spec.offset - ((cells - goal) ** 2).sum(axis=1))
+    levels, counts = end_histogram(n, *automaton)
+    assert list(zip(levels.tolist(), counts.tolist())) == _blind_histogram(maze, n, spec.offset)
 
 
 @pytest.mark.parametrize("mode", list(SimMode))

@@ -1,11 +1,14 @@
 """`verify`'s shared runs, pinned to a per-case reference.
 
-``verify.run_all`` packs shared inputs once, runs only A and M of each
-circuit A M A^-1 and proves its mirror, runs a (maze, n)'s fitness
-forward F W once for its fitness suite and as its oracles' shared
-prefix, and reuses the cutoff C // 2 run. The reference below runs every
-case whole and on its own, the oracle doubled for involution. The two
-must return equal ``SuiteResult``s, on passing and mutated circuits.
+``verify.run_all``, the one driver of the fitness, validity and oracle
+suites, packs shared inputs once, runs only A and M of each circuit
+A M A^-1 whose last gates equal A's reversed and proves its mirror, runs
+a (maze, n)'s fitness forward F W once for its fitness suite and as the
+prefix its oracles begin with, and reuses the cutoff C // 2 run. The
+reference below runs every case whole and on its own, the oracle doubled
+for involution. The two must return equal ``SuiteResult``s, on passing
+circuits and on circuits that a test has ``verify`` build mutated, by
+patching the builder names that ``run_all`` resolves.
 """
 
 from __future__ import annotations
@@ -124,19 +127,21 @@ def _validity_cases(circuits):
         yield where, circ, paths, {"valid": ref}, 1
 
 
-def _reference_run_all(n_max, m_max, width_max, fitness_builder=build_fitness_circuit) -> list[verify.SuiteResult]:
+def _reference_run_all(n_max, m_max, width_max) -> list[verify.SuiteResult]:
+    """Every suite, each case run whole, with the builders ``verify`` resolves now, patched or not."""
     mazes = [generate_maze(m, seed=0) for m in range(2, m_max + 1)]
     keys = [(maze, n) for maze in mazes for n in range(1, n_max + 1)]
     blind = {key: verify._blind_values(*key) for key in keys}
-    fitness = {key: fitness_builder(*key) for key in keys}
+    fitness = {key: verify.build_fitness_circuit(*key) for key in keys}
     oracles = {
-        (maze, n): {c: build_oracle_circuit(fitness[maze, n], c) for c in verify._oracle_cutoffs(maze.size)}
+        (maze, n): {c: verify.build_oracle_circuit(fitness[maze, n], c) for c in verify._oracle_cutoffs(maze.size)}
         for maze, n in keys
     }
+    validity = {key: verify.build_validity_circuit(*key) for key in keys}
     return [
         _reference_check("fitness", _fitness_cases(fitness, blind)),
         _reference_check("comparator", _comparator_cases(width_max)),
-        _reference_check("validity", _validity_cases({key: build_validity_circuit(*key) for key in keys})),
+        _reference_check("validity", _validity_cases(validity)),
         *_reference_oracles(oracles, blind),
     ]
 
@@ -152,6 +157,18 @@ def _comparator_cases(width_max, builder=build_gt_comparator):
 def _oracles(maze, n) -> dict:
     fit = build_fitness_circuit(maze, n)
     return {c: build_oracle_circuit(fit, c) for c in verify._oracle_cutoffs(maze.size)}
+
+
+# run_all's caps (n_max, m_max, comparator width) for the mutation tests: keys m 2-3, n 1-2.
+_CAPS = (2, 3, 1)
+
+
+def _run_all_and_reference(monkeypatch, caps=_CAPS):
+    """``run_all`` and the per-case reference under ``verify``'s builders, and the circuits ``run_all`` ran whole."""
+    reference = _reference_run_all(*caps)
+    ran = []
+    monkeypatch.setattr(verify, "run_batch", lambda circ, batch: ran.append(circ) or run_batch(circ, batch))
+    return verify.run_all(*caps), reference, ran
 
 
 def _gate_rows(monkeypatch) -> list[int]:
@@ -250,10 +267,6 @@ def test_mutated_comparator_results_equal_the_reference(edit, bad_w, width_max):
 # Mutated oracles: the shared run must report what the reference reports
 
 
-def _keys():
-    return [(generate_maze(m, seed=0), 2) for m in (3, 4)]
-
-
 def _forward_hi(circ) -> int:
     return circ.spans["distance_fitness"][1]
 
@@ -317,13 +330,36 @@ def _mark_in_prefix_and_mirror(circ):
     return circ.gates[:at] + [mark] + circ.gates[at:back] + [mark] + circ.gates[back:]
 
 
-def _mutated(key, index, edit):
-    """Oracles of ``_keys()``, with the ``index``-th cutoff's oracle of ``key`` given ``edit``'s gates."""
-    oracles = {k: _oracles(*k) for k in _keys()}
-    cutoff = list(oracles[key])[index]
-    circ = oracles[key][cutoff]
-    oracles[key][cutoff] = RevCircuit(circ.registers, edit(circ), circ.spans)
-    return oracles, cutoff
+def _gates(edit):
+    """An oracle edit from ``edit``, a gate-list edit; registers and spans stay."""
+    return lambda circ: RevCircuit(circ.registers, edit(circ), circ.spans)
+
+
+def _edit_oracles(monkeypatch, edit, cutoff, key=(3, 2)) -> list:
+    """Has ``verify`` build the cutoff ``cutoff`` oracle of the m, n ``key`` as ``edit`` remakes it.
+
+    ``edit`` takes and returns a ``RevCircuit``. The oracle builder knows
+    the key by its fitness circuit, which the patched fitness builder keeps.
+    Returns the edited oracles, in build order.
+    """
+    fits, edited = [], []
+
+    def fitness_builder(maze, n):
+        circ = build_fitness_circuit(maze, n)
+        if (maze.size, n) == key:
+            fits.append(circ)
+        return circ
+
+    def oracle_builder(fit, c):
+        circ = build_oracle_circuit(fit, c)
+        if c == cutoff and any(fit is f for f in fits):
+            circ = edit(circ)
+            edited.append(circ)
+        return circ
+
+    monkeypatch.setattr(verify, "build_fitness_circuit", fitness_builder)
+    monkeypatch.setattr(verify, "build_oracle_circuit", oracle_builder)
+    return edited
 
 
 @pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
@@ -341,23 +377,20 @@ def _mutated(key, index, edit):
     ids=["prefix", "mirror", "mirror-target", "uncompare", "phase-mark", "mark-in-prefix", "mark-in-prefix-and-mirror"],
 )
 def test_mutated_oracle_results_equal_the_reference(monkeypatch, edit, index):
-    key = _keys()[0]
-    assert len(verify._oracle_cutoffs(key[0].size)) == 4
-    oracles, cutoff = _mutated(key, index, edit)
-    blind = {k: verify._blind_values(*k) for k in oracles}
-    ran = []
-    monkeypatch.setattr(verify, "run_batch", lambda circ, batch: ran.append(circ) or run_batch(circ, batch))
-    shared = list(verify.verify_oracles(oracles, blind))
+    assert len(verify._oracle_cutoffs(3)) == 4
+    cutoff = verify._oracle_cutoffs(3)[index]
+    edited = _edit_oracles(monkeypatch, _gates(edit), cutoff)
+    shared, reference, ran = _run_all_and_reference(monkeypatch)
     if edit is _mark_in_prefix_and_mirror:
-        # The marked prefix, reversed, ends the oracle that defines it, so
-        # that oracle's mirror is proven and it never runs whole; at any
-        # other index the oracle's prefix is not the shared one.
+        # The marks cancel, but the marked prefix is not the fitness
+        # circuit's forward run, so the oracle runs whole at every cutoff.
         assert all(r.passed for r in shared)
-        assert (index == 0) == all(circ is not oracles[key][cutoff] for circ in ran)
-    assert shared == _reference_oracles(oracles, blind)
+        assert any(circ is edited[-1] for circ in ran)
+    assert shared == reference
     # A dropped phase mark is invisible only at a cutoff that marks no path.
-    assert shared[0].passed == (
-        edit is _mark_in_prefix_and_mirror or (edit is _drop_phase_mark and not (blind[key] > cutoff).any())
+    blind = verify._blind_values(generate_maze(3, seed=0), 2)
+    assert shared[3].passed == (
+        edit is _mark_in_prefix_and_mirror or (edit is _drop_phase_mark and not (blind > cutoff).any())
     )
 
 
@@ -412,7 +445,7 @@ def _mark_in_first_and_mirror(circ, first, middle, mirror):
 
 
 def _copy_in_first(circ, first, middle, mirror):
-    """An equal but distinct gate in A, so the mirror is not A's gate objects reversed."""
+    """An equal but distinct gate in A: the mirror still equals A reversed, so it is proven."""
     at = len(first) // 2
     return first[:at] + [_equal_copy(first[at], circ.num_bits)] + first[at + 1 :], middle, mirror
 
@@ -425,29 +458,32 @@ _CONJUGATE_EDITS = {
     "mark-in-first-and-mirror": _mark_in_first_and_mirror,
     "copy-in-first": _copy_in_first,
 }
-_PROVEN = (_middle_flips_output, _mark_in_first_and_mirror)
+_PROVEN = (_middle_flips_output, _mark_in_first_and_mirror, _copy_in_first)
 
 
 @pytest.mark.parametrize("edit", _CONJUGATE_EDITS.values(), ids=_CONJUGATE_EDITS.keys())
 @pytest.mark.parametrize("kind", ["fitness", "validity"])
 def test_mutated_fitness_and_validity_results_equal_the_reference(monkeypatch, kind, edit):
-    keys = _keys()
-    builder = build_fitness_circuit if kind == "fitness" else build_validity_circuit
-    circuits = {key: builder(*key) for key in keys}
-    bad = circuits[keys[0]] = _conjugated(kind, circuits[keys[0]], edit)
-    blind = {key: verify._blind_values(*key) for key in keys}
-    ran = []
-    with monkeypatch.context() as m:
-        m.setattr(verify, "run_batch", lambda circ, batch: ran.append(circ) or run_batch(circ, batch))
-        if kind == "fitness":
-            got = verify.verify_fitness(circuits, blind)
-        else:
-            got = verify.verify_validity(circuits)
-    cases = _fitness_cases(circuits, blind) if kind == "fitness" else _validity_cases(circuits)
-    assert got == _reference_check(kind, cases)
+    build, made = (build_fitness_circuit if kind == "fitness" else build_validity_circuit), []
+
+    def builder(maze, n):
+        circ = build(maze, n)
+        if (maze.size, n) == (3, 2):
+            made.append((_conjugated(kind, circ, edit), circ))
+            return made[-1][0]
+        return circ
+
+    def oracle_builder(fit, cutoff):
+        # An oracle cannot uncompute a phase mark: build it from the unedited fitness circuit.
+        return build_oracle_circuit(next((circ for bad, circ in made if bad is fit), fit), cutoff)
+
+    monkeypatch.setattr(verify, f"build_{kind}_circuit", builder)
+    monkeypatch.setattr(verify, "build_oracle_circuit", oracle_builder)
+    got, reference, ran = _run_all_and_reference(monkeypatch)
+    assert got == reference
     # Only a middle that leaves A's wires alone, or marks that cancel, leave a proven mirror.
-    assert any(circ is bad for circ in ran) == (edit not in _PROVEN)
-    assert got.passed == (edit in (_mark_in_first_and_mirror, _copy_in_first))
+    assert any(circ is made[-1][0] for circ in ran) == (edit not in _PROVEN)
+    assert got[0 if kind == "fitness" else 2].passed == (edit in (_mark_in_first_and_mirror, _copy_in_first))
 
 
 @pytest.mark.parametrize(
@@ -464,13 +500,13 @@ def test_run_all_on_a_mutated_fitness_circuit_equals_the_reference(monkeypatch, 
         circ = build_fitness_circuit(maze, n)
         return _conjugated("fitness", circ, edit) if (maze.size, n) == (3, 2) else circ
 
-    reference = _reference_run_all(2, 3, 2, builder)
     monkeypatch.setattr(verify, "build_fitness_circuit", builder)
+    reference = _reference_run_all(2, 3, 2)
     assert verify.run_all(n_max=2, m_max=3, comparator_width_max=2) == reference
 
 
 # ---------------------------------------------------------------------------
-# The prefix is shared only by object identity
+# The prefix and mirrors are matched by gate equality, and the inputs by their wires
 
 
 def _replace_forward_gate(circ, make):
@@ -489,67 +525,60 @@ def _moved_target(gate, num_bits):
 
 
 @pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
-def test_an_equal_but_distinct_gate_runs_its_oracle_whole(monkeypatch, index):
-    key = _keys()[0]
-    blind = {k: verify._blind_values(*k) for k in _keys()}
-    clean = {k: _oracles(*k) for k in _keys()}
+def test_an_equal_but_distinct_gate_is_proven_like_the_original(monkeypatch, index):
     rows = _gate_rows(monkeypatch)
-    want = verify.verify_oracles(clean, blind)
+    want = verify.run_all(*_CAPS)
     clean_rows, rows[0] = rows[0], 0
 
-    oracles, _ = _mutated(key, index, lambda circ: _replace_forward_gate(circ, _equal_copy))
-    got = verify.verify_oracles(oracles, blind)
+    cutoff = verify._oracle_cutoffs(3)[index]
+    _edit_oracles(monkeypatch, _gates(lambda circ: _replace_forward_gate(circ, _equal_copy)), cutoff)
+    got = verify.run_all(*_CAPS)
     assert got == want and all(r.passed for r in got)
-    # The copied gate is equal but not the same object, so its oracle ran whole.
-    assert rows[0] > clean_rows
+    # The copied gate equals the original, so its oracle's prefix and mirror are proven: no more rows ran.
+    assert rows[0] == clean_rows
+    assert got == _reference_run_all(*_CAPS)
 
 
 @pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
-def test_a_moved_target_fails_oracle_sign_at_its_cutoff(index):
-    key = _keys()[0]
-    oracles, cutoff = _mutated(key, index, lambda circ: _replace_forward_gate(circ, _moved_target))
-    blind = {k: verify._blind_values(*k) for k in oracles}
-    sign = verify.verify_oracles(oracles, blind)[0]
+def test_a_moved_target_fails_oracle_sign_at_its_cutoff(monkeypatch, index):
+    cutoff = verify._oracle_cutoffs(3)[index]
+    _edit_oracles(monkeypatch, _gates(lambda circ: _replace_forward_gate(circ, _moved_target)), cutoff)
+    got, reference, _ = _run_all_and_reference(monkeypatch)
+    sign = got[3]
     assert not sign.passed
-    assert sign.counterexample.startswith(f"m={key[0].size} n=2 cutoff={cutoff} path=")
-    assert sign == _reference_oracles(oracles, blind)[0]
+    assert sign.counterexample.startswith(f"m=3 n=2 cutoff={cutoff} path=")
+    assert got == reference
 
 
-@pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
-def test_an_oracle_packed_elsewhere_runs_whole(index):
-    """The same gate objects, but ``path`` labels other wires: the shared prefix output does not apply."""
-    key = _keys()[0]
-    oracles = {k: _oracles(*k) for k in _keys()}
-    cutoff = list(oracles[key])[index]
-    circ = oracles[key][cutoff]
+def _path_elsewhere(circ):
     registers = dict(circ.registers)
     registers["path"] = replace(registers["path"], offset=registers["pos_i"].offset)
-    oracles[key][cutoff] = RevCircuit(registers, circ.gates, circ.spans)
-    blind = {k: verify._blind_values(*k) for k in oracles}
-    got = verify.verify_oracles(oracles, blind)
-    assert not got[0].passed
-    assert list(got) == _reference_oracles(oracles, blind)
+    return RevCircuit(registers, circ.gates, circ.spans)
+
+
+@pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
+def test_an_oracle_packed_elsewhere_runs_whole(monkeypatch, index):
+    """The same gates, but ``path`` labels other wires: the shared prefix output does not apply."""
+    edited = _edit_oracles(monkeypatch, _path_elsewhere, verify._oracle_cutoffs(3)[index])
+    got, reference, ran = _run_all_and_reference(monkeypatch)
+    assert not got[3].passed
+    assert any(circ is edited[-1] for circ in ran)
+    assert got == reference
 
 
 # ---------------------------------------------------------------------------
 # Failure reports
 
 
-def test_all_wrong_signs_report_every_row():
-    maze, n = generate_maze(2, seed=0), 8
-    cutoff = make_spec(maze.size).offset // 2
-    circ = build_oracle_circuit(build_fitness_circuit(maze, n), cutoff)
+def _all_signs_flipped(circ):
+    """The oracle, then X Z X on ``flag``: flag is 0 on every row after the oracle, so every sign flips."""
     flag = circ.registers["flag"].offset
-    # flag is 0 on every row after the oracle, so X Z X flips every sign.
-    flipped = RevCircuit(circ.registers, circ.gates + [Gate(flag), PhaseMark(flag), Gate(flag)], circ.spans)
-    oracles, blind = {(maze, n): {cutoff: flipped}}, {(maze, n): verify._blind_values(maze, n)}
-    sign = verify.verify_oracles(oracles, blind)[0]
-    assert sign.failures == 4**n
-    assert sign == _reference_oracles(oracles, blind)[0]
+    return RevCircuit(circ.registers, circ.gates + [Gate(flag), PhaseMark(flag), Gate(flag)], circ.spans)
 
 
-def test_a_key_without_the_half_cutoff_oracle_is_rejected():
-    maze = generate_maze(3, seed=0)
-    oracles = {(maze, 2): {0: _oracles(maze, 2)[0]}}
-    with pytest.raises(ValueError, match="cutoff 8 oracle"):
-        verify.verify_oracles(oracles, {(maze, 2): verify._blind_values(maze, 2)})
+def test_all_wrong_signs_report_every_row(monkeypatch):
+    m, n = 2, 8
+    _edit_oracles(monkeypatch, _all_signs_flipped, make_spec(m).offset // 2, key=(m, n))
+    got, reference, _ = _run_all_and_reference(monkeypatch, caps=(n, m, 1))
+    assert got[3].failures == 4**n
+    assert got == reference
