@@ -33,7 +33,8 @@ compares and marks, then mirrors them, so it holds the forward
 computation twice, not four times. Each oracle of a fitness circuit
 therefore begins with that circuit's forward run and ends with it
 reversed, which lets ``verify`` run the forward part once and prove each
-mirror instead of running it. Stages are
+oracle's mirror, when its middle returns its input, instead of running
+it. Stages are
 named by spans of the gate list, not per gate: the fitness circuit marks ``walk`` and
 ``distance_fitness`` (goal difference through the fitness write), and
 ``count_gates`` tallies one span into a ``GateCounts``, the one
@@ -198,10 +199,7 @@ class RevCircuit:
 
     def uncompute_range(self, lo: int, hi: int):
         """Append the inverse of gates[lo:hi]: the same (self-inverse) gates, reversed."""
-        block = self.gates[lo:hi]
-        if PhaseMark in map(type, block):
-            raise ValueError("phase markers are not part of uncomputation")
-        self.gates.extend(reversed(block))
+        self.gates.extend(reversed(self.gates[lo:hi]))
 
 
 @dataclass(frozen=True)

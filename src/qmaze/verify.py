@@ -12,35 +12,29 @@ reference values. A suite stops at the first mismatch and reports it.
 ``run_all`` is the one driver. Nothing is kept between its calls. Each
 comparator width packs its reference once, one ``flag`` row per cutoff.
 The other five suites share one loop over (maze, n): it builds that
-key's landscape, fitness circuit, validity circuit and oracles, runs the
-fitness forward once, checks every suite that is still open, and holds
-only that key's batches.
+key's landscape, fitness circuit, validity circuit and oracles, checks
+every suite that is still open, and holds only that key's batches.
 
-Every mirror is proven, not run. A circuit ``A M A^-1`` ends with its
-first gates A in reverse order, gate for gate equal; A runs once, then
-its middle M from A's output. Equal gates are the same self-inverse map
-on basis states and a phase mark flips no bit, so if no wire that M
-changed is a target or control of a gate in A, the mirror undoes A gate
-for gate on the wires A touches, and each phase mark in A meets the same
-bits in the mirror and cancels: the circuit returns its input with M's
-changed wires, and M's signs. Otherwise it runs whole. The fitness
-circuit is ``F W F^-1`` and the validity circuit ``A CNOT A^-1``. Each
-oracle is ``P . C Z C^-1 . P^-1`` whose prefix ``P = F W`` equals the
-fitness circuit's forward run: per (maze, n), F runs once and W once
-from its output, the fitness suite reads both, and each oracle runs only
-its middle from W's output, zero-extended over ``flag``, ``gsc`` and
-``eq``. A fitness circuit whose mirror is not proven leaves its oracles
-to run whole. The cutoff C // 2 run serves three suites: oracle-sign
-checks it, ancilla-cleanup reads its registers, and involution squares
-its signs when it restored its input; otherwise involution runs that
-oracle once more from its output.
+Each oracle is ``P . C Z C^-1 . P^-1``, whose prefix ``P = F W`` is the
+fitness circuit's gates up to the end of its fitness write. Per
+(maze, n), the fitness circuit runs once, as P and then the rest from
+P's output, and the validity circuit runs whole. An oracle whose first
+gates equal P's and whose last gates equal them in reverse order runs
+only its middle ``C Z C^-1``, from P's output zero-extended over
+``flag``, ``gsc`` and ``eq``. Equal gates are the same self-inverse map
+on basis states and a phase mark flips no bit, so if the middle returns
+its input, the mirror retraces P gate for gate back to the input, and
+each phase mark in P meets the same bits in the mirror and cancels: the
+oracle returns its input with the middle's signs. Otherwise it runs
+whole. The cutoff C // 2 run serves three suites: oracle-sign checks it,
+ancilla-cleanup reads its registers, and involution squares its signs
+when it restored its input; otherwise involution runs that oracle once
+more from its output.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -185,58 +179,23 @@ def _segment(circ: RevCircuit, lo: int, hi: int, batch: Batch):
     return run_batch(RevCircuit(circ.registers, circ.gates[lo:hi]), batch)
 
 
-def _touches(gates: list, wires: list[int]) -> bool:
-    """True if one of ``wires`` is a target or a control of a gate in ``gates``."""
-    touched = set(map(operator.itemgetter(0), gates))
-    touched.update(chain.from_iterable(map(operator.itemgetter(1), gates)))
-    return not touched.isdisjoint(wires)
-
-
-def _conjugate(circ: RevCircuit, k: int, batch: Batch, a_out: Batch, middle):
-    """``circ = A M A^-1`` on ``batch``, A its first ``k`` gates, from A's output and M's run on it.
-
-    If no wire that M changed is a target or control of a gate in A, the
-    mirror is proven (see the module docstring): the output is the input
-    with M's changed wires, and the signs are M's. Otherwise ``circ`` runs whole.
-    """
-    out, signs = middle
-    changed = [b for b, (x, y) in enumerate(zip(a_out.wires, out.wires)) if x != y]
-    if changed and _touches(circ.gates[:k], changed):
-        return run_batch(circ, batch)
-    wires = list(batch.wires)
-    for b in changed:
-        wires[b] = out.wires[b]
-    return Batch(batch.size, tuple(wires)), signs
-
-
-def _mirrored(circ: RevCircuit, k: int, batch: Batch):
-    """``circ`` on ``batch``, and the output of its first ``k`` gates A and its middle M.
-
-    If ``circ`` ends with A reversed, only A and M run, and the mirror is
-    proven or ``circ`` runs whole (``_conjugate``). Otherwise ``circ`` runs
-    whole, and the second output is None.
-    """
-    if not _mirrors(circ.gates, k):
-        return run_batch(circ, batch), None
-    a_out = _segment(circ, 0, k, batch)[0]
-    middle = _segment(circ, k, len(circ.gates) - k, a_out)
-    return _conjugate(circ, k, batch, a_out, middle), middle[0]
-
-
-def _oracle_run(circ: RevCircuit, batch: Batch, prefix: list, source: Batch, p_out: Batch | None):
+def _oracle_run(circ: RevCircuit, batch: Batch, prefix: list, source: Batch, p_out: Batch):
     """An oracle on ``batch``, from ``p_out``, the output of the gates ``prefix`` (P) on ``source``.
 
     Both batches hold every path. P touches only the wires of ``source``,
     so on a batch that begins with those wires its output is ``p_out``
     followed by the batch's other wires. An oracle that begins with P's
-    gates and ends with them reversed runs only its middle ``C Z C^-1``,
-    and its mirror is proven; any other oracle, or any oracle when
-    ``p_out`` is None, runs whole.
+    gates and ends with them reversed runs only its middle ``C Z C^-1``
+    from there; if the middle returns its input, the oracle returns
+    ``batch`` with the middle's signs (see the module docstring). Any other
+    oracle runs whole.
     """
     hi, gates, known = len(prefix), circ.gates, len(source.wires)
-    if p_out is not None and batch.wires[:known] == source.wires and _mirrors(gates, hi) and gates[:hi] == prefix:
-        a_out = Batch(batch.size, p_out.wires + batch.wires[known:])
-        return _conjugate(circ, hi, batch, a_out, _segment(circ, hi, len(gates) - hi, a_out))
+    if batch.wires[:known] == source.wires and _mirrors(gates, hi) and gates[:hi] == prefix:
+        mid_in = Batch(batch.size, p_out.wires + batch.wires[known:])
+        out, signs = _segment(circ, hi, len(gates) - hi, mid_in)
+        if out == mid_in:
+            return batch, signs
     return run_batch(circ, batch)
 
 
@@ -250,7 +209,7 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
     restored. ancilla-cleanup: after the cutoff C // 2 oracle, every
     register reads back its input. involution: that oracle applied twice is
     the identity with net sign +1. All on every path, one (maze, n) at a
-    time; see the module docstring for what runs.
+    time; see the module docstring for which oracles run only their middle.
     """
     fit, valid = _Suite("fitness"), _Suite("validity")
     sign, cleanup, twice = _Suite("oracle-sign"), _Suite("ancilla-cleanup"), _Suite("involution")
@@ -261,19 +220,18 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
             circ, validity = build_fitness_circuit(maze, n), build_validity_circuit(maze, n)
             oracles = {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(m)}
             where, source = _where(m, n), _packed(circ, "path", paths, layouts)
-            # The fitness circuit is F W F^-1, W the write that ends its distance_fitness
-            # span: its A M is F W, the prefix P its oracles begin with.
-            prefix = circ.gates[: circ.spans["distance_fitness"][1]]
-            run, p_out = _mirrored(circ, len(circ.gates) - len(prefix), source)
+            # P = F W, the fitness circuit up to the end of its distance_fitness span, begins each oracle.
+            hi = circ.spans["distance_fitness"][1]
+            prefix, (p_out, p_signs) = circ.gates[:hi], _segment(circ, 0, hi, source)
             if fit.open:
+                out, signs = _segment(circ, hi, len(circ.gates), p_out)
                 want = _expected(circ, source, {"fit": blind % (1 << circ.registers["fit"].width)})
-                fit.check(where, circ, *run, want, 1)
+                fit.check(where, circ, out, p_signs * signs, want, 1)
             if valid.open:
                 batch = _packed(validity, "path", paths, layouts)
                 ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
-                # A validity circuit is A CNOT A^-1: A is half of its gates besides the odd CNOT.
-                run = _mirrored(validity, (len(validity.gates) - 1) // 2, batch)[0]
-                valid.check(where, validity, *run, _expected(validity, batch, {"valid": ref}), 1)
+                want = _expected(validity, batch, {"valid": ref})
+                valid.check(where, validity, *run_batch(validity, batch), want, 1)
             for cutoff, oracle in oracles.items():
                 reused = cutoff == half and (cleanup.open or twice.open)
                 if not (sign.open or reused):

@@ -745,18 +745,6 @@ def test_count_gates_rejects_unknown_stage():
         assert str(sorted(circ.spans)) in str(info.value)
 
 
-def test_uncompute_range_checks_before_appending():
-    b = RevCircuit()
-    w = b.reg("w", 2, "operand").bits
-    b.x(w[0])
-    b.z(w[0])
-    b.cx(w[0], w[1])
-    before = list(b.gates)
-    with pytest.raises(ValueError, match="phase"):
-        b.uncompute_range(0, 3)
-    assert b.gates == before
-
-
 def test_walk_toffoli_linear_in_n():
     maze = generate_maze(4, seed=0)
     counts = [

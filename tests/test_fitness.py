@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmaze import codec
-from qmaze.adaptive import Strictness, marked_for_cutoff
+from qmaze.adaptive import Strictness, marked_count, marked_for_cutoff, marked_paths
 from qmaze.fitness import Formula, fitness, landscape, make_spec
 from qmaze.maze import (
     Direction,
@@ -26,6 +26,7 @@ from qmaze.maze import (
     path_automaton,
     path_end_values,
     simulate_path,
+    transition,
 )
 from reference import encode_path, shortest_path_length, tree_path
 
@@ -260,6 +261,49 @@ def test_histogram_counts_sum_to_every_path_at_n12(m, seed, mode):
     n = 12
     scape = landscape(generate_maze(m, seed=seed), n, make_spec(m, Formula.MAIN, mode))
     assert sum(scape.counts.tolist()) == 4**n
+
+
+def _cell_histogram(maze: Maze, n: int, mode: SimMode, offset: int) -> list[tuple[int, int]]:
+    """The (value, paths) pairs in Python ints, counted per cell with ``transition``, not the automaton.
+
+    A blocked move freezes the walk in its cell, so a count is kept per
+    (cell, frozen) pair; a frozen cell keeps all four moves' paths.
+    """
+    reach = Counter({(maze.start, False): 1})
+    for _ in range(n):
+        step = Counter()
+        for (cell, frozen), paths in reach.items():
+            if frozen:
+                step[cell, True] += 4 * paths
+                continue
+            for d in Direction:
+                to = transition(maze, cell, d, mode)
+                step[(cell, True) if to is None else (to, False)] += paths
+        reach = step
+    gi, gj = maze.goal
+    counts = Counter()
+    for ((i, j), _), paths in reach.items():
+        counts[offset - (i - gi) ** 2 - (j - gj) ** 2] += paths
+    return sorted(counts.items())
+
+
+@pytest.mark.parametrize("mode", [SimMode.BOUNDS_ONLY, SimMode.WALL_AWARE])
+@pytest.mark.parametrize("m, seed", HISTOGRAM_MAZES)
+def test_a_second_count_equals_the_histogram(m, seed, mode):
+    """A per-cell count in Python ints equals the landscape's at n = 12, and ``end_histogram``'s at n = 20 and 26.
+
+    At n = 12, ``marked_paths``' suffix counts also mark what the histogram counts at every level.
+    """
+    maze, spec = generate_maze(m, seed=seed), make_spec(m, Formula.MAIN, mode)
+    scape = landscape(maze, 12, spec)
+    assert list(zip(scape.levels.tolist(), scape.counts.tolist())) == _cell_histogram(maze, 12, mode, spec.offset)
+    for cutoff in (scape.levels - 1).tolist():
+        assert marked_paths(scape, cutoff, Strictness.STRICT).k == marked_count(scape, cutoff, Strictness.STRICT)
+    goal = np.array(maze.goal)
+    for n in (20, 26):
+        automaton = path_automaton(maze, n, mode, lambda cells, _: spec.offset - ((cells - goal) ** 2).sum(axis=1))
+        levels, counts = end_histogram(n, *automaton)
+        assert list(zip(levels.tolist(), counts.tolist())) == _cell_histogram(maze, n, mode, spec.offset), n
 
 
 @pytest.mark.parametrize("n", [-1, codec.MAX_PATH_LENGTH + 1])
