@@ -15,8 +15,13 @@ through ``run_batch`` to ``unpack_column``, which decodes one register.
 
 Each builder starts from an empty ``RevCircuit``, appends registers and
 gates to it, then returns it.
-Scratch registers follow compute-use-uncompute discipline (Bennett
-cleanup): on any input whose scratch starts at zero, it ends at zero.
+The fitness and validity builders each allocate one scratch register,
+``scratch``, and lend slices of it to their stages in turn; the oracle
+borrows the fitness circuit's, and the standalone comparator has only its
+equality chain. Every stage follows compute-use-uncompute discipline
+(Bennett cleanup), so the pool reads zero again when the stage ends and
+the next stage can borrow the same wires: on any input whose scratch
+starts at zero, it ends at zero.
 Uncomputation appends the same gate objects in reverse order, and a
 repeated block is appended as the same objects too: the second half of
 each conjugation pair (the NOTs around a decrement or subtraction, a
@@ -50,7 +55,8 @@ Arithmetic conventions:
     never wrap below zero; validity positions are plain coordinates mod 2**w,
     where a step off the top or left edge wraps above m - 1;
   * goal subtraction leaves a two's-complement difference in the position
-    register, which is sign-extended before squaring; both squares are
+    register, which is squared with its sign wire repeated up to the shared
+    arithmetic width, so no wire holds the extension; both squares are
     added straight into the distance, so distance and fitness are exact in
     one shared arithmetic width.
 """
@@ -143,9 +149,6 @@ class Register:
         return list(range(self.offset, self.offset + self.width))
 
 
-SCRATCH_ROLES = ("ancilla", "constant")
-
-
 class RevCircuit:
     """A reversible circuit, built by appending registers and gates.
 
@@ -160,7 +163,7 @@ class RevCircuit:
         self.num_bits = sum(r.width for r in self.registers.values())
 
     def scratch_registers(self) -> list[Register]:
-        return [r for r in self.registers.values() if r.role in SCRATCH_ROLES]
+        return [r for r in self.registers.values() if r.role == "ancilla"]
 
     def reg(self, name: str, width: int, role: str) -> Register:
         if width <= 0:
@@ -171,12 +174,6 @@ class RevCircuit:
         self.registers[name] = r
         self.num_bits += width
         return r
-
-    def maybe_reg(self, name: str, width: int, role: str) -> list[int]:
-        """Allocate only when width > 0; returns the (possibly empty) bit list."""
-        if width == 0:
-            return []
-        return self.reg(name, width, role).bits
 
     def x(self, t: int):
         self.gates.append(_gate(Gate, t, ()))
@@ -410,7 +407,9 @@ def _square(b: RevCircuit, src: list[int], out: list[int], tmp: list[int], carry
     masks [s_i, 0, s_i s_{i+1}, s_i s_{i+2}, ...] into ``tmp``, adds it
     into the window out[2i:] so carries propagate, then unmasks it: the
     windows are p, p-2, p-4, ... ``tmp`` needs p bits (its upper bits stay
-    zero and act as the zero-extension).
+    zero and act as the zero-extension). ``src`` may end in one wire
+    repeated, a two's-complement sign bit standing for its own extension;
+    a product that pairs that wire with itself is a CNOT, as s*s = s.
     """
     w, p = len(src), len(out)
     for i in range(min(w, (p + 1) // 2)):
@@ -418,7 +417,10 @@ def _square(b: RevCircuit, src: list[int], out: list[int], tmp: list[int], carry
         lo = b.mark()
         b.cx(src[i], tmp[0])
         for k in range(2, min(w - i + 1, window)):
-            b.ccx(src[i], src[i + k - 1], tmp[k])
+            if src[i + k - 1] == src[i]:
+                b.cx(src[i], tmp[k])
+            else:
+                b.ccx(src[i], src[i + k - 1], tmp[k])
         hi = b.mark()
         _add(b, tmp[:window], out[2 * i :], carry)
         b.repeat(lo, hi)
@@ -432,9 +434,6 @@ def _gt_const(b: RevCircuit, a: list[int], cutoff: int, out: int, eq: list[int])
     so their OR is realized as XORs into ``out``. The chain is uncomputed.
     """
     w = len(a)
-    if cutoff < 0:
-        b.x(out)
-        return
     if cutoff >= 2**w - 1:
         return  # no w-bit value exceeds the cutoff
     chain_mark = []
@@ -480,7 +479,7 @@ def max_offset_distance(m: int, n: int) -> int:
 
 
 def arith_width(m: int, n: int) -> int:
-    """Shared width of the sign-extended differences, distance, and fitness registers.
+    """Shared width of the squares' sources (sign wire repeated), distance, and fitness registers.
 
     Chosen so the distance fits unsigned, the fitness fits two's complement
     over [C - d_max, C], and the sign-extended coordinate difference fits.
@@ -505,10 +504,12 @@ def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
     """
     if width < 1:
         raise ValueError("comparator width must be >= 1")
+    if cutoff < 0:
+        raise ValueError(f"comparator cutoff must be >= 0, got {cutoff}")
     b = RevCircuit()
     f = b.reg("f", width, "fitness").bits
     flag = b.reg("flag", 1, "flag").bits[0]
-    eq = b.maybe_reg("eq", width - 1, "ancilla")
+    eq = b.reg("eq", width - 1, "ancilla").bits if width > 1 else []
     _gt_const(b, f, cutoff, flag, eq)
     return b
 
@@ -576,6 +577,11 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     every other register is uncomputed to zero. The maze's walls are
     ignored. Spans ``walk`` and ``distance_fitness`` cover the forward walk
     and the goal difference through the fitness write.
+
+    Its one scratch register, ``scratch`` (wa + 1 bits), is lent to each
+    stage in turn and reads zero between them: the walk's increment chain
+    and control, the goal constant, each square's row mask, and the carry
+    of every adder.
     """
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
@@ -587,15 +593,10 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     path = b.reg("path", 2 * n, "path").bits
     pos_i = b.reg("pos_i", w_pos, "position-i").bits
     pos_j = b.reg("pos_j", w_pos, "position-j").bits
-    ext_i = b.maybe_reg("ext_i", wa - w_pos, "ancilla")
-    ext_j = b.maybe_reg("ext_j", wa - w_pos, "ancilla")
     dist = b.reg("dist", wa, "distance").bits
     fit = b.reg("fit", wa, "fitness").bits
-    kconst = b.reg("k", w_pos, "constant").bits
-    ctl = b.reg("ctl", 1, "ancilla").bits[0]
-    carry = b.reg("carry", 1, "ancilla").bits[0]
-    chain = b.maybe_reg("chain", w_pos - 1, "ancilla")
-    tmp = b.reg("tmp", wa, "ancilla").bits
+    scratch = b.reg("scratch", wa + 1, "ancilla").bits
+    chain, ctl, carry = scratch[: w_pos - 1], scratch[w_pos - 1], scratch[wa]
 
     _xor_const(b, pos_i, start[0] + n)
     _xor_const(b, pos_j, start[1] + n)
@@ -604,14 +605,10 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     for step in range(1, n + 1):
         _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain, blocks)
     walk_hi = b.mark()
-    _add_const(b, goal[0] + n, pos_i, kconst, carry, subtract=True)
-    _add_const(b, goal[1] + n, pos_j, kconst, carry, subtract=True)
-    for bit in ext_i:
-        b.cx(pos_i[w_pos - 1], bit)
-    for bit in ext_j:
-        b.cx(pos_j[w_pos - 1], bit)
-    _square(b, pos_i + ext_i, dist, tmp, carry)
-    _square(b, pos_j + ext_j, dist, tmp, carry)
+    for g, pos in zip(goal, (pos_i, pos_j)):
+        _add_const(b, g + n, pos, scratch[:w_pos], carry, subtract=True)
+    for pos in (pos_i, pos_j):
+        _square(b, pos + pos[-1:] * (wa - w_pos), dist, scratch[:wa], carry)
     compute_hi = b.mark()
 
     _xor_const(b, fit, make_spec(m).offset)
@@ -632,10 +629,13 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     arithmetic F, then the fitness write W), the guarded comparator C and
     the phase mark Z, then the forward part mirrored. Wrapping the whole
     fitness circuit ``F W F^-1`` instead gives the same unitary with twice
-    the gates: ``C Z C^-1`` touches only ``fit``, ``flag``, ``gsc`` and
-    ``eq``, which F never touches, so the ``F^-1 . C Z C^-1 . F`` at its
-    middle cancels to ``C Z C^-1``. ``fitness_circ`` itself is left
-    unchanged and its spans carry over.
+    the gates: ``C Z C^-1`` touches only ``fit``, ``flag`` and the fitness
+    circuit's ``scratch``, which it borrows (its equality chain and output)
+    and returns to zero. F never touches ``fit`` and returns ``scratch`` to
+    zero, so on every input whose scratch reads zero the
+    ``F^-1 . C Z C^-1 . F`` at its middle acts as ``C Z C^-1``.
+    ``fitness_circ`` itself is left unchanged and its spans carry over; the
+    oracle adds only ``flag``.
 
     The comparator result is ANDed with NOT(sign bit) so paths whose
     wall-blind fitness went negative are never marked; the sign then agrees
@@ -649,8 +649,8 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     forward_hi = fitness_circ.spans["distance_fitness"][1]
     b = RevCircuit(dict(fitness_circ.registers), fitness_circ.gates[:forward_hi], dict(fitness_circ.spans))
     flag = b.reg("flag", 1, "flag").bits[0]
-    gsc = b.reg("gsc", 1, "ancilla").bits[0]
-    eq = b.maybe_reg("eq", wa - 1, "ancilla")
+    scratch = fitness_circ.registers["scratch"].bits
+    eq, gsc = scratch[: wa - 1], scratch[wa - 1]
     sign_bit = fit[-1]
 
     cmp_lo = b.mark()
@@ -676,6 +676,12 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     unsigned comparator per coordinate, pos > m - 1, checks both edges. Each
     step ANDs its two inverted flags onto a Toffoli chain over steps; the
     result is copied out and the whole computation is reversed.
+
+    Its one scratch register, ``scratch`` (w + 2 + n bits), lends its first
+    w + 2 bits to each stage in turn, the walk's increment chain and
+    control, then the bound check's equality chain, two edge flags and
+    their AND, and they read zero after every step; its last n bits hold
+    the step chain.
     """
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
@@ -687,13 +693,10 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     pos_i = b.reg("pos_i", w_pos, "position-i").bits
     pos_j = b.reg("pos_j", w_pos, "position-j").bits
     vout = b.reg("valid", 1, "flag").bits[0]
-    vchain = b.reg("vchain", n, "ancilla").bits
-    inb_i = b.reg("inb_i", 1, "ancilla").bits[0]
-    inb_j = b.reg("inb_j", 1, "ancilla").bits[0]
-    phi = b.reg("phi", 1, "ancilla").bits[0]
-    eq = b.maybe_reg("eq", w_pos - 1, "ancilla")
-    ctl = b.reg("ctl", 1, "ancilla").bits[0]
-    chain = b.maybe_reg("chain", w_pos - 1, "ancilla")
+    scratch = b.reg("scratch", w_pos + 2 + n, "ancilla").bits
+    lent, vchain = scratch[: w_pos + 2], scratch[w_pos + 2 :]
+    chain, ctl = lent[: w_pos - 1], lent[w_pos - 1]
+    eq, (inb_i, inb_j, phi) = lent[: w_pos - 1], lent[w_pos - 1 :]
 
     def bound_check():
         _gt_const(b, pos_i, m - 1, inb_i, eq)

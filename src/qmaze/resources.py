@@ -7,7 +7,10 @@ builders in :mod:`qmaze.circuits` and read the maze's size, start and
 goal; ``measured`` builds the same maze's circuits and tallies them. The
 oracle runs the forward part of the fitness circuit (start load, walk,
 distance arithmetic through the fitness write), the guarded comparator,
-then both mirrored, so its total is twice their sum. Tests pin the two
+then both mirrored, so its total is twice their sum. Its ancillas are one
+pool of ``arith_width + 1`` bits that every stage borrows in turn and
+returns to zero, so the count is that of the widest loan, a squaring
+row's mask and the adder carry. Tests pin the two
 reports against each other, ``mismatches`` names where they differ, and
 ``check_asymptotics`` turns the scaling claims (comparator linear in
 width, path simulation linear in length times position width) into
@@ -21,7 +24,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import circuits
 from .circuits import arith_width, build_fitness_circuit, build_gt_comparator, build_oracle_circuit
 from .circuits import GateCounts, circuit_depth, count_gates, position_width
 from .fitness import make_spec
@@ -76,19 +78,22 @@ def walk_stage_counts(maze: Maze, n: int) -> GateCounts:
     return GateCounts(tof, cnot, nots)
 
 
-def _square_counts(w: int) -> GateCounts:
-    """``out += src**2`` at src and out width w: rows over windows w, w - 2, ...,
-    each masked (one CNOT, window - 2 Toffolis), added and unmasked."""
+def _square_counts(w: int, sign: int) -> GateCounts:
+    """``out += src**2`` at src and out width w, where src[sign:] repeat one
+    sign wire: rows i over windows w, w - 2, ..., each masked (one CNOT and
+    window - 2 products), added and unmasked. A product is a Toffoli, or a
+    CNOT in a row i >= sign, which pairs the sign wire with itself."""
     tof = cnot = 0
-    for window in range(w, 0, -2):
+    for i, window in enumerate(range(w, 0, -2)):
         add = _add_counts(window)
-        tof += 2 * max(window - 2, 0) + add.toffoli
-        cnot += 2 + add.cnot
+        products = 2 * max(window - 2, 0)
+        tof += (products if i < sign else 0) + add.toffoli
+        cnot += 2 + (0 if i < sign else products) + add.cnot
     return GateCounts(tof, cnot, 0)
 
 
 def distance_fitness_stage_counts(maze: Maze, n: int) -> GateCounts:
-    """Subtraction of the offset goal, sign extension, both squares summed into the distance, C - d."""
+    """Subtraction of the offset goal, both squares (sign wire repeated) summed into the distance, C - d."""
     m = maze.size
     w = position_width(m, n)
     wa = arith_width(m, n)
@@ -96,8 +101,7 @@ def distance_fitness_stage_counts(maze: Maze, n: int) -> GateCounts:
     tof = 2 * add.toffoli
     cnot = 2 * add.cnot
     nots = sum(2 * _popcount(g + n) + 2 * w for g in maze.goal)
-    cnot += 2 * (wa - w)  # sign extension
-    sq = _square_counts(wa)  # each square added straight into the distance
+    sq = _square_counts(wa, w - 1)  # each square added straight into the distance
     tof += 2 * sq.toffoli
     cnot += 2 * sq.cnot
     add = _add_counts(wa)  # fitness subtraction
@@ -113,9 +117,7 @@ def init_stage_counts(maze: Maze, n: int) -> GateCounts:
 
 
 def comparator_counts(width: int, cutoff: int) -> GateCounts:
-    """Prefix-equality comparator cost for one classical cutoff."""
-    if cutoff < 0:
-        return GateCounts(0, 0, 1)
+    """Prefix-equality comparator cost for one classical cutoff >= 0."""
     if cutoff >= 2**width - 1:
         return GateCounts(0, 0, 0)
     tof = cnot = nots = 0
@@ -160,16 +162,7 @@ def predict(maze: Maze, n: int) -> ResourceReport:
         "fit": wa,
         "flag": 1,
     }
-    ancilla = (
-        2 * (wa - w)  # sign extensions
-        + w  # loaded constant
-        + 1  # walk control
-        + 1  # adder carry
-        + (w - 1)  # increment carry chain
-        + wa  # squaring row mask
-        + 1  # comparator output
-        + (wa - 1)  # comparator equality chain
-    )
+    ancilla = wa + 1  # one pool: the widest loan is a squaring row mask and the adder carry
     path_sim = walk_stage_counts(maze, n)
     dist_fit = distance_fitness_stage_counts(maze, n)
     init = init_stage_counts(maze, n)
@@ -197,12 +190,9 @@ def measured(maze: Maze, n: int) -> ResourceReport:
     m = maze.size
     cutoff = make_spec(m).offset // 2
     oracle = build_oracle_circuit(build_fitness_circuit(maze, n), cutoff)
-    widths = {
-        name: reg.width
-        for name, reg in oracle.registers.items()
-        if reg.role not in circuits.SCRATCH_ROLES
-    }
-    ancilla = sum(r.width for r in oracle.scratch_registers())
+    scratch = oracle.scratch_registers()
+    widths = {name: reg.width for name, reg in oracle.registers.items() if reg not in scratch}
+    ancilla = sum(r.width for r in scratch)
     stages = {
         "path_sim": count_gates(oracle, stage="walk"),
         "distance_fitness": count_gates(oracle, stage="distance_fitness"),

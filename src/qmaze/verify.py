@@ -21,7 +21,7 @@ fitness circuit's gates up to the end of its fitness write. Per
 P's output, and the validity circuit runs whole. An oracle whose first
 gates equal P's and whose last gates equal them in reverse order runs
 only its middle ``C Z C^-1``, from P's output zero-extended over
-``flag``, ``gsc`` and ``eq``. Equal gates are the same self-inverse map
+``flag``. Equal gates are the same self-inverse map
 on basis states and a phase mark flips no bit, so if the middle returns
 its input, the mirror retraces P gate for gate back to the input, and
 each phase mark in P meets the same bits in the mirror and cancels: the

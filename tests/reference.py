@@ -65,16 +65,18 @@ def build_adder(width: int, *, subtract: bool = False, constant: int | None = No
     if constant is None:
         (_sub if subtract else _add)(b, a_bits, t_bits, carry)
     else:
-        const_bits = b.reg("k", width, "constant").bits
+        const_bits = b.reg("k", width, "ancilla").bits
         _add_const(b, constant, t_bits, const_bits, carry, subtract=subtract)
     return b
 
 
-def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
+def build_squarer(width: int, out_width: int | None = None, extend: int = 0) -> RevCircuit:
     """Out-of-place squarer |a>|0> -> |a>|a**2 mod 2**out_width>; out_width defaults to 2*width.
 
     An output narrower than 2*width truncates, as the fitness circuit's
-    squares do.
+    squares do. With ``extend`` > 0 the source is ``a`` with its top bit
+    repeated ``extend`` more times, as the fitness circuit squares a
+    coordinate difference: ``a`` is then read as two's complement.
     """
     if width < 1:
         raise ValueError("squarer width must be >= 1")
@@ -86,7 +88,7 @@ def build_squarer(width: int, out_width: int | None = None) -> RevCircuit:
     out = b.reg("sq", out_width, "operand").bits
     tmp = b.reg("tmp", out_width, "ancilla").bits
     carry = b.reg("carry", 1, "ancilla").bits[0]
-    _square(b, a, out, tmp, carry)
+    _square(b, a + a[-1:] * extend, out, tmp, carry)
     return b
 
 

@@ -37,8 +37,9 @@ from qmaze.circuits import (
     run_batch,
     unpack_column,
 )
-from qmaze.fitness import Formula, landscape, make_spec
+from qmaze.fitness import Formula, fitness, landscape, make_spec
 from qmaze.maze import Maze, SimMode, generate_maze, path_end_values, simulate_path
+from qmaze.resources import measured, mismatches, predict
 from reference import build_adder, build_squarer, run_on_basis
 
 
@@ -297,6 +298,24 @@ def test_squarer_accumulates_from_every_initial_output(width):
         assert scratch_clean(circ, out)
 
 
+@pytest.mark.parametrize("width", [1, 2, 3, 4, 5])
+def test_squarer_of_a_repeated_sign_bit_squares_twos_complement(width):
+    """A source whose top bit is repeated squares ``a`` read as two's complement.
+
+    Rows past the sign bit pair that wire with itself and emit a CNOT for
+    the product, the only such gate in the fitness circuit's squares.
+    """
+    a = np.arange(1 << width)
+    signed = np.array([signed_register_value(int(v), width) for v in a])
+    for extend in range(1, 7):
+        out_width = width + extend
+        circ = build_squarer(width, out_width, extend)
+        out, _ = sweep(circ, {"a": a})
+        assert np.array_equal(unpack_column(circ, out, "sq"), signed * signed % 2**out_width), extend
+        assert np.array_equal(unpack_column(circ, out, "a"), a)
+        assert scratch_clean(circ, out)
+
+
 def test_squarer_rejects_narrow_output():
     with pytest.raises(ValueError, match="output"):
         build_squarer(3, out_width=0)
@@ -323,6 +342,11 @@ def test_comparator_exhaustive_constant(width):
         got = unpack_column(circ, out, "flag")
         assert np.array_equal(got, (np.arange(span) > cutoff).astype(int)), cutoff
         assert scratch_clean(circ, out)
+
+
+def test_comparator_rejects_a_negative_cutoff():
+    with pytest.raises(ValueError, match="cutoff"):
+        build_gt_comparator(3, -1)
 
 
 def test_comparator_toffoli_linear_in_width():
@@ -381,6 +405,33 @@ def test_fitness_circuit_custom_start_goal():
     wa = arith_width(3, 2)
     out, _ = sweep(circ, {"path": np.arange(16)})
     assert np.array_equal(unpack_column(circ, out, "fit"), scape.values % (1 << wa))
+
+
+# The squares' repeated sign wire first pairs with itself at m = 13, n = 1
+# (and at m = 24, n = 2 and 4); at m = 13, n = 3 the position register is
+# one bit wider and it does not. verify and the tests above stop at m = 8.
+@pytest.mark.parametrize("m,n,pairs", [(13, 1, True), (13, 3, False), (24, 2, True), (24, 4, True)])
+def test_wide_arithmetic_matches_the_landscape(m, n, pairs):
+    maze = generate_maze(m, seed=0)
+    blind = landscape(maze, n, make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)).values
+    fit = build_fitness_circuit(maze, n)
+    scratch = fit.registers["scratch"].bits
+    sign_wires = {fit.registers[name].bits[-1] for name in ("pos_i", "pos_j")}
+    lo, hi = fit.spans["distance_fitness"]
+    # Only a sign wire paired with itself copies a position bit into a mask bit above the second.
+    copies = [g for g in fit.gates[lo:hi] if len(g[1]) == 1 and g[1][0] in sign_wires and g[0] in scratch[2:]]
+    assert bool(copies) == pairs
+    paths = {"path": np.arange(4**n)}
+    out, _ = sweep(fit, paths)
+    assert np.array_equal(unpack_column(fit, out, "fit"), blind % (1 << arith_width(m, n)))
+    assert scratch_clean(fit, out)
+    cutoff = make_spec(m).offset // 2
+    oracle = build_oracle_circuit(fit, cutoff)
+    rows = pack_rows(oracle, paths, 4**n)
+    out, signs = run_batch(oracle, rows)
+    assert out == rows
+    assert np.array_equal(signs, np.where(blind > cutoff, -1, 1))
+    assert mismatches(predict(maze, n), measured(maze, n)) == []
 
 
 # ---------------------------------------------------------------------------
@@ -450,12 +501,14 @@ def test_oracles_share_one_fitness_circuit(m, n):
 
 def sandwich_oracle(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     """Reference oracle: the whole fitness circuit F W F^-1, the guarded
-    comparator and phase mark, then all of it reversed (four copies of F)."""
+    comparator and phase mark, then all of it reversed (four copies of F).
+    The comparator borrows its output and equality chain from the fitness
+    circuit's scratch pool, as the builder does."""
     fit = fitness_circ.registers["fit"].bits
     b = RevCircuit(dict(fitness_circ.registers), list(fitness_circ.gates), dict(fitness_circ.spans))
     flag = b.reg("flag", 1, "flag").bits[0]
-    gsc = b.reg("gsc", 1, "ancilla").bits[0]
-    eq = b.maybe_reg("eq", len(fit) - 1, "ancilla")
+    scratch = fitness_circ.registers["scratch"].bits
+    eq, gsc = scratch[: len(fit) - 1], scratch[len(fit) - 1]
     lo = b.mark()
     _gt_const(b, fit, cutoff, gsc, eq)
     b.x(fit[-1])
@@ -492,7 +545,7 @@ def test_oracle_matches_the_four_copy_sandwich(m):
 def test_solver_scale_oracle_gate_count():
     fitness_circ = build_fitness_circuit(generate_maze(8, seed=0), 8)
     oracle = build_oracle_circuit(fitness_circ, make_spec(8).offset // 2)
-    assert len(oracle.gates) == 3139
+    assert len(oracle.gates) == 3123
 
 
 def test_oracle_rejects_out_of_range_cutoff():
@@ -506,8 +559,8 @@ def test_oracle_rejects_out_of_range_cutoff():
 # sha256 over the registers, spans and gates of every fitness circuit, and
 # of every oracle, that verify builds at m <= 6, n <= 4; a change to any of
 # them moves its digest.
-FITNESS_DIGEST = "baaeb39217ac025bb0aaa454eb8ad5f78dce1f66d658343296f12a9c3f91dee7"
-ORACLE_DIGEST = "95722e28d4c1ee89f3e2103cd03c4836b8474713ca1158290270a05bb77bb389"
+FITNESS_DIGEST = "d23299756e1c9547e890272acb64f54e23314b7a28d8723b0ad4ea4914832f43"
+ORACLE_DIGEST = "ce49eef7800c71ddd6714053b30cb2c8b6333401375f184c124d3e6e95560208"
 
 
 def _gate_list_digests() -> tuple[str, str]:
@@ -681,6 +734,77 @@ def test_fitness_circuit_is_invariant_under_a_quarter_turn(m, seed):
         fit = unpack_column(circ, out, "fit")
         assert np.array_equal(unpack_column(turned_circ, turned_out, "fit"), fit), n
         assert len(np.unique(fit)) > 1
+
+
+# ---------------------------------------------------------------------------
+# The scratch pool: every stage returns what it borrowed
+
+
+def _pool_after(circ: RevCircuit, hi: int, n: int) -> np.ndarray:
+    """The ``scratch`` register's value after ``gates[:hi]`` on every length-n path."""
+    rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
+    out, _ = run_batch(RevCircuit(circ.registers, circ.gates[:hi]), rows)
+    return unpack_column(circ, out, "scratch")
+
+
+@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("n", [3, 6])
+def test_fitness_pool_reads_zero_at_each_span_end(m, n):
+    circ = build_fitness_circuit(generate_maze(m, seed=0), n)
+    for stage, (_, hi) in circ.spans.items():
+        assert not _pool_after(circ, hi, n).any(), stage
+    # A walk that leaves its control set fails at the walk's end.
+    lo, hi = circ.spans["walk"]
+    ctl = circ.registers["scratch"].bits[position_width(m, n) - 1]
+    last = max(k for k in range(lo, hi) if circ.gates[k][0] == ctl)
+    leaky = RevCircuit(circ.registers, circ.gates[:last] + circ.gates[last + 1 :])
+    assert _pool_after(leaky, hi - 1, n).any()
+
+
+@pytest.mark.parametrize("m", [3, 8])
+@pytest.mark.parametrize("n", [3, 6])
+def test_validity_pool_reads_zero_after_every_step(m, n):
+    """The pool's first w + 2 wires, lent to each step's walk and bound check, read zero after it.
+
+    The circuit loads the start, then runs n steps of one length, then
+    copies the step chain's last bit into ``valid``; step t ends at
+    ``load + t * step``.
+    """
+    maze = generate_maze(m, seed=0)
+    circ = build_validity_circuit(maze, n)
+    load = sum(bin(c).count("1") for c in maze.start)
+    copy = next(k for k, g in enumerate(circ.gates) if g[0] == circ.registers["valid"].offset)
+    step, rest = divmod(copy - load, n)
+    assert rest == 0
+    lent = (1 << position_width(m, n) + 2) - 1
+    for t in range(1, n + 1):
+        assert not (_pool_after(circ, load + t * step, n) & lent).any(), t
+
+
+# ---------------------------------------------------------------------------
+# Sizes past verify's cap, on sampled rows
+
+
+@pytest.mark.parametrize("m,seed", [(8, 1), (5, 2), (2, 0)])
+@pytest.mark.parametrize("n", [12, 20, 26])
+def test_fitness_and_oracle_match_the_reference_on_sampled_rows(m, seed, n):
+    """1,024 seeded random paths: ``fit`` is the wall-blind fitness mod 2**wa, the
+    C // 2 oracle's sign is [fitness > cutoff], and every register is restored."""
+    maze = generate_maze(m, seed)
+    spec = make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)
+    paths = np.random.default_rng(seed * 100 + n).integers(0, 4**n, size=1024)
+    want = np.array([fitness(maze, codec.decode_index(int(u), n), spec) for u in paths])
+    fit = build_fitness_circuit(maze, n)
+    out, signs = run_batch(fit, pack_rows(fit, {"path": paths}, paths.size))
+    assert out == pack_rows(fit, {"path": paths, "fit": want % (1 << arith_width(m, n))}, paths.size)
+    assert np.all(signs == 1)
+    cutoff = spec.offset // 2
+    oracle = build_oracle_circuit(fit, cutoff)
+    rows = pack_rows(oracle, {"path": paths}, paths.size)
+    out, signs = run_batch(oracle, rows)
+    assert out == rows
+    assert np.array_equal(signs, np.where(want > cutoff, -1, 1))
+    assert -1 in signs and 1 in signs
 
 
 # ---------------------------------------------------------------------------

@@ -553,20 +553,20 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         pytest.param(
             ["--n", "2", "--m", "2", "--format", "json"],
             0,
-            "2c0d497428cb01a4f70b45be928fddd570d0f7bdf23c4efe45bdd092a0d55309",
+            "744e8e714805bc6fa3780e495bf0d66704aa975f1ee8e9640a660d7f7e812965",
             id="readme-json",
         ),
         pytest.param(
             ["--n", "9", "--m", "8"],
             0,
-            "bb7e84eb200d85dbdafe00b83f478667f8dd03670b6a616d7454bbed154b97a4",
+            "96273e2301dbb208deee68b7176b913e4afd6283752291c8aa6628323610988d",
             id="ci-table",
         ),
         # The fitted range n = 1..5 crosses a position-width step at m = 8.
         pytest.param(
             ["--n", "5", "--m", "8"],
             0,
-            "ea3c4b616dd2bbeae74a50d09be9e3668a55f88a75014b704ad330d40c4bc3a8",
+            "f3f5a393c496d4088dd7cc34d554c5cbd8071de543c97524212f6bc978501fbb",
             id="m8-width-step",
         ),
     ],

@@ -94,7 +94,11 @@ def test_comparator_counts_formula_matches_circuit():
 
 def test_square_counts_formula_matches_circuit():
     for w in range(1, 10):
-        assert _square_counts(w) == count_gates(build_squarer(w, w)), w
+        assert _square_counts(w, w - 1) == count_gates(build_squarer(w, w)), w
+        # The source's sign bit repeated up to the output width, as in the fitness circuit.
+        for extend in range(1, 8):
+            want = count_gates(build_squarer(w, w + extend, extend))
+            assert _square_counts(w + extend, w - 1) == want, (w, extend)
 
 
 def test_comparator_fit_is_linear():
