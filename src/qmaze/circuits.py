@@ -24,16 +24,16 @@ the next stage can borrow the same wires: on any input whose scratch
 starts at zero, it ends at zero.
 Uncomputation appends the same gate objects in reverse order, and a
 repeated block is appended as the same objects too: the second half of
-each conjugation pair (the NOTs around a decrement or subtraction, a
-loaded constant, a squaring row's mask, a walk step's control toggle)
-repeats the first, and each direction's increment or decrement, like
-validity's per-step bound check, is emitted once per build and repeated
-at every later step. Gates are immutable, so sharing objects changes no
-result, and it only makes building faster: ``verify`` matches a mirror or
-a shared prefix by gate equality, not by object identity. Nothing is kept
-between builds. The oracle reuses an already built fitness circuit rather
-than building its own: it starts a new circuit from copies of that
-circuit's registers and spans and its gates up to the fitness write,
+each conjugation pair (the NOTs around a subtraction, a walk step's sign
+complement and code-bit inversion, a loaded constant, a squaring row's
+mask) repeats the first, and validity's per-step bound check is emitted
+once per build and repeated at every later step. Gates are immutable, so
+sharing objects changes no result, and it only makes building faster:
+``verify`` matches a mirror or a shared prefix by gate equality, not by
+object identity. Nothing is kept between builds. The oracle reuses an
+already built fitness circuit rather than building its own: it starts a
+new circuit from copies of that circuit's registers and spans and its
+gates up to the fitness write,
 compares and marks, then mirrors them, so it holds the forward
 computation twice, not four times. Each oracle of a fitness circuit
 therefore begins with that circuit's forward run and ends with it
@@ -69,7 +69,7 @@ from operator import itemgetter
 import numpy as np
 
 from .fitness import make_spec
-from .maze import Direction, Maze
+from .maze import Maze
 
 # ---------------------------------------------------------------------------
 # Gate and circuit data model
@@ -349,16 +349,6 @@ def _increment(b: RevCircuit, bits: list[int], chain: list[int], ctrl: int):
     b.cx(ctrl, bits[0])
 
 
-def _decrement(b: RevCircuit, bits: list[int], chain: list[int], ctrl: int):
-    """-1 mod 2**w: conjugate an increment by NOT on every bit."""
-    lo = b.mark()
-    for bit in bits:
-        b.x(bit)
-    hi = b.mark()
-    _increment(b, bits, chain, ctrl)
-    b.repeat(lo, hi)
-
-
 def _add(b: RevCircuit, a: list[int], t: list[int], carry: int):
     """Ripple-carry t += a mod 2**w (equal widths); ``carry`` is borrowed scratch."""
     w = len(a)
@@ -518,53 +508,32 @@ def build_gt_comparator(width: int, cutoff: int) -> RevCircuit:
 # Fitness, oracle, and validity circuits
 
 
-def _emit_once(b: RevCircuit, blocks: dict, key, emit):
-    """Append block ``key``: ``emit()``'s gates the first time, then those same gate objects.
-
-    ``blocks`` maps a key to its first span and belongs to one build.
-    """
-    if key in blocks:
-        b.repeat(*blocks[key])
-    else:
-        lo = b.mark()
-        emit()
-        blocks[key] = (lo, b.mark())
-
-
 def _emit_walk_step(
-    b: RevCircuit,
-    path_bits: list[int],
-    step: int,
-    n: int,
-    pos_i: list[int],
-    pos_j: list[int],
-    ctl: int,
-    chain: list[int],
-    blocks: dict,
+    b: RevCircuit, path_bits: list[int], step: int, n: int, pos_i: list[int], pos_j: list[int], chain: list[int]
 ):
-    """Direction-controlled coordinate updates for one path step (1-based).
+    """One path step (1-based): a controlled increment of each coordinate.
 
-    A direction's two-bit code is its index in ``Direction``, codec's code
-    order; its ``delta`` picks the coordinate register and the sign. Only
-    the control toggle reads the step's path bits, so each direction's
-    increment or decrement is the same block at every step, kept in ``blocks``.
+    In ``Direction``'s code order N, E, S, W (codec's code), the low code
+    bit picks the axis, 0 for ``pos_i`` and 1 for ``pos_j``, and the high
+    bit the sign: N -1, E +1, S +1, W -1. So each coordinate's increment is
+    controlled by the low bit and sits inside a complement of CNOTs from the
+    high bit, as x - 1 = ~(~x + 1). ``pos_i``'s block runs with both code
+    bits inverted, so it moves on a low bit of 0 and decrements on a high
+    bit of 0. Each closing complement repeats its opening one.
     """
     hi = path_bits[2 * (n - step) + 1]
     lo = path_bits[2 * (n - step)]
-    for code, d in enumerate(Direction):
-        di, dj = d.delta
-        reg_bits = pos_i if di else pos_j
-        op = _increment if di + dj > 0 else _decrement
-        toggle_lo = b.mark()
-        conj = [bit for bit, want in ((hi, code >> 1), (lo, code & 1)) if want == 0]
-        for bit in conj:
+    for reg_bits, inverted in ((pos_i, (hi, lo)), (pos_j, ())):
+        invert_lo = b.mark()
+        for bit in inverted:
             b.x(bit)
-        b.ccx(hi, lo, ctl)
-        for bit in conj:
-            b.x(bit)
-        toggle_hi = b.mark()
-        _emit_once(b, blocks, code, lambda: op(b, reg_bits, chain, ctl))
-        b.repeat(toggle_lo, toggle_hi)
+        sign_lo = b.mark()
+        for bit in reg_bits:
+            b.cx(hi, bit)
+        sign_hi = b.mark()
+        _increment(b, reg_bits, chain, lo)
+        b.repeat(sign_lo, sign_hi)
+        b.repeat(invert_lo, sign_lo)
 
 
 def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
@@ -579,8 +548,8 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     and the goal difference through the fitness write.
 
     Its one scratch register, ``scratch`` (wa + 1 bits), is lent to each
-    stage in turn and reads zero between them: the walk's increment chain
-    and control, the goal constant, each square's row mask, and the carry
+    stage in turn and reads zero between them: the walk's increment chain,
+    the goal constant, each square's row mask, and the carry
     of every adder.
     """
     if n < 1:
@@ -596,14 +565,13 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     dist = b.reg("dist", wa, "distance").bits
     fit = b.reg("fit", wa, "fitness").bits
     scratch = b.reg("scratch", wa + 1, "ancilla").bits
-    chain, ctl, carry = scratch[: w_pos - 1], scratch[w_pos - 1], scratch[wa]
+    chain, carry = scratch[: w_pos - 1], scratch[wa]
 
     _xor_const(b, pos_i, start[0] + n)
     _xor_const(b, pos_j, start[1] + n)
     walk_lo = b.mark()
-    blocks: dict = {}
     for step in range(1, n + 1):
-        _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain, blocks)
+        _emit_walk_step(b, path, step, n, pos_i, pos_j, chain)
     walk_hi = b.mark()
     for g, pos in zip(goal, (pos_i, pos_j)):
         _add_const(b, g + n, pos, scratch[:w_pos], carry, subtract=True)
@@ -678,10 +646,10 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     result is copied out and the whole computation is reversed.
 
     Its one scratch register, ``scratch`` (w + 2 + n bits), lends its first
-    w + 2 bits to each stage in turn, the walk's increment chain and
-    control, then the bound check's equality chain, two edge flags and
-    their AND, and they read zero after every step; its last n bits hold
-    the step chain.
+    w + 2 bits to each stage in turn, the walk's increment chain, then
+    the bound check's equality chain on the same w - 1 wires, two edge
+    flags and their AND, and they read zero after every step; its last n
+    bits hold the step chain.
     """
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
@@ -695,29 +663,25 @@ def build_validity_circuit(maze: Maze, n: int) -> RevCircuit:
     vout = b.reg("valid", 1, "flag").bits[0]
     scratch = b.reg("scratch", w_pos + 2 + n, "ancilla").bits
     lent, vchain = scratch[: w_pos + 2], scratch[w_pos + 2 :]
-    chain, ctl = lent[: w_pos - 1], lent[w_pos - 1]
-    eq, (inb_i, inb_j, phi) = lent[: w_pos - 1], lent[w_pos - 1 :]
-
-    def bound_check():
-        _gt_const(b, pos_i, m - 1, inb_i, eq)
-        _gt_const(b, pos_j, m - 1, inb_j, eq)
-        b.x(inb_i)
-        b.x(inb_j)
-        b.ccx(inb_i, inb_j, phi)
+    chain, (inb_i, inb_j, phi) = lent[: w_pos - 1], lent[w_pos - 1 :]
 
     _xor_const(b, pos_i, start[0])
     _xor_const(b, pos_j, start[1])
-    blocks: dict = {}
     for step in range(1, n + 1):
-        _emit_walk_step(b, path, step, n, pos_i, pos_j, ctl, chain, blocks)
-        cmp_lo = b.mark()
-        _emit_once(b, blocks, "bounds", bound_check)
-        cmp_hi = b.mark()
+        _emit_walk_step(b, path, step, n, pos_i, pos_j, chain)
         if step == 1:
+            check_lo = b.mark()
+            _gt_const(b, pos_i, m - 1, inb_i, chain)
+            _gt_const(b, pos_j, m - 1, inb_j, chain)
+            b.x(inb_i)
+            b.x(inb_j)
+            b.ccx(inb_i, inb_j, phi)
+            check = (check_lo, b.mark())
             b.cx(phi, vchain[0])
         else:
+            b.repeat(*check)
             b.ccx(vchain[step - 2], phi, vchain[step - 1])
-        b.uncompute_range(cmp_lo, cmp_hi)
+        b.uncompute_range(*check)
     compute_hi = b.mark()
     b.cx(vchain[n - 1], vout)
     b.uncompute_range(0, compute_hi)

@@ -13,8 +13,9 @@ returns to zero, so the count is that of the widest loan, a squaring
 row's mask and the adder carry. Tests pin the two
 reports against each other, ``mismatches`` names where they differ, and
 ``check_asymptotics`` turns the scaling claims (comparator linear in
-width, path simulation linear in length times position width) into
-least-squares fits with explicit residual thresholds.
+width, path simulation linear in length times the walk's increment chain,
+one bit shorter than the position width) into least-squares fits with
+explicit residual thresholds.
 """
 
 from __future__ import annotations
@@ -64,18 +65,12 @@ def _add_counts(w: int) -> GateCounts:
     return GateCounts(2 * (w - 1), 4 * (w - 1) + 2, 0)
 
 
-def _increment_counts(w: int) -> GateCounts:
-    return GateCounts(2 * (w - 1), w, 0)
-
-
 def walk_stage_counts(maze: Maze, n: int) -> GateCounts:
-    """Path-simulation stage: 4 doubly-controlled +/-1 updates per step."""
+    """Path-simulation stage: per step, one controlled increment of each w-bit
+    coordinate (2(w - 1) Toffolis and w CNOTs) inside a 2w-CNOT sign
+    complement, and 4 NOTs that invert the code bits around ``pos_i``'s."""
     w = position_width(maze.size, n)
-    inc = _increment_counts(w)
-    tof = n * 4 * (2 + inc.toffoli)
-    cnot = n * 4 * inc.cnot
-    nots = n * (16 + 2 * (2 * w))  # control-polarity toggles + decrement conjugation
-    return GateCounts(tof, cnot, nots)
+    return GateCounts(4 * n * (w - 1), 6 * n * w, 4 * n)
 
 
 def _square_counts(w: int, sign: int) -> GateCounts:
@@ -256,18 +251,19 @@ def check_asymptotics(maze: Maze, ns: Iterable[int]) -> dict[str, FitClaim]:
 
     The maze's walk cost, read from each fitness circuit's ``walk`` span
     (which the oracle shares gate for gate), is fit against
-    ``n * position_width(m, n)`` over the path lengths ``ns``: each step
-    costs a fixed number of increments of the position registers, whose
-    width grows in steps with ``n``. Comparator cost is fit against register
-    widths 2..8, each at the fixed-shape cutoff 100...01. Raises on fewer
-    than three distinct path lengths.
+    ``n * (position_width(m, n) - 1)``, the length of the walk's increment
+    chains, over the path lengths ``ns``: each step runs two increments of
+    the position registers, whose width grows in steps with ``n``.
+    Comparator cost is fit against register widths 2..8, each at the
+    fixed-shape cutoff 100...01. Raises on fewer than three distinct path
+    lengths.
     """
     ns = sorted(set(ns))
     walk_tof = [count_gates(build_fitness_circuit(maze, n), "walk").toffoli for n in ns]
-    steps_times_width = [n * position_width(maze.size, n) for n in ns]
+    chain_lengths = [n * (position_width(maze.size, n) - 1) for n in ns]
     widths = range(2, 9)
     cmp_tof = [count_gates(build_gt_comparator(w, 2 ** (w - 1) + 1)).toffoli for w in widths]
     return {
-        "path_sim_linear_in_n_times_width": linear_fit(steps_times_width, walk_tof),
+        "path_sim_linear_in_n_times_width": linear_fit(chain_lengths, walk_tof),
         "comparator_linear_in_width": linear_fit(widths, cmp_tof),
     }

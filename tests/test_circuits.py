@@ -545,7 +545,7 @@ def test_oracle_matches_the_four_copy_sandwich(m):
 def test_solver_scale_oracle_gate_count():
     fitness_circ = build_fitness_circuit(generate_maze(8, seed=0), 8)
     oracle = build_oracle_circuit(fitness_circ, make_spec(8).offset // 2)
-    assert len(oracle.gates) == 3123
+    assert len(oracle.gates) == 2291
 
 
 def test_oracle_rejects_out_of_range_cutoff():
@@ -559,8 +559,8 @@ def test_oracle_rejects_out_of_range_cutoff():
 # sha256 over the registers, spans and gates of every fitness circuit, and
 # of every oracle, that verify builds at m <= 6, n <= 4; a change to any of
 # them moves its digest.
-FITNESS_DIGEST = "d23299756e1c9547e890272acb64f54e23314b7a28d8723b0ad4ea4914832f43"
-ORACLE_DIGEST = "ce49eef7800c71ddd6714053b30cb2c8b6333401375f184c124d3e6e95560208"
+FITNESS_DIGEST = "11f33fb60b697d7289566c736260d8beb2a477112ef1b645a8026144b6bdbae6"
+ORACLE_DIGEST = "5908098da6d489f86fdf5e071c883665f2dd2c2da020dd8c5aa9eb962d883223"
 
 
 def _gate_list_digests() -> tuple[str, str]:
@@ -608,13 +608,27 @@ def test_repeated_blocks_are_appended_as_the_same_objects():
     # A subtraction's closing NOTs are its opening NOTs.
     sub = build_adder(3, subtract=True).gates
     assert all(map(operator.is_, sub[:3], sub[-3:]))
-    # The walk's two steps differ only in their control toggles; every
-    # increment or decrement gate of step 2 is step 1's object.
+    # A walk step's closing sign complement, and pos_i's closing code-bit
+    # NOTs, are its opening ones' objects.
     fit = build_fitness_circuit(generate_maze(3, seed=0), 2)
     lo, hi = fit.spans["walk"]
-    step1, step2 = fit.gates[lo : (lo + hi) // 2], fit.gates[(lo + hi) // 2 : hi]
-    assert any(a is b for a, b in zip(step1, step2))
-    assert all((a is b) == (a == b) for a, b in zip(step1, step2))
+    step1 = fit.gates[lo : (lo + hi) // 2]
+    sign = fit.registers["path"].bits[3]  # step 1's high code bit
+    for reg in ("pos_i", "pos_j"):
+        complement = [g for g in step1 if g[1] == (sign,) and g[0] in fit.registers[reg].bits]
+        w = len(complement) // 2
+        assert w == position_width(3, 2) and all(map(operator.is_, complement[:w], complement[w:]))
+    nots = [g for g in step1 if not g[1]]
+    assert len(nots) == 4 and all(map(operator.is_, nots[:2], nots[2:]))
+    # Validity's step-2 bound check, just before its step-chain write, is
+    # step 1's objects: those that step 1 uncomputes after its own write.
+    valid = build_validity_circuit(generate_maze(3, seed=0), 2)
+    gates = valid.gates
+    vchain = valid.registers["scratch"].bits[-2:]
+    first, second = (next(k for k, g in enumerate(gates) if g[0] == bit) for bit in vchain)
+    after_first = {id(g) for g in gates[first + 1 : second]}
+    check = [g for g in gates[:first] if id(g) in after_first]
+    assert check and all(map(operator.is_, check, gates[second - len(check) : second]))
 
 
 # ---------------------------------------------------------------------------
@@ -753,10 +767,10 @@ def test_fitness_pool_reads_zero_at_each_span_end(m, n):
     circ = build_fitness_circuit(generate_maze(m, seed=0), n)
     for stage, (_, hi) in circ.spans.items():
         assert not _pool_after(circ, hi, n).any(), stage
-    # A walk that leaves its control set fails at the walk's end.
+    # A walk that leaves its increment chain set fails at the walk's end.
     lo, hi = circ.spans["walk"]
-    ctl = circ.registers["scratch"].bits[position_width(m, n) - 1]
-    last = max(k for k in range(lo, hi) if circ.gates[k][0] == ctl)
+    chain = circ.registers["scratch"].bits[: position_width(m, n) - 1]
+    last = max(k for k in range(lo, hi) if circ.gates[k][0] in chain)
     leaky = RevCircuit(circ.registers, circ.gates[:last] + circ.gates[last + 1 :])
     assert _pool_after(leaky, hi - 1, n).any()
 
@@ -871,12 +885,10 @@ def test_count_gates_rejects_unknown_stage():
 
 def test_walk_toffoli_linear_in_n():
     maze = generate_maze(4, seed=0)
-    counts = [
-        count_gates(build_fitness_circuit(maze, n), stage="walk").toffoli
-        for n in range(1, 7)
-    ]
-    per_step = [c / n for n, c in zip(range(1, 7), counts)]
-    assert max(per_step) / min(per_step) <= 1.3  # near-constant per-step cost
+    for n in range(1, 7):
+        # Two increments a step, each with a chain of w - 1 Toffolis computed and uncomputed.
+        walk = count_gates(build_fitness_circuit(maze, n), stage="walk")
+        assert walk.toffoli == 4 * n * (position_width(4, n) - 1), n
 
 
 def test_position_width_formula():

@@ -553,20 +553,20 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         pytest.param(
             ["--n", "2", "--m", "2", "--format", "json"],
             0,
-            "744e8e714805bc6fa3780e495bf0d66704aa975f1ee8e9640a660d7f7e812965",
+            "4be2411eb6bf6d63f0a0000217a70a6814ac102729d25ddcb67c0ca433d0446a",
             id="readme-json",
         ),
         pytest.param(
             ["--n", "9", "--m", "8"],
             0,
-            "96273e2301dbb208deee68b7176b913e4afd6283752291c8aa6628323610988d",
+            "45160227f5e727eb598ebdfbe86aaff1ce0ffaff5713d484b5070b4bbaeb5409",
             id="ci-table",
         ),
         # The fitted range n = 1..5 crosses a position-width step at m = 8.
         pytest.param(
             ["--n", "5", "--m", "8"],
             0,
-            "f3f5a393c496d4088dd7cc34d554c5cbd8071de543c97524212f6bc978501fbb",
+            "95bea6611babd3c82ae66321f60715a6579859683ceb83cfaffabe02dfd9568c",
             id="m8-width-step",
         ),
     ],

@@ -71,15 +71,16 @@ def test_measured_depth_below_prediction_bound():
 
 def test_path_sim_doubling_ratio():
     # Doubling n at fixed m must not much more than double the walk cost.
-    # The per-step cost is proportional to the position width, so the clean
-    # <= 2.2 bound applies where the width is stable across the doubling;
-    # in general the ratio is exactly 2 * w(2n)/w(n).
+    # The per-step cost is proportional to the increment chain, w - 1 for
+    # position width w, so the clean <= 2.2 bound applies where the width is
+    # stable across the doubling; in general the ratio is exactly
+    # 2 * (w(2n) - 1)/(w(n) - 1).
     maze = generate_maze(4, seed=0)
     for n in (1, 2, 3):
         a = measured(maze, n).stages["path_sim"].toffoli
         b = measured(maze, 2 * n).stages["path_sim"].toffoli
         w_a, w_b = position_width(4, n), position_width(4, 2 * n)
-        assert b / a == pytest.approx(2 * w_b / w_a)
+        assert b / a == pytest.approx(2 * (w_b - 1) / (w_a - 1))
         if w_a == w_b:
             assert b / a <= 2.2
 
@@ -113,7 +114,7 @@ def test_fits_on_exact_lines_are_exact():
     # `qmaze resources --n 2 --m 2` fits these; both sets of counts lie on a line.
     claims = check_asymptotics(generate_maze(2, seed=0), range(1, 4))
     walk, cmp_claim = claims["path_sim_linear_in_n_times_width"], claims["comparator_linear_in_width"]
-    assert (walk.slope, walk.intercept, walk.residual_ratio) == (8.0, 0.0, 0.0)
+    assert (walk.slope, walk.intercept, walk.residual_ratio) == (4.0, 0.0, 0.0)
     assert (cmp_claim.slope, cmp_claim.intercept, cmp_claim.residual_ratio) == (3.0, -6.0, 0.0)
     assert f"{walk.intercept:.3f}" == "0.000"
 
@@ -141,10 +142,10 @@ def test_walk_fit_passes_at_every_cli_size(m):
 
 
 def test_walk_fit_rejects_a_quadratic_cost():
-    # A walk that cost n^2 * w Toffolis would fail the same fit.
+    # A walk that cost n^2 * (w - 1) Toffolis would fail the same fit.
     ns = range(1, 10)
-    steps_times_width = [n * position_width(8, n) for n in ns]
-    quadratic = linear_fit(steps_times_width, [n * x for n, x in zip(ns, steps_times_width)])
+    chain_lengths = [n * (position_width(8, n) - 1) for n in ns]
+    quadratic = linear_fit(chain_lengths, [n * x for n, x in zip(ns, chain_lengths)])
     assert not quadratic.passed
     assert quadratic.residual_ratio == pytest.approx(0.14, abs=0.005)
 
