@@ -24,14 +24,14 @@ the next stage can borrow the same wires: on any input whose scratch
 starts at zero, it ends at zero.
 Uncomputation appends the same gate objects in reverse order, and a
 repeated block is appended as the same objects too: the second half of
-each conjugation pair (the NOTs around a subtraction, a walk step's sign
-complement and code-bit inversion, a loaded constant, a squaring row's
-mask) repeats the first, and validity's per-step bound check is emitted
-once per build and repeated at every later step. Gates are immutable, so
-sharing objects changes no result, and it only makes building faster:
-``verify`` matches a mirror or a shared prefix by gate equality, not by
-object identity. Nothing is kept between builds. The oracle reuses an
-already built fitness circuit rather than building its own: it starts a
+each conjugation pair (a walk step's sign complement and code-bit
+inversion, a squaring row's mask) repeats the first, and validity's
+per-step bound check is emitted once per build and repeated at every
+later step. Gates are immutable, so sharing objects changes no result,
+and it only makes building faster: ``verify`` matches a mirror or a
+shared prefix by gate equality, not by object identity. Nothing is kept
+between builds. The oracle reuses an already built fitness circuit
+rather than building its own: it starts a
 new circuit from copies of that circuit's registers and spans and its
 gates up to the fitness write,
 compares and marks, then mirrors them, so it holds the forward
@@ -41,7 +41,7 @@ reversed, which lets ``verify`` run the forward part once and prove each
 oracle's mirror, when its middle returns its input, instead of running
 it. Stages are
 named by spans of the gate list, not per gate: the fitness circuit marks ``walk`` and
-``distance_fitness`` (goal difference through the fitness write), and
+``distance_fitness`` (the squares through the fitness write), and
 ``count_gates`` tallies one span into a ``GateCounts``, the one
 gate-count record the resource model shares.
 
@@ -51,14 +51,14 @@ the grid bounds only, and C is ``make_spec(maze.size).offset``.
 
 Arithmetic conventions:
   * registers are little-endian (bit k of a register holds value bit k);
-  * fitness positions are offset-encoded as i + n, so n unchecked +/-1 steps
-    never wrap below zero; validity positions are plain coordinates mod 2**w,
-    where a step off the top or left edge wraps above m - 1;
-  * goal subtraction leaves a two's-complement difference in the position
-    register, which is squared with its sign wire repeated up to the shared
-    arithmetic width, so no wire holds the extension; both squares are
-    added straight into the distance, so distance and fitness are exact in
-    one shared arithmetic width.
+  * coordinates mod 2**w; fitness relative to the goal, validity absolute:
+    a fitness position starts at start - goal, so the walk ends on the
+    two's-complement displacement from the goal; a validity position starts
+    at the start, and a step off the top or left edge wraps above m - 1;
+  * each displacement is squared with its sign wire repeated up to the
+    shared arithmetic width, so no wire holds the extension; both squares
+    are added straight into the fitness register, loaded with ~C and
+    complemented after, so fitness is exact in one shared arithmetic width.
 """
 
 from __future__ import annotations
@@ -371,25 +371,6 @@ def _add(b: RevCircuit, a: list[int], t: list[int], carry: int):
         b.cx(carries[k], t[k])
 
 
-def _sub(b: RevCircuit, a: list[int], t: list[int], carry: int):
-    """t -= a mod 2**w via t = ~(~t + a)."""
-    lo = b.mark()
-    for bit in t:
-        b.x(bit)
-    hi = b.mark()
-    _add(b, a, t, carry)
-    b.repeat(lo, hi)
-
-
-def _add_const(b: RevCircuit, value: int, t: list[int], const: list[int], carry: int, subtract: bool = False):
-    """t +/-= value using a temporarily loaded constant register."""
-    lo = b.mark()
-    _xor_const(b, const, value)
-    hi = b.mark()
-    (_sub if subtract else _add)(b, const, t, carry)
-    b.repeat(lo, hi)
-
-
 def _square(b: RevCircuit, src: list[int], out: list[int], tmp: list[int], carry: int):
     """out += src**2 truncated to p = len(out) bits, each partial product s_i*s_j added once.
 
@@ -459,25 +440,25 @@ def _gt_const(b: RevCircuit, a: list[int], cutoff: int, out: int, eq: list[int])
 
 
 def position_width(m: int, n: int) -> int:
-    """Offset position register width: ceil(log2(m + 2n)) + 1."""
+    """Position register width: ceil(log2(m + 2n)) + 1.
+
+    Wide enough for a displacement from the goal, in [-(m-1+n), m-1+n], in
+    two's complement, and for a coordinate in [-n, m-1+n] mod 2**w.
+    """
     return (m + 2 * n - 1).bit_length() + 1
 
 
-def max_offset_distance(m: int, n: int) -> int:
-    """Largest squared goal distance reachable wall-blind: 2*(m-1+n)**2."""
-    return 2 * (m - 1 + n) ** 2
-
-
 def arith_width(m: int, n: int) -> int:
-    """Shared width of the squares' sources (sign wire repeated), distance, and fitness registers.
+    """Shared width of the squares' sources (sign wire repeated) and the fitness register.
 
-    Chosen so the distance fits unsigned, the fitness fits two's complement
-    over [C - d_max, C], and the sign-extended coordinate difference fits.
+    Chosen so the fitness fits two's complement over [C - d_max, C], where
+    d_max = 2*(m-1+n)**2 is the largest squared goal distance reachable
+    wall-blind, and the sign-extended displacement fits.
     """
     c = make_spec(m).offset
-    d_max = max_offset_distance(m, n)
+    d_max = 2 * (m - 1 + n) ** 2
     w = 1
-    while not (2**w > d_max and 2 ** (w - 1) > c and 2 ** (w - 1) >= d_max - c):
+    while not (2 ** (w - 1) > c and 2 ** (w - 1) >= d_max - c):
         w += 1
     return max(w, position_width(m, n))
 
@@ -539,18 +520,19 @@ def _emit_walk_step(
 def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     """Reversible fitness evaluation: |x>|0...0> -> |x>|fitness(x)>.
 
-    Simulates the path wall-blind on offset coordinates from ``maze.start``,
-    adds the square of each difference to ``maze.goal`` straight into the
-    distance register, and writes C - distance into the fitness register
-    in two's complement, C = make_spec(maze.size).offset;
-    every other register is uncomputed to zero. The maze's walls are
+    Walks the path wall-blind from ``maze.start`` on coordinates relative
+    to ``maze.goal``: each position register starts at start - goal mod
+    2**w, so the walk ends on the two's-complement displacement from the
+    goal. The fitness register is loaded with ~C, both squares are added
+    straight into it, and complementing it leaves C - distance in two's
+    complement, as ~(~C + d) = C - d, C = make_spec(maze.size).offset;
+    the load and the walk are then uncomputed. The maze's walls are
     ignored. Spans ``walk`` and ``distance_fitness`` cover the forward walk
-    and the goal difference through the fitness write.
+    and the squares through the fitness write.
 
     Its one scratch register, ``scratch`` (wa + 1 bits), is lent to each
     stage in turn and reads zero between them: the walk's increment chain,
-    the goal constant, each square's row mask, and the carry
-    of every adder.
+    each square's row mask, and the carry of its adders.
     """
     if n < 1:
         raise ValueError("circuit path length must be >= 1")
@@ -562,28 +544,24 @@ def build_fitness_circuit(maze: Maze, n: int) -> RevCircuit:
     path = b.reg("path", 2 * n, "path").bits
     pos_i = b.reg("pos_i", w_pos, "position-i").bits
     pos_j = b.reg("pos_j", w_pos, "position-j").bits
-    dist = b.reg("dist", wa, "distance").bits
     fit = b.reg("fit", wa, "fitness").bits
     scratch = b.reg("scratch", wa + 1, "ancilla").bits
     chain, carry = scratch[: w_pos - 1], scratch[wa]
 
-    _xor_const(b, pos_i, start[0] + n)
-    _xor_const(b, pos_j, start[1] + n)
+    for s, g, pos in zip(start, goal, (pos_i, pos_j)):
+        _xor_const(b, pos, (s - g) % 2**w_pos)
     walk_lo = b.mark()
     for step in range(1, n + 1):
         _emit_walk_step(b, path, step, n, pos_i, pos_j, chain)
     walk_hi = b.mark()
-    for g, pos in zip(goal, (pos_i, pos_j)):
-        _add_const(b, g + n, pos, scratch[:w_pos], carry, subtract=True)
+    _xor_const(b, fit, ~make_spec(m).offset % 2**wa)
     for pos in (pos_i, pos_j):
-        _square(b, pos + pos[-1:] * (wa - w_pos), dist, scratch[:wa], carry)
-    compute_hi = b.mark()
-
-    _xor_const(b, fit, make_spec(m).offset)
-    _sub(b, dist, fit, carry)
+        _square(b, pos + pos[-1:] * (wa - w_pos), fit, scratch[:wa], carry)
+    for bit in fit:
+        b.x(bit)
     b.spans = {"walk": (walk_lo, walk_hi), "distance_fitness": (walk_hi, b.mark())}
 
-    b.uncompute_range(0, compute_hi)
+    b.uncompute_range(0, walk_hi)
     return b
 
 
@@ -593,9 +571,10 @@ def build_oracle_circuit(fitness_circ: RevCircuit, cutoff: int) -> RevCircuit:
     Built from an already built fitness circuit (from
     ``build_fitness_circuit``, which fixes the maze and n) as
     ``F W . C Z C^-1 . W^-1 F^-1``: the fitness circuit's own gates up to
-    the end of its ``distance_fitness`` span (the forward walk and distance
-    arithmetic F, then the fitness write W), the guarded comparator C and
-    the phase mark Z, then the forward part mirrored. Wrapping the whole
+    the end of its ``distance_fitness`` span (the start load and forward
+    walk F, then the fitness write W, both squares added into ``fit``),
+    the guarded comparator C and the phase mark Z, then the forward part
+    mirrored. Wrapping the whole
     fitness circuit ``F W F^-1`` instead gives the same unitary with twice
     the gates: ``C Z C^-1`` touches only ``fit``, ``flag`` and the fitness
     circuit's ``scratch``, which it borrows (its equality chain and output)

@@ -5,17 +5,17 @@ Every cost is that of one maze's oracle: ``predict`` computes register
 widths and per-stage gate counts from closed formulas that mirror the
 builders in :mod:`qmaze.circuits` and read the maze's size, start and
 goal; ``measured`` builds the same maze's circuits and tallies them. The
-oracle runs the forward part of the fitness circuit (start load, walk,
-distance arithmetic through the fitness write), the guarded comparator,
-then both mirrored, so its total is twice their sum. Its ancillas are one
-pool of ``arith_width + 1`` bits that every stage borrows in turn and
-returns to zero, so the count is that of the widest loan, a squaring
-row's mask and the adder carry. Tests pin the two
-reports against each other, ``mismatches`` names where they differ, and
-``check_asymptotics`` turns the scaling claims (comparator linear in
-width, path simulation linear in length times the walk's increment chain,
-one bit shorter than the position width) into least-squares fits with
-explicit residual thresholds.
+oracle runs the forward part of the fitness circuit (the load of the
+start's displacement from the goal, the walk, both squares through the
+fitness write), the guarded comparator, then both mirrored, so its total
+is twice their sum. Its ancillas are one pool of ``arith_width + 1`` bits
+that every stage borrows in turn and returns to zero, so the count is
+that of the widest loan, a squaring row's mask and the adder carry.
+Tests pin the two reports against each other, ``mismatches`` names where
+they differ, and ``check_asymptotics`` turns the scaling claims
+(comparator linear in width, path simulation linear in length times the
+walk's increment chain, one bit shorter than the position width) into
+least-squares fits with explicit residual thresholds.
 """
 
 from __future__ import annotations
@@ -88,27 +88,17 @@ def _square_counts(w: int, sign: int) -> GateCounts:
 
 
 def distance_fitness_stage_counts(maze: Maze, n: int) -> GateCounts:
-    """Subtraction of the offset goal, both squares (sign wire repeated) summed into the distance, C - d."""
+    """Both squares (sign wire repeated) added into ``fit`` loaded with ~C, then its complement: C - d."""
     m = maze.size
-    w = position_width(m, n)
     wa = arith_width(m, n)
-    add = _add_counts(w)  # two constant subtractions
-    tof = 2 * add.toffoli
-    cnot = 2 * add.cnot
-    nots = sum(2 * _popcount(g + n) + 2 * w for g in maze.goal)
-    sq = _square_counts(wa, w - 1)  # each square added straight into the distance
-    tof += 2 * sq.toffoli
-    cnot += 2 * sq.cnot
-    add = _add_counts(wa)  # fitness subtraction
-    tof += add.toffoli
-    cnot += add.cnot
-    nots += _popcount(make_spec(m).offset) + 2 * wa
-    return GateCounts(tof, cnot, nots)
+    sq = _square_counts(wa, position_width(m, n) - 1)
+    return GateCounts(2 * sq.toffoli, 2 * sq.cnot, _popcount(~make_spec(m).offset % 2**wa) + wa)
 
 
 def init_stage_counts(maze: Maze, n: int) -> GateCounts:
-    """Loading the offset start, each coordinate + n, into the position registers."""
-    return GateCounts(0, 0, sum(_popcount(s + n) for s in maze.start))
+    """Loading the start's displacement from the goal, mod 2**w, into the position registers."""
+    w = position_width(maze.size, n)
+    return GateCounts(0, 0, sum(_popcount((s - g) % 2**w) for s, g in zip(maze.start, maze.goal)))
 
 
 def comparator_counts(width: int, cutoff: int) -> GateCounts:
@@ -153,7 +143,6 @@ def predict(maze: Maze, n: int) -> ResourceReport:
         "path": 2 * n,
         "pos_i": w,
         "pos_j": w,
-        "dist": wa,
         "fit": wa,
         "flag": 1,
     }
@@ -163,7 +152,7 @@ def predict(maze: Maze, n: int) -> ResourceReport:
     init = init_stage_counts(maze, n)
     cmp_counts = comparator_counts(wa, cutoff)
     guard = GateCounts(1, 0, 2)  # sign-bit AND around the flag write
-    # Oracle = forward part (init, walk, distance through the fitness write),
+    # Oracle = forward part (init, walk, the squares through the fitness write),
     # guarded comparator, then both mirrored; the phase mark is not counted.
     half = _combine(init, path_sim, dist_fit, cmp_counts, guard)
     oracle_total = _combine(half, half)

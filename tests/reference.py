@@ -17,7 +17,7 @@ from collections import deque
 
 import numpy as np
 
-from qmaze.circuits import RevCircuit, _add, _add_const, _square, _sub, pack_rows, run_batch, unpack_column
+from qmaze.circuits import RevCircuit, _add, _square, pack_rows, run_batch, unpack_column
 from qmaze.engine import (
     DegenerateGeometryError,
     GroverGeometry,
@@ -49,24 +49,18 @@ def run_on_basis(circuit: RevCircuit, assignment: dict[str, int]) -> tuple[dict[
     return out, int(signs[0])
 
 
-def build_adder(width: int, *, subtract: bool = False, constant: int | None = None) -> RevCircuit:
-    """In-place adder: t +/-= a (or a classical constant), exact modulo 2**width.
+def build_adder(width: int) -> RevCircuit:
+    """In-place adder: t += a, exact modulo 2**width.
 
-    Registers: ``a`` (absent when adding a constant), ``t``, plus scratch.
+    Registers: ``a``, ``t``, plus a scratch carry.
     """
     if width < 1:
         raise ValueError("adder width must be >= 1")
-    if constant is not None and not 0 <= constant < 2**width:
-        raise ValueError("constant out of register range")
     b = RevCircuit()
-    a_bits = b.reg("a", width, "operand").bits if constant is None else None
+    a_bits = b.reg("a", width, "operand").bits
     t_bits = b.reg("t", width, "operand").bits
     carry = b.reg("carry", 1, "ancilla").bits[0]
-    if constant is None:
-        (_sub if subtract else _add)(b, a_bits, t_bits, carry)
-    else:
-        const_bits = b.reg("k", width, "ancilla").bits
-        _add_const(b, constant, t_bits, const_bits, carry, subtract=subtract)
+    _add(b, a_bits, t_bits, carry)
     return b
 
 
@@ -76,7 +70,7 @@ def build_squarer(width: int, out_width: int | None = None, extend: int = 0) -> 
     An output narrower than 2*width truncates, as the fitness circuit's
     squares do. With ``extend`` > 0 the source is ``a`` with its top bit
     repeated ``extend`` more times, as the fitness circuit squares a
-    coordinate difference: ``a`` is then read as two's complement.
+    displacement from the goal: ``a`` is then read as two's complement.
     """
     if width < 1:
         raise ValueError("squarer width must be >= 1")

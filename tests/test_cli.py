@@ -553,20 +553,20 @@ def test_resources_exits_1_when_predict_and_measured_disagree(monkeypatch, capsy
         pytest.param(
             ["--n", "2", "--m", "2", "--format", "json"],
             0,
-            "4be2411eb6bf6d63f0a0000217a70a6814ac102729d25ddcb67c0ca433d0446a",
+            "c5552291cf67db93e6da339b07121f56abc600802d5dbe5ef8f6ded857e414fe",
             id="readme-json",
         ),
         pytest.param(
             ["--n", "9", "--m", "8"],
             0,
-            "45160227f5e727eb598ebdfbe86aaff1ce0ffaff5713d484b5070b4bbaeb5409",
+            "f912a624ae73fe04ee40dad499ec8877b60da20a53aafa7c1ef4d5fc75eeeef0",
             id="ci-table",
         ),
         # The fitted range n = 1..5 crosses a position-width step at m = 8.
         pytest.param(
             ["--n", "5", "--m", "8"],
             0,
-            "95bea6611babd3c82ae66321f60715a6579859683ceb83cfaffabe02dfd9568c",
+            "144cf1553e7faf263dccd33f9c110ff2ae28c0194c3ccff971932aba6150dfa8",
             id="m8-width-step",
         ),
     ],

@@ -202,7 +202,7 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
         for n in range(1, 4):
             half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
             saved += 4**n * (8 * _forward_hi(half) + 3 * len(half.gates))
-    assert reference_rows - rows[0] == saved == 1_579_172
+    assert reference_rows - rows[0] == saved == 1_214_724
 
 
 # ---------------------------------------------------------------------------
