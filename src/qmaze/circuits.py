@@ -27,10 +27,16 @@ repeated block is appended as the same objects too: the second half of
 each conjugation pair (a walk step's sign complement and code-bit
 inversion, a squaring row's mask) repeats the first, and validity's
 per-step bound check is emitted once per build and repeated at every
-later step. Gates are immutable, so sharing objects changes no result,
-and it only makes building faster: ``verify`` matches a mirror or a
-shared prefix by gate equality, not by object identity. Nothing is kept
-between builds. The oracle reuses an already built fitness circuit
+later step. ``x``, ``cx`` and ``ccx`` draw their gates from one gate
+table for the whole process, keyed by target and controls: the first
+emission of a gate checks its bits and stores it, and every later one,
+in any build, appends that same object. A bad gate raises on every
+emission and is never stored. ``Gate(...)`` called directly and ``z``
+make a new object each time. Gates are immutable, so sharing objects
+changes no result, and it only makes building faster: ``verify``
+matches a mirror or a shared prefix by gate equality, not by object
+identity. Gate lists stay per build: no two circuits share one. The
+oracle reuses an already built fitness circuit
 rather than building its own: it starts a
 new circuit from copies of that circuit's registers and spans and its
 gates up to the fitness write,
@@ -137,6 +143,17 @@ class PhaseMark(Gate):
         return super().__new__(cls, target)
 
 
+# The gate table (see the module docstring), keyed by (target, *controls):
+# one entry per distinct gate emitted in this process, never removed.
+_GATES: dict[tuple[int, ...], Gate] = {}
+
+
+def _interned(target: int, controls: tuple[int, ...]) -> Gate:
+    """The gate (target, controls), made and checked by ``_gate``; stored in the table only once it passes."""
+    gate = _GATES[(target, *controls)] = _gate(Gate, target, controls)
+    return gate
+
+
 @dataclass(frozen=True)
 class Register:
     name: str
@@ -176,13 +193,13 @@ class RevCircuit:
         return r
 
     def x(self, t: int):
-        self.gates.append(_gate(Gate, t, ()))
+        self.gates.append(_GATES.get((t,)) or _interned(t, ()))
 
     def cx(self, c: int, t: int):
-        self.gates.append(_gate(Gate, t, (c,)))
+        self.gates.append(_GATES.get((t, c)) or _interned(t, (c,)))
 
     def ccx(self, c1: int, c2: int, t: int):
-        self.gates.append(_gate(Gate, t, (c1, c2)))
+        self.gates.append(_GATES.get((t, c1, c2)) or _interned(t, (c1, c2)))
 
     def z(self, t: int):
         self.gates.append(_gate(PhaseMark, t, ()))

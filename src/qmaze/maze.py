@@ -187,7 +187,8 @@ def generate_maze(
         stack.append(nxt)
     return Maze(
         size=m,
-        open_sides=tuple(tuple(sides[i * w + 1 : i * w + m + 1]) for i in range(1, m + 1)),
+        # A list, not a generator, so tuple() allocates the final size rather than resizing a guess.
+        open_sides=tuple([tuple(sides[i * w + 1 : i * w + m + 1]) for i in range(1, m + 1)]),
         start=start if start is not None else (0, 0),
         goal=goal if goal is not None else (m - 1, m - 1),
     )

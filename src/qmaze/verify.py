@@ -9,11 +9,17 @@ involution checks. Every suite compares the whole output batch with an
 expected batch: the inputs, with the checked register replaced by its
 reference values. A suite stops at the first mismatch and reports it.
 
-``run_all`` is the one driver. Nothing is kept between its calls. Each
+``run_all`` is the one driver. It keeps nothing between its calls; the
+gates its circuits hold come from ``circuits``' gate table. Each
 comparator width packs its reference once, one ``flag`` row per cutoff.
 The other five suites share one loop over (maze, n): it builds that
 key's landscape, fitness circuit, validity circuit and oracles, checks
-every suite that is still open, and holds only that key's batches.
+every suite that is still open, and holds only that key's batches. Two
+inputs outlive a key. Every path of one length is packed once per call:
+``path`` sits at offset 0 of every fitness, validity and oracle circuit
+of every maze, so one packing serves them all. Each maze's bounds-only
+path automaton, the validity reference, is built once: its table does
+not depend on n, and each n gathers its end values from it.
 
 Each oracle is ``P . C Z C^-1 . P^-1``, whose prefix ``P = F W`` is the
 fitness circuit's gates up to the end of its fitness write. Per
@@ -51,7 +57,7 @@ from .circuits import (
     unpack_column,
 )
 from .fitness import Formula, make_spec
-from .maze import Maze, SimMode, generate_maze, path_end_values
+from .maze import Maze, SimMode, end_values, generate_maze, path_automaton
 
 
 @dataclass(frozen=True)
@@ -110,19 +116,29 @@ class _Suite:
         return self.failed or SuiteResult(self.name, self.checked, 0)
 
 
-def _packed(circ: RevCircuit, name: str, values: np.ndarray, layouts: dict) -> Batch:
-    """``values`` in register ``name``, packed once per wire count and register place kept in ``layouts``."""
+def _packed(circ: RevCircuit, name: str, values: np.ndarray, planes: dict) -> Batch:
+    """``values`` in register ``name``, every other wire zero.
+
+    The wires up to the register's end are packed once per register place,
+    (offset, width), and kept in ``planes``; each batch pads them with zero
+    wires to its circuit's width. Every caller passes all ``2**width``
+    values of the register in order, so a place fixes its values.
+    """
     reg = circ.registers[name]
-    layout = (circ.num_bits, reg.offset, reg.width)
-    if layout not in layouts:
-        layouts[layout] = pack_rows(circ, {name: values}, len(values))
-    return layouts[layout]
+    place = (reg.offset, reg.width)
+    if place not in planes:
+        planes[place] = pack_rows(circ, {name: values}, len(values)).wires[: reg.offset + reg.width]
+    wires = planes[place]
+    return Batch(len(values), wires + (0,) * (circ.num_bits - len(wires)))
 
 
 def _expected(circ: RevCircuit, batch: Batch, reference: dict) -> Batch:
     """The input batch ORed with the packed ``reference`` registers, outputs absent from the inputs."""
     ref = pack_rows(circ, reference, batch.size).wires
-    return Batch(batch.size, tuple(a | b for a, b in zip(batch.wires, ref)))
+    # A list, not a generator: tuple() resizes a generator's guessed size, and
+    # the tuple is then freed to another size's free list, which only a full
+    # collection (rare since the gate table) empties.
+    return Batch(batch.size, tuple([a | b for a, b in zip(batch.wires, ref)]))
 
 
 def _where(m: int, n: int, label: str = ""):
@@ -151,10 +167,10 @@ def verify_comparator(width_max: int, builder=build_gt_comparator) -> SuiteResul
         f = np.arange(1 << w)
         rows = np.packbits(f > f[:, None], axis=1, bitorder="little")
         flags = [int.from_bytes(row.tobytes(), "little") for row in rows]
-        layouts: dict = {}
+        planes: dict = {}
         for cutoff in range(1 << w):
             circ = builder(w, cutoff)
-            batch = _packed(circ, "f", f, layouts)
+            batch = _packed(circ, "f", f, planes)
             out, signs = run_batch(circ, batch)
             wires = list(batch.wires)
             wires[circ.registers["flag"].offset] |= flags[cutoff]
@@ -213,13 +229,16 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
     """
     fit, valid = _Suite("fitness"), _Suite("validity")
     sign, cleanup, twice = _Suite("oracle-sign"), _Suite("ancilla-cleanup"), _Suite("involution")
+    planes: dict = {}  # path planes by register place, shared by every maze
     for m in range(2, m_max + 1):
         maze, half = generate_maze(m, seed=0), make_spec(m).offset // 2
+        # The bounds-only table has no offset grid, so one serves every n.
+        bounds = path_automaton(maze, n_max, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
         for n in range(1, n_max + 1):
-            blind, paths, layouts = _blind_values(maze, n), _paths(n), {}
+            blind, paths = _blind_values(maze, n), _paths(n)
             circ, validity = build_fitness_circuit(maze, n), build_validity_circuit(maze, n)
             oracles = {c: build_oracle_circuit(circ, c) for c in _oracle_cutoffs(m)}
-            where, source = _where(m, n), _packed(circ, "path", paths, layouts)
+            where, source = _where(m, n), _packed(circ, "path", paths, planes)
             # P = F W, the fitness circuit up to the end of its distance_fitness span, begins each oracle.
             hi = circ.spans["distance_fitness"][1]
             prefix, (p_out, p_signs) = circ.gates[:hi], _segment(circ, 0, hi, source)
@@ -228,15 +247,14 @@ def run_all(n_max: int, m_max: int, comparator_width_max: int) -> list[SuiteResu
                 want = _expected(circ, source, {"fit": blind % (1 << circ.registers["fit"].width)})
                 fit.check(where, circ, out, p_signs * signs, want, 1)
             if valid.open:
-                batch = _packed(validity, "path", paths, layouts)
-                ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
-                want = _expected(validity, batch, {"valid": ref})
+                batch = _packed(validity, "path", paths, planes)
+                want = _expected(validity, batch, {"valid": end_values(n, *bounds)})
                 valid.check(where, validity, *run_batch(validity, batch), want, 1)
             for cutoff, oracle in oracles.items():
                 reused = cutoff == half and (cleanup.open or twice.open)
                 if not (sign.open or reused):
                     continue
-                batch = _packed(oracle, "path", paths, layouts)
+                batch = _packed(oracle, "path", paths, planes)
                 out, signs = _oracle_run(oracle, batch, prefix, source, p_out)
                 if sign.open:
                     want_signs = np.where(blind > cutoff, -1, 1)

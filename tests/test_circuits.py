@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmaze import codec, verify
+from qmaze import circuits, codec, verify
 from qmaze.adaptive import Strictness, marked_for_cutoff
 from qmaze.circuits import (
     Batch,
@@ -118,6 +118,48 @@ def test_gates_are_immutable_values_of_their_own_type():
         PhaseMark(0, (1,))
     with pytest.raises(ValueError, match="decomposed"):
         Gate(0, (1, 2, 3))
+
+
+def test_builds_draw_each_gate_from_one_table_checked_once(monkeypatch):
+    monkeypatch.setattr(circuits, "_GATES", {})
+    checked, check = [], circuits._gate
+    monkeypatch.setattr(circuits, "_gate", lambda cls, t, c: checked.append((t, c)) or check(cls, t, c))
+    first = build_gt_comparator(4, 5)
+    distinct = len(checked)
+    second = build_gt_comparator(4, 5)
+    assert first.gates is not second.gates and first.gates == second.gates
+    assert all(map(operator.is_, first.gates, second.gates))
+    # Each distinct gate was checked once, by the first build; the second made none.
+    assert distinct == len(set(first.gates)) == len(circuits._GATES) and len(checked) == distinct
+
+
+@pytest.mark.parametrize(
+    "emit",
+    [lambda c: c.ccx(1, 1, 2), lambda c: c.cx(2, 2), lambda c: c.x(-1), lambda c: c.cx(-1, 0), lambda c: c.ccx(0, 1, -2)],
+    ids=["ccx-repeated", "cx-repeated", "x-negative", "cx-negative", "ccx-negative"],
+)
+def test_a_bad_gate_raises_on_every_emission_and_is_never_stored(emit):
+    circ = RevCircuit()
+    circ.reg("r", 3, "operand")
+    size = len(circuits._GATES)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="distinct|nonnegative"):
+            emit(circ)
+    assert len(circuits._GATES) == size and circ.gates == []
+
+
+def test_gate_makes_a_new_object_equal_to_the_emitted_one():
+    circ = RevCircuit()
+    circ.reg("r", 3, "operand")
+    circ.x(0)
+    circ.cx(0, 1)
+    circ.ccx(0, 1, 2)
+    for emitted, made in zip(circ.gates, (Gate(0), Gate(1, (0,)), Gate(2, (0, 1)))):
+        assert made == emitted and made is not emitted and type(made) is type(emitted)
+    # A phase mark is not drawn from the table: each z makes a new one.
+    circ.z(2)
+    circ.z(2)
+    assert circ.gates[-1] == circ.gates[-2] and circ.gates[-1] is not circ.gates[-2]
 
 
 def test_pack_rows_rejects_unknown_register():
@@ -609,14 +651,18 @@ def test_repeated_blocks_are_appended_as_the_same_objects():
     nots = [g for g in step1 if not g[1]]
     assert len(nots) == 4 and all(map(operator.is_, nots[:2], nots[2:]))
     # Validity's step-2 bound check, just before its step-chain write, is
-    # step 1's objects: those that step 1 uncomputes after its own write.
-    valid = build_validity_circuit(generate_maze(3, seed=0), 2)
+    # step 1's objects. Found by position, not by identity, since every
+    # equal emitted gate is one object: step 1's check runs from the end of
+    # its walk step (after the start load, as long as a fitness step of the
+    # same widths) to its own write, and step 1 uncomputes it right after.
+    maze = generate_maze(3, seed=0)
+    valid = build_validity_circuit(maze, 2)
     gates = valid.gates
     vchain = valid.registers["scratch"].bits[-2:]
     first, second = (next(k for k, g in enumerate(gates) if g[0] == bit) for bit in vchain)
-    after_first = {id(g) for g in gates[first + 1 : second]}
-    check = [g for g in gates[:first] if id(g) in after_first]
-    assert check and all(map(operator.is_, check, gates[second - len(check) : second]))
+    check = gates[sum(map(int.bit_count, maze.start)) + (hi - lo) // 2 : first]
+    assert check and gates[first + 1 : first + 1 + len(check)] == check[::-1]
+    assert all(map(operator.is_, check, gates[second - len(check) : second]))
 
 
 # ---------------------------------------------------------------------------

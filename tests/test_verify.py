@@ -36,7 +36,7 @@ from qmaze.circuits import (
     unpack_column,
 )
 from qmaze.fitness import make_spec
-from qmaze.maze import SimMode, generate_maze, path_end_values
+from qmaze.maze import SimMode, generate_maze, path_automaton, path_end_values
 
 # ---------------------------------------------------------------------------
 # Per-case reference
@@ -203,6 +203,39 @@ def test_run_all_equals_the_per_case_reference(monkeypatch):
             half = _oracles(maze, n)[make_spec(maze.size).offset // 2]
             saved += 4**n * (8 * _forward_hi(half) + 3 * len(half.gates))
     assert reference_rows - rows[0] == saved == 1_214_724
+
+
+def test_run_all_twice_in_one_process_gives_the_reference_both_times():
+    # The second call builds every circuit from gates the first put in circuits' gate table.
+    first, second = verify.run_all(*_CAPS), verify.run_all(*_CAPS)
+    assert first == second == _reference_run_all(*_CAPS)
+    assert all(r.passed for r in first)
+
+
+def test_run_all_packs_each_path_length_once(monkeypatch):
+    packed = []
+
+    def spy(circ, values, batch):
+        if "path" in values:
+            packed.append(circ.registers["path"].width // 2)
+        return pack_rows(circ, values, batch)
+
+    monkeypatch.setattr(verify, "pack_rows", spy)
+    assert all(r.passed for r in verify.run_all(n_max=3, m_max=4, comparator_width_max=1))
+    # One packing per n serves the fitness, validity and oracle layouts of every maze.
+    assert packed == [1, 2, 3]
+
+
+def test_run_all_builds_each_mazes_bounds_automaton_once(monkeypatch):
+    built = []
+
+    def spy(maze, n, mode, row_value):
+        built.append((maze.size, mode))
+        return path_automaton(maze, n, mode, row_value)
+
+    monkeypatch.setattr(verify, "path_automaton", spy)
+    assert all(r.passed for r in verify.run_all(n_max=3, m_max=4, comparator_width_max=1))
+    assert built == [(m, SimMode.BOUNDS_ONLY) for m in (2, 3, 4)]
 
 
 # ---------------------------------------------------------------------------
