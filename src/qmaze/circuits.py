@@ -1,9 +1,9 @@
 """Reversible-circuit layer: fitness evaluation, comparators, oracle, validity.
 
 Circuits are ordered lists of NOT/CNOT/Toffoli gates over named bit
-registers, plus single-bit Z phase markers. A gate is an immutable
-(target, controls) tuple, checked once when made, which ``run_batch``
-reads as ``g[0]`` and ``g[1]``; a ``PhaseMark`` is a ``Gate`` but never equals one.
+registers, plus single-bit Z phase markers. A gate is a plain tuple
+(target, controls): controls ``()`` is a NOT, ``(c,)`` a CNOT,
+``(c1, c2)`` a Toffoli, and ``None`` a phase mark on the target.
 Every gate is self-inverse, so a circuit's inverse is its reversed gate
 list. Executing a circuit on a classical basis state is exact: bits map
 to bits bijectively and the only quantum effect, the phase marker, is
@@ -27,15 +27,14 @@ repeated block is appended as the same objects too: the second half of
 each conjugation pair (a walk step's sign complement and code-bit
 inversion, a squaring row's mask) repeats the first, and validity's
 per-step bound check is emitted once per build and repeated at every
-later step. ``x``, ``cx`` and ``ccx`` draw their gates from one gate
-table for the whole process, keyed by target and controls: the first
-emission of a gate checks its bits and stores it, and every later one,
-in any build, appends that same object. A bad gate raises on every
-emission and is never stored. ``Gate(...)`` called directly and ``z``
-make a new object each time. Gates are immutable, so sharing objects
-changes no result, and it only makes building faster: ``verify``
-matches a mirror or a shared prefix by gate equality, not by object
-identity. Gate lists stay per build: no two circuits share one. The
+later step. Every emitter, ``x``, ``cx``, ``ccx`` and ``z``, draws its
+gates from one gate table for the whole process, keyed by target and
+controls: the first emission of a gate checks its bits and stores it,
+and every later one, in any build, appends that same object. A bad gate
+raises on every emission and is never stored. Gates are immutable, so
+sharing objects changes no result, and it only makes building faster:
+``verify`` matches a mirror or a shared prefix by gate equality, not by
+object identity. Gate lists stay per build: no two circuits share one. The
 oracle reuses an already built fitness circuit
 rather than building its own: it starts a
 new circuit from copies of that circuit's registers and spans and its
@@ -70,7 +69,6 @@ Arithmetic conventions:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
@@ -81,76 +79,27 @@ from .maze import Maze
 # Gate and circuit data model
 
 
-_new_tuple = tuple.__new__
+# The gate table (see the module docstring), keyed by each emitter's flat
+# (target, *controls), or by the gate itself for a phase mark: one entry per
+# distinct gate emitted in this process, never removed.
+_GATES: dict[tuple, tuple] = {}
 
 
-def _gate(cls, target: int, controls: tuple[int, ...]):
-    """A ``cls`` gate, its bits checked; ``Gate.__new__`` and ``RevCircuit``'s emitters both make gates here."""
+def _gate(target: int, controls: tuple[int, ...] | None) -> tuple:
+    """The gate (target, controls), its bits checked, then stored in the table; only the emitters call it."""
     # Chained comparisons: every bit >= 0 and no two bits equal.
     if not controls:
         ok = target >= 0
     elif len(controls) == 1:
         ok = target >= 0 <= controls[0] != target
-    elif len(controls) == 2:
+    else:
         c1, c2 = controls
         ok = target >= 0 <= c1 != c2 != target != c1 and c2 >= 0
-    else:
-        raise ValueError("gates above two controls must be decomposed")
     if not ok:
-        need = "nonnegative" if min((target, *controls)) < 0 else "distinct"
-        raise ValueError(f"gate bits must be {need}: {cls.__name__}(target={target!r}, controls={controls!r})")
-    return _new_tuple(cls, (target, controls))
-
-
-class Gate(tuple):
-    """X-family gate: 0 controls = NOT, 1 = CNOT, 2 = Toffoli.
-
-    A gate is the pair (target, controls). It equals only a gate of its
-    own type with the same bits.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, target: int, controls: tuple[int, ...] = ()):
-        return _gate(cls, target, controls)
-
-    target = property(itemgetter(0))
-    controls = property(itemgetter(1))
-
-    def __eq__(self, other):
-        return type(self) is type(other) and tuple.__eq__(self, other)
-
-    def __ne__(self, other):
-        return not self == other
-
-    __hash__ = tuple.__hash__
-
-    def __getnewargs__(self):
-        return tuple(self)
-
-    def __repr__(self):
-        return f"{type(self).__name__}(target={self.target!r}, controls={self.controls!r})"
-
-
-class PhaseMark(Gate):
-    """Z on one bit, recorded as a per-basis-state sign flip."""
-
-    __slots__ = ()
-
-    def __new__(cls, target: int, controls: tuple[int, ...] = ()):
-        if controls:
-            raise ValueError("phase marker takes no controls")
-        return super().__new__(cls, target)
-
-
-# The gate table (see the module docstring), keyed by (target, *controls):
-# one entry per distinct gate emitted in this process, never removed.
-_GATES: dict[tuple[int, ...], Gate] = {}
-
-
-def _interned(target: int, controls: tuple[int, ...]) -> Gate:
-    """The gate (target, controls), made and checked by ``_gate``; stored in the table only once it passes."""
-    gate = _GATES[(target, *controls)] = _gate(Gate, target, controls)
+        need = "nonnegative" if min((target, *(controls or ()))) < 0 else "distinct"
+        raise ValueError(f"gate bits must be {need}: target={target!r}, controls={controls!r}")
+    gate = (target, controls)
+    _GATES[gate if controls is None else (target, *controls)] = gate
     return gate
 
 
@@ -193,16 +142,16 @@ class RevCircuit:
         return r
 
     def x(self, t: int):
-        self.gates.append(_GATES.get((t,)) or _interned(t, ()))
+        self.gates.append(_GATES.get((t,)) or _gate(t, ()))
 
     def cx(self, c: int, t: int):
-        self.gates.append(_GATES.get((t, c)) or _interned(t, (c,)))
+        self.gates.append(_GATES.get((t, c)) or _gate(t, (c,)))
 
     def ccx(self, c1: int, c2: int, t: int):
-        self.gates.append(_GATES.get((t, c1, c2)) or _interned(t, (c1, c2)))
+        self.gates.append(_GATES.get((t, c1, c2)) or _gate(t, (c1, c2)))
 
     def z(self, t: int):
-        self.gates.append(_gate(PhaseMark, t, ()))
+        self.gates.append(_GATES.get((t, None)) or _gate(t, None))
 
     def mark(self) -> int:
         return len(self.gates)
@@ -237,13 +186,14 @@ def count_gates(circuit: RevCircuit, stage: str | None = None) -> GateCounts:
         lo, hi = circuit.spans[stage]
         gates = gates[lo:hi]
     tof = cnot = nots = 0
-    for g in gates:
-        _, c = g
+    for _, c in gates:
+        if c is None:
+            continue
         if len(c) == 2:
             tof += 1
         elif c:
             cnot += 1
-        elif type(g) is not PhaseMark:
+        else:
             nots += 1
     return GateCounts(toffoli=tof, cnot=cnot, nots=nots)
 
@@ -255,7 +205,7 @@ def circuit_depth(circuit: RevCircuit) -> int:
     """
     depth_at = [0] * circuit.num_bits
     for t, c in circuit.gates:
-        touched = (t, *c)
+        touched = (t, *(c or ()))
         d = 1 + max(depth_at[b] for b in touched)
         for b in touched:
             depth_at[b] = d
@@ -322,18 +272,16 @@ def run_batch(circuit: RevCircuit, batch: Batch) -> tuple[Batch, np.ndarray]:
     w = list(batch.wires)
     ones = (1 << batch.size) - 1
     neg = 0
-    for g in circuit.gates:
-        # Indexed, not unpacked: ``t, c = g`` takes a slower path on a tuple subclass.
-        c = g[1]
+    for t, c in circuit.gates:
         if c:
             if len(c) == 2:
-                w[g[0]] ^= w[c[0]] & w[c[1]]
+                w[t] ^= w[c[0]] & w[c[1]]
             else:
-                w[g[0]] ^= w[c[0]]
-        elif type(g) is PhaseMark:
-            neg ^= w[g[0]]
+                w[t] ^= w[c[0]]
+        elif c is None:
+            neg ^= w[t]
         else:
-            w[g[0]] ^= ones
+            w[t] ^= ones
     out = Batch(batch.size, tuple(w))
     if not neg:  # no phase mark fired: every sign is +1
         return out, np.ones(batch.size, dtype=np.int8)

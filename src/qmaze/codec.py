@@ -18,7 +18,7 @@ from .maze import Direction
 MAX_PATH_LENGTH = 12
 
 # A direction's code is its index in ``Direction``; the circuits' walk step
-# and ``maze.path_end_values`` read the same order.
+# and ``maze.path_automaton``'s table columns read the same order.
 _CODE_DIR = dict(enumerate(Direction))
 
 
@@ -31,7 +31,8 @@ def decode_index(value: int, n: int) -> tuple[Direction, ...]:
         raise ValueError(f"path length must be >= 0, got {n}")
     if not 0 <= value < 4**n:
         raise ValueError(f"path index {value} out of range for length {n}")
-    return tuple(_CODE_DIR[(value >> (2 * (n - 1 - k))) & 0b11] for k in range(n))
+    # A list, not a generator, so tuple() allocates the final size rather than resizing a guess.
+    return tuple([_CODE_DIR[(value >> (2 * (n - 1 - k))) & 0b11] for k in range(n)])
 
 
 def path_count(n: int) -> int:

@@ -150,16 +150,12 @@ class Trajectory:
         return self.cells[-1]
 
 
-def generate_maze(
-    m: int,
-    seed: int,
-    start: tuple[int, int] | None = None,
-    goal: tuple[int, int] | None = None,
-) -> Maze:
+def generate_maze(m: int, seed: int) -> Maze:
     """Carve a perfect maze with a seeded recursive backtracker.
 
-    Deterministic for a fixed (m, seed). Start defaults to (0, 0) and goal
-    to (m-1, m-1).
+    Deterministic for a fixed (m, seed). Start is (0, 0) and goal (m-1, m-1);
+    the carve does not depend on them, so ``dataclasses.replace`` places them
+    elsewhere.
     """
     if m < 2:
         raise ValueError(f"maze size must be >= 2, got {m}")
@@ -189,8 +185,8 @@ def generate_maze(
         size=m,
         # A list, not a generator, so tuple() allocates the final size rather than resizing a guess.
         open_sides=tuple([tuple(sides[i * w + 1 : i * w + m + 1]) for i in range(1, m + 1)]),
-        start=start if start is not None else (0, 0),
-        goal=goal if goal is not None else (m - 1, m - 1),
+        start=(0, 0),
+        goal=(m - 1, m - 1),
     )
 
 
@@ -212,15 +208,6 @@ def transition(
     if mode is SimMode.WALL_AWARE and not maze.is_open(cell, d):
         return None
     return nxt
-
-
-def path_end_values(maze: Maze, n: int, mode: SimMode, row_value) -> np.ndarray:
-    """A per-row quantity read where each length-``n`` path stops, by path code.
-
-    ``row_value`` is as for :func:`path_automaton`, whose automaton this
-    gathers over; ``n`` is not range-checked here, see ``codec.path_count``.
-    """
-    return end_values(n, *path_automaton(maze, n, mode, row_value))
 
 
 def path_automaton(maze: Maze, n: int, mode: SimMode, row_value) -> tuple[np.ndarray, np.ndarray, int]:
@@ -347,7 +334,8 @@ def parse_maze(text: str) -> Maze:
         if len(ln) != m:
             raise MazeFormatError(f"grid row '{ln}' must have {m} hex digits")
         try:
-            rows.append(tuple(int(ch, 16) for ch in ln))
+            # A list, not a generator, as in generate_maze.
+            rows.append(tuple([int(ch, 16) for ch in ln]))
         except ValueError:
             raise MazeFormatError(f"grid row '{ln}' contains a non-hex digit") from None
     return Maze(size=m, open_sides=tuple(rows), start=(si, sj), goal=(gi, gj))

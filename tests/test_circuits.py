@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import operator
-import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,8 +20,6 @@ from qmaze import circuits, codec, verify
 from qmaze.adaptive import Strictness, marked_for_cutoff
 from qmaze.circuits import (
     Batch,
-    Gate,
-    PhaseMark,
     Register,
     RevCircuit,
     _gt_const,
@@ -38,7 +36,7 @@ from qmaze.circuits import (
     unpack_column,
 )
 from qmaze.fitness import Formula, fitness, landscape, make_spec
-from qmaze.maze import Maze, SimMode, generate_maze, path_end_values, simulate_path
+from qmaze.maze import Maze, SimMode, end_values, generate_maze, path_automaton, simulate_path
 from qmaze.resources import measured, mismatches, predict
 from reference import build_adder, build_squarer, run_on_basis
 
@@ -72,7 +70,7 @@ def test_identity_circuit():
 
 
 def test_single_not():
-    circ = RevCircuit({"b": Register("b", 0, 1, "operand")}, [Gate(0)])
+    circ = RevCircuit({"b": Register("b", 0, 1, "operand")}, [(0, ())])
     out, sign = run_on_basis(circ, {"b": 0})
     assert out == {"b": 1} and sign == 1
 
@@ -87,43 +85,10 @@ def test_run_on_basis_rejects_bad_assignment():
         run_on_basis(circ, good)
 
 
-def test_gate_rejects_duplicate_bits():
-    with pytest.raises(ValueError):
-        Gate(0, (0,))
-    with pytest.raises(ValueError):
-        Gate(2, (1, 1))
-    # A negative bit would index wires from the end: run_batch's w[-1] is the last wire.
-    for target, controls in ((-1, ()), (-1, (0,)), (0, (-1,)), (1, (0, -2))):
-        with pytest.raises(ValueError, match="nonnegative"):
-            Gate(target, controls)
-    with pytest.raises(ValueError, match="nonnegative"):
-        PhaseMark(-1)
-
-
-def test_gates_are_immutable_values_of_their_own_type():
-    assert isinstance(PhaseMark(3), Gate)
-    assert Gate(3) != PhaseMark(3) and PhaseMark(3) != Gate(3)
-    assert Gate(3) != (3, ()) and (3, ()) != Gate(3)
-    assert Gate(1, (2,)) == Gate(1, (2,)) and hash(Gate(1, (2,))) == hash(Gate(1, (2,)))
-    assert len({Gate(1, (2,)), Gate(1, (2,)), Gate(2, (1,))}) == 2
-    g = Gate(1, (2, 0))
-    assert (g.target, g.controls) == (1, (2, 0))
-    for name in ("target", "controls", "other"):
-        with pytest.raises(AttributeError):
-            setattr(g, name, 5)
-    assert repr(g) == "Gate(target=1, controls=(2, 0))"
-    assert repr(PhaseMark(4)) == "PhaseMark(target=4, controls=())"
-    assert pickle.loads(pickle.dumps(PhaseMark(4))) == PhaseMark(4)
-    with pytest.raises(ValueError, match="no controls"):
-        PhaseMark(0, (1,))
-    with pytest.raises(ValueError, match="decomposed"):
-        Gate(0, (1, 2, 3))
-
-
 def test_builds_draw_each_gate_from_one_table_checked_once(monkeypatch):
     monkeypatch.setattr(circuits, "_GATES", {})
     checked, check = [], circuits._gate
-    monkeypatch.setattr(circuits, "_gate", lambda cls, t, c: checked.append((t, c)) or check(cls, t, c))
+    monkeypatch.setattr(circuits, "_gate", lambda t, c: checked.append((t, c)) or check(t, c))
     first = build_gt_comparator(4, 5)
     distinct = len(checked)
     second = build_gt_comparator(4, 5)
@@ -134,32 +99,70 @@ def test_builds_draw_each_gate_from_one_table_checked_once(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "emit",
-    [lambda c: c.ccx(1, 1, 2), lambda c: c.cx(2, 2), lambda c: c.x(-1), lambda c: c.cx(-1, 0), lambda c: c.ccx(0, 1, -2)],
-    ids=["ccx-repeated", "cx-repeated", "x-negative", "cx-negative", "ccx-negative"],
+    "emit, need",
+    [
+        (lambda c: c.ccx(1, 1, 2), "distinct"),
+        (lambda c: c.cx(2, 2), "distinct"),
+        # A negative bit would index wires from the end: run_batch's w[-1] is the last wire.
+        (lambda c: c.x(-1), "nonnegative"),
+        (lambda c: c.cx(-1, 0), "nonnegative"),
+        (lambda c: c.cx(0, -1), "nonnegative"),
+        (lambda c: c.ccx(0, 1, -2), "nonnegative"),
+        (lambda c: c.ccx(0, -2, 1), "nonnegative"),
+        (lambda c: c.z(-1), "nonnegative"),
+    ],
+    ids=[
+        "ccx-repeated",
+        "cx-repeated",
+        "x-negative",
+        "cx-negative",
+        "cx-negative-target",
+        "ccx-negative",
+        "ccx-negative-control",
+        "z-negative",
+    ],
 )
-def test_a_bad_gate_raises_on_every_emission_and_is_never_stored(emit):
+def test_a_bad_gate_raises_on_every_emission_and_is_never_stored(emit, need):
     circ = RevCircuit()
     circ.reg("r", 3, "operand")
     size = len(circuits._GATES)
     for _ in range(3):
-        with pytest.raises(ValueError, match="distinct|nonnegative"):
+        with pytest.raises(ValueError, match=need):
             emit(circ)
     assert len(circuits._GATES) == size and circ.gates == []
 
 
-def test_gate_makes_a_new_object_equal_to_the_emitted_one():
+def test_a_phase_mark_and_a_not_are_distinct_table_entries():
     circ = RevCircuit()
-    circ.reg("r", 3, "operand")
+    circ.reg("r", 1, "operand")
     circ.x(0)
-    circ.cx(0, 1)
-    circ.ccx(0, 1, 2)
-    for emitted, made in zip(circ.gates, (Gate(0), Gate(1, (0,)), Gate(2, (0, 1)))):
-        assert made == emitted and made is not emitted and type(made) is type(emitted)
-    # A phase mark is not drawn from the table: each z makes a new one.
-    circ.z(2)
-    circ.z(2)
-    assert circ.gates[-1] == circ.gates[-2] and circ.gates[-1] is not circ.gates[-2]
+    circ.z(0)
+    circ.x(0)
+    circ.z(0)
+    assert circ.gates == [(0, ()), (0, None), (0, ()), (0, None)]
+    assert circuits._GATES[(0,)] is circ.gates[0] and circuits._GATES[(0, None)] is circ.gates[1]
+    # Each repeated emission appends the table's object, a phase mark's too.
+    assert circ.gates[2] is circ.gates[0] and circ.gates[3] is circ.gates[1]
+
+
+@pytest.mark.parametrize(
+    "gates, bits, sign, counts, depth",
+    [
+        ([(0, ())], 0b10, 1, (0, 0, 1), 1),
+        ([(0, None)], 0b11, -1, (0, 0, 0), 1),
+        ([(0, None), (0, ())], 0b10, -1, (0, 0, 1), 2),
+        ([(0, ()), (0, None)], 0b10, 1, (0, 0, 1), 2),
+        ([(1, (0,)), (0, None), (1, None)], 0b01, -1, (0, 1, 0), 2),
+    ],
+    ids=["not", "mark", "mark-then-not", "not-then-mark", "cnot-and-marks"],
+)
+def test_a_phase_mark_is_none_controls_and_a_not_is_empty_controls(gates, bits, sign, counts, depth):
+    """On row 0b11 a mark on a set bit flips the sign and a NOT flips the bit; a mark is never tallied."""
+    circ = RevCircuit({"r": Register("r", 0, 2, "operand")}, gates)
+    out, signs = run_batch(circ, pack_rows(circ, {"r": 0b11}, 1))
+    assert unpack_column(circ, out, "r").tolist() == [bits] and signs.tolist() == [sign]
+    assert count_gates(circ) == circuits.GateCounts(*counts)
+    assert circuit_depth(circ) == depth
 
 
 def test_pack_rows_rejects_unknown_register():
@@ -195,11 +198,11 @@ def run_rows_reference(circuit: RevCircuit, rows: list[list[int]]) -> tuple[list
     bits, signs = [], []
     for row in map(list, rows):
         sign = 1
-        for g in circuit.gates:
-            if isinstance(g, PhaseMark):
-                sign = -sign if row[g.target] else sign
-            elif all(row[c] for c in g.controls):
-                row[g.target] ^= 1
+        for t, c in circuit.gates:
+            if c is None:
+                sign = -sign if row[t] else sign
+            elif all(row[b] for b in c):
+                row[t] ^= 1
         bits.append(row)
         signs.append(sign)
     return bits, signs
@@ -214,7 +217,7 @@ def random_circuits(draw):
         wires = draw(st.permutations(range(width)))
         controls = tuple(wires[1 : 1 + draw(st.integers(0, min(2, width - 1)))])
         phase = not controls and draw(st.booleans())
-        gates.append((PhaseMark if phase else Gate)(wires[0], controls))
+        gates.append((wires[0], None if phase else controls))
     registers = {"w": Register("w", 0, width, "operand")} if width else {}
     return RevCircuit(registers, gates)
 
@@ -411,7 +414,7 @@ def test_fitness_circuit_matches_reference(m, n):
 
 def test_fitness_circuit_custom_start_goal():
     spec = make_spec(3, Formula.MAIN, SimMode.WALL_BLIND)
-    maze = generate_maze(3, seed=1, start=(2, 0), goal=(0, 2))
+    maze = replace(generate_maze(3, seed=1), start=(2, 0), goal=(0, 2))
     scape = landscape(maze, 2, spec)
     circ = build_fitness_circuit(maze, 2)
     wa = arith_width(3, 2)
@@ -423,18 +426,18 @@ def test_fitness_circuit_custom_start_goal():
 @pytest.mark.parametrize("placement", ["corner", "swapped", "central"])
 def test_walk_ends_on_the_displacement_from_the_goal(m, placement):
     start, goal = {
-        "corner": (None, None),
+        "corner": ((0, 0), (m - 1, m - 1)),
         "swapped": ((m - 1, m - 1), (0, 0)),
         "central": ((m // 2, m // 2), (0, m - 1)),
     }[placement]
-    maze = generate_maze(m, seed=0, start=start, goal=goal)
+    maze = replace(generate_maze(m, seed=0), start=start, goal=goal)
     for n in range(1, 5):
         circ = build_fitness_circuit(maze, n)
         walked = RevCircuit(circ.registers, circ.gates[: circ.spans["walk"][1]])
         out, _ = sweep(walked, {"path": np.arange(4**n)})
         span = 1 << position_width(m, n)
         for axis, name in enumerate(("pos_i", "pos_j")):
-            end = path_end_values(maze, n, SimMode.WALL_BLIND, lambda cells, _: cells[:, axis])
+            end = end_values(n, *path_automaton(maze, n, SimMode.WALL_BLIND, lambda cells, _: cells[:, axis]))
             want = (end - maze.goal[axis]) % span
             assert np.array_equal(unpack_column(walked, out, name), want), (n, name)
         assert scratch_clean(walked, out)
@@ -601,7 +604,7 @@ def _gate_list_digests() -> tuple[str, str]:
 
     def update(h, circ):
         regs = [(r.name, r.offset, r.width, r.role) for r in circ.registers.values()]
-        gates = [(type(g).__name__, g.target, g.controls) for g in circ.gates]
+        gates = [("PhaseMark" if c is None else "Gate", t, c or ()) for t, c in circ.gates]
         h.update(repr((regs, sorted(circ.spans.items()), gates)).encode())
 
     for m in range(2, 7):
@@ -624,7 +627,7 @@ def test_builds_share_no_gate_list(build):
     assert first.gates is not second.gates
     kept = list(second.gates)
     lo, hi = first.spans.get("walk", (0, len(first.gates)))
-    first.gates[(lo + hi) // 2] = PhaseMark(0)
+    first.gates[(lo + hi) // 2] = (0, None)
     assert first.gates != kept
     assert second.gates == kept
     assert _gate_list_digests()[0] == FITNESS_DIGEST
@@ -708,10 +711,10 @@ def test_validity_matches_bounds_oracle(m, n):
 
 @pytest.mark.parametrize("start", [(0, 2), (2, 0), (2, 2), (1, 1)])
 def test_validity_custom_start(start):
-    maze = generate_maze(3, seed=1, start=start, goal=(1, 0))
+    maze = replace(generate_maze(3, seed=1), start=start, goal=(1, 0))
     circ = build_validity_circuit(maze, 3)
     out, _ = sweep(circ, {"path": np.arange(64)})
-    want = path_end_values(maze, 3, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+    want = end_values(3, *path_automaton(maze, 3, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen))
     assert np.array_equal(unpack_column(circ, out, "valid"), want)
     assert scratch_clean(circ, out)
 
@@ -722,7 +725,7 @@ def test_circuits_follow_the_mazes_placement(m, n, seed, data):
     cells = st.tuples(st.integers(0, m - 1), st.integers(0, m - 1))
     start = data.draw(cells)
     goal = data.draw(cells.filter(lambda cell: cell != start))
-    maze = generate_maze(m, seed, start, goal)
+    maze = replace(generate_maze(m, seed), start=start, goal=goal)
     paths = {"path": np.arange(4**n)}
     blind = landscape(maze, n, make_spec(m, Formula.MAIN, SimMode.WALL_BLIND)).values
 
@@ -733,7 +736,7 @@ def test_circuits_follow_the_mazes_placement(m, n, seed, data):
 
     valid = build_validity_circuit(maze, n)
     out, _ = sweep(valid, paths)
-    want = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+    want = end_values(n, *path_automaton(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen))
     assert np.array_equal(unpack_column(valid, out, "valid"), want)
     assert scratch_clean(valid, out)
 

@@ -15,12 +15,7 @@ import pytest
 
 from qmaze import cli, fitness, resources, verify
 from qmaze.adaptive import SearchConfig, run_adaptive
-from qmaze.circuits import (
-    Gate,
-    RevCircuit,
-    build_gt_comparator,
-    build_oracle_circuit,
-)
+from qmaze.circuits import RevCircuit, build_gt_comparator, build_oracle_circuit
 from qmaze.cli import main, parse_config, UsageError
 from qmaze.fitness import landscape, make_spec
 from qmaze.maze import parse_maze
@@ -444,7 +439,7 @@ def _corrupt_oracle(monkeypatch, edit):
 
 
 def _corrupt_oracle_sign(monkeypatch):
-    _corrupt_oracle(monkeypatch, lambda circ: RevCircuit(circ.registers, [g for g in circ.gates if type(g) is Gate]))
+    _corrupt_oracle(monkeypatch, lambda circ: RevCircuit(circ.registers, [g for g in circ.gates if g[1] is not None]))
     return _suite("oracle-sign")
 
 

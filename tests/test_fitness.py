@@ -7,6 +7,7 @@ lookups so landscape checks never reuse the production simulation code.
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import replace
 from math import comb
 
 import numpy as np
@@ -22,9 +23,9 @@ from qmaze.maze import (
     Maze,
     SimMode,
     end_histogram,
+    end_values,
     generate_maze,
     path_automaton,
-    path_end_values,
     simulate_path,
     transition,
 )
@@ -179,7 +180,7 @@ def maze_and_length(draw):
     m = draw(st.integers(2, 5))
     cells = [(i, j) for i in range(m) for j in range(m)]
     start, goal = draw(st.lists(st.sampled_from(cells), min_size=2, max_size=2, unique=True))
-    maze = generate_maze(m, draw(st.integers(0, 2**16)), start=start, goal=goal)
+    maze = replace(generate_maze(m, draw(st.integers(0, 2**16))), start=start, goal=goal)
     return maze, draw(st.integers(0, 6))
 
 
@@ -190,7 +191,7 @@ def test_landscape_matches_scalar_reference(case, mode, formula):
     maze, n = case
     spec = make_spec(maze.size, formula, mode)
     values = landscape(maze, n, spec).values
-    blocked = path_end_values(maze, n, mode, lambda _, frozen: frozen)
+    blocked = end_values(n, *path_automaton(maze, n, mode, lambda _, frozen: frozen))
     assert values.dtype == np.int64 and values.shape == blocked.shape == (4**n,)
     for u in range(4**n):
         path = codec.decode_index(u, n)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -14,9 +15,10 @@ from qmaze.maze import (
     Maze,
     MazeFormatError,
     SimMode,
+    end_values,
     generate_maze,
     parse_maze,
-    path_end_values,
+    path_automaton,
     serialize_maze,
     simulate_path,
     transition,
@@ -109,9 +111,9 @@ def test_path_end_values_matches_transition_from_every_start(m):
         maze = Maze(m, base.open_sides, start, goal)
         for mode in SimMode:
             for n in (1, 2):
-                end_i = path_end_values(maze, n, mode, lambda cells, _: cells[:, 0])
-                end_j = path_end_values(maze, n, mode, lambda cells, _: cells[:, 1])
-                frozen = path_end_values(maze, n, mode, lambda _, frozen: frozen)
+                end_i = end_values(n, *path_automaton(maze, n, mode, lambda cells, _: cells[:, 0]))
+                end_j = end_values(n, *path_automaton(maze, n, mode, lambda cells, _: cells[:, 1]))
+                frozen = end_values(n, *path_automaton(maze, n, mode, lambda _, frozen: frozen))
                 for u, path in enumerate(itertools.product(list(Direction), repeat=n)):
                     traj = simulate_path(maze, path, mode)
                     assert (end_i[u], end_j[u]) == traj.end, (start, mode, n, path)
@@ -201,7 +203,7 @@ def test_tree_path_rejects_cell_outside_grid():
 
 
 def test_serialize_parse_round_trip():
-    maze = generate_maze(16, seed=9, goal=(3, 12))
+    maze = replace(generate_maze(16, seed=9), goal=(3, 12))
     text = serialize_maze(maze)
     back = parse_maze(text)
     assert back.open_sides == maze.open_sides

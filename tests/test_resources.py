@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -43,7 +44,7 @@ def test_fitness_width_for_2x2():
 def test_predict_matches_measured_exactly(n, m):
     c = m // 2
     for start, goal in (((0, 0), (m - 1, m - 1)), ((m - 1, m - 1), (0, 0)), ((c, c), (c - 1, c))):
-        maze = generate_maze(m, seed=0, start=start, goal=goal)
+        maze = replace(generate_maze(m, seed=0), start=start, goal=goal)
         pred = predict(maze, n)
         act = measured(maze, n)
         assert pred.register_widths == act.register_widths

@@ -24,8 +24,6 @@ import pytest
 from qmaze import verify
 from qmaze.circuits import (
     Batch,
-    Gate,
-    PhaseMark,
     RevCircuit,
     build_fitness_circuit,
     build_gt_comparator,
@@ -36,7 +34,7 @@ from qmaze.circuits import (
     unpack_column,
 )
 from qmaze.fitness import make_spec
-from qmaze.maze import SimMode, generate_maze, path_automaton, path_end_values
+from qmaze.maze import SimMode, end_values, generate_maze, path_automaton
 
 # ---------------------------------------------------------------------------
 # Per-case reference
@@ -123,7 +121,7 @@ def _fitness_cases(circuits, blind):
 
 def _validity_cases(circuits):
     for (maze, n), circ in circuits.items():
-        ref = path_end_values(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen)
+        ref = end_values(n, *path_automaton(maze, n, SimMode.BOUNDS_ONLY, lambda _, frozen: ~frozen))
         where, paths = _path_case(maze.size, n)
         yield where, circ, paths, {"valid": ref}, 1
 
@@ -248,7 +246,7 @@ def _drop_comparator_gate(circ):
 
 
 def _x_on_flag(circ):
-    return circ.gates + [Gate(circ.registers["flag"].offset)]
+    return circ.gates + [(circ.registers["flag"].offset, ())]
 
 
 def _corrupted_at(bad_w, edit):
@@ -274,7 +272,7 @@ def test_a_comparator_laid_out_anew_is_packed_anew():
         wire = {flag: 0, **{b: b + 1 for b in range(flag)}}
         wire.update((b, b) for b in range(flag + 1, circ.num_bits))
         registers = {name: replace(r, offset=wire[r.offset]) for name, r in circ.registers.items()}
-        gates = [Gate(wire[g.target], tuple(wire[c] for c in g.controls)) for g in circ.gates]
+        gates = [(wire[t], tuple(wire[b] for b in c)) for t, c in circ.gates]
         return RevCircuit(registers, gates)
 
     got = verify.verify_comparator(3, builder)
@@ -312,7 +310,7 @@ def _firing_site(circ) -> int:
     rows = pack_rows(circ, {"path": np.arange(4**n)}, 4**n)
     wires = run_batch(RevCircuit(circ.registers, circ.gates[:lo]), rows)[0].wires
     ones = (1 << rows.size) - 1
-    fires = (at for at in range(lo, hi) if reduce(operator.and_, (wires[c] for c in circ.gates[at].controls), ones))
+    fires = (at for at in range(lo, hi) if reduce(operator.and_, (wires[c] for c in circ.gates[at][1]), ones))
     at = next(fires, None)
     assert at is not None, "no prefix gate from the middle on fires on any path"
     return at
@@ -344,17 +342,17 @@ def _drop_uncompare_gate(circ):
 
 
 def _drop_phase_mark(circ):
-    return [g for g in circ.gates if not isinstance(g, PhaseMark)]
+    return [g for g in circ.gates if g[1] is not None]
 
 
 def _mark_in_prefix(circ):
     at = _forward_hi(circ) // 2
-    return circ.gates[:at] + [PhaseMark(circ.registers["path"].offset)] + circ.gates[at:]
+    return circ.gates[:at] + [(circ.registers["path"].offset, None)] + circ.gates[at:]
 
 
 def _mark_in_prefix_and_mirror(circ):
     """One phase mark inside the prefix and the same object at the mirrored depth: the two signs cancel."""
-    at, mark = _forward_hi(circ) // 2, PhaseMark(circ.registers["path"].offset)
+    at, mark = _forward_hi(circ) // 2, (circ.registers["path"].offset, None)
     back = len(circ.gates) - at
     return circ.gates[:at] + [mark] + circ.gates[at:back] + [mark] + circ.gates[back:]
 
@@ -460,18 +458,18 @@ def _retarget_mirror(circ, first, middle, mirror):
 
 def _middle_writes_path(circ, first, middle, mirror):
     """A NOT on a path bit, which A reads, after M."""
-    return first, middle + [Gate(circ.registers["path"].offset)], mirror
+    return first, middle + [(circ.registers["path"].offset, ())], mirror
 
 
 def _middle_flips_output(circ, first, middle, mirror):
     """A NOT on the output's low bit after M, which A never touches."""
     out = circ.registers["fit" if "fit" in circ.registers else "valid"]
-    return first, middle + [Gate(out.offset)], mirror
+    return first, middle + [(out.offset, ())], mirror
 
 
 def _mark_in_first_and_mirror(circ, first, middle, mirror):
     """One phase mark inside A and the same object at the mirrored depth: the two signs cancel."""
-    at, mark = len(first) // 2, PhaseMark(circ.registers["path"].offset)
+    at, mark = len(first) // 2, (circ.registers["path"].offset, None)
     back = len(mirror) - at
     return first[:at] + [mark] + first[at:], middle, mirror[:back] + [mark] + mirror[back:]
 
@@ -548,11 +546,13 @@ def _replace_forward_gate(circ, make):
 
 
 def _equal_copy(gate, _num_bits):
-    return Gate(gate.target, gate.controls)
+    """A new tuple equal to ``gate``."""
+    return gate[0], gate[1]
 
 
 def _moved_target(gate, num_bits):
-    return Gate(next(b for b in range(num_bits) if b not in (gate.target, *gate.controls)), gate.controls)
+    t, c = gate
+    return next(b for b in range(num_bits) if b not in (t, *c)), c
 
 
 @pytest.mark.parametrize("index", range(4), ids=lambda i: f"cutoff{i}")
@@ -604,7 +604,7 @@ def test_an_oracle_packed_elsewhere_runs_whole(monkeypatch, index):
 def _all_signs_flipped(circ):
     """The oracle, then X Z X on ``flag``: flag is 0 on every row after the oracle, so every sign flips."""
     flag = circ.registers["flag"].offset
-    return RevCircuit(circ.registers, circ.gates + [Gate(flag), PhaseMark(flag), Gate(flag)], circ.spans)
+    return RevCircuit(circ.registers, circ.gates + [(flag, ()), (flag, None), (flag, ())], circ.spans)
 
 
 def test_all_wrong_signs_report_every_row(monkeypatch):
